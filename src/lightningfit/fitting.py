@@ -13,6 +13,15 @@ The least-squares solve truncates singular values below eps_rel times the
 largest one and returns the minimum-norm solution, so the basis may be
 (and with clustered poles always is) numerically rank deficient on
 purpose.
+
+What does not depend on the poles is computed once per grid and kept in
+the grid's derived data: the target values, the polynomial block on the
+fit grid, and that block's values on a validation grid.  The block is
+kept at the highest degree built so far; the recurrence makes the
+degree-d columns and coefficients exact prefixes of the degree-D ones,
+so a lower degree is served as a slice, bit for bit what a build at that
+degree gives.  Partial-fraction columns move with the poles and are
+never kept.
 """
 
 from __future__ import annotations
@@ -116,6 +125,41 @@ def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return poles[None, :] / diff
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _target_values(target: Target, grid: SampleGrid) -> np.ndarray:
+    """The target on the grid's points, evaluated once per (grid, target)."""
+    key = ("target", target)
+    if key not in grid._derived:
+        grid._derived[key] = _frozen(eval_target(target, grid.points))
+    return grid._derived[key]
+
+
+def _poly_block(grid: SampleGrid, degree: int):
+    """(Q, hess, norm0) of the grid's polynomial chain up to `degree`."""
+    block = grid._derived.get("poly")
+    if block is None or block[1].shape[1] < degree:
+        q, hess, norm0 = _poly_chain_build(grid.points, degree)
+        block = grid._derived["poly"] = (_frozen(q), _frozen(hess), norm0)
+    q, hess, norm0 = block
+    return q[:, : degree + 1], hess[: degree + 1, :degree], norm0
+
+
+def _poly_values(design: DesignMatrix, grid: SampleGrid) -> np.ndarray:
+    """The design's polynomial columns on `grid`, evaluated once per fit grid."""
+    degree = design.spec.poly_degree
+    key = ("poly_at", id(design.grid))
+    entry = grid._derived.get(key)
+    if entry is None or entry[1].shape[1] <= degree:
+        # the entry holds the fit grid, so that its id is not reused
+        w = _poly_chain_eval(grid.points, design.poly_hess, design.poly_norm0)
+        entry = grid._derived[key] = (design.grid, _frozen(w))
+    return entry[1][:, : degree + 1]
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Sampled basis: column order is clustered poles, extra poles, polynomial 0..N2."""
@@ -134,15 +178,19 @@ class DesignMatrix:
     def columns_at(self, pts: np.ndarray) -> np.ndarray:
         """Rebuild the basis columns at arbitrary points."""
         pts = np.atleast_1d(np.asarray(pts))
+        poly = None
+        if self.poly_hess is not None:
+            poly = _poly_chain_eval(pts, self.poly_hess, self.poly_norm0)
+        return self._columns(pts, poly)
+
+    def _columns(self, pts: np.ndarray, poly: np.ndarray | None) -> np.ndarray:
+        """Basis columns at pts, given the polynomial block there (or None)."""
         blocks = []
         poles = self.spec.finite_poles
         if len(poles):
             blocks.append(_partial_fraction_columns(pts, poles) / self.pf_scales)
-        if self.spec.poly_degree == 0:
-            dtype = complex if np.iscomplexobj(pts) else float
-            blocks.append(np.full((len(pts), 1), 1.0 / self.poly_norm0, dtype=dtype))
-        elif self.spec.poly_degree > 0:
-            blocks.append(_poly_chain_eval(pts, self.poly_hess, self.poly_norm0))
+        if poly is not None:
+            blocks.append(poly)
         return np.hstack(blocks)
 
 
@@ -152,6 +200,9 @@ def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
     Partial-fraction columns are p/(z-p) rescaled to unit discrete max
     modulus on the grid; polynomial columns are discretely orthonormal.
     """
+    if spec.poly_degree >= len(grid):
+        raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
+                         f"the grid's {len(grid)} points")
     z = grid.points
     blocks = []
     poles = spec.finite_poles
@@ -167,11 +218,8 @@ def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
 
     poly_hess = None
     norm0 = math.sqrt(len(z))
-    if spec.poly_degree == 0:
-        dtype = complex if np.iscomplexobj(z) else float
-        blocks.append(np.full((len(z), 1), 1.0 / norm0, dtype=dtype))
-    elif spec.poly_degree > 0:
-        q, poly_hess, norm0 = _poly_chain_build(z, spec.poly_degree)
+    if spec.poly_degree >= 0:
+        q, poly_hess, norm0 = _poly_block(grid, spec.poly_degree)
         blocks.append(q)
 
     return DesignMatrix(matrix=np.hstack(blocks), grid=grid, spec=spec,
@@ -231,8 +279,10 @@ def evaluate(approx: Approximant, pts) -> np.ndarray:
 
 def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
     """Max modulus deviation from the target over the grid."""
-    return float(np.max(np.abs(evaluate(approx, grid.points)
-                               - eval_target(target, grid.points))))
+    design = approx.design
+    poly = None if design.poly_hess is None else _poly_values(design, grid)
+    values = design._columns(grid.points, poly) @ approx.coeffs
+    return float(np.max(np.abs(values - _target_values(target, grid))))
 
 
 def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
@@ -241,17 +291,23 @@ def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
     """Least-squares fit of the target over the fit grid.
 
     Returns (Approximant, FitReport).  The report's max_err is measured on
-    the denser validation grid, not the fit grid.
+    the denser validation grid, not the fit grid; by default that grid
+    spans the fit grid's decades.  Reusing both grids across fits lets
+    the work that does not depend on the poles be done once.
     """
     if grid is None:
         grid = build_fit_grid(problem.domain)
     design = build_design_matrix(grid, spec)
-    fvec = eval_target(problem.target, grid.points)
+    fvec = _target_values(problem.target, grid)
     coeffs, rank = tsvd_solve(design, fvec, eps_rel)
     approx = Approximant(design=design, coeffs=coeffs, domain=problem.domain)
     if validation_grid is None:
-        validation_grid = build_validation_grid(problem.domain)
-    err = max_error(approx, problem.target, validation_grid)
+        validation_grid = build_validation_grid(problem.domain,
+                                                decades=grid.decades)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = max_error(approx, problem.target, validation_grid)
+    if not math.isfinite(err):
+        raise NumericError("the approximant overflows on the validation grid")
     resid = float(np.linalg.norm(design.matrix @ coeffs - fvec))
     clustered = spec.clustered
     report = FitReport(

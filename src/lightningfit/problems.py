@@ -130,13 +130,20 @@ class ApproxProblem:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Immutable point set with its construction parameters."""
+    """Immutable point set with its construction parameters.
+
+    `_derived` holds data computed from the points (target values, the
+    polynomial block) for the fitting module to reuse across fits on this
+    grid; it is not part of the grid's value.
+    """
 
     points: np.ndarray
     domain: Domain
     decades: float
     per_arm: int
     label: str = "fit"
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.points.flags.writeable = False

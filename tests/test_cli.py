@@ -90,6 +90,19 @@ def test_numeric_failure_exit_2(capsys):
     assert "numeric failure" in err
 
 
+def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
+    # 60 points carry degree 59 only in exact arithmetic: validation overflows
+    code, out, err = run_cli(capsys, "fit", "--grid-points", "60", "--n1", "4",
+                             "--n2", "59")
+    assert code == 2
+    assert "numeric failure" in err
+    assert "nan" not in (out + err).lower()
+    code, _, err = run_cli(capsys, "fit", "--grid-points", "60", "--n1", "4",
+                           "--n2", "60")
+    assert code == 1
+    assert "input error" in err
+
+
 def test_sigma_sweep_smoke(capsys):
     code, out, _ = run_cli(capsys, "sigma-sweep", "--n1", "4", "--n2", "2",
                            "--grid-points", "200", "--format", "json")

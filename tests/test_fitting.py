@@ -187,10 +187,91 @@ def test_evaluate_scalar_and_array():
     assert approx(0.5) == scalar
 
 
-def test_max_error_agrees_with_direct_computation():
-    spec = BasisSpec(clustered=tapered_poles(8, 5.0), poly_degree=2)
-    approx, _ = fit(SQRT_PROBLEM, spec)
-    grid = build_validation_grid(Domain.unit_interval(), per_arm=501)
+@pytest.mark.parametrize("beta, degree", [
+    pytest.param(beta, degree, id=f"{name}-{degree}")
+    for name, beta in (("interval", 0.0), ("vshape", 1.0))
+    for degree in (-1, 0, 2, 8)])
+def test_max_error_agrees_with_direct_computation(beta, degree):
+    """max_error reads the grid's kept data; evaluate rebuilds everything."""
+    problem = ApproxProblem(Target.sqrt(), Domain(beta))
+    spec = BasisSpec(clustered=tapered_poles(8, 5.0), poly_degree=degree)
+    approx, _ = fit(problem, spec, grid=build_fit_grid(Domain(beta), per_arm=400))
+    grid = build_validation_grid(Domain(beta), per_arm=501)
     direct = np.max(np.abs(evaluate(approx, grid.points)
                            - eval_target(Target.sqrt(), grid.points)))
     assert max_error(approx, Target.sqrt(), grid) == direct
+    assert max_error(approx, Target.sqrt(), grid) == direct  # from kept data
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_constant_column_is_exact(beta):
+    grid = build_fit_grid(Domain(beta), per_arm=300)
+    design = build_design_matrix(grid, BasisSpec(poly_degree=0))
+    assert np.all(design.matrix == 1.0 / math.sqrt(len(grid)))
+    assert np.all(design.columns_at(np.array([0.25, 0.5])) == design.matrix[0])
+
+
+def _fit_on(problem, degree, grid, vgrid):
+    spec = BasisSpec(clustered=tapered_poles(12, 6.0), poly_degree=degree)
+    return fit(problem, spec, grid=grid, validation_grid=vgrid)
+
+
+def _grids(domain, per_arm=400):
+    return (build_fit_grid(domain, per_arm=per_arm),
+            build_validation_grid(domain, per_arm=1500))
+
+
+def _assert_same_fit(a, b):
+    (approx_a, rep_a), (approx_b, rep_b) = a, b
+    assert np.array_equal(approx_a.design.matrix, approx_b.design.matrix)
+    assert np.array_equal(approx_a.coeffs, approx_b.coeffs)
+    assert (rep_a.max_err, rep_a.resid_2norm, rep_a.eff_rank) == \
+        (rep_b.max_err, rep_b.resid_2norm, rep_b.eff_rank)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_lower_degree_served_from_higher_degree_block(beta):
+    """Fits of degree 3, 15, 3 on the same grids are bit for bit the fits on
+    fresh grids: the block grows, then serves the lower degree as a prefix."""
+    problem = ApproxProblem(Target.sqrt(), Domain(beta))
+    grids = _grids(Domain(beta))
+    for degree in (3, 15, 3):
+        _assert_same_fit(_fit_on(problem, degree, *grids),
+                         _fit_on(problem, degree, *_grids(Domain(beta))))
+
+
+def test_kept_data_separates_targets_and_fit_grids():
+    domain = Domain.vshape(0.5)
+    grid, vgrid = _grids(domain)
+    other_grid = build_fit_grid(domain, per_arm=300)
+    for target in (Target.sqrt(), Target.power(0.3)):
+        problem = ApproxProblem(target, domain)
+        for fit_grid in (grid, other_grid):
+            fresh = build_fit_grid(domain, per_arm=fit_grid.per_arm)
+            _assert_same_fit(_fit_on(problem, 8, fit_grid, vgrid),
+                             _fit_on(problem, 8, fresh, _grids(domain)[1]))
+
+
+def test_kept_grid_data_is_read_only():
+    grid, vgrid = _grids(Domain.vshape(1.0))
+    _fit_on(ApproxProblem(Target.sqrt(), Domain.vshape(1.0)), 6, grid, vgrid)
+    kept = [a for g in (grid, vgrid) for entry in g._derived.values()
+            for a in (entry if isinstance(entry, tuple) else (entry,))
+            if isinstance(a, np.ndarray)]
+    assert len(kept) == 5  # two target vectors, Q and hess, validation block
+    assert not any(a.flags.writeable for a in kept)
+
+
+def test_default_validation_grid_spans_fit_grid_decades():
+    grid = build_fit_grid(Domain.unit_interval(), decades=8.0, per_arm=500)
+    spec = BasisSpec(clustered=tapered_poles(12, 6.0), poly_degree=4)
+    approx, report = fit(SQRT_PROBLEM, spec, grid=grid)
+    vgrid = build_validation_grid(Domain.unit_interval(), decades=8.0)
+    assert report.max_err == max_error(approx, Target.sqrt(), vgrid)
+    assert report.config["decades"] == 8.0
+
+
+def test_polynomial_degree_must_fit_the_grid():
+    grid = build_fit_grid(Domain.unit_interval(), per_arm=20)
+    with pytest.raises(InputError):
+        build_design_matrix(grid, BasisSpec(poly_degree=20))
