@@ -44,8 +44,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table serialization format")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seedless", action="store_true",
-                        help="reserved; every pipeline is already deterministic")
 
 
 def _build_parser():

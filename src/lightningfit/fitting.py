@@ -7,12 +7,23 @@ z times the previous one, orthogonalized against all earlier polynomial
 columns and normalized).  The recurrence coefficients form an upper
 Hessenberg matrix that re-evaluates the same polynomials at arbitrary
 points, which keeps evaluation stable where a Vandermonde basis would
-long have degenerated.
+long have degenerated.  The columns on the fit grid are themselves
+computed from those coefficients, so the fit and every later evaluation
+use the same basis functions; on a coarse grid the Gram-Schmidt output
+and its re-evaluation can differ by ~1e-9.
 
 The least-squares solve truncates singular values below eps_rel times the
 largest one and returns the minimum-norm solution, so the basis may be
 (and with clustered poles always is) numerically rank deficient on
 purpose.
+
+The solve never forms the m x m or m x n orthogonal factors.  One
+Householder QR of the augmented system [A | f] leaves an upper
+triangular R whose first n columns have A's singular values and whose
+last column is Q^H f; the truncated SVD runs on that k x n block,
+k = min(m, n + 1), so only small matrices are factored further.  The
+cut is relative to the largest singular value, which any backward-stable
+factorization of A preserves up to rounding.
 
 What does not depend on the poles is computed once per grid and kept in
 the grid's derived data: the target values, the polynomial block on the
@@ -20,8 +31,16 @@ fit grid, and that block's values on a validation grid.  The block is
 kept at the highest degree built so far; the recurrence makes the
 degree-d columns and coefficients exact prefixes of the degree-D ones,
 so a lower degree is served as a slice, bit for bit what a build at that
-degree gives.  Partial-fraction columns move with the poles and are
-never kept.
+degree gives, and a higher degree continues the recurrence from the kept
+columns.  Partial-fraction columns move with the poles and are never
+kept.
+
+Evaluation is matrix-free: the polynomial part is the polynomial block
+at the points times its coefficients, and the partial-fraction part is
+summed over row chunks of _EVAL_CHUNK points, so validating a fit needs
+O(_EVAL_CHUNK * n) memory beyond the kept blocks instead of the m x n
+validation matrix.  `evaluate` and `max_error` share that routine, so
+both give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +56,7 @@ from .problems import (ApproxProblem, SampleGrid, Target, build_fit_grid,
                        build_validation_grid, eval_target)
 
 DEFAULT_TSVD_EPS = 2e-14
+_EVAL_CHUNK = 4096  # rows of partial-fraction columns evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -78,21 +98,32 @@ class BasisSpec:
         return len(self.finite_poles) + max(self.poly_degree, 0)
 
 
-def _poly_chain_build(z: np.ndarray, degree: int):
+def _poly_chain_build(z: np.ndarray, degree: int, kept: tuple | None = None):
     """Orthonormal polynomial columns on the grid z, degrees 0..degree.
 
-    Returns (Q, hess, norm0) where Q has orthonormal columns in the plain
-    Euclidean inner product, hess holds the recurrence coefficients
-    (including one full reorthogonalization pass folded in), and norm0 is
-    the normalization of the constant column.
+    Returns (Q, hess, norm0) where hess holds the recurrence coefficients
+    (including one full reorthogonalization pass folded in), norm0 is the
+    normalization of the constant column, and Q holds the recurrence's
+    values on z: orthonormal columns in the plain Euclidean inner
+    product, and bit for bit what _poly_chain_eval gives at z, so that
+    the fit and every later evaluation use the same basis functions.
+    Given `kept`, a block of lower degree on the same z, the recurrence
+    continues from its last column; each step reads only earlier
+    columns, so the result is bit for bit a build from degree 0.
     """
     m = len(z)
     dtype = complex if np.iscomplexobj(z) else float
     q = np.empty((m, degree + 1), dtype=dtype)
     norm0 = math.sqrt(m)
-    q[:, 0] = 1.0 / norm0
     hess = np.zeros((degree + 1, degree), dtype=dtype)
-    for k in range(degree):
+    start = 0
+    if kept is None:
+        q[:, 0] = 1.0 / norm0
+    else:
+        start = kept[1].shape[1]
+        q[:, : start + 1] = kept[0]
+        hess[: start + 1, :start] = kept[1]
+    for k in range(start, degree):
         v = z * q[:, k]
         for _ in range(2):  # classical Gram-Schmidt, two passes
             proj = q[:, : k + 1].conj().T @ v
@@ -102,27 +133,43 @@ def _poly_chain_build(z: np.ndarray, degree: int):
         if nrm == 0.0:
             raise NumericError("grid cannot support the requested polynomial degree")
         hess[k + 1, k] = nrm
-        q[:, k + 1] = v / nrm
+        _chain_step(z, q, hess, k)
     return q, hess, norm0
 
 
-def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndarray:
-    """Re-evaluate the recurrence polynomials at new points."""
+def _chain_step(pts: np.ndarray, w: np.ndarray, hess: np.ndarray, k: int):
+    """Column k + 1 of the recurrence at pts, from columns 0..k of w."""
+    v = pts * w[:, k] - w[:, : k + 1] @ hess[: k + 1, k]
+    w[:, k + 1] = v / hess[k + 1, k]
+
+
+def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float,
+                     kept: np.ndarray | None = None) -> np.ndarray:
+    """Re-evaluate the recurrence polynomials at new points.
+
+    Given `kept`, the values at pts of a lower degree of the same
+    recurrence, only the missing columns are computed.
+    """
     degree = hess.shape[1]
     dtype = complex if (np.iscomplexobj(pts) or np.iscomplexobj(hess)) else float
     w = np.empty((len(pts), degree + 1), dtype=dtype)
-    w[:, 0] = 1.0 / norm0
-    for k in range(degree):
-        v = pts * w[:, k] - w[:, : k + 1] @ hess[: k + 1, k]
-        w[:, k + 1] = v / hess[k + 1, k]
+    start = 0
+    if kept is None:
+        w[:, 0] = 1.0 / norm0
+    else:
+        start = kept.shape[1] - 1
+        w[:, : start + 1] = kept
+    for k in range(start, degree):
+        _chain_step(pts, w, hess, k)
     return w
 
 
 def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Unscaled columns p_j / (z - p_j) at pts."""
     diff = pts[:, None] - poles[None, :]
     if np.any(diff == 0):
         raise EvaluationError("a point coincides with a pole")
-    return poles[None, :] / diff
+    return np.divide(poles, diff, out=diff)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -142,7 +189,7 @@ def _poly_block(grid: SampleGrid, degree: int):
     """(Q, hess, norm0) of the grid's polynomial chain up to `degree`."""
     block = grid._derived.get("poly")
     if block is None or block[1].shape[1] < degree:
-        q, hess, norm0 = _poly_chain_build(grid.points, degree)
+        q, hess, norm0 = _poly_chain_build(grid.points, degree, block)
         block = grid._derived["poly"] = (_frozen(q), _frozen(hess), norm0)
     q, hess, norm0 = block
     return q[:, : degree + 1], hess[: degree + 1, :degree], norm0
@@ -155,7 +202,8 @@ def _poly_values(design: DesignMatrix, grid: SampleGrid) -> np.ndarray:
     entry = grid._derived.get(key)
     if entry is None or entry[1].shape[1] <= degree:
         # the entry holds the fit grid, so that its id is not reused
-        w = _poly_chain_eval(grid.points, design.poly_hess, design.poly_norm0)
+        w = _poly_chain_eval(grid.points, design.poly_hess, design.poly_norm0,
+                             None if entry is None else entry[1])
         entry = grid._derived[key] = (design.grid, _frozen(w))
     return entry[1][:, : degree + 1]
 
@@ -178,19 +226,14 @@ class DesignMatrix:
     def columns_at(self, pts: np.ndarray) -> np.ndarray:
         """Rebuild the basis columns at arbitrary points."""
         pts = np.atleast_1d(np.asarray(pts))
-        poly = None
-        if self.poly_hess is not None:
-            poly = _poly_chain_eval(pts, self.poly_hess, self.poly_norm0)
-        return self._columns(pts, poly)
-
-    def _columns(self, pts: np.ndarray, poly: np.ndarray | None) -> np.ndarray:
-        """Basis columns at pts, given the polynomial block there (or None)."""
         blocks = []
         poles = self.spec.finite_poles
         if len(poles):
-            blocks.append(_partial_fraction_columns(pts, poles) / self.pf_scales)
-        if poly is not None:
-            blocks.append(poly)
+            pf = _partial_fraction_columns(pts, poles)
+            pf /= self.pf_scales
+            blocks.append(pf)
+        if self.poly_hess is not None:
+            blocks.append(_poly_chain_eval(pts, self.poly_hess, self.poly_norm0))
         return np.hstack(blocks)
 
 
@@ -211,7 +254,7 @@ def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
         scales = np.abs(pf).max(axis=0)
         if np.any(scales == 0):
             raise NumericError("a partial-fraction column vanished on the grid")
-        pf = pf / scales
+        pf /= scales
         blocks.append(pf)
     else:
         scales = np.empty(0)
@@ -229,7 +272,9 @@ def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
 def tsvd_solve(a, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
     """Minimum-norm least squares keeping singular values >= eps_rel * s_max.
 
-    Returns (coeffs, effective_rank).
+    Factors [A | f] = Q R once and takes the SVD of R's first n columns,
+    with R's last column standing in for Q^H f.  Returns
+    (coeffs, effective_rank).
     """
     mat = a.matrix if isinstance(a, DesignMatrix) else np.asarray(a)
     f = np.asarray(f)
@@ -237,13 +282,16 @@ def tsvd_solve(a, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
         raise InputError("matrix and data lengths differ")
     if eps_rel <= 0:
         raise InputError(f"eps_rel must be positive, got {eps_rel}")
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if not np.all(np.isfinite(s)) or s[0] == 0.0:
-        raise NumericError("all singular values below threshold; matrix is degenerate")
+    augmented = np.column_stack([mat, f])
+    if not np.all(np.isfinite(augmented)):
+        raise NumericError("the least-squares system has non-finite entries")
+    n = mat.shape[1]
+    r = np.linalg.qr(augmented, mode="r")
+    u, s, vh = np.linalg.svd(r[:, :n], full_matrices=False)
     rank = int(np.count_nonzero(s >= eps_rel * s[0]))
-    if rank == 0:
+    if s[0] == 0.0 or rank == 0:
         raise NumericError("all singular values below threshold; matrix is degenerate")
-    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ f) / s[:rank])
+    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ r[:, n]) / s[:rank])
     return coeffs, rank
 
 
@@ -268,12 +316,32 @@ class FitReport:
     config: dict = field(default_factory=dict)
 
 
+def _approximant_values(design: DesignMatrix, coeffs: np.ndarray,
+                        pts: np.ndarray, poly: np.ndarray | None) -> np.ndarray:
+    """The approximant at pts, given its polynomial block there (or None)."""
+    poles = design.spec.finite_poles
+    n_pf = len(poles)
+    out = np.zeros(len(pts), dtype=np.result_type(pts, poles, coeffs))
+    if n_pf:
+        weights = coeffs[:n_pf] / design.pf_scales
+        for start in range(0, len(pts), _EVAL_CHUNK):
+            rows = slice(start, start + _EVAL_CHUNK)
+            out[rows] = _partial_fraction_columns(pts[rows], poles) @ weights
+    if poly is not None:
+        out += poly @ coeffs[n_pf:]
+    return out
+
+
 def evaluate(approx: Approximant, pts) -> np.ndarray:
     """Evaluate the approximant; raises if a point coincides with a pole."""
     pts = np.asarray(pts)
     scalar = pts.ndim == 0
-    cols = approx.design.columns_at(np.atleast_1d(pts))
-    out = cols @ approx.coeffs
+    pts = np.atleast_1d(pts)
+    design = approx.design
+    poly = None
+    if design.poly_hess is not None:
+        poly = _poly_chain_eval(pts, design.poly_hess, design.poly_norm0)
+    out = _approximant_values(design, approx.coeffs, pts, poly)
     return out[0] if scalar else out
 
 
@@ -281,7 +349,7 @@ def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
     """Max modulus deviation from the target over the grid."""
     design = approx.design
     poly = None if design.poly_hess is None else _poly_values(design, grid)
-    values = design._columns(grid.points, poly) @ approx.coeffs
+    values = _approximant_values(design, approx.coeffs, grid.points, poly)
     return float(np.max(np.abs(values - _target_values(target, grid))))
 
 

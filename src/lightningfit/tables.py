@@ -4,6 +4,8 @@ Tables are rectangular, typed, and serialize byte-identically for
 identical inputs: floats use shortest round-trip repr (17 significant
 digits when needed), JSON keys are sorted, line endings are fixed, and
 metadata carries the config echo and code version but no timestamp.
+CSV writes a non-finite float as its repr (`nan`); JSON, which has no
+such token, writes it as `null`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +64,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def render_table(table: ResultTable, fmt: str = "csv") -> str:
     if fmt == "csv":
         buf = io.StringIO()
@@ -73,9 +87,10 @@ def render_table(table: ResultTable, fmt: str = "csv") -> str:
         payload = {
             "metadata": table.meta,
             "columns": list(table.columns),
-            "rows": [list(row) for row in table.rows],
+            "rows": table.rows,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_json_value(payload), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     raise InputError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
 
 

@@ -103,6 +103,20 @@ def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
     assert "input error" in err
 
 
+def _reject_constant(token):
+    raise ValueError(f"invalid JSON constant {token}")
+
+
+def test_json_writes_failed_rows_as_null(capsys):
+    # 8 points carry polynomial degrees 0..7 only: degrees 8..15 fail per row
+    code, out, _ = run_cli(capsys, "grid", "--grid-points", "8", "--format", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    failed = [row for row in doc["rows"] if row[2] is None]
+    assert len(failed) == 9 * 8
+    assert all(n2 >= 8 and status for _, n2, _, status in failed)
+
+
 def test_sigma_sweep_smoke(capsys):
     code, out, _ = run_cli(capsys, "sigma-sweep", "--n1", "4", "--n2", "2",
                            "--grid-points", "200", "--format", "json")
@@ -129,12 +143,6 @@ def test_pole_ladder_table(capsys):
     table = parse_csv_table(out)
     assert set(table.column("n")) == {16, 36, 64}
     assert len(table) == 16 + 36 + 64
-
-
-def test_seedless_flag_accepted(capsys):
-    code, out, _ = run_cli(capsys, "fit", "--n1", "6", "--n2", "2",
-                           "--grid-points", "100", "--seedless")
-    assert code == 0
 
 
 def test_determinism_across_invocations(capsys):

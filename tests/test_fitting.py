@@ -10,6 +10,8 @@ from lightningfit import (ApproxProblem, BasisSpec, Domain, InputError,
                           build_fit_grid, build_validation_grid, eval_target,
                           evaluate, fit, max_error, tapered_poles, tsvd_solve,
                           uniform_poles)
+from lightningfit import fitting
+from lightningfit.experiments import run_grid
 
 SQRT_PROBLEM = ApproxProblem(Target.sqrt(), Domain.unit_interval())
 
@@ -115,6 +117,19 @@ def test_tsvd_input_validation():
         tsvd_solve(a, np.ones(3), eps_rel=0.0)
     with pytest.raises(NumericError):
         tsvd_solve(np.zeros((3, 3)), np.ones(3))
+
+
+def test_tsvd_rejects_non_finite_input():
+    a = np.random.default_rng(3).standard_normal((20, 4))
+    f = np.ones(20)
+    a_nan = a.copy()
+    a_nan[5, 2] = np.nan
+    with pytest.raises(NumericError):
+        tsvd_solve(a_nan, f)
+    f_inf = f.copy()
+    f_inf[7] = np.inf
+    with pytest.raises(NumericError):
+        tsvd_solve(a, f_inf)
 
 
 def test_fit_sqrt_moderate_accuracy():
@@ -238,6 +253,27 @@ def test_lower_degree_served_from_higher_degree_block(beta):
     for degree in (3, 15, 3):
         _assert_same_fit(_fit_on(problem, degree, *grids),
                          _fit_on(problem, degree, *_grids(Domain(beta))))
+
+
+def test_grid_sweep_continues_the_recurrence(monkeypatch):
+    """A degree 0..15 sweep runs 15 recurrence steps on each grid, not the
+    0 + 1 + ... + 15 = 120 of a rebuild at every degree."""
+    steps = {"build": 0, "eval": 0}
+    build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
+
+    def counted_build(z, degree, kept=None):
+        steps["build"] += degree - (0 if kept is None else kept[1].shape[1])
+        return build(z, degree, kept)
+
+    def counted_eval(pts, hess, norm0, kept=None):
+        steps["eval"] += hess.shape[1] - (0 if kept is None else kept.shape[1] - 1)
+        return chain_eval(pts, hess, norm0, kept)
+
+    monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
+    monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
+    table = run_grid(n1_list=(16,))
+    assert len(table) == 16 and not any(table.column("status"))
+    assert steps == {"build": 15, "eval": 15}
 
 
 def test_kept_data_separates_targets_and_fit_grids():

@@ -1,0 +1,67 @@
+"""Property tests: the TSVD solve against a reference, evaluation on the fit grid."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lightningfit import (ApproxProblem, BasisSpec, Domain, Target,
+                          build_fit_grid, evaluate, fit, tapered_poles,
+                          tsvd_solve)
+from lightningfit.fitting import DEFAULT_TSVD_EPS
+
+
+def reference_tsvd(a, f, eps_rel):
+    """Truncated SVD of A itself: the textbook formula the solver must match."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(s >= eps_rel * s[0]))
+    return vh[:rank].conj().T @ ((u[:, :rank].conj().T @ f) / s[:rank]), rank
+
+
+def _orthonormal(rng, rows, cols, complex_):
+    x = rng.standard_normal((rows, cols))
+    if complex_:
+        x = x + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(x)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), complex_=st.booleans(),
+       rank_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_tsvd_matches_reference_truncated_svd(m, n, complex_, rank_frac, seed):
+    """Kept singular values span [1e-2, 1], dropped ones sit below 1e-17:
+    a gap of fifteen decades around the 2e-14 cut."""
+    rng = np.random.default_rng(seed)
+    k = min(m, n)
+    rank = max(1, round(rank_frac * k))
+    s = np.concatenate([np.geomspace(1.0, 1e-2, rank),
+                        np.geomspace(1e-17, 1e-19, k - rank)])
+    a = (_orthonormal(rng, m, k, complex_) * s) @ \
+        _orthonormal(rng, n, k, complex_).conj().T
+    f = rng.standard_normal(m)
+    if complex_:
+        f = f + 1j * rng.standard_normal(m)
+    coeffs, got_rank = tsvd_solve(a, f)
+    ref, ref_rank = reference_tsvd(a, f, DEFAULT_TSVD_EPS)
+    assert got_rank == ref_rank == rank
+    assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta=st.sampled_from([0.0, 0.5, 1.0, 1.5]), n1=st.integers(1, 24),
+       sigma=st.floats(3.0, 12.0), degree=st.integers(-1, 10),
+       per_arm=st.integers(60, 300),
+       target=st.sampled_from([Target.sqrt(), Target.power(0.3)]))
+# a coarse grid and a high degree: columns that are not the recurrence's own
+# values on the grid drift from its re-evaluation there by ~1e-9
+@example(beta=0.0, n1=1, sigma=3.0, degree=9, per_arm=60, target=Target.sqrt())
+def test_evaluate_on_fit_grid_matches_design_matrix(beta, n1, sigma, degree,
+                                                    per_arm, target):
+    """Basis entries are at most 1 in modulus, so two summation orders of a
+    value differ by rounding on the scale of the coefficients' 1-norm."""
+    domain = Domain(beta)
+    grid = build_fit_grid(domain, per_arm=per_arm)
+    spec = BasisSpec(clustered=tapered_poles(n1, sigma), poly_degree=degree)
+    approx, _ = fit(ApproxProblem(target, domain), spec, grid=grid)
+    direct = approx.design.matrix @ approx.coeffs
+    scale = max(1.0, float(np.abs(approx.coeffs).sum()))
+    assert np.max(np.abs(evaluate(approx, grid.points) - direct)) <= 1e-13 * scale

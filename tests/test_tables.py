@@ -60,6 +60,20 @@ def test_numpy_scalars_are_demoted():
     json.loads(render_table(t, "json"))
 
 
+def test_json_writes_non_finite_floats_as_null():
+    t = ResultTable(columns=("x", "status"),
+                    rows=[(float("nan"), "failed"), (float("-inf"), "failed"),
+                          (np.float64("inf"), "failed"), (0.5, "")],
+                    meta={"best": float("nan"), "runs": [{"err": float("inf")}]})
+    doc = json.loads(render_table(t, "json"),
+                     parse_constant=lambda token: pytest.fail(token))
+    assert [row[0] for row in doc["rows"]] == [None, None, None, 0.5]
+    assert doc["metadata"]["best"] is None
+    assert doc["metadata"]["runs"] == [{"err": None}]
+    # CSV keeps the float repr
+    assert render_table(t, "csv").splitlines()[1] == "nan,failed"
+
+
 def test_empty_table_renders_header_only():
     t = ResultTable(columns=("a", "b"), rows=[])
     assert render_table(t, "csv") == "a,b\n"
