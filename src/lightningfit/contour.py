@@ -269,14 +269,17 @@ class BoundCheck:
     t_param: float
 
 
-def check_conjecture_bound(setup: ContourSetup, ratio_cap: float = 100.0) -> BoundCheck:
+def check_conjecture_bound(setup: ContourSetup, ratio_cap: float = 100.0, *,
+                           terms: ContourTerms | None = None) -> BoundCheck:
     """|gamma_int| against its conjectured ceiling.
 
     On the interval the ceiling is the sharp 12 e^{-T}; on V-domains only
     the e^{-T} rate is claimed, so the ceiling is ratio_cap * e^{-T} and
-    the measured ratio is the interesting output.
+    the measured ratio is the interesting output.  `terms` are the
+    already computed `contour_terms(setup)`; omitted, they are computed.
     """
-    terms = contour_terms(setup)
+    if terms is None:
+        terms = contour_terms(setup)
     lhs = abs(terms.gamma_int)
     scale = math.exp(-setup.t_param)
     rhs = 12.0 * scale if setup.beta == 0.0 else ratio_cap * scale

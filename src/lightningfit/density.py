@@ -11,6 +11,18 @@ vanishing as y -> infinity.  Inverting H on its monotone branch places
 individual poles; the largest ones come out at -8N/((2k+1)^2 pi^2), and
 the number of poles with magnitude > 1 grows like 0.4 sqrt(N).
 
+Both L and Q have closed forms, so H and its inversion need no
+quadrature.  With W = asinh(1/y), L(y) = W/pi, and substituting
+t = e^{-s}/y and then t = sinh(u) in Q,
+
+    -pi^2 Q(y) = int_0^{1/y} asinh(t)/t dt = int_0^W u coth(u) du
+               = W^2/2 + W log(1-q) - Li2(q)/2 + pi^2/12,   q = e^{-2W},
+
+from coth(u) = 1 + 2 sum_k e^{-2ku}, integrated term by term.  Measured
+against a 30-digit mpmath quadrature of the defining integral at 401
+log-spaced y from 1e-8 to 1e12, the evaluation is within 7.1e-15
+absolute, two ulps of |Q| ~ 17 at the small-y end.
+
 H is NOT monotone all the way down: it has a shallow minimum (about 0.58)
 near y = 1/sinh(pi sqrt(N)) before diverging as y -> 0, so the inversion
 bracket must stop at that turning point.
@@ -22,11 +34,9 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import spence
 
 from .errors import InputError, NumericError
-from .quadrature import doubling_simpson
-
-_TAIL_CUTOFF = math.log(1e18)
 
 
 def density_leading(y):
@@ -42,30 +52,44 @@ def density_leading(y):
     return float(out) if out.ndim == 0 else out
 
 
-def density_correction(y: float, tol: float = 1e-12) -> float:
-    """O(1) correction term -(1/pi^2) int_0^inf asinh(1/(y e^s)) ds.
+def density_correction(y: float) -> float:
+    """O(1) correction term Q(y) = -(1/pi^2) int_0^inf asinh(1/(y e^s)) ds.
 
-    Always negative; equals (1/pi^2) int_y^inf log(t/(1+sqrt(1+t^2)))/t dt
-    after substituting t = y e^s, which is the form that makes the
-    infinite tail quadrature-friendly.
+    Always negative.  Evaluated in closed form: with W = asinh(1/y) and
+    1 - q = -expm1(-2W),
+
+        Q(y) = -(W^2/2 + W log(1-q) - Li2(q)/2 + pi^2/12) / pi^2,
+
+    where Li2(q) = spence(1 - q); the integral equals
+    -(1/pi^2) int_0^{1/y} asinh(t)/t dt (see the module docstring for the
+    derivation).  Within 7.1e-15 absolute of a 30-digit mpmath quadrature
+    for y in [1e-8, 1e12]; the error is absolute, not relative, because the
+    terms cancel to the O(1/y) result for large y.
     """
     if y <= 0:
         raise InputError(f"y must be positive, got {y}")
-    # integrand < 1e-18 once y e^s > 1e18
-    upper = max(5.0, _TAIL_CUTOFF - math.log(y))
-
-    def integrand(s):
-        return np.arcsinh(np.exp(-s) / y)
-
-    return -doubling_simpson(integrand, 0.0, upper, tol) / math.pi**2
+    return _correction(math.asinh(1.0 / y))
 
 
-def stahl_density(n: int, y: float, tol: float = 1e-12) -> float:
-    """Integrated pole density H(n, y) of the degree-n best approximant."""
+def _correction(w: float) -> float:
+    """Q as a function of W = asinh(1/y)."""
+    one_minus_q = -math.expm1(-2.0 * w)
+    dilog = float(spence(one_minus_q))
+    return -(0.5 * w * w + w * math.log(one_minus_q) - 0.5 * dilog
+             + math.pi**2 / 12.0) / math.pi**2
+
+
+def stahl_density(n: int, y: float) -> float:
+    """Integrated pole density H(n, y) of the degree-n best approximant.
+
+    Scalar y; L(y) = W/pi and Q(y) share W = asinh(1/y), computed once.
+    """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return (n + 1) / 2.0 - math.sqrt(n) * float(density_leading(y)) \
-        - density_correction(y, tol)
+    if y <= 0:
+        raise InputError("y must be positive")
+    w = math.asinh(1.0 / y)
+    return (n + 1) / 2.0 - math.sqrt(n) * (w / math.pi) - _correction(w)
 
 
 def _bracket_low(n: int) -> float:
@@ -74,7 +98,7 @@ def _bracket_low(n: int) -> float:
     return 1.0 / math.sinh(min(math.pi * math.sqrt(n), 700.0))
 
 
-def invert_stahl_density(n: int, j: float, tol: float = 1e-12) -> float:
+def invert_stahl_density(n: int, j: float) -> float:
     """The y > 0 with H(n, y) = j, on the monotone branch.
 
     Requires j strictly between the turning-point value of H (about 0.58)
@@ -84,16 +108,16 @@ def invert_stahl_density(n: int, j: float, tol: float = 1e-12) -> float:
         raise InputError(f"j must be below (n+1)/2 = {(n + 1) / 2}, got {j}")
     lo = _bracket_low(n)
     hi = 1e12
-    f_lo = stahl_density(n, lo, tol) - j
+    f_lo = stahl_density(n, lo) - j
     if f_lo >= 0:
         raise InputError(
             f"j={j} is below the monotone range of H (H({lo:.3e}) = {f_lo + j:.4f})")
-    f_hi = stahl_density(n, hi, tol) - j
+    f_hi = stahl_density(n, hi) - j
     if f_hi <= 0:
         raise NumericError("upper bracket failed; j too close to (n+1)/2")
 
     def g(t):
-        return stahl_density(n, math.exp(t), tol) - j
+        return stahl_density(n, math.exp(t)) - j
 
     t_root = brentq(g, math.log(lo), math.log(hi), xtol=1e-13, rtol=1e-14)
     return math.exp(t_root)
@@ -108,17 +132,17 @@ def large_pole_estimate(n: int, k: int):
     return -8.0 * n / ((2 * k + 1) ** 2 * math.pi**2)
 
 
-def pole_from_density(n: int, j: float, tol: float = 1e-12) -> float:
+def pole_from_density(n: int, j: float) -> float:
     """Pole location -y^2 with H(2n, y) = j.
 
     The density of the degree-n approximant's poles to sqrt is that of the
     degree-2n approximant to |x| on [-1,1], hence the doubled argument.
     """
-    y = invert_stahl_density(2 * n, j, tol)
+    y = invert_stahl_density(2 * n, j)
     return -(y * y)
 
 
-def count_large_poles(n: int, tol: float = 1e-12) -> float:
+def count_large_poles(n: int) -> float:
     """Expected number of best-approximant poles with magnitude > 1.
 
     n - H(2n, 1), approximately 0.4 sqrt(n); returned as a real since the
@@ -126,4 +150,4 @@ def count_large_poles(n: int, tol: float = 1e-12) -> float:
     """
     if n < 4:
         raise InputError(f"n must be >= 4, got {n}")
-    return n - stahl_density(2 * n, 1.0, tol)
+    return n - stahl_density(2 * n, 1.0)

@@ -413,7 +413,7 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144),
                 z = r * cmath.exp(1j * arm) if beta > 0 else r
                 setup = ContourSetup(z=z, nt=nt, beta=beta, tol=tol)
                 report = error_identity_report(setup)
-                bound = check_conjecture_bound(setup)
+                bound = check_conjecture_bound(setup, terms=report.terms)
                 scale = math.exp(-t_param)
                 lhs_abs = abs(report.lhs)
                 identity_pass = report.defect <= max(1e-10, 1e-3 * lhs_abs)

@@ -157,6 +157,10 @@ def _radii(decades: float, per_arm: int) -> np.ndarray:
         raise InputError(f"grid needs at least one point per arm, got {per_arm}")
     if decades <= 0:
         raise InputError(f"decades must be positive, got {decades}")
+    if not 10.0 ** -decades >= np.finfo(float).tiny:
+        # beyond ~307.6 decades the smallest radii underflow to duplicate zeros
+        raise InputError(f"decades must leave 10**-decades a normal float "
+                         f"(at most about 307.6), got {decades}")
     if per_arm == 1:
         return np.array([1.0])
     return np.logspace(-decades, 0.0, per_arm)

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, flags, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lightningfit
 from lightningfit import parse_csv_table
 from lightningfit.cli import main
 
@@ -103,6 +108,16 @@ def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("decades", ["400", "320"])
+def test_decades_beyond_float_range_exit_1(capsys, decades):
+    # 10**-decades underflows: the grid's smallest radii would all be zero
+    code, out, err = run_cli(capsys, "fit", "--decades", decades,
+                             "--grid-points", "100")
+    assert code == 1
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
 def _reject_constant(token):
     raise ValueError(f"invalid JSON constant {token}")
 
@@ -151,3 +166,16 @@ def test_determinism_across_invocations(capsys):
     _, out2, _ = run_cli(capsys, "fit", "--n1", "10", "--n2", "3",
                          "--grid-points", "300")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["fit", "pole-ladder", "verify-bounds"])
+def test_output_byte_identical_across_processes(command):
+    """Two fresh interpreters at one BLAS thread print the same bytes."""
+    src = str(Path(lightningfit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    outs = [subprocess.run([sys.executable, "-m", "lightningfit.cli", command],
+                           env=env, capture_output=True, check=True).stdout
+            for _ in range(2)]
+    assert outs[0] and outs[0] == outs[1]

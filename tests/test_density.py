@@ -1,6 +1,7 @@
 """Integrated pole density of the best approximant and its inversion."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -47,6 +48,29 @@ def test_correction_negative_and_decaying():
     with mp.workdps(30):
         ref = -mp.quad(lambda t: mp.asinh(t) / t, [0, 1]) / mp.pi**2
     assert density_correction(1.0) == pytest.approx(float(ref), rel=1e-10)
+
+
+def test_correction_closed_form_vs_mpmath():
+    """The closed form equals -(1/pi^2) int_0^inf asinh(e^-s/y) ds to 1e-14."""
+    for y in np.geomspace(1e-8, 1e12, 41):
+        y = float(y)
+        with mp.workdps(30):
+            # for y < 1 the integrand bends at e^-s/y = 1: split the interval there
+            kink = [mp.log(1 / mp.mpf(y))] if y < 1 else []
+            ref = -mp.quad(lambda s: mp.asinh(mp.exp(-s) / y),
+                           [0, *kink, mp.inf]) / mp.pi**2
+        assert abs(density_correction(y) - float(ref)) < 1e-14
+
+
+def test_pole_ladder_runs_without_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the pole density called a quadrature")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lightningfit") and hasattr(module, "doubling_simpson"):
+            monkeypatch.setattr(module, "doubling_simpson", no_quadrature)
+    assert pole_from_density(64, 30.0) < 0
+    assert count_large_poles(2500) > 0
 
 
 def test_density_rejects_nonpositive_y():

@@ -6,11 +6,14 @@ Numerical targets were frozen from direct runs; tolerances are loose enough
 to survive BLAS/libm variation but tight enough to catch real regressions.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from lightningfit import contour
+from lightningfit.contour import ContourSetup, check_conjecture_bound
 from lightningfit.errors import InputError, LightningError
 from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
@@ -283,3 +286,24 @@ def test_verify_bounds_smoke():
     assert all(r[idx["identity_pass"]] for r in tab.rows)
     assert all(r[idx["conj_pass"]] for r in tab.rows)
     assert set(tab.meta) >= {"residue_rates_matched", "residue_rates_mismatched"}
+
+
+def test_verify_bounds_evaluates_the_contour_once_per_row(monkeypatch):
+    calls = []
+    terms = contour.contour_terms
+
+    def counted(setup):
+        calls.append(setup)
+        return terms(setup)
+
+    monkeypatch.setattr(contour, "contour_terms", counted)
+    tab = run_verify_bounds()
+    assert len(calls) == len(tab) == 11
+    monkeypatch.undo()
+    for row in tab.rows:
+        cells = dict(zip(tab.columns, row))
+        beta, r = cells["beta"], cells["radius"]
+        z = r * cmath.exp(1j * beta * math.pi / 2.0) if beta > 0 else r
+        bound = check_conjecture_bound(ContourSetup(z=z, nt=cells["nt"], beta=beta))
+        assert cells["gamma_ratio"] == bound.ratio
+        assert cells["conj_pass"] == int(bound.passed)
