@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EvaluationError, InputError
 from .quadrature import doubling_simpson, line_integral
-from .trapezoid import default_step, t_parameter, truncated_sqrt_integral
+from .trapezoid import checked_step, t_parameter, truncated_sqrt_integral
 
 
 def quadrature_error_kernel(u, step: float, branch: int | None = None):
@@ -139,12 +139,7 @@ class ContourSetup:
     def __post_init__(self):
         if self.nt < 1:
             raise InputError(f"need at least one node, got nt={self.nt}")
-        if not (0.0 <= self.beta < 2.0):
-            raise InputError(f"beta must lie in [0, 2), got {self.beta}")
-        if self.step is None:
-            object.__setattr__(self, "step", default_step(self.beta))
-        elif self.step <= 0:
-            raise InputError(f"step must be positive, got {self.step}")
+        object.__setattr__(self, "step", checked_step(self.beta, self.step))
         object.__setattr__(self, "t_param", t_parameter(self.nt, self.step))
         z = complex(self.z)
         object.__setattr__(self, "z", z)

@@ -1,9 +1,10 @@
 """Sweep studies as deterministic table-producing pipelines.
 
-Each run_* function sweeps one family of fits (or one verification
-battery), captures per-row failures without aborting the sweep, and
-returns a ResultTable whose metadata echoes the full configuration.
-The acceptance checks read everything they need from these tables.
+Each run_* function runs one fit, one sweep of fits or one verification
+battery and returns a ResultTable whose metadata echoes the full
+configuration.  The sweeps declare their keys and spec rule to one
+engine, _sweep, which records a failed fit as its row's status instead
+of aborting.  The acceptance checks read everything from these tables.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from .contour import (ContourSetup, check_conjecture_bound,
                       error_identity_report, residue_rate_check)
 from .density import count_large_poles, large_pole_estimate, pole_from_density
-from .errors import InputError, LightningError
-from .fitting import BasisSpec, fit
+from .errors import InputError, LightningError, NumericError
+from .fitting import BasisSpec, FitReport, fit
 from .poles import big_poles, tapered_poles, uniform_poles
 from .problems import (ApproxProblem, Domain, Target, build_fit_grid,
                        build_validation_grid)
@@ -37,6 +38,7 @@ CONVERGENCE_VARIANTS = {
     "tapered+big": ("tapered", 2.0 * math.sqrt(2.0) * math.pi, "big"),
     "uniform+big": ("uniform", 2.0 * math.pi, "big"),
 }
+_POLE_SCHEMES = {"tapered": tapered_poles, "uniform": uniform_poles}
 
 
 def poly_degree_rule(n1: int) -> int:
@@ -46,12 +48,53 @@ def poly_degree_rule(n1: int) -> int:
     return math.ceil(1.3 * math.sqrt(n1))
 
 
-def _make_poles(scheme: str, n1: int, sigma: float, scale: float):
-    if scheme == "tapered":
-        return tapered_poles(n1, sigma, scale)
-    if scheme == "uniform":
-        return uniform_poles(n1, sigma, scale)
-    raise LightningError(f"unknown scheme {scheme!r}")
+# the report of a failed row: nan errors, rank 0
+_FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
+                    coeff_2norm=math.nan, eff_rank=0)
+
+
+def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
+    """Fit spec_of(key) for each key on shared grids.
+
+    Yields (key, report, "") per fit, or (key, _FAILED, reason) when
+    building the spec or fitting raised a LightningError.
+    """
+    for key in keys:
+        try:
+            _, rep = fit(problem, spec_of(key), grid=grid, eps_rel=eps_rel,
+                         validation_grid=vgrid)
+        except LightningError as exc:
+            yield key, _FAILED, str(exc)
+        else:
+            yield key, rep, ""
+
+
+def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
+            n1: int = 40, n2: int | None = None, sigma: float | None = None,
+            scale: float = 1.0, per_arm: int = 2000, decades: float = 16.0,
+            eps_rel: float = 2e-14) -> ResultTable:
+    """One fit of sqrt, x^alpha or x^alpha log x on the opening-beta domain.
+
+    target names a TargetKind; sqrt ignores alpha.  n2 defaults to
+    ceil(1.3 sqrt(n1)), sigma to 2 sqrt(2 - beta) pi.  Unlike the sweeps,
+    a failed fit raises.
+    """
+    domain = Domain(beta)
+    problem = ApproxProblem(
+        Target.sqrt() if target == "sqrt" else Target(target, alpha), domain)
+    if n2 is None:
+        n2 = poly_degree_rule(n1)
+    if sigma is None:
+        sigma = 2.0 * math.sqrt(2.0 - beta) * math.pi
+    spec = BasisSpec(clustered=tapered_poles(n1, sigma, scale), poly_degree=n2)
+    grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
+    _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel)
+    row = (target, problem.target.alpha, beta, n1, n2, sigma, scale,
+           rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
+    return ResultTable(
+        columns=("target", "alpha", "beta", "n1", "n2", "sigma", "scale_c",
+                 "max_err", "coeff_2norm", "resid_2norm", "eff_rank"),
+        rows=[row], meta={"kind": "fit", "config": rep.config})
 
 
 def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
@@ -59,8 +102,8 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
                     decades: float = 16.0, val_per_arm: int = 10000) -> ResultTable:
     """Degree sweep of sqrt(x) fits for every pole/augmentation variant.
 
-    Fit-grid columns are shared across rows of equal basis, but each row
-    refits from scratch; errors in a row are recorded, not raised.
+    Every row refits from scratch on the shared grids; errors in a row
+    are recorded, not raised.
     """
     if variants is None:
         variants = tuple(CONVERGENCE_VARIANTS)
@@ -68,25 +111,23 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
     problem = ApproxProblem(Target.sqrt(), domain)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
     vgrid = build_validation_grid(domain, per_arm=val_per_arm, decades=decades)
-    rows = []
-    for name in variants:
+    keys = [(name, n1, 0 if CONVERGENCE_VARIANTS[name][2] == "none"
+             else poly_degree_rule(n1)) for name in variants for n1 in n1_list]
+
+    def spec_of(key):
+        name, n1, n2 = key
         scheme, sigma, augment = CONVERGENCE_VARIANTS[name]
-        for n1 in n1_list:
-            n2 = poly_degree_rule(n1) if augment != "none" else 0
-            n_total = n1 + n2
-            try:
-                clustered = _make_poles(scheme, n1, sigma, scale)
-                extra = big_poles(n_total, n2) if augment == "big" else None
-                degree = n2 if augment == "poly" else 0
-                spec = BasisSpec(clustered=clustered, extra_finite=extra,
-                                 poly_degree=degree)
-                _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel,
-                             validation_grid=vgrid)
-                rows.append((name, scheme, n_total, n1, n2, sigma, rep.max_err,
-                             rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, ""))
-            except LightningError as exc:
-                rows.append((name, scheme, n_total, n1, n2, sigma,
-                             math.nan, math.nan, math.nan, 0, str(exc)))
+        return BasisSpec(
+            clustered=_POLE_SCHEMES[scheme](n1, sigma, scale),
+            extra_finite=big_poles(n1 + n2, n2) if augment == "big" else None,
+            poly_degree=n2 if augment == "poly" else 0)
+
+    rows = []
+    for (name, n1, n2), rep, status in _sweep(problem, grid, vgrid, eps_rel,
+                                              keys, spec_of):
+        scheme, sigma, _ = CONVERGENCE_VARIANTS[name]
+        rows.append((name, scheme, n1 + n2, n1, n2, sigma, rep.max_err,
+                     rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, status))
     meta = {
         "kind": "convergence",
         "target": "sqrt",
@@ -139,6 +180,8 @@ def refine_argmin(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise InputError(f"grid/value shape mismatch: {xs.shape} vs {ys.shape}")
+    if not np.any(np.isfinite(ys)):
+        raise NumericError("no finite value to minimize: every fit of the family failed")
     i = int(np.nanargmin(ys))
     if i == 0 or i == len(xs) - 1:
         return float(xs[i])
@@ -172,21 +215,16 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     sigmas = np.geomspace(sigma_min, sigma_max, n_sigma)
     variants = (("plain", 0), ("poly", poly_degree)) if include_plain \
         else (("poly", poly_degree),)
+    keys = [(float(sigma), name, degree) for sigma in sigmas
+            for name, degree in variants]
     rows = []
     errs = {name: [] for name, _ in variants}
-    for sigma in sigmas:
-        for name, degree in variants:
-            try:
-                spec = BasisSpec(clustered=tapered_poles(n1, float(sigma), scale),
-                                 poly_degree=degree)
-                _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel,
-                             validation_grid=vgrid)
-                err = rep.max_err
-                status = ""
-            except LightningError as exc:
-                err, status = math.nan, str(exc)
-            rows.append((name, float(sigma), err, status))
-            errs[name].append(err)
+    for (sigma, name, _), rep, status in _sweep(
+            problem, grid, vgrid, eps_rel, keys,
+            lambda key: BasisSpec(clustered=tapered_poles(n1, key[0], scale),
+                                  poly_degree=key[2])):
+        rows.append((name, sigma, rep.max_err, status))
+        errs[name].append(rep.max_err)
     meta = {
         "kind": "sigma-sweep",
         "alpha": alpha,
@@ -221,16 +259,11 @@ def run_grid(alpha: float = math.pi / 10,
     for n1 in n1_list:
         clustered = tapered_poles(n1, sigma, 1.0)
         row_errs = []
-        for n2 in n2_list:
-            try:
-                spec = BasisSpec(clustered=clustered, poly_degree=n2)
-                _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel,
-                             validation_grid=vgrid)
-                err, status = rep.max_err, ""
-            except LightningError as exc:
-                err, status = math.nan, str(exc)
-            rows.append((n1, n2, err, status))
-            row_errs.append(err)
+        for n2, rep, status in _sweep(
+                problem, grid, vgrid, eps_rel, n2_list,
+                lambda n2: BasisSpec(clustered=clustered, poly_degree=n2)):
+            rows.append((n1, n2, rep.max_err, status))
+            row_errs.append(rep.max_err)
         finite = [e for e in row_errs if math.isfinite(e)]
         if finite:
             best = min(finite)
@@ -276,17 +309,12 @@ def run_vshape(beta_list=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5), n1: int = 40,
         problem = ApproxProblem(Target.sqrt(), domain)
         grid = build_fit_grid(domain, per_arm=per_arm)
         vgrid = build_validation_grid(domain)
-        for rule in VSHAPE_SIGMA_RULES:
-            sigma = _vshape_sigma(rule, beta)
-            try:
-                spec = BasisSpec(clustered=tapered_poles(n1, sigma, 1.0),
-                                 poly_degree=n2)
-                _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel,
-                             validation_grid=vgrid)
-                err, status = rep.max_err, ""
-            except LightningError as exc:
-                err, status = math.nan, str(exc)
-            rows.append((float(beta), rule, sigma, err, status))
+        keys = [(rule, _vshape_sigma(rule, beta)) for rule in VSHAPE_SIGMA_RULES]
+        for (rule, sigma), rep, status in _sweep(
+                problem, grid, vgrid, eps_rel, keys,
+                lambda key: BasisSpec(clustered=tapered_poles(n1, key[1], 1.0),
+                                      poly_degree=n2)):
+            rows.append((float(beta), rule, sigma, rep.max_err, status))
     meta = {
         "kind": "vshape-angle",
         "target": "sqrt",
@@ -328,17 +356,13 @@ def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
         grid = build_fit_grid(domain, per_arm=per_arm)
         vgrid = build_validation_grid(domain)
         log_err = []
-        for sigma in sigmas:
-            try:
-                spec = BasisSpec(clustered=tapered_poles(n1, float(sigma), 1.0),
-                                 poly_degree=n2)
-                _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel,
-                             validation_grid=vgrid)
-                err, status = rep.max_err, ""
-            except LightningError as exc:
-                err, status = math.nan, str(exc)
-            rows.append((float(beta), float(sigma), err, status))
-            log_err.append(math.log(err) if math.isfinite(err) else math.nan)
+        for sigma, rep, status in _sweep(
+                problem, grid, vgrid, eps_rel, [float(s) for s in sigmas],
+                lambda sigma: BasisSpec(clustered=tapered_poles(n1, sigma, 1.0),
+                                        poly_degree=n2)):
+            rows.append((float(beta), sigma, rep.max_err, status))
+            log_err.append(math.log(rep.max_err) if math.isfinite(rep.max_err)
+                           else math.nan)
         argmins.append({"beta": float(beta),
                         "argmin_sigma": refine_argmin(sigmas, log_err),
                         "rule_sigma": corner_sigma_rule(beta)})

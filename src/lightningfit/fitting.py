@@ -280,7 +280,7 @@ def tsvd_solve(a, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
     f = np.asarray(f)
     if mat.shape[0] != len(f):
         raise InputError("matrix and data lengths differ")
-    if eps_rel <= 0:
+    if not eps_rel > 0:
         raise InputError(f"eps_rel must be positive, got {eps_rel}")
     augmented = np.column_stack([mat, f])
     if not np.all(np.isfinite(augmented)):

@@ -23,9 +23,21 @@ from .quadrature import doubling_simpson
 
 def default_step(beta: float = 0.0) -> float:
     """Quadrature step matched to the domain opening: h = (2 - beta) pi^2."""
+    return checked_step(beta)
+
+
+def checked_step(beta: float, step: float | None = None) -> float:
+    """Validate the opening beta in [0, 2) and the step; None gives the default.
+
+    The one check behind default_step, TrapApproximant and ContourSetup.
+    """
     if not (0.0 <= beta < 2.0):
         raise InputError(f"beta must lie in [0, 2), got {beta}")
-    return (2.0 - beta) * math.pi**2
+    if step is None:
+        return (2.0 - beta) * math.pi**2
+    if not step > 0:
+        raise InputError(f"step must be positive, got {step}")
+    return step
 
 
 def t_parameter(nt: int, step: float) -> float:
@@ -45,12 +57,7 @@ class TrapApproximant:
     def __post_init__(self):
         if self.nt < 1:
             raise InputError(f"need at least one node, got nt={self.nt}")
-        if not (0.0 <= self.beta < 2.0):
-            raise InputError(f"beta must lie in [0, 2), got {self.beta}")
-        if self.step is None:
-            object.__setattr__(self, "step", default_step(self.beta))
-        elif self.step <= 0:
-            raise InputError(f"step must be positive, got {self.step}")
+        object.__setattr__(self, "step", checked_step(self.beta, self.step))
         object.__setattr__(self, "t_param", t_parameter(self.nt, self.step))
 
     def __call__(self, z):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags, formats, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lightningfit
-from lightningfit import parse_csv_table
+from lightningfit import ResultTable, cli, parse_csv_table
 from lightningfit.cli import main
 
 
@@ -95,6 +96,28 @@ def test_numeric_failure_exit_2(capsys):
     assert "numeric failure" in err
 
 
+def test_tsvd_eps_nan_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "fit", "--n1", "6", "--n2", "2",
+                             "--grid-points", "100", "--tsvd-eps", "nan")
+    assert code == 1
+    assert out == ""
+    assert "input error" in err and "eps_rel" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma-sweep", "--tsvd-eps", "10", "--grid-points", "200"),
+    ("corner-sigma", "--tsvd-eps", "10", "--grid-points", "100", "--n1", "4",
+     "--n2", "2"),
+    ("sigma-sweep", "--grid-points", "3", "--n1", "4"),
+])
+def test_sweep_with_every_fit_failed_exit_2(capsys, argv):
+    # no finite error to take the argmin sigma of
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("numeric failure:") == 1 and "Traceback" not in err
+
+
 def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
     # 60 points carry degree 59 only in exact arithmetic: validation overflows
     code, out, err = run_cli(capsys, "fit", "--grid-points", "60", "--n1", "4",
@@ -168,7 +191,8 @@ def test_determinism_across_invocations(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("command", ["fit", "pole-ladder", "verify-bounds"])
+@pytest.mark.parametrize("command",
+                         ["fit", "pole-ladder", "verify-bounds", "sigma-sweep"])
 def test_output_byte_identical_across_processes(command):
     """Two fresh interpreters at one BLAS thread print the same bytes."""
     src = str(Path(lightningfit.__file__).resolve().parents[1])
@@ -179,3 +203,66 @@ def test_output_byte_identical_across_processes(command):
                            env=env, capture_output=True, check=True).stdout
             for _ in range(2)]
     assert outs[0] and outs[0] == outs[1]
+
+
+# the flags each subcommand accepts, and the runner keyword each one sets
+HONOURED = {
+    "fit": {"--target": "target", "--alpha": "alpha", "--beta": "beta",
+            "--n1": "n1", "--n2": "n2", "--sigma": "sigma", "--scale-c": "scale",
+            "--grid-points": "per_arm", "--decades": "decades",
+            "--tsvd-eps": "eps_rel"},
+    "converge": {"--scale-c": "scale", "--grid-points": "per_arm",
+                 "--decades": "decades", "--tsvd-eps": "eps_rel"},
+    "sigma-sweep": {"--alpha": "alpha", "--n1": "n1", "--n2": "poly_degree",
+                    "--scale-c": "scale", "--grid-points": "per_arm",
+                    "--tsvd-eps": "eps_rel"},
+    "grid": {"--alpha": "alpha", "--sigma": "sigma", "--grid-points": "per_arm",
+             "--tsvd-eps": "eps_rel"},
+    "vshape": {"--n1": "n1", "--n2": "n2", "--grid-points": "per_arm",
+               "--tsvd-eps": "eps_rel"},
+    "corner-sigma": {"--n1": "n1", "--n2": "n2", "--grid-points": "per_arm",
+                     "--tsvd-eps": "eps_rel"},
+    "pole-ladder": {},
+    "verify-bounds": {},
+}
+
+# flag: (argv text, the value the runner must receive)
+FLAG_VALUES = {
+    "--target": ("power", "power"), "--alpha": ("0.3", 0.3),
+    "--beta": ("0.5", 0.5), "--n1": ("7", 7), "--n2": ("5", 5),
+    "--sigma": ("4.5", 4.5), "--scale-c": ("1.5", 1.5),
+    "--grid-points": ("300", 300), "--decades": ("12", 12.0),
+    "--tsvd-eps": ("1e-12", 1e-12),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in HONOURED.items()
+    for flag in FLAG_VALUES if flag not in flags])
+def test_flag_a_subcommand_ignores_is_usage_error(capsys, command, flag):
+    # e.g. grid --target sqrt, pole-ladder --n1 5, verify-bounds --tsvd-eps 99
+    code, out, err = run_cli(capsys, command, flag, FLAG_VALUES[flag][0])
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in HONOURED.items()
+    for flag in (None, *flags)])
+def test_flag_reaches_runner_keyword(monkeypatch, capsys, command, flag):
+    runner, *rest = cli._COMMANDS[command]
+    calls = []
+
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return ResultTable(columns=("x",), rows=[(1,)])
+
+    monkeypatch.setitem(cli._COMMANDS, command, (recorder, *rest))
+    argv = [command] if flag is None else [command, flag, FLAG_VALUES[flag][0]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("x\n")
+    # only the flag that was set is passed, under a keyword the runner takes
+    expected = {} if flag is None else {HONOURED[command][flag]: FLAG_VALUES[flag][1]}
+    assert calls == [expected]
+    assert set(expected) <= set(inspect.signature(runner).parameters)

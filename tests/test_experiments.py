@@ -14,7 +14,7 @@ import pytest
 
 from lightningfit import contour
 from lightningfit.contour import ContourSetup, check_conjecture_bound
-from lightningfit.errors import InputError, LightningError
+from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
     VSHAPE_SIGMA_RULES,
@@ -91,6 +91,11 @@ def test_refine_argmin_boundary_falls_back():
     sig = [1.0, 2.0, 4.0]
     err = [0.1, 0.5, 0.9]
     assert refine_argmin(sig, err) == 1.0
+
+
+def test_refine_argmin_without_finite_value_is_numeric_error():
+    with pytest.raises(NumericError):
+        refine_argmin([1.0, 2.0, 3.0], [math.nan] * 3)
 
 
 def test_refine_argmin_rejects_mismatch():

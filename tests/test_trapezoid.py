@@ -6,8 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lightningfit import (EvaluationError, InputError, TrapApproximant,
-                          default_step, large_pole_tail,
+from lightningfit import (ContourSetup, EvaluationError, InputError,
+                          TrapApproximant, default_step, large_pole_tail,
                           naive_partial_fraction_eval,
                           stable_partial_fraction_eval, t_parameter,
                           tapered_poles, trap_error_bound,
@@ -65,6 +65,17 @@ def test_trap_validation():
         TrapApproximant(8, beta=2.5)
     with pytest.raises(InputError):
         TrapApproximant(8, step=-1.0)
+
+
+@pytest.mark.parametrize("make", [TrapApproximant,
+                                  lambda nt, **kw: ContourSetup(1.0, nt, **kw)],
+                         ids=["TrapApproximant", "ContourSetup"])
+def test_nan_step_and_beta_rejected(make):
+    # both classes validate through trapezoid.checked_step
+    with pytest.raises(InputError, match="step must be positive"):
+        make(16, step=math.nan)
+    with pytest.raises(InputError, match="beta must lie"):
+        make(16, beta=math.nan)
 
 
 def test_partial_fractions_reject_double_overflow():
