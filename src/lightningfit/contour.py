@@ -264,20 +264,20 @@ class BoundCheck:
     t_param: float
 
 
-def check_conjecture_bound(setup: ContourSetup, ratio_cap: float = 100.0, *,
+def check_conjecture_bound(setup: ContourSetup, *,
                            terms: ContourTerms | None = None) -> BoundCheck:
     """|gamma_int| against its conjectured ceiling.
 
     On the interval the ceiling is the sharp 12 e^{-T}; on V-domains only
-    the e^{-T} rate is claimed, so the ceiling is ratio_cap * e^{-T} and
-    the measured ratio is the interesting output.  `terms` are the
+    the e^{-T} rate is claimed, so the ceiling is 100 e^{-T} and the
+    measured ratio is the interesting output.  `terms` are the
     already computed `contour_terms(setup)`; omitted, they are computed.
     """
     if terms is None:
         terms = contour_terms(setup)
     lhs = abs(terms.gamma_int)
     scale = math.exp(-setup.t_param)
-    rhs = 12.0 * scale if setup.beta == 0.0 else ratio_cap * scale
+    rhs = (12.0 if setup.beta == 0.0 else 100.0) * scale
     return BoundCheck(lhs=lhs, rhs=rhs, ratio=lhs / scale, passed=lhs < rhs,
                       t_param=setup.t_param)
 
@@ -292,8 +292,7 @@ def residue_rate_check(step: float, beta: float, nt_list,
     makes it drift exponentially in nt, which is how a wrong step is
     detected.
     """
-    if step <= 0:
-        raise InputError(f"step must be positive, got {step}")
+    step = checked_step(beta, step)
     rows = []
     arm = beta * math.pi / 2.0
     for nt in nt_list:

@@ -46,7 +46,7 @@ def density_leading(y):
     1/(pi y) - 1/(6 pi y^3) + O(y^-5).
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
+    if not np.all(y > 0):
         raise InputError("y must be positive")
     out = np.arcsinh(1.0 / y) / math.pi
     return float(out) if out.ndim == 0 else out
@@ -66,7 +66,7 @@ def density_correction(y: float) -> float:
     for y in [1e-8, 1e12]; the error is absolute, not relative, because the
     terms cancel to the O(1/y) result for large y.
     """
-    if y <= 0:
+    if not y > 0:
         raise InputError(f"y must be positive, got {y}")
     return _correction(math.asinh(1.0 / y))
 
@@ -86,7 +86,7 @@ def stahl_density(n: int, y: float) -> float:
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if y <= 0:
+    if not y > 0:
         raise InputError("y must be positive")
     w = math.asinh(1.0 / y)
     return (n + 1) / 2.0 - math.sqrt(n) * (w / math.pi) - _correction(w)

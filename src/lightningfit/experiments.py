@@ -56,17 +56,29 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
 def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
     """Fit spec_of(key) for each key on shared grids.
 
-    Yields (key, report, "") per fit, or (key, _FAILED, reason) when
-    building the spec or fitting raised a LightningError.
+    Builds every spec first and raises the first key's error when none
+    can be built.  Fits run from the largest polynomial degree down, so
+    each grid's polynomial block is built once and lower degrees slice
+    it.  Returns [(key, report, "")] in key order, with (key, _FAILED,
+    reason) where the spec or the fit raised a LightningError.
     """
-    for key in keys:
+    keys = list(keys)
+    specs, errors, reports = {}, {}, {}  # by key index
+    for i, key in enumerate(keys):
         try:
-            _, rep = fit(problem, spec_of(key), grid=grid, eps_rel=eps_rel,
-                         validation_grid=vgrid)
+            specs[i] = spec_of(key)
         except LightningError as exc:
-            yield key, _FAILED, str(exc)
-        else:
-            yield key, rep, ""
+            errors[i] = exc
+    if errors and not specs:
+        raise errors[0]
+    for i in sorted(specs, key=lambda i: -specs[i].poly_degree):
+        try:
+            _, reports[i] = fit(problem, specs[i], grid=grid, eps_rel=eps_rel,
+                                validation_grid=vgrid)
+        except LightningError as exc:
+            errors[i] = exc
+    return [(key, reports[i], "") if i in reports else (key, _FAILED, str(errors[i]))
+            for i, key in enumerate(keys)]
 
 
 def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
@@ -248,10 +260,10 @@ def run_grid(alpha: float = math.pi / 10,
              n2_list=tuple(range(0, 16)), sigma: float | None = None,
              eps_rel: float = 2e-14, per_arm: int = 2000) -> ResultTable:
     """(N1, N2) error surface for x^alpha; where does more polynomial stop helping."""
+    domain = Domain.unit_interval()
+    problem = ApproxProblem(Target.power(alpha), domain)  # validates alpha
     if sigma is None:
         sigma = 2.0 * math.pi / math.sqrt(alpha)
-    domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.power(alpha), domain)
     grid = build_fit_grid(domain, per_arm=per_arm)
     vgrid = build_validation_grid(domain)
     rows = []

@@ -27,13 +27,13 @@ factorization of A preserves up to rounding.
 
 What does not depend on the poles is computed once per grid and kept in
 the grid's derived data: the target values, the polynomial block on the
-fit grid, and that block's values on a validation grid.  The block is
-kept at the highest degree built so far; the recurrence makes the
-degree-d columns and coefficients exact prefixes of the degree-D ones,
-so a lower degree is served as a slice, bit for bit what a build at that
-degree gives, and a higher degree continues the recurrence from the kept
-columns.  Partial-fraction columns move with the poles and are never
-kept.
+fit grid, and that block's values on a validation grid.  A sweep fits
+its largest polynomial degree first, so the block is built once at that
+degree; the recurrence makes the degree-d columns and coefficients exact
+prefixes of the degree-D ones, so every lower degree is served as a
+slice, bit for bit what a build at that degree gives.  A later request
+for a larger degree rebuilds the block from scratch.  Partial-fraction
+columns move with the poles and are never kept.
 
 Evaluation is matrix-free: the polynomial part is the polynomial block
 at the points times its coefficients, and the partial-fraction part is
@@ -98,7 +98,7 @@ class BasisSpec:
         return len(self.finite_poles) + max(self.poly_degree, 0)
 
 
-def _poly_chain_build(z: np.ndarray, degree: int, kept: tuple | None = None):
+def _poly_chain_build(z: np.ndarray, degree: int):
     """Orthonormal polynomial columns on the grid z, degrees 0..degree.
 
     Returns (Q, hess, norm0) where hess holds the recurrence coefficients
@@ -107,23 +107,14 @@ def _poly_chain_build(z: np.ndarray, degree: int, kept: tuple | None = None):
     values on z: orthonormal columns in the plain Euclidean inner
     product, and bit for bit what _poly_chain_eval gives at z, so that
     the fit and every later evaluation use the same basis functions.
-    Given `kept`, a block of lower degree on the same z, the recurrence
-    continues from its last column; each step reads only earlier
-    columns, so the result is bit for bit a build from degree 0.
     """
     m = len(z)
     dtype = complex if np.iscomplexobj(z) else float
     q = np.empty((m, degree + 1), dtype=dtype)
     norm0 = math.sqrt(m)
     hess = np.zeros((degree + 1, degree), dtype=dtype)
-    start = 0
-    if kept is None:
-        q[:, 0] = 1.0 / norm0
-    else:
-        start = kept[1].shape[1]
-        q[:, : start + 1] = kept[0]
-        hess[: start + 1, :start] = kept[1]
-    for k in range(start, degree):
+    q[:, 0] = 1.0 / norm0
+    for k in range(degree):
         v = z * q[:, k]
         for _ in range(2):  # classical Gram-Schmidt, two passes
             proj = q[:, : k + 1].conj().T @ v
@@ -143,23 +134,13 @@ def _chain_step(pts: np.ndarray, w: np.ndarray, hess: np.ndarray, k: int):
     w[:, k + 1] = v / hess[k + 1, k]
 
 
-def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float,
-                     kept: np.ndarray | None = None) -> np.ndarray:
-    """Re-evaluate the recurrence polynomials at new points.
-
-    Given `kept`, the values at pts of a lower degree of the same
-    recurrence, only the missing columns are computed.
-    """
+def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndarray:
+    """Re-evaluate the recurrence polynomials at new points."""
     degree = hess.shape[1]
     dtype = complex if (np.iscomplexobj(pts) or np.iscomplexobj(hess)) else float
     w = np.empty((len(pts), degree + 1), dtype=dtype)
-    start = 0
-    if kept is None:
-        w[:, 0] = 1.0 / norm0
-    else:
-        start = kept.shape[1] - 1
-        w[:, : start + 1] = kept
-    for k in range(start, degree):
+    w[:, 0] = 1.0 / norm0
+    for k in range(degree):
         _chain_step(pts, w, hess, k)
     return w
 
@@ -189,7 +170,7 @@ def _poly_block(grid: SampleGrid, degree: int):
     """(Q, hess, norm0) of the grid's polynomial chain up to `degree`."""
     block = grid._derived.get("poly")
     if block is None or block[1].shape[1] < degree:
-        q, hess, norm0 = _poly_chain_build(grid.points, degree, block)
+        q, hess, norm0 = _poly_chain_build(grid.points, degree)
         block = grid._derived["poly"] = (_frozen(q), _frozen(hess), norm0)
     q, hess, norm0 = block
     return q[:, : degree + 1], hess[: degree + 1, :degree], norm0
@@ -202,8 +183,7 @@ def _poly_values(design: DesignMatrix, grid: SampleGrid) -> np.ndarray:
     entry = grid._derived.get(key)
     if entry is None or entry[1].shape[1] <= degree:
         # the entry holds the fit grid, so that its id is not reused
-        w = _poly_chain_eval(grid.points, design.poly_hess, design.poly_norm0,
-                             None if entry is None else entry[1])
+        w = _poly_chain_eval(grid.points, design.poly_hess, design.poly_norm0)
         entry = grid._derived[key] = (design.grid, _frozen(w))
     return entry[1][:, : degree + 1]
 

@@ -47,9 +47,9 @@ class PoleSet:
 def _check_counts(n: int, sigma: float | None = None, scale: float | None = None):
     if n < 1:
         raise InputError(f"need at least one pole, got {n}")
-    if sigma is not None and sigma <= 0:
+    if sigma is not None and not sigma > 0:
         raise InputError(f"sigma must be positive, got {sigma}")
-    if scale is not None and scale <= 0:
+    if scale is not None and not scale > 0:
         raise InputError(f"scale must be positive, got {scale}")
 
 

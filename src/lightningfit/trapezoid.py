@@ -29,7 +29,7 @@ def default_step(beta: float = 0.0) -> float:
 def checked_step(beta: float, step: float | None = None) -> float:
     """Validate the opening beta in [0, 2) and the step; None gives the default.
 
-    The one check behind default_step, TrapApproximant and ContourSetup.
+    The package's one beta and step check.
     """
     if not (0.0 <= beta < 2.0):
         raise InputError(f"beta must lie in [0, 2), got {beta}")
@@ -146,8 +146,7 @@ class PartialFractionForm:
 def trap_partial_fractions(n1: int, step: float) -> PartialFractionForm:
     if n1 < 1:
         raise InputError(f"need n1 >= 1, got {n1}")
-    if step <= 0:
-        raise InputError(f"step must be positive, got {step}")
+    step = checked_step(0.0, step)
     j = np.arange(1, 4 * n1 + 1)
     root_h = math.sqrt(step)
     with np.errstate(over="ignore"):

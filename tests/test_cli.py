@@ -118,6 +118,25 @@ def test_sweep_with_every_fit_failed_exit_2(capsys, argv):
     assert err.count("numeric failure:") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("converge", "--scale-c", "-1"),
+    ("converge", "--scale-c", "nan"),
+    ("vshape", "--n1", "0"),
+    ("vshape", "--n2", "-3"),
+    ("corner-sigma", "--n1", "0"),
+    ("sigma-sweep", "--scale-c", "-1"),
+    ("sigma-sweep", "--n1", "0"),
+    ("grid", "--alpha", "0"),
+    ("grid", "--alpha", "-1"),
+])
+def test_bad_sweep_arguments_exit_1(capsys, argv):
+    # rejected before any fit runs, not turned into rows of nan
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("input error:") == 1 and "Traceback" not in err
+
+
 def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
     # 60 points carry degree 59 only in exact arithmetic: validation overflows
     code, out, err = run_cli(capsys, "fit", "--grid-points", "60", "--n1", "4",

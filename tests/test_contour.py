@@ -268,3 +268,7 @@ def test_residue_rates_mismatched_step_drift():
 def test_residue_rate_check_validation():
     with pytest.raises(InputError):
         residue_rate_check(0.0, 0.0, (16,))
+    with pytest.raises(InputError, match="step must be positive"):
+        residue_rate_check(math.nan, 0.0, (16,))
+    with pytest.raises(InputError, match="beta must lie"):
+        residue_rate_check(default_step(), 3.0, (16,))

@@ -80,6 +80,12 @@ def test_density_rejects_nonpositive_y():
         density_correction(-1.0)
     with pytest.raises(InputError):
         stahl_density(0, 1.0)
+    for check in (density_leading, density_correction,
+                  lambda y: stahl_density(4, y)):
+        with pytest.raises(InputError, match="y must be positive"):
+            check(math.nan)
+    with pytest.raises(InputError, match="y must be positive"):
+        density_leading(np.array([1.0, math.nan]))
 
 
 def test_density_limits():

@@ -31,6 +31,10 @@ from lightningfit.experiments import (
     run_vshape,
     slope_vs_sqrt_n,
 )
+from lightningfit.fitting import BasisSpec, fit
+from lightningfit.poles import tapered_poles
+from lightningfit.problems import (ApproxProblem, Domain, Target, build_fit_grid,
+                                   build_validation_grid)
 
 
 def col(table, name):
@@ -215,6 +219,38 @@ def test_grid_near_optimal_follows_rule():
     row100 = {r[idx["n2"]]: r[idx["max_err"]] for r in tab.rows if r[idx["n1"]] == 100}
     best100 = min(row100.values())
     assert row100[0] > 100.0 * best100
+
+
+def test_grid_rows_match_fits_on_fresh_grids():
+    """The sweep fits its largest degree first and slices the lower ones
+    from that block; each row is still bit for bit a fit on fresh grids."""
+    n2_list = (9, 2, 15, 5)
+    tab = run_grid(n1_list=(16,), n2_list=n2_list)
+    assert tab.column("n2") == list(n2_list)
+    domain = Domain.unit_interval()
+    problem = ApproxProblem(Target.power(tab.meta["alpha"]), domain)
+    for n2, err in zip(n2_list, tab.column("max_err")):
+        spec = BasisSpec(clustered=tapered_poles(16, tab.meta["sigma"], 1.0),
+                         poly_degree=n2)
+        _, rep = fit(problem, spec, grid=build_fit_grid(domain),
+                     validation_grid=build_validation_grid(domain))
+        assert err == rep.max_err
+
+
+def test_sweep_without_a_buildable_spec_is_input_error():
+    with pytest.raises(InputError, match="need at least one pole"):
+        run_vshape(n1=0)
+
+
+def test_sweep_reports_specs_that_fail_for_some_keys():
+    # at sigma = 100 the smallest of 100 poles underflows to -0.0
+    tab = run_sigma_sweep(n1=100, sigma_max=100.0, n_sigma=5, per_arm=200,
+                          include_plain=False)
+    statuses = tab.column("status")
+    assert statuses[:4] == [""] * 4
+    assert all(math.isfinite(e) for e in tab.column("max_err")[:4])
+    assert tab.column("sigma")[4] == 100.0
+    assert "finite and strictly negative" in statuses[4]
 
 
 # ---------------------------------------------------------------- corners

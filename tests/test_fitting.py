@@ -261,13 +261,13 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
     steps = {"build": 0, "eval": 0}
     build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
 
-    def counted_build(z, degree, kept=None):
-        steps["build"] += degree - (0 if kept is None else kept[1].shape[1])
-        return build(z, degree, kept)
+    def counted_build(z, degree):
+        steps["build"] += degree
+        return build(z, degree)
 
-    def counted_eval(pts, hess, norm0, kept=None):
-        steps["eval"] += hess.shape[1] - (0 if kept is None else kept.shape[1] - 1)
-        return chain_eval(pts, hess, norm0, kept)
+    def counted_eval(pts, hess, norm0):
+        steps["eval"] += hess.shape[1]
+        return chain_eval(pts, hess, norm0)
 
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)

@@ -115,6 +115,10 @@ def test_family_parameter_validation():
         big_poles(10, 0)
     with pytest.raises(InputError):
         big_poles(0, 3)
+    with pytest.raises(InputError, match="sigma must be positive, got nan"):
+        tapered_poles(3, math.nan)
+    with pytest.raises(InputError, match="scale must be positive, got nan"):
+        uniform_poles(3, 1.0, math.nan)
 
 
 def test_len_and_params_echo():

@@ -65,6 +65,10 @@ def test_trap_validation():
         TrapApproximant(8, beta=2.5)
     with pytest.raises(InputError):
         TrapApproximant(8, step=-1.0)
+    with pytest.raises(InputError, match="step must be positive"):
+        trap_partial_fractions(4, -1.0)
+    with pytest.raises(InputError, match="step must be positive"):
+        trap_partial_fractions(4, math.nan)
 
 
 @pytest.mark.parametrize("make", [TrapApproximant,
