@@ -18,7 +18,7 @@ from .contour import (ContourSetup, check_conjecture_bound,
                       error_identity_report, residue_rate_check)
 from .density import count_large_poles, large_pole_estimate, pole_from_density
 from .errors import InputError, LightningError, NumericError
-from .fitting import BasisSpec, FitReport, fit
+from .fitting import BasisSpec, FitReport, fit, fit_nested
 from .poles import big_poles, tapered_poles, uniform_poles
 from .problems import (ApproxProblem, Domain, Target, build_fit_grid,
                        build_validation_grid)
@@ -54,31 +54,31 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
 
 
 def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
-    """Fit spec_of(key) for each key on shared grids.
-
-    Builds every spec first and raises the first key's error when none
-    can be built.  Fits run from the largest polynomial degree down, so
-    each grid's polynomial block is built once and lower degrees slice
-    it.  Returns [(key, report, "")] in key order, with (key, _FAILED,
-    reason) where the spec or the fit raised a LightningError.
+    """Fit spec_of(key) for each key on shared grids, one fit_nested call
+    per finite pole set, after building every spec; raises the first key's
+    error when none can be built.  Returns [(key, report, "")] in key order,
+    with (key, _FAILED, reason) where the spec or the fit raised a
+    LightningError.
     """
     keys = list(keys)
-    specs, errors, reports = {}, {}, {}  # by key index
+    specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
         try:
             specs[i] = spec_of(key)
         except LightningError as exc:
-            errors[i] = exc
-    if errors and not specs:
-        raise errors[0]
+            results[i] = exc
+    if results and not specs:
+        raise results[0]
+    groups = {}  # in order of their largest degree, so each poly block is built once
     for i in sorted(specs, key=lambda i: -specs[i].poly_degree):
-        try:
-            _, reports[i] = fit(problem, specs[i], grid=grid, eps_rel=eps_rel,
-                                validation_grid=vgrid)
-        except LightningError as exc:
-            errors[i] = exc
-    return [(key, reports[i], "") if i in reports else (key, _FAILED, str(errors[i]))
-            for i, key in enumerate(keys)]
+        groups.setdefault(specs[i].finite_poles.tobytes(), []).append(i)
+    for group in groups.values():
+        for i, result in zip(group, fit_nested(problem, [specs[i] for i in group],
+                                               grid, eps_rel, vgrid)):
+            # keep the report only: an approximant holds its whole system
+            results[i] = result if isinstance(result, LightningError) else result[1]
+    return [(key, _FAILED, str(results[i])) if isinstance(results[i], LightningError)
+            else (key, results[i], "") for i, key in enumerate(keys)]
 
 
 def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
@@ -220,6 +220,7 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     the same poles plus a low-degree polynomial.  The refined argmin of
     each family lands in the metadata next to the 2 pi / sqrt(alpha) rule.
     """
+    BasisSpec.check_poly_degree(poly_degree)  # else the poly family has no argmin
     domain = Domain.unit_interval()
     problem = ApproxProblem(Target.power(alpha), domain)
     grid = build_fit_grid(domain, per_arm=per_arm)

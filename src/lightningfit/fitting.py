@@ -7,40 +7,30 @@ z times the previous one, orthogonalized against all earlier polynomial
 columns and normalized).  The recurrence coefficients form an upper
 Hessenberg matrix that re-evaluates the same polynomials at arbitrary
 points, which keeps evaluation stable where a Vandermonde basis would
-long have degenerated.  The columns on the fit grid are themselves
-computed from those coefficients, so the fit and every later evaluation
-use the same basis functions; on a coarse grid the Gram-Schmidt output
-and its re-evaluation can differ by ~1e-9.
+long have degenerated.  The columns on the fit grid are the recurrence's
+own values, so the fit and every later evaluation use the same basis.
 
-The least-squares solve truncates singular values below eps_rel times the
-largest one and returns the minimum-norm solution, so the basis may be
-(and with clustered poles always is) numerically rank deficient on
-purpose.
+The solve truncates singular values below eps_rel times the largest one
+and returns the minimum-norm solution, so the basis may be (and with
+clustered poles always is) numerically rank deficient on purpose.  It
+forms no orthogonal factor: [A | f] is written into one array, one
+Householder QR leaves R with A's singular values in its leading columns
+and Q^H f in its last, and the truncated SVD runs on a small block of R.
+Fits that share their poles and differ in polynomial degree share that
+factorization (`fit_nested`; `fit` is a group of one): written at the
+largest degree with the polynomial columns last, R's leading
+n1 + d + 1 columns solve degree d, exactly in exact arithmetic, because
+Householder QR factors every column prefix by the leading block of R.
 
-The solve never forms the m x m or m x n orthogonal factors.  One
-Householder QR of the augmented system [A | f] leaves an upper
-triangular R whose first n columns have A's singular values and whose
-last column is Q^H f; the truncated SVD runs on that k x n block,
-k = min(m, n + 1), so only small matrices are factored further.  The
-cut is relative to the largest singular value, which any backward-stable
-factorization of A preserves up to rounding.
-
-What does not depend on the poles is computed once per grid and kept in
-the grid's derived data: the target values, the polynomial block on the
-fit grid, and that block's values on a validation grid.  A sweep fits
-its largest polynomial degree first, so the block is built once at that
-degree; the recurrence makes the degree-d columns and coefficients exact
-prefixes of the degree-D ones, so every lower degree is served as a
-slice, bit for bit what a build at that degree gives.  A later request
-for a larger degree rebuilds the block from scratch.  Partial-fraction
-columns move with the poles and are never kept.
-
-Evaluation is matrix-free: the polynomial part is the polynomial block
-at the points times its coefficients, and the partial-fraction part is
-summed over row chunks of _EVAL_CHUNK points, so validating a fit needs
-O(_EVAL_CHUNK * n) memory beyond the kept blocks instead of the m x n
-validation matrix.  `evaluate` and `max_error` share that routine, so
-both give the same values bit for bit.
+What does not depend on the poles is kept in the grid's derived data:
+the target values, the polynomial block on the fit grid and its values
+on a validation grid.  The degree-d block is an exact prefix of the
+degree-D one, so a lower degree is a slice, bit for bit what a build at
+that degree gives; a larger one rebuilds it.  Evaluation is
+matrix-free: the polynomial block at the points times its coefficients,
+plus the partial fractions summed over row chunks of _EVAL_CHUNK points,
+each chunk's block built once per group of fits.  `evaluate` and
+`max_error` share that routine, so both give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, InputError, NumericError
+from .errors import EvaluationError, InputError, LightningError, NumericError
 from .poles import PoleSet
 from .problems import (ApproxProblem, SampleGrid, Target, build_fit_grid,
                        build_validation_grid, eval_target)
@@ -73,10 +63,14 @@ class BasisSpec:
     poly_degree: int = 0
 
     def __post_init__(self):
-        if self.poly_degree < -1:
-            raise InputError(f"poly_degree must be >= -1, got {self.poly_degree}")
+        self.check_poly_degree(self.poly_degree)
         if self.n_columns == 0:
             raise InputError("basis is empty")
+
+    @staticmethod
+    def check_poly_degree(poly_degree: int):
+        if poly_degree < -1:
+            raise InputError(f"poly_degree must be >= -1, got {poly_degree}")
 
     @property
     def finite_poles(self) -> np.ndarray:
@@ -199,10 +193,6 @@ class DesignMatrix:
     poly_hess: np.ndarray | None
     poly_norm0: float
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
     def columns_at(self, pts: np.ndarray) -> np.ndarray:
         """Rebuild the basis columns at arbitrary points."""
         pts = np.atleast_1d(np.asarray(pts))
@@ -217,62 +207,84 @@ class DesignMatrix:
         return np.hstack(blocks)
 
 
+def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None):
+    """(system, pf_scales): [PF | Q | f] in one C-order array, f only if given."""
+    if spec.poly_degree >= len(grid):
+        raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
+                         f"the grid's {len(grid)} points")
+    z, poles, n = grid.points, spec.finite_poles, spec.n_columns
+    data = () if fvec is None else (fvec,)
+    system = np.empty((len(z), n + len(data)), dtype=np.result_type(z, poles, *data))
+    scales = np.empty(0)
+    if len(poles):
+        pf = _partial_fraction_columns(z, poles)
+        scales = np.abs(pf).max(axis=0)
+        if np.any(scales == 0):
+            raise NumericError("a partial-fraction column vanished on the grid")
+        system[:, :len(poles)] = np.divide(pf, scales, out=pf)
+    if spec.poly_degree >= 0:
+        system[:, len(poles):n] = _poly_block(grid, spec.poly_degree)[0]
+    if data:
+        system[:, n] = fvec
+    return system, scales
+
+
+def _design(grid: SampleGrid, spec: BasisSpec, system: np.ndarray,
+            scales: np.ndarray) -> DesignMatrix:
+    """The spec's columns of a system written for its poles at its degree or above."""
+    hess, norm0 = None, math.sqrt(len(grid))
+    if spec.poly_degree >= 0:
+        _, hess, norm0 = _poly_block(grid, spec.poly_degree)
+    return DesignMatrix(matrix=system[:, :spec.n_columns], grid=grid, spec=spec,
+                        pf_scales=scales, poly_hess=hess, poly_norm0=norm0)
+
+
 def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
     """Sample the basis on the fit grid.
 
     Partial-fraction columns are p/(z-p) rescaled to unit discrete max
     modulus on the grid; polynomial columns are discretely orthonormal.
     """
-    if spec.poly_degree >= len(grid):
-        raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
-                         f"the grid's {len(grid)} points")
-    z = grid.points
-    blocks = []
-    poles = spec.finite_poles
-    if len(poles):
-        pf = _partial_fraction_columns(z, poles)
-        scales = np.abs(pf).max(axis=0)
-        if np.any(scales == 0):
-            raise NumericError("a partial-fraction column vanished on the grid")
-        pf /= scales
-        blocks.append(pf)
-    else:
-        scales = np.empty(0)
+    return _design(grid, spec, *_write_system(grid, spec))
 
-    poly_hess = None
-    norm0 = math.sqrt(len(z))
-    if spec.poly_degree >= 0:
-        q, poly_hess, norm0 = _poly_block(grid, spec.poly_degree)
-        blocks.append(q)
 
-    return DesignMatrix(matrix=np.hstack(blocks), grid=grid, spec=spec,
-                        pf_scales=scales, poly_hess=poly_hess, poly_norm0=norm0)
+def _lapack(routine, *args, **kwargs):
+    """Call a numpy.linalg routine; its LinAlgError becomes a NumericError."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{routine.__name__} failed: {exc}") from exc
+
+
+def _factor(system: np.ndarray, eps_rel: float) -> np.ndarray:
+    """R of one Householder QR of the augmented system [A | f]."""
+    if not eps_rel > 0:
+        raise InputError(f"eps_rel must be positive, got {eps_rel}")
+    if not np.all(np.isfinite(system)):
+        raise NumericError("the least-squares system has non-finite entries")
+    return _lapack(np.linalg.qr, system, mode="r")
+
+
+def _solve_r(r: np.ndarray, n: int, eps_rel: float):
+    """(coeffs, effective_rank) of A's leading n columns, from R of [A | f]:
+    R's leading columns stand in for A's, its last column for Q^H f."""
+    rows = min(len(r), n + 1)
+    u, s, vh = _lapack(np.linalg.svd, r[:rows, :n], full_matrices=False)
+    rank = int(np.count_nonzero(s >= eps_rel * s[0]))
+    if s[0] == 0.0 or rank == 0:
+        raise NumericError("all singular values below threshold; matrix is degenerate")
+    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ r[:rows, -1]) / s[:rank])
+    return coeffs, rank
 
 
 def tsvd_solve(a, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
-    """Minimum-norm least squares keeping singular values >= eps_rel * s_max.
-
-    Factors [A | f] = Q R once and takes the SVD of R's first n columns,
-    with R's last column standing in for Q^H f.  Returns
-    (coeffs, effective_rank).
-    """
+    """(coeffs, effective_rank) of the least-squares solve `fit` runs:
+    minimum norm, keeping singular values >= eps_rel * s_max."""
     mat = a.matrix if isinstance(a, DesignMatrix) else np.asarray(a)
     f = np.asarray(f)
     if mat.shape[0] != len(f):
         raise InputError("matrix and data lengths differ")
-    if not eps_rel > 0:
-        raise InputError(f"eps_rel must be positive, got {eps_rel}")
-    augmented = np.column_stack([mat, f])
-    if not np.all(np.isfinite(augmented)):
-        raise NumericError("the least-squares system has non-finite entries")
-    n = mat.shape[1]
-    r = np.linalg.qr(augmented, mode="r")
-    u, s, vh = np.linalg.svd(r[:, :n], full_matrices=False)
-    rank = int(np.count_nonzero(s >= eps_rel * s[0]))
-    if s[0] == 0.0 or rank == 0:
-        raise NumericError("all singular values below threshold; matrix is degenerate")
-    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ r[:, n]) / s[:rank])
-    return coeffs, rank
+    return _solve_r(_factor(np.column_stack([mat, f]), eps_rel), mat.shape[1], eps_rel)
 
 
 @dataclass(frozen=True)
@@ -296,41 +308,47 @@ class FitReport:
     config: dict = field(default_factory=dict)
 
 
-def _approximant_values(design: DesignMatrix, coeffs: np.ndarray,
-                        pts: np.ndarray, poly: np.ndarray | None) -> np.ndarray:
-    """The approximant at pts, given its polynomial block there (or None)."""
-    poles = design.spec.finite_poles
-    n_pf = len(poles)
-    out = np.zeros(len(pts), dtype=np.result_type(pts, poles, coeffs))
+def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
+    """Values at pts of approximants sharing poles and scales, given their
+    polynomial blocks there (or None); one partial-fraction block per chunk."""
+    design = approxes[0].design
+    poles, n_pf = design.spec.finite_poles, len(design.pf_scales)
+    outs = [np.zeros(len(pts), dtype=np.result_type(pts, poles, a.coeffs))
+            for a in approxes]
     if n_pf:
-        weights = coeffs[:n_pf] / design.pf_scales
+        weights = [a.coeffs[:n_pf] / design.pf_scales for a in approxes]
         for start in range(0, len(pts), _EVAL_CHUNK):
             rows = slice(start, start + _EVAL_CHUNK)
-            out[rows] = _partial_fraction_columns(pts[rows], poles) @ weights
-    if poly is not None:
-        out += poly @ coeffs[n_pf:]
-    return out
+            block = _partial_fraction_columns(pts[rows], poles)
+            for out, w in zip(outs, weights):
+                out[rows] = block @ w
+    for out, a, poly in zip(outs, approxes, polys):
+        if poly is not None:
+            out += poly @ a.coeffs[n_pf:]
+    return outs
 
 
 def evaluate(approx: Approximant, pts) -> np.ndarray:
     """Evaluate the approximant; raises if a point coincides with a pole."""
     pts = np.asarray(pts)
-    scalar = pts.ndim == 0
-    pts = np.atleast_1d(pts)
-    design = approx.design
-    poly = None
-    if design.poly_hess is not None:
-        poly = _poly_chain_eval(pts, design.poly_hess, design.poly_norm0)
-    out = _approximant_values(design, approx.coeffs, pts, poly)
-    return out[0] if scalar else out
+    flat, design = np.atleast_1d(pts), approx.design
+    poly = None if design.poly_hess is None else \
+        _poly_chain_eval(flat, design.poly_hess, design.poly_norm0)
+    out = _approximant_values([approx], flat, [poly])[0]
+    return out[0] if pts.ndim == 0 else out
+
+
+def _max_errors(approxes, target: Target, grid: SampleGrid) -> list:
+    """max_error of approximants sharing their poles, the largest degree first."""
+    polys = [None if a.design.poly_hess is None else _poly_values(a.design, grid)
+             for a in approxes]
+    return [float(np.max(np.abs(v - _target_values(target, grid))))
+            for v in _approximant_values(approxes, grid.points, polys)]
 
 
 def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
     """Max modulus deviation from the target over the grid."""
-    design = approx.design
-    poly = None if design.poly_hess is None else _poly_values(design, grid)
-    values = _approximant_values(design, approx.coeffs, grid.points, poly)
-    return float(np.max(np.abs(values - _target_values(target, grid))))
+    return _max_errors([approx], target, grid)[0]
 
 
 def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
@@ -343,40 +361,81 @@ def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
     spans the fit grid's decades.  Reusing both grids across fits lets
     the work that does not depend on the poles be done once.
     """
+    result, = fit_nested(problem, [spec], grid, eps_rel, validation_grid)
+    if isinstance(result, LightningError):
+        raise result
+    return result
+
+
+def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
+               eps_rel: float = DEFAULT_TSVD_EPS,
+               validation_grid: SampleGrid | None = None) -> list:
+    """Fit specs that share their finite poles and differ in polynomial degree.
+
+    One system, written and factored once at the largest degree D, solves
+    every degree, and one validation pass serves all.  Returns per spec
+    `fit`'s (Approximant, FitReport) or the LightningError it raised; if
+    the degree-D system fails, its specs fail and the rest are fitted alone.
+    """
+    specs = list(specs)
+    if not specs or any(not np.array_equal(s.finite_poles, specs[0].finite_poles)
+                        for s in specs):
+        raise InputError("nested fits need specs that share their finite poles")
     if grid is None:
         grid = build_fit_grid(problem.domain)
-    design = build_design_matrix(grid, spec)
-    fvec = _target_values(problem.target, grid)
-    coeffs, rank = tsvd_solve(design, fvec, eps_rel)
-    approx = Approximant(design=design, coeffs=coeffs, domain=problem.domain)
     if validation_grid is None:
-        validation_grid = build_validation_grid(problem.domain,
-                                                decades=grid.decades)
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = max_error(approx, problem.target, validation_grid)
-    if not math.isfinite(err):
-        raise NumericError("the approximant overflows on the validation grid")
-    resid = float(np.linalg.norm(design.matrix @ coeffs - fvec))
-    clustered = spec.clustered
-    report = FitReport(
-        max_err=err,
-        resid_2norm=resid,
-        coeff_2norm=float(np.linalg.norm(coeffs)),
-        eff_rank=rank,
-        config={
-            "target": problem.target.kind.value,
-            "alpha": problem.target.alpha,
-            "beta": problem.domain.beta,
-            "n_clustered": 0 if clustered is None else len(clustered),
-            "pole_scheme": None if clustered is None else clustered.scheme,
-            "sigma": None if clustered is None else clustered.params.get("sigma"),
-            "scale_c": None if clustered is None else clustered.params.get("scale"),
-            "n_extra": 0 if spec.extra_finite is None else len(spec.extra_finite),
-            "poly_degree": spec.poly_degree,
-            "total_degree": spec.total_degree,
-            "grid_per_arm": grid.per_arm,
-            "decades": grid.decades,
-            "eps_rel": eps_rel,
-        },
-    )
-    return approx, report
+        validation_grid = build_validation_grid(problem.domain, decades=grid.decades)
+    fvec = _target_values(problem.target, grid)
+    order = sorted(range(len(specs)), key=lambda i: -specs[i].poly_degree)
+    top = specs[order[0]]
+    try:
+        system, scales = _write_system(grid, top, fvec)
+        r = _factor(system, eps_rel)
+    except LightningError as exc:
+        return [exc if s.poly_degree == top.poly_degree
+                else fit_nested(problem, [s], grid, eps_rel, validation_grid)[0]
+                for s in specs]
+    results, solved = [None] * len(specs), {}
+    for i in order:
+        try:
+            coeffs, rank = _solve_r(r, specs[i].n_columns, eps_rel)
+        except NumericError as exc:
+            results[i] = exc
+            continue
+        solved[i] = (Approximant(_design(grid, specs[i], system, scales), coeffs,
+                                 problem.domain), rank)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            errs = _max_errors([a for a, _ in solved.values()], problem.target,
+                               validation_grid) if solved else []
+    except LightningError as exc:
+        errs = [exc] * len(solved)
+    for (i, (a, rank)), err in zip(solved.items(), errs):
+        spec, clustered = specs[i], specs[i].clustered
+        params = {} if clustered is None else clustered.params
+        if isinstance(err, LightningError):
+            results[i] = err
+        elif not math.isfinite(err):
+            results[i] = NumericError("the approximant overflows on the validation grid")
+        else:
+            results[i] = (a, FitReport(
+                max_err=err,
+                resid_2norm=float(np.linalg.norm(a.design.matrix @ a.coeffs - fvec)),
+                coeff_2norm=float(np.linalg.norm(a.coeffs)),
+                eff_rank=rank,
+                config={
+                    "target": problem.target.kind.value,
+                    "alpha": problem.target.alpha,
+                    "beta": problem.domain.beta,
+                    "n_clustered": 0 if clustered is None else len(clustered),
+                    "pole_scheme": None if clustered is None else clustered.scheme,
+                    "sigma": params.get("sigma"),
+                    "scale_c": params.get("scale"),
+                    "n_extra": 0 if spec.extra_finite is None else len(spec.extra_finite),
+                    "poly_degree": spec.poly_degree,
+                    "total_degree": spec.total_degree,
+                    "grid_per_arm": grid.per_arm,
+                    "decades": grid.decades,
+                    "eps_rel": eps_rel,
+                }))
+    return results

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lightningfit
@@ -96,6 +97,23 @@ def test_numeric_failure_exit_2(capsys):
     assert "numeric failure" in err
 
 
+def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    spec = lightningfit.BasisSpec(clustered=lightningfit.tapered_poles(6, 8.0),
+                                  poly_degree=2)
+    problem = lightningfit.ApproxProblem(lightningfit.Target.sqrt(),
+                                         lightningfit.Domain.unit_interval())
+    with pytest.raises(lightningfit.NumericError, match="SVD did not converge"):
+        lightningfit.fit(problem, spec)
+    code, out, err = run_cli(capsys, "fit")
+    assert code == 2
+    assert out == ""
+    assert err.count("numeric failure:") == 1 and "Traceback" not in err
+
+
 def test_tsvd_eps_nan_is_input_error(capsys):
     code, out, err = run_cli(capsys, "fit", "--n1", "6", "--n2", "2",
                              "--grid-points", "100", "--tsvd-eps", "nan")
@@ -126,6 +144,7 @@ def test_sweep_with_every_fit_failed_exit_2(capsys, argv):
     ("corner-sigma", "--n1", "0"),
     ("sigma-sweep", "--scale-c", "-1"),
     ("sigma-sweep", "--n1", "0"),
+    ("sigma-sweep", "--n2", "-3"),
     ("grid", "--alpha", "0"),
     ("grid", "--alpha", "-1"),
 ])
@@ -211,7 +230,8 @@ def test_determinism_across_invocations(capsys):
 
 
 @pytest.mark.parametrize("command",
-                         ["fit", "pole-ladder", "verify-bounds", "sigma-sweep"])
+                         ["fit", "pole-ladder", "verify-bounds", "sigma-sweep",
+                          "grid"])
 def test_output_byte_identical_across_processes(command):
     """Two fresh interpreters at one BLAS thread print the same bytes."""
     src = str(Path(lightningfit.__file__).resolve().parents[1])

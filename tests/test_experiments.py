@@ -31,7 +31,7 @@ from lightningfit.experiments import (
     run_vshape,
     slope_vs_sqrt_n,
 )
-from lightningfit.fitting import BasisSpec, fit
+from lightningfit.fitting import BasisSpec, fit, fit_nested
 from lightningfit.poles import tapered_poles
 from lightningfit.problems import (ApproxProblem, Domain, Target, build_fit_grid,
                                    build_validation_grid)
@@ -222,17 +222,44 @@ def test_grid_near_optimal_follows_rule():
 
 
 def test_grid_rows_match_fits_on_fresh_grids():
-    """The sweep fits its largest degree first and slices the lower ones
-    from that block; each row is still bit for bit a fit on fresh grids."""
+    """Each n1 of the sweep is one fit_nested group, solved from a single
+    factorization at its largest degree: the rows are bit for bit that call
+    on fresh grids, and within the rounding gate of one fit per degree."""
     n2_list = (9, 2, 15, 5)
     tab = run_grid(n1_list=(16,), n2_list=n2_list)
     assert tab.column("n2") == list(n2_list)
     domain = Domain.unit_interval()
     problem = ApproxProblem(Target.power(tab.meta["alpha"]), domain)
-    for n2, err in zip(n2_list, tab.column("max_err")):
-        spec = BasisSpec(clustered=tapered_poles(16, tab.meta["sigma"], 1.0),
+    specs = [BasisSpec(clustered=tapered_poles(16, tab.meta["sigma"], 1.0),
+                       poly_degree=n2) for n2 in n2_list]
+    nested = fit_nested(problem, specs, grid=build_fit_grid(domain),
+                        validation_grid=build_validation_grid(domain))
+    assert tab.column("max_err") == [rep.max_err for _, rep in nested]
+    for spec, (_, rep) in zip(specs, nested):
+        _, alone = fit(problem, spec, grid=build_fit_grid(domain),
+                       validation_grid=build_validation_grid(domain))
+        assert rep.eff_rank == alone.eff_rank
+        assert abs(rep.max_err - alone.max_err) <= 1e-4 * alone.max_err + 1e-13
+
+
+def test_grid_rows_do_not_depend_on_degree_order():
+    rows = run_grid(n1_list=(16,), n2_list=(9, 2, 15, 5)).rows
+    assert sorted(rows) == sorted(run_grid(n1_list=(16,), n2_list=(15, 9, 5, 2)).rows)
+
+
+def test_group_beyond_the_grid_fails_only_its_rows():
+    """The system of the largest degree cannot be built, so those rows fail
+    and every other degree is fitted alone, bit for bit a standalone fit."""
+    tab = run_grid(n1_list=(4,), n2_list=(3, 45, 5, 40), per_arm=40)
+    statuses = tab.column("status")
+    assert [s == "" for s in statuses] == [True, False, True, False]
+    assert all("needs more than the grid's 40 points" in s for s in statuses[1::2])
+    domain = Domain.unit_interval()
+    problem = ApproxProblem(Target.power(tab.meta["alpha"]), domain)
+    for n2, err in zip((3, 5), tab.column("max_err")[::2]):
+        spec = BasisSpec(clustered=tapered_poles(4, tab.meta["sigma"], 1.0),
                          poly_degree=n2)
-        _, rep = fit(problem, spec, grid=build_fit_grid(domain),
+        _, rep = fit(problem, spec, grid=build_fit_grid(domain, per_arm=40),
                      validation_grid=build_validation_grid(domain))
         assert err == rep.max_err
 

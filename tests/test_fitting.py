@@ -257,9 +257,12 @@ def test_lower_degree_served_from_higher_degree_block(beta):
 
 def test_grid_sweep_continues_the_recurrence(monkeypatch):
     """A degree 0..15 sweep runs 15 recurrence steps on each grid, not the
-    0 + 1 + ... + 15 = 120 of a rebuild at every degree."""
-    steps = {"build": 0, "eval": 0}
+    0 + 1 + ... + 15 = 120 of a rebuild at every degree; it also runs one
+    QR and builds the partial fractions once on the fit grid and once per
+    validation chunk, for all 16 degrees."""
+    steps = {"build": 0, "eval": 0, "qr": 0, "pf": 0}
     build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
+    qr, pf_columns = np.linalg.qr, fitting._partial_fraction_columns
 
     def counted_build(z, degree):
         steps["build"] += degree
@@ -269,11 +272,23 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
         steps["eval"] += hess.shape[1]
         return chain_eval(pts, hess, norm0)
 
+    def counted_qr(*args, **kwargs):
+        steps["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_pf(*args, **kwargs):
+        steps["pf"] += 1
+        return pf_columns(*args, **kwargs)
+
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
     table = run_grid(n1_list=(16,))
     assert len(table) == 16 and not any(table.column("status"))
-    assert steps == {"build": 15, "eval": 15}
+    chunks = math.ceil(len(build_validation_grid(Domain.unit_interval()))
+                       / fitting._EVAL_CHUNK)
+    assert steps == {"build": 15, "eval": 15, "qr": 1, "pf": 1 + chunks}
 
 
 def test_kept_data_separates_targets_and_fit_grids():

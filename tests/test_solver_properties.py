@@ -1,5 +1,7 @@
 """Property tests: the TSVD solve against a reference, evaluation on the fit grid."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from lightningfit import (ApproxProblem, BasisSpec, Domain, Target,
                           build_fit_grid, evaluate, fit, tapered_poles,
                           tsvd_solve)
-from lightningfit.fitting import DEFAULT_TSVD_EPS
+from lightningfit.fitting import DEFAULT_TSVD_EPS, _factor, _solve_r
 
 
 def reference_tsvd(a, f, eps_rel):
@@ -44,6 +46,43 @@ def test_tsvd_matches_reference_truncated_svd(m, n, complex_, rank_frac, seed):
     ref, ref_rank = reference_tsvd(a, f, DEFAULT_TSVD_EPS)
     assert got_rank == ref_rank == rank
     assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), independent=st.lists(st.booleans(), min_size=1,
+                                                  max_size=40),
+       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, seed):
+    """One factorization of [A | f] solves every column prefix of A.
+
+    A column is independent, with a scale in [1e-2, 1] along its own
+    orthonormal direction, or a bounded combination of the independent
+    columns before it plus a 1e-17 perturbation.  So every prefix has one
+    singular value in [1e-2, 7] per independent column and the rest below
+    1e-16: the 2e-14 cut has a wide gap around it for every prefix.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = [True] + independent[1:]
+    kinds = [k and sum(kinds[:j + 1]) <= m for j, k in enumerate(kinds)]
+    n_ind = sum(kinds)
+    basis = _orthonormal(rng, m, n_ind, complex_) * np.geomspace(1.0, 1e-2, n_ind)
+    columns, k = [], 0
+    for is_independent in kinds:
+        if is_independent:
+            columns.append(basis[:, k])
+            k += 1
+        else:
+            mix = rng.uniform(-1.0, 1.0, k) / math.sqrt(k)
+            noise = rng.standard_normal(m)
+            columns.append(basis[:, :k] @ mix + 1e-17 * noise / np.linalg.norm(noise))
+    a = np.column_stack(columns)
+    f = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_ else 0)
+    r = _factor(np.column_stack([a, f]), DEFAULT_TSVD_EPS)
+    for n in range(1, len(kinds) + 1):
+        coeffs, rank = _solve_r(r, n, DEFAULT_TSVD_EPS)
+        ref, ref_rank = tsvd_solve(a[:, :n], f)
+        assert rank == ref_rank == sum(kinds[:n])
+        assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @settings(max_examples=25, deadline=None)
