@@ -6,7 +6,7 @@ each keyword.  A subcommand accepts only those flags plus --format and
 --out, and passes only the flags that were set, so the runner's
 signature holds the only defaults.  Exit codes: 0 success, 1 bad input
 (including usage errors and flags the subcommand does not take), 2
-numeric failure.
+numeric failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ def main(argv=None) -> int:
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("numeric failure: out of memory", *exc.args, sep=": ", file=sys.stderr)
         return 2
     return 0
 

@@ -114,6 +114,21 @@ def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
     assert err.count("numeric failure:") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, line", [
+    ((), "numeric failure: out of memory\n"),
+    (("Unable to allocate 8.00 GiB",),
+     "numeric failure: out of memory: Unable to allocate 8.00 GiB\n")])
+def test_memory_error_is_numeric_failure(monkeypatch, capsys, args, line):
+    def runner(**kwargs):
+        raise MemoryError(*args)
+
+    monkeypatch.setitem(cli._COMMANDS, "fit", (runner, *cli._COMMANDS["fit"][1:]))
+    code, out, err = run_cli(capsys, "fit")
+    assert code == 2
+    assert out == ""
+    assert err == line
+
+
 def test_tsvd_eps_nan_is_input_error(capsys):
     code, out, err = run_cli(capsys, "fit", "--n1", "6", "--n2", "2",
                              "--grid-points", "100", "--tsvd-eps", "nan")
@@ -229,19 +244,36 @@ def test_determinism_across_invocations(capsys):
     assert out1 == out2
 
 
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(lightningfit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 @pytest.mark.parametrize("command",
                          ["fit", "pole-ladder", "verify-bounds", "sigma-sweep",
                           "grid"])
 def test_output_byte_identical_across_processes(command):
     """Two fresh interpreters at one BLAS thread print the same bytes."""
-    src = str(Path(lightningfit.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=src if not path else src + os.pathsep + path)
     outs = [subprocess.run([sys.executable, "-m", "lightningfit.cli", command],
-                           env=env, capture_output=True, check=True).stdout
+                           env=_fresh_env(), capture_output=True,
+                           check=True).stdout
             for _ in range(2)]
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_package_and_pole_ladder_import_no_scipy():
+    """The package, its CLI and the density inversion run on numpy alone."""
+    code = ("import io, sys, contextlib\n"
+            "import lightningfit, lightningfit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = lightningfit.cli.main(['pole-ladder'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 []\n"
 
 
 # the flags each subcommand accepts, and the runner keyword each one sets

@@ -1,7 +1,9 @@
 """Integrated pole density of the best approximant and its inversion."""
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from lightningfit import (InputError, count_large_poles, density_correction,
                           density_leading, invert_stahl_density,
                           large_pole_estimate, pole_from_density, stahl_density)
+from lightningfit import density
 
 
 def test_leading_closed_form_vs_quadrature():
@@ -62,6 +65,18 @@ def test_correction_closed_form_vs_mpmath():
         assert abs(density_correction(y) - float(ref)) < 1e-14
 
 
+def test_dilog_vs_mpmath():
+    """The in-module Li2(e^{-2W}) is within 4.4e-16 absolute of mpmath's."""
+    worst = 0.0
+    with mp.workdps(40):
+        for w in np.geomspace(1e-12, 40.0, 2001):
+            w = float(w)
+            ref = mp.polylog(2, mp.exp(-2 * mp.mpf(w)))
+            worst = max(worst, abs(float(density._dilog(w, -math.expm1(-2.0 * w))
+                                         - ref)))
+    assert worst <= 4.4e-16
+
+
 def test_pole_ladder_runs_without_quadrature(monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the pole density called a quadrature")
@@ -103,6 +118,43 @@ def test_invert_round_trips():
         j = stahl_density(n, y0)
         y1 = invert_stahl_density(n, j)
         assert y1 == pytest.approx(y0, rel=1e-11)
+
+
+def test_invert_evaluations_per_pole(monkeypatch):
+    """Newton places a pole in at most 8 evaluations of H on average,
+    the two bracket checks included."""
+    calls = []
+    correction = density._correction
+    monkeypatch.setattr(density, "_correction",
+                        lambda w: calls.append(w) or correction(w))
+    poles = 0
+    for n in (8, 64, 144):
+        for j in range(1, n + 1):
+            pole_from_density(n, float(j))
+            poles += 1
+    assert len(calls) / poles <= 8.0
+
+
+def test_pole_ladder_matches_frozen_values():
+    """Every rung for n in {16, 36, 64, 144} within 1e-12 relative of values
+    frozen from the earlier root finder (Brent's method, xtol 1e-13)."""
+    path = Path(__file__).with_name("data") / "density_poles.json"
+    frozen = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(frozen, key=int) == ["16", "36", "64", "144"]
+    for n, values in frozen.items():
+        n = int(n)
+        assert len(values) == n
+        for j, ref in enumerate(values, start=1):
+            assert pole_from_density(n, float(j)) == pytest.approx(ref, rel=1e-12)
+
+
+def test_invert_near_turning_point_converges():
+    """Close to H's minimum the slope vanishes and H's rounding stalls
+    Newton; the shrinking bracket still ends the iteration."""
+    n = 2 * 10**4
+    for j in (0.585, 0.59, 0.6):
+        y = invert_stahl_density(n, j)
+        assert abs(stahl_density(n, y) - j) < 1e-11
 
 
 def test_invert_range_validation():

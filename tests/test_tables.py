@@ -1,9 +1,12 @@
 """Deterministic table serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightningfit import (InputError, ResultTable, parse_csv_table,
                           render_table, write_table)
@@ -117,3 +120,43 @@ def test_meta_version_injected_not_overwritten():
     t = ResultTable(columns=("a",), rows=[], meta={"version": "x"})
     assert t.meta["version"] == "x"
     assert _sample().meta["version"] == __version__
+
+
+def _is_label(text: str) -> bool:
+    """Text that no number parser takes, so it must come back as a string."""
+    try:
+        float(text)
+    except ValueError:
+        return text != ""
+    return False
+
+
+_CELLS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(math.nan),
+    st.text(alphabet="abcxyz_- ,\"'\n", max_size=8).filter(_is_label))
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.lists(st.text(alphabet="abcdefghij_", min_size=1, max_size=6),
+             min_size=width, max_size=width, unique=True),
+    st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6))))
+def test_csv_round_trip_property(table):
+    """parse_csv_table(render_table(t, "csv")) gives back t's columns and
+    cells: ints as ints, floats bit for bit (nan as nan), labels as text."""
+    columns, rows = table
+    t = ResultTable(columns=columns, rows=[tuple(r) for r in rows])
+    back = parse_csv_table(render_table(t, "csv"))
+    assert back.columns == t.columns
+    assert len(back.rows) == len(t.rows)
+    for got_row, want_row in zip(back.rows, t.rows):
+        for got, want in zip(got_row, want_row):
+            assert type(got) is type(want)
+            if isinstance(want, float) and math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == want
+                if isinstance(want, float):
+                    assert math.copysign(1.0, got) == math.copysign(1.0, want)
