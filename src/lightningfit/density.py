@@ -105,17 +105,21 @@ def _dilog(w: float, one_minus_q: float) -> float:
     return series
 
 
-def stahl_density(n: int, y: float) -> float:
-    """Integrated pole density H(n, y) of the degree-n best approximant.
+def stahl_density(n: int, y: float, j: float = 0.0) -> float:
+    """Integrated pole density H(n, y) of the degree-n best approximant,
+    less j.
 
     Scalar y; L(y) = W/pi and Q(y) share W = asinh(1/y), computed once.
+    The difference is formed as ((n+1)/2 - j) - sqrt(n) L - Q: the margin
+    (n+1)/2 - j comes first, so it keeps its own precision as j nears
+    (n+1)/2, where H - j would cancel to H's rounding of about ulp(n/2).
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if not y > 0:
         raise InputError("y must be positive")
     w = math.asinh(1.0 / y)
-    return (n + 1) / 2.0 - math.sqrt(n) * (w / math.pi) - _correction(w)
+    return ((n + 1) / 2.0 - j) - math.sqrt(n) * (w / math.pi) - _correction(w)
 
 
 def _bracket_low(n: int) -> float:
@@ -136,11 +140,11 @@ def invert_stahl_density(n: int, j: float) -> float:
         raise InputError(f"j must be below (n+1)/2 = {(n + 1) / 2}, got {j}")
     lo = _bracket_low(n)
     hi = 1e12
-    f_lo = stahl_density(n, lo) - j
+    f_lo = stahl_density(n, lo, j)
     if f_lo >= 0:
         raise InputError(
             f"j={j} is below the monotone range of H (H({lo:.3e}) = {f_lo + j:.4f})")
-    f_hi = stahl_density(n, hi) - j
+    f_hi = stahl_density(n, hi, j)
     if f_hi <= 0:
         raise NumericError("upper bracket failed; j too close to (n+1)/2")
 
@@ -151,7 +155,7 @@ def invert_stahl_density(n: int, j: float) -> float:
     t = min(max(-(w0 + math.log(-math.expm1(-2.0 * w0) / 2.0)), t_lo), t_hi)
     for _ in range(_NEWTON_CAP):
         y = math.exp(t)
-        g = stahl_density(n, y) - j
+        g = stahl_density(n, y, j)
         t_lo, t_hi = (t, t_hi) if g < 0.0 else (t_lo, t)
         tol = 1e-13 * max(1.0, abs(t))
         if t_hi - t_lo <= tol:  # near the turning point H's rounding stalls Newton

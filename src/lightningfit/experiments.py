@@ -75,7 +75,6 @@ def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
     for group in groups.values():
         for i, result in zip(group, fit_nested(problem, [specs[i] for i in group],
                                                grid, eps_rel, vgrid)):
-            # keep the report only: an approximant holds its whole system
             results[i] = result if isinstance(result, LightningError) else result[1]
     return [(key, _FAILED, str(results[i])) if isinstance(results[i], LightningError)
             else (key, results[i], "") for i, key in enumerate(keys)]

@@ -22,15 +22,36 @@ largest degree with the polynomial columns last, R's leading
 n1 + d + 1 columns solve degree d, exactly in exact arithmetic, because
 Householder QR factors every column prefix by the leading block of R.
 
+Every problem here is conjugate-symmetric: the poles are real, the
+targets satisfy f(conj z) = conj f(z), and a V-domain grid is
+[arm, conj(arm)].  So a V-domain fit is solved as a real problem on the
+upper arm.  The row map (s(z), s(conj z)) -> (sqrt(2) Re s(z),
+sqrt(2) Im s(z)) is unitary, so the complex system over the whole grid
+and the real system [Re S_arm; Im S_arm] over the arm have the same
+singular values up to one common factor sqrt(2), hence the same
+truncation rank and the same minimum-norm solution, which is real.  The
+polynomial block is orthogonalized on the arm in the inner product
+2 Re<u, v>, the whole grid's for conjugate-symmetric columns, so its
+recurrence coefficients are real and the block's symmetry is exact.  The
+system is real and holds half the numbers of the complex one, and its QR
+and SVD run in real arithmetic.  On the interval the arm is the whole
+grid and there are no imaginary rows: the same code writes the same
+system as an unfolded fit.  With real coefficients the approximant is
+conjugate-symmetric bit for bit, so validation evaluates on the upper
+arm of the validation grid only, and its maximum error is exactly the
+maximum over the whole grid; the residual norm is reported over the
+whole grid, sqrt(2) times that of the folded residual.
+
 What does not depend on the poles is kept in the grid's derived data:
 the target values, the polynomial block on the fit grid and its values
-on a validation grid.  The degree-d block is an exact prefix of the
-degree-D one, so a lower degree is a slice, bit for bit what a build at
-that degree gives; a larger one rebuilds it.  Evaluation is
-matrix-free: the polynomial block at the points times its coefficients,
-plus the partial fractions summed over row chunks of _EVAL_CHUNK points,
-each chunk's block built once per group of fits.  `evaluate` and
-`max_error` share that routine, so both give the same values bit for bit.
+on a validation grid, all on the upper arm.  The degree-d block is an
+exact prefix of the degree-D one, so a lower degree is a slice, bit for
+bit what a build at that degree gives; a larger one rebuilds it.
+Evaluation is matrix-free: the polynomial block at the points times its
+coefficients, plus the partial fractions summed over row chunks of
+_EVAL_CHUNK points, each chunk's block built once per group of fits.
+`evaluate` and `max_error` share that routine, so both give the same
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -92,46 +113,63 @@ class BasisSpec:
         return len(self.finite_poles) + max(self.poly_degree, 0)
 
 
-def _poly_chain_build(z: np.ndarray, degree: int):
-    """Orthonormal polynomial columns on the grid z, degrees 0..degree.
+def _poly_chain_build(arm: np.ndarray, degree: int):
+    """Orthonormal polynomial columns on a grid, degrees 0..degree, from
+    the grid's upper arm (see SampleGrid.arm).
 
-    Returns (Q, hess, norm0) where hess holds the recurrence coefficients
-    (including one full reorthogonalization pass folded in), norm0 is the
-    normalization of the constant column, and Q holds the recurrence's
-    values on z: orthonormal columns in the plain Euclidean inner
-    product, and bit for bit what _poly_chain_eval gives at z, so that
-    the fit and every later evaluation use the same basis functions.
+    Returns (Q, hess, norm0) where hess holds the real recurrence
+    coefficients (including one full reorthogonalization pass folded in),
+    norm0 is the normalization of the constant column, and Q holds the
+    recurrence's values on the arm, bit for bit what _poly_chain_eval
+    gives there, so that the fit and every later evaluation use the same
+    basis functions.  The columns are orthonormal over the whole grid: on
+    a real grid in the plain inner product, on a complex one, where the
+    real recurrence makes every column conjugate-symmetric, in
+    2 Re<u, v> over the arm.
     """
-    m = len(z)
-    dtype = complex if np.iscomplexobj(z) else float
-    q = np.empty((m, degree + 1), dtype=dtype)
-    norm0 = math.sqrt(m)
-    hess = np.zeros((degree + 1, degree), dtype=dtype)
+    m = len(arm)
+    weight = 2.0 if np.iscomplexobj(arm) else 1.0  # len(grid) / len(arm)
+    q = np.empty((m, degree + 1), dtype=arm.dtype)
+    norm0 = math.sqrt(weight * m)
+    hess = np.zeros((degree + 1, degree))
     q[:, 0] = 1.0 / norm0
     for k in range(degree):
-        v = z * q[:, k]
+        v = arm * q[:, k]
         for _ in range(2):  # classical Gram-Schmidt, two passes
-            proj = q[:, : k + 1].conj().T @ v
-            v = v - q[:, : k + 1] @ proj
+            proj = weight * (q[:, : k + 1].conj().T @ v).real
+            v = v - _matvec(q[:, : k + 1], proj)
             hess[: k + 1, k] += proj
-        nrm = np.linalg.norm(v)
+        nrm = math.sqrt(weight) * np.linalg.norm(v)
         if nrm == 0.0:
             raise NumericError("grid cannot support the requested polynomial degree")
         hess[k + 1, k] = nrm
-        _chain_step(z, q, hess, k)
+        _chain_step(arm, q, hess, k)
     return q, hess, norm0
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x with each row's value independent of the number of rows.
+
+    numpy computes a one-row product by another BLAS routine than a
+    matrix-vector product, and it rounds differently; a one-row a is
+    computed as two rows instead, so that a point's value does not
+    depend on how many points share the call.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ x)[:1]
+    return a @ x
 
 
 def _chain_step(pts: np.ndarray, w: np.ndarray, hess: np.ndarray, k: int):
     """Column k + 1 of the recurrence at pts, from columns 0..k of w."""
-    v = pts * w[:, k] - w[:, : k + 1] @ hess[: k + 1, k]
+    v = pts * w[:, k] - _matvec(w[:, : k + 1], hess[: k + 1, k])
     w[:, k + 1] = v / hess[k + 1, k]
 
 
 def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndarray:
     """Re-evaluate the recurrence polynomials at new points."""
     degree = hess.shape[1]
-    dtype = complex if (np.iscomplexobj(pts) or np.iscomplexobj(hess)) else float
+    dtype = complex if np.iscomplexobj(pts) else float
     w = np.empty((len(pts), degree + 1), dtype=dtype)
     w[:, 0] = 1.0 / norm0
     for k in range(degree):
@@ -153,45 +191,57 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _target_values(target: Target, grid: SampleGrid) -> np.ndarray:
-    """The target on the grid's points, evaluated once per (grid, target)."""
+    """The target on the grid's upper arm, evaluated once per (grid, target)."""
     key = ("target", target)
     if key not in grid._derived:
-        grid._derived[key] = _frozen(eval_target(target, grid.points))
+        grid._derived[key] = _frozen(eval_target(target, grid.arm))
     return grid._derived[key]
 
 
 def _poly_block(grid: SampleGrid, degree: int):
-    """(Q, hess, norm0) of the grid's polynomial chain up to `degree`."""
+    """(Q, hess, norm0) of the grid's polynomial chain up to `degree`, Q on
+    the grid's upper arm."""
     block = grid._derived.get("poly")
     if block is None or block[1].shape[1] < degree:
-        q, hess, norm0 = _poly_chain_build(grid.points, degree)
+        q, hess, norm0 = _poly_chain_build(grid.arm, degree)
         block = grid._derived["poly"] = (_frozen(q), _frozen(hess), norm0)
     q, hess, norm0 = block
     return q[:, : degree + 1], hess[: degree + 1, :degree], norm0
 
 
 def _poly_values(design: DesignMatrix, grid: SampleGrid) -> np.ndarray:
-    """The design's polynomial columns on `grid`, evaluated once per fit grid."""
+    """The design's polynomial columns on `grid`'s upper arm, evaluated once
+    per fit grid."""
     degree = design.spec.poly_degree
     key = ("poly_at", id(design.grid))
     entry = grid._derived.get(key)
     if entry is None or entry[1].shape[1] <= degree:
         # the entry holds the fit grid, so that its id is not reused
-        w = _poly_chain_eval(grid.points, design.poly_hess, design.poly_norm0)
+        w = _poly_chain_eval(grid.arm, design.poly_hess, design.poly_norm0)
         entry = grid._derived[key] = (design.grid, _frozen(w))
     return entry[1][:, : degree + 1]
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Sampled basis: column order is clustered poles, extra poles, polynomial 0..N2."""
+    """Basis on a fit grid: column order is clustered poles, extra poles,
+    polynomial 0..N2.
 
-    matrix: np.ndarray
+    It keeps what rebuilds the columns anywhere, the partial-fraction
+    scales and the polynomial recurrence, and samples no system: `matrix`
+    is the basis at the grid's points, built when asked for.
+    """
+
     grid: SampleGrid
     spec: BasisSpec
     pf_scales: np.ndarray
     poly_hess: np.ndarray | None
     poly_norm0: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The basis columns at the fit grid's points."""
+        return self.columns_at(self.grid.points)
 
     def columns_at(self, pts: np.ndarray) -> np.ndarray:
         """Rebuild the basis columns at arbitrary points."""
@@ -207,45 +257,54 @@ class DesignMatrix:
         return np.hstack(blocks)
 
 
+def _fold_into(rows: np.ndarray, values: np.ndarray):
+    """Write values on a grid's upper arm into the real system's rows: the
+    real parts first, then, for complex values, the imaginary parts."""
+    rows[:len(values)] = values.real
+    if np.iscomplexobj(values):
+        rows[len(values):] = values.imag
+
+
 def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None):
-    """(system, pf_scales): [PF | Q | f] in one C-order array, f only if given."""
+    """(system, pf_scales): the real system [PF | Q | f] in one C-order
+    array, f (the target on the upper arm) only if given.  It has
+    len(grid) rows: on a V-domain the columns on the upper arm, real parts
+    over imaginary parts; on the interval the columns themselves."""
     if spec.poly_degree >= len(grid):
         raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
                          f"the grid's {len(grid)} points")
-    z, poles, n = grid.points, spec.finite_poles, spec.n_columns
-    data = () if fvec is None else (fvec,)
-    system = np.empty((len(z), n + len(data)), dtype=np.result_type(z, poles, *data))
+    poles, n = spec.finite_poles, spec.n_columns
+    system = np.empty((len(grid), n + (0 if fvec is None else 1)))
     scales = np.empty(0)
     if len(poles):
-        pf = _partial_fraction_columns(z, poles)
+        pf = _partial_fraction_columns(grid.arm, poles)
         scales = np.abs(pf).max(axis=0)
         if np.any(scales == 0):
             raise NumericError("a partial-fraction column vanished on the grid")
-        system[:, :len(poles)] = np.divide(pf, scales, out=pf)
+        _fold_into(system[:, :len(poles)], np.divide(pf, scales, out=pf))
     if spec.poly_degree >= 0:
-        system[:, len(poles):n] = _poly_block(grid, spec.poly_degree)[0]
-    if data:
-        system[:, n] = fvec
+        _fold_into(system[:, len(poles):n], _poly_block(grid, spec.poly_degree)[0])
+    if fvec is not None:
+        _fold_into(system[:, n], fvec)
     return system, scales
 
 
-def _design(grid: SampleGrid, spec: BasisSpec, system: np.ndarray,
-            scales: np.ndarray) -> DesignMatrix:
-    """The spec's columns of a system written for its poles at its degree or above."""
+def _design(grid: SampleGrid, spec: BasisSpec, scales: np.ndarray) -> DesignMatrix:
+    """The spec's basis, given the scales of its partial fractions on grid."""
     hess, norm0 = None, math.sqrt(len(grid))
     if spec.poly_degree >= 0:
         _, hess, norm0 = _poly_block(grid, spec.poly_degree)
-    return DesignMatrix(matrix=system[:, :spec.n_columns], grid=grid, spec=spec,
-                        pf_scales=scales, poly_hess=hess, poly_norm0=norm0)
+    return DesignMatrix(grid=grid, spec=spec, pf_scales=scales, poly_hess=hess,
+                        poly_norm0=norm0)
 
 
 def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
-    """Sample the basis on the fit grid.
+    """The basis on the fit grid.
 
     Partial-fraction columns are p/(z-p) rescaled to unit discrete max
     modulus on the grid; polynomial columns are discretely orthonormal.
     """
-    return _design(grid, spec, *_write_system(grid, spec))
+    return _design(grid, spec, _write_system(grid, spec)[1])
 
 
 def _lapack(routine, *args, **kwargs):
@@ -321,10 +380,10 @@ def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
             rows = slice(start, start + _EVAL_CHUNK)
             block = _partial_fraction_columns(pts[rows], poles)
             for out, w in zip(outs, weights):
-                out[rows] = block @ w
+                out[rows] = _matvec(block, w)
     for out, a, poly in zip(outs, approxes, polys):
         if poly is not None:
-            out += poly @ a.coeffs[n_pf:]
+            out += _matvec(poly, a.coeffs[n_pf:])
     return outs
 
 
@@ -343,11 +402,15 @@ def _max_errors(approxes, target: Target, grid: SampleGrid) -> list:
     polys = [None if a.design.poly_hess is None else _poly_values(a.design, grid)
              for a in approxes]
     return [float(np.max(np.abs(v - _target_values(target, grid))))
-            for v in _approximant_values(approxes, grid.points, polys)]
+            for v in _approximant_values(approxes, grid.arm, polys)]
 
 
 def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
-    """Max modulus deviation from the target over the grid."""
+    """Max modulus deviation from the target over the grid.
+
+    Evaluated on the grid's upper arm: the approximant and the target are
+    conjugate-symmetric bit for bit, so the lower arm repeats its values.
+    """
     return _max_errors([approx], target, grid)[0]
 
 
@@ -402,7 +465,7 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
         except NumericError as exc:
             results[i] = exc
             continue
-        solved[i] = (Approximant(_design(grid, specs[i], system, scales), coeffs,
+        solved[i] = (Approximant(_design(grid, specs[i], scales), coeffs,
                                  problem.domain), rank)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -410,6 +473,7 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
                                validation_grid) if solved else []
     except LightningError as exc:
         errs = [exc] * len(solved)
+    fold = math.sqrt(len(grid) / len(grid.arm))  # whole-grid norm of folded rows
     for (i, (a, rank)), err in zip(solved.items(), errs):
         spec, clustered = specs[i], specs[i].clustered
         params = {} if clustered is None else clustered.params
@@ -420,7 +484,8 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
         else:
             results[i] = (a, FitReport(
                 max_err=err,
-                resid_2norm=float(np.linalg.norm(a.design.matrix @ a.coeffs - fvec)),
+                resid_2norm=fold * float(np.linalg.norm(
+                    system[:, :spec.n_columns] @ a.coeffs - system[:, -1])),
                 coeff_2norm=float(np.linalg.norm(a.coeffs)),
                 eff_rank=rank,
                 config={

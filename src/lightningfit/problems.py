@@ -132,6 +132,10 @@ class ApproxProblem:
 class SampleGrid:
     """Immutable point set with its construction parameters.
 
+    Complex points are laid out as [arm, conj(arm)]: the upper arm, then
+    its mirror image point for point.  Fits on a V-domain use that layout
+    to work on the upper arm alone (see `fitting`), so it is checked here.
+
     `_derived` holds data computed from the points (target values, the
     polynomial block) for the fitting module to reuse across fits on this
     grid; it is not part of the grid's value.
@@ -147,9 +151,22 @@ class SampleGrid:
 
     def __post_init__(self):
         self.points.flags.writeable = False
+        if np.iscomplexobj(self.points):
+            half, odd = divmod(len(self.points), 2)
+            if odd or not np.array_equal(self.points[half:],
+                                         np.conj(self.points[:half])):
+                raise InputError("a complex grid must be laid out as "
+                                 "[arm, conj(arm)]")
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def arm(self) -> np.ndarray:
+        """The upper arm: the first half of a complex grid, all of a real one."""
+        if np.iscomplexobj(self.points):
+            return self.points[:len(self.points) // 2]
+        return self.points
 
 
 def _radii(decades: float, per_arm: int) -> np.ndarray:

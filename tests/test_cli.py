@@ -254,7 +254,7 @@ def _fresh_env():
 
 @pytest.mark.parametrize("command",
                          ["fit", "pole-ladder", "verify-bounds", "sigma-sweep",
-                          "grid"])
+                          "grid", "vshape"])
 def test_output_byte_identical_across_processes(command):
     """Two fresh interpreters at one BLAS thread print the same bytes."""
     outs = [subprocess.run([sys.executable, "-m", "lightningfit.cli", command],

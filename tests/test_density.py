@@ -120,6 +120,24 @@ def test_invert_round_trips():
         assert y1 == pytest.approx(y0, rel=1e-11)
 
 
+@pytest.mark.parametrize("n, j", [(400, 200.499999999), (10**6, 500000.499999999)])
+def test_invert_next_to_the_limit_vs_mpmath(n, j):
+    """A billionth below (n+1)/2, H - j would cancel to H's rounding of
+    about ulp(n/2) and move the root by 1e-5 (n = 400) to 3e-4 (n = 1e6)
+    relative.  The margin (n+1)/2 - j is exact, so only Q's absolute
+    rounding is left, against a 50-digit root of the same closed form."""
+    with mp.workdps(50):
+        def h_minus_j(w):
+            q = mp.exp(-2 * w)
+            big_q = -(w**2 / 2 + w * mp.log(1 - q) - mp.polylog(2, q) / 2
+                      + mp.pi**2 / 12) / mp.pi**2
+            return (mp.mpf(n + 1) / 2 - mp.mpf(j)) - mp.sqrt(n) * w / mp.pi - big_q
+
+        w0 = mp.pi * (mp.mpf(n + 1) / 2 - mp.mpf(j)) / mp.sqrt(n)
+        ref = float(1 / mp.sinh(mp.findroot(h_minus_j, w0)))
+    assert invert_stahl_density(n, j) == pytest.approx(ref, rel=1e-7)
+
+
 def test_invert_evaluations_per_pole(monkeypatch):
     """Newton places a pole in at most 8 evaluations of H on average,
     the two bracket checks included."""

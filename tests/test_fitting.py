@@ -291,6 +291,35 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
     assert steps == {"build": 15, "eval": 15, "qr": 1, "pf": 1 + chunks}
 
 
+def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
+    """A V-domain fit factors one real system of len(grid) rows, the
+    real and imaginary parts of its columns on the upper arm, and builds
+    partial fractions on the upper arms of its grids only."""
+    factored, pf_points = [], []
+    qr, pf_columns = np.linalg.qr, fitting._partial_fraction_columns
+
+    def counted_qr(a, *args, **kwargs):
+        factored.append((a.dtype, a.shape))
+        return qr(a, *args, **kwargs)
+
+    def counted_pf(pts, poles):
+        pf_points.append(len(pts))
+        return pf_columns(pts, poles)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
+    domain = Domain.vshape(1.0)
+    grid, vgrid = _grids(domain)
+    approx, report = _fit_on(ApproxProblem(Target.sqrt(), domain), 8, grid, vgrid)
+    assert factored == [(np.dtype(np.float64), (len(grid), 12 + 9 + 1))]
+    assert sum(pf_points) == len(grid) // 2 + len(vgrid) // 2
+    assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
+    # the residual norm is still the whole grid's
+    whole = approx.design.matrix @ approx.coeffs - eval_target(Target.sqrt(),
+                                                               grid.points)
+    assert report.resid_2norm == pytest.approx(np.linalg.norm(whole), rel=1e-8)
+
+
 def test_kept_data_separates_targets_and_fit_grids():
     domain = Domain.vshape(0.5)
     grid, vgrid = _grids(domain)

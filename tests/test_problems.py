@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lightningfit import (ApproxProblem, Domain, InputError, Target,
+from lightningfit import (ApproxProblem, Domain, InputError, SampleGrid, Target,
                           build_fit_grid, build_validation_grid, eval_target)
 
 
@@ -101,6 +101,29 @@ def test_fit_grid_vshape_conjugate_closed():
     pts = set(np.round(g.points, 14))
     conj = set(np.round(np.conj(g.points), 14))
     assert pts == conj
+
+
+def test_grid_upper_arm():
+    interval = build_fit_grid(Domain.unit_interval(), per_arm=10)
+    assert interval.arm is interval.points
+    vshape = build_fit_grid(Domain.vshape(0.5), per_arm=10)
+    assert np.array_equal(vshape.arm, vshape.points[:10])
+    assert np.all(vshape.arm.imag > 0)
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(lambda arm: np.concatenate([arm, arm]), id="arm-twice"),
+    pytest.param(lambda arm: np.concatenate([arm, np.conj(arm[::-1])]),
+                 id="mirror-reversed"),
+    pytest.param(lambda arm: np.concatenate([arm, np.conj(arm)])[1:], id="odd"),
+    pytest.param(lambda arm: np.concatenate([arm, np.conj(arm) + 1e-18]),
+                 id="mirror-shifted"),
+])
+def test_complex_grid_must_be_arm_then_mirror(points):
+    arm = build_fit_grid(Domain.vshape(1.0), per_arm=8).arm
+    with pytest.raises(InputError):
+        SampleGrid(points=points(arm), domain=Domain.vshape(1.0), decades=16.0,
+                   per_arm=8)
 
 
 def test_grid_points_read_only():

@@ -1,4 +1,5 @@
-"""Property tests: the TSVD solve against a reference, evaluation on the fit grid."""
+"""Property tests: the TSVD solve against a reference, the folded V-domain
+solve and its Arnoldi block, conjugate symmetry, evaluation on the fit grid."""
 
 import math
 
@@ -7,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightningfit import (ApproxProblem, BasisSpec, Domain, Target,
-                          build_fit_grid, evaluate, fit, tapered_poles,
-                          tsvd_solve)
-from lightningfit.fitting import DEFAULT_TSVD_EPS, _factor, _solve_r
+                          build_fit_grid, build_validation_grid, eval_target,
+                          evaluate, fit, tapered_poles, tsvd_solve)
+from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _fold_into,
+                                  _poly_chain_build, _poly_chain_eval, _solve_r)
 
 
 def reference_tsvd(a, f, eps_rel):
@@ -83,6 +85,92 @@ def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, s
         ref, ref_rank = tsvd_solve(a[:, :n], f)
         assert rank == ref_rank == sum(kinds[:n])
         assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 20), n=st.integers(1, 40), rank_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_solve_matches_complex_tsvd_of_unfolded_system(h, n, rank_frac,
+                                                              seed):
+    """The conjugate-symmetric system [S; conj S] c = [f; conj f], written
+    as fit writes a V-domain fit, the real [Re S; Im S | Re f; Im f], and
+    solved in real arithmetic, against the complex truncated SVD of the
+    whole system.  The folded matrix has the singular values of
+    test_tsvd_matches_reference_truncated_svd, the whole one those times
+    sqrt(2): the same wide gap around the cut."""
+    rng = np.random.default_rng(seed)
+    k = min(2 * h, n)
+    rank = max(1, round(rank_frac * k))
+    s = np.concatenate([np.geomspace(1.0, 1e-2, rank),
+                        np.geomspace(1e-17, 1e-19, k - rank)])
+    folded = (_orthonormal(rng, 2 * h, k, False) * s) @ \
+        _orthonormal(rng, n, k, False).T
+    arm = folded[:h] + 1j * folded[h:]
+    f_arm = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    system = np.empty((2 * h, n + 1))
+    _fold_into(system[:, :n], arm)
+    _fold_into(system[:, n], f_arm)
+    coeffs, got_rank = _solve_r(_factor(system, DEFAULT_TSVD_EPS), n,
+                                DEFAULT_TSVD_EPS)
+    ref, ref_rank = reference_tsvd(np.concatenate([arm, arm.conj()]),
+                                   np.concatenate([f_arm, f_arm.conj()]),
+                                   DEFAULT_TSVD_EPS)
+    assert coeffs.dtype == np.float64
+    assert got_rank == ref_rank == rank
+    assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.05, 1.95), degree=st.integers(0, 24),
+       per_arm=st.integers(30, 2000), decades=st.floats(1.0, 16.0))
+def test_folded_arnoldi_block_is_orthonormal_on_the_whole_grid(beta, degree,
+                                                               per_arm, decades):
+    """Built on the upper arm in the inner product 2 Re<u, v>, the block has
+    real recurrence coefficients, and re-evaluated on the whole grid it is
+    orthonormal there and conjugate-symmetric bit for bit."""
+    grid = build_fit_grid(Domain(beta), per_arm=per_arm, decades=decades)
+    q, hess, norm0 = _poly_chain_build(grid.arm, degree)
+    assert hess.dtype == np.float64
+    w = _poly_chain_eval(grid.points, hess, norm0)
+    assert np.array_equal(w[:per_arm], q)
+    assert np.array_equal(w[per_arm:], q.conj())
+    assert np.max(np.abs(w.conj().T @ w - np.eye(degree + 1))) <= 1e-12
+
+
+VSHAPE_TARGETS = [Target.sqrt(), Target.power(0.3), Target.power(1.0 / 1.5),
+                  Target.power_log(1.0), Target.power_log(0.7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.sampled_from([0.5, 1.0, 1.5]), target=st.sampled_from(VSHAPE_TARGETS),
+       n1=st.integers(1, 30), sigma=st.floats(2.0, 15.0),
+       degree=st.integers(-1, 20), per_arm=st.integers(30, 600),
+       val_per_arm=st.integers(1, 5000))
+# one validation point per arm, and a last chunk of one row on the arm
+@example(beta=1.0, target=Target.sqrt(), n1=4, sigma=5.0, degree=3, per_arm=50,
+         val_per_arm=1)
+@example(beta=0.5, target=Target.power_log(1.0), n1=12, sigma=6.0, degree=8,
+         per_arm=200, val_per_arm=4097)
+def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
+                                           per_arm, val_per_arm):
+    """Real coefficients, so the approximant is conjugate-symmetric bit for
+    bit; max_err, measured on the validation grid's upper arm, is exactly
+    the maximum over the whole grid; the approximant is real on the
+    positive real axis."""
+    domain = Domain(beta)
+    vgrid = build_validation_grid(domain, per_arm=val_per_arm)
+    approx, report = fit(ApproxProblem(target, domain),
+                         BasisSpec(clustered=tapered_poles(n1, sigma),
+                                   poly_degree=degree),
+                         grid=build_fit_grid(domain, per_arm=per_arm),
+                         validation_grid=vgrid)
+    assert approx.coeffs.dtype == np.float64
+    z = vgrid.points
+    values = evaluate(approx, z)
+    assert np.array_equal(evaluate(approx, np.conj(z)), np.conj(values))
+    assert report.max_err == np.max(np.abs(values - eval_target(target, z)))
+    x = np.geomspace(1e-12, 1.0, 25).astype(complex)
+    assert np.all(evaluate(approx, x).imag == 0)
 
 
 @settings(max_examples=25, deadline=None)
