@@ -1,4 +1,4 @@
-"""Design matrices, truncated-SVD least squares, and fitted approximants.
+"""Basis, truncated-SVD least squares, and fitted approximants.
 
 The basis is a set of scaled partial fractions p_j / (z - p_j) for the
 preassigned poles plus an optional polynomial generated by the
@@ -47,11 +47,12 @@ the target values, the polynomial block on the fit grid and its values
 on a validation grid, all on the upper arm.  The degree-d block is an
 exact prefix of the degree-D one, so a lower degree is a slice, bit for
 bit what a build at that degree gives; a larger one rebuilds it.
-Evaluation is matrix-free: the polynomial block at the points times its
-coefficients, plus the partial fractions summed over row chunks of
-_EVAL_CHUNK points, each chunk's block built once per group of fits.
-`evaluate` and `max_error` share that routine, so both give the same
-values bit for bit.
+An approximant is its partial-fraction scales, its polynomial recurrence
+and its coefficients; it holds no grid.  Evaluation is matrix-free: the
+polynomial block at the points times its coefficients, plus the partial
+fractions summed over row chunks of _EVAL_CHUNK points, each chunk's
+block built once per group of fits.  `evaluate` and `max_error` share
+that routine, so both give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -209,52 +210,20 @@ def _poly_block(grid: SampleGrid, degree: int):
     return q[:, : degree + 1], hess[: degree + 1, :degree], norm0
 
 
-def _poly_values(design: DesignMatrix, grid: SampleGrid) -> np.ndarray:
-    """The design's polynomial columns on `grid`'s upper arm, evaluated once
-    per fit grid."""
-    degree = design.spec.poly_degree
-    key = ("poly_at", id(design.grid))
+def _poly_values(approx: Approximant, grid: SampleGrid,
+                 fit_grid: SampleGrid | None) -> np.ndarray:
+    """The approximant's polynomial block on `grid`'s upper arm, kept in
+    grid's derived data once per fit grid when the fit grid is given."""
+    if fit_grid is None:
+        return _poly_chain_eval(grid.arm, approx.hess, approx.norm0)
+    degree = approx.spec.poly_degree
+    key = ("poly_at", id(fit_grid))
     entry = grid._derived.get(key)
     if entry is None or entry[1].shape[1] <= degree:
         # the entry holds the fit grid, so that its id is not reused
-        w = _poly_chain_eval(grid.arm, design.poly_hess, design.poly_norm0)
-        entry = grid._derived[key] = (design.grid, _frozen(w))
+        w = _poly_chain_eval(grid.arm, approx.hess, approx.norm0)
+        entry = grid._derived[key] = (fit_grid, _frozen(w))
     return entry[1][:, : degree + 1]
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Basis on a fit grid: column order is clustered poles, extra poles,
-    polynomial 0..N2.
-
-    It keeps what rebuilds the columns anywhere, the partial-fraction
-    scales and the polynomial recurrence, and samples no system: `matrix`
-    is the basis at the grid's points, built when asked for.
-    """
-
-    grid: SampleGrid
-    spec: BasisSpec
-    pf_scales: np.ndarray
-    poly_hess: np.ndarray | None
-    poly_norm0: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The basis columns at the fit grid's points."""
-        return self.columns_at(self.grid.points)
-
-    def columns_at(self, pts: np.ndarray) -> np.ndarray:
-        """Rebuild the basis columns at arbitrary points."""
-        pts = np.atleast_1d(np.asarray(pts))
-        blocks = []
-        poles = self.spec.finite_poles
-        if len(poles):
-            pf = _partial_fraction_columns(pts, poles)
-            pf /= self.pf_scales
-            blocks.append(pf)
-        if self.poly_hess is not None:
-            blocks.append(_poly_chain_eval(pts, self.poly_hess, self.poly_norm0))
-        return np.hstack(blocks)
 
 
 def _fold_into(rows: np.ndarray, values: np.ndarray):
@@ -289,24 +258,6 @@ def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = N
     return system, scales
 
 
-def _design(grid: SampleGrid, spec: BasisSpec, scales: np.ndarray) -> DesignMatrix:
-    """The spec's basis, given the scales of its partial fractions on grid."""
-    hess, norm0 = None, math.sqrt(len(grid))
-    if spec.poly_degree >= 0:
-        _, hess, norm0 = _poly_block(grid, spec.poly_degree)
-    return DesignMatrix(grid=grid, spec=spec, pf_scales=scales, poly_hess=hess,
-                        poly_norm0=norm0)
-
-
-def build_design_matrix(grid: SampleGrid, spec: BasisSpec) -> DesignMatrix:
-    """The basis on the fit grid.
-
-    Partial-fraction columns are p/(z-p) rescaled to unit discrete max
-    modulus on the grid; polynomial columns are discretely orthonormal.
-    """
-    return _design(grid, spec, _write_system(grid, spec)[1])
-
-
 def _lapack(routine, *args, **kwargs):
     """Call a numpy.linalg routine; its LinAlgError becomes a NumericError."""
     try:
@@ -336,23 +287,26 @@ def _solve_r(r: np.ndarray, n: int, eps_rel: float):
     return coeffs, rank
 
 
-def tsvd_solve(a, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
+def tsvd_solve(a: np.ndarray, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
     """(coeffs, effective_rank) of the least-squares solve `fit` runs:
     minimum norm, keeping singular values >= eps_rel * s_max."""
-    mat = a.matrix if isinstance(a, DesignMatrix) else np.asarray(a)
-    f = np.asarray(f)
-    if mat.shape[0] != len(f):
+    a, f = np.asarray(a), np.asarray(f)
+    if a.shape[0] != len(f):
         raise InputError("matrix and data lengths differ")
-    return _solve_r(_factor(np.column_stack([mat, f]), eps_rel), mat.shape[1], eps_rel)
+    return _solve_r(_factor(np.column_stack([a, f]), eps_rel), a.shape[1], eps_rel)
 
 
 @dataclass(frozen=True)
 class Approximant:
-    """A fitted rational function: partial fractions plus polynomial."""
+    """A fitted rational function: coefficients of the partial fractions
+    p/(z - p) divided by pf_scales, then of the recurrence's polynomials
+    (hess and norm0 are None without polynomial columns)."""
 
-    design: DesignMatrix
+    spec: BasisSpec
+    pf_scales: np.ndarray
+    hess: np.ndarray | None
+    norm0: float | None
     coeffs: np.ndarray
-    domain: object
 
     def __call__(self, pts):
         return evaluate(self, pts)
@@ -370,12 +324,12 @@ class FitReport:
 def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
     """Values at pts of approximants sharing poles and scales, given their
     polynomial blocks there (or None); one partial-fraction block per chunk."""
-    design = approxes[0].design
-    poles, n_pf = design.spec.finite_poles, len(design.pf_scales)
+    poles, scales = approxes[0].spec.finite_poles, approxes[0].pf_scales
+    n_pf = len(scales)
     outs = [np.zeros(len(pts), dtype=np.result_type(pts, poles, a.coeffs))
             for a in approxes]
     if n_pf:
-        weights = [a.coeffs[:n_pf] / design.pf_scales for a in approxes]
+        weights = [a.coeffs[:n_pf] / scales for a in approxes]
         for start in range(0, len(pts), _EVAL_CHUNK):
             rows = slice(start, start + _EVAL_CHUNK)
             block = _partial_fraction_columns(pts[rows], poles)
@@ -390,16 +344,19 @@ def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
 def evaluate(approx: Approximant, pts) -> np.ndarray:
     """Evaluate the approximant; raises if a point coincides with a pole."""
     pts = np.asarray(pts)
-    flat, design = np.atleast_1d(pts), approx.design
-    poly = None if design.poly_hess is None else \
-        _poly_chain_eval(flat, design.poly_hess, design.poly_norm0)
+    flat = np.atleast_1d(pts)
+    poly = None if approx.hess is None else \
+        _poly_chain_eval(flat, approx.hess, approx.norm0)
     out = _approximant_values([approx], flat, [poly])[0]
     return out[0] if pts.ndim == 0 else out
 
 
-def _max_errors(approxes, target: Target, grid: SampleGrid) -> list:
-    """max_error of approximants sharing their poles, the largest degree first."""
-    polys = [None if a.design.poly_hess is None else _poly_values(a.design, grid)
+def _max_errors(approxes, target: Target, grid: SampleGrid,
+                fit_grid: SampleGrid | None) -> list:
+    """max_error of approximants sharing their poles, the largest degree
+    first; given the grid they were fitted on, grid keeps their polynomial
+    block for later fits there."""
+    polys = [None if a.hess is None else _poly_values(a, grid, fit_grid)
              for a in approxes]
     return [float(np.max(np.abs(v - _target_values(target, grid))))
             for v in _approximant_values(approxes, grid.arm, polys)]
@@ -411,7 +368,7 @@ def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
     Evaluated on the grid's upper arm: the approximant and the target are
     conjugate-symmetric bit for bit, so the lower arm repeats its values.
     """
-    return _max_errors([approx], target, grid)[0]
+    return _max_errors([approx], target, grid, None)[0]
 
 
 def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
@@ -465,12 +422,13 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
         except NumericError as exc:
             results[i] = exc
             continue
-        solved[i] = (Approximant(_design(grid, specs[i], scales), coeffs,
-                                 problem.domain), rank)
+        degree = specs[i].poly_degree
+        _, hess, norm0 = _poly_block(grid, degree) if degree >= 0 else (None,) * 3
+        solved[i] = (Approximant(specs[i], scales, hess, norm0, coeffs), rank)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             errs = _max_errors([a for a, _ in solved.values()], problem.target,
-                               validation_grid) if solved else []
+                               validation_grid, grid) if solved else []
     except LightningError as exc:
         errs = [exc] * len(solved)
     fold = math.sqrt(len(grid) / len(grid.arm))  # whole-grid norm of folded rows

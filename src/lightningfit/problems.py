@@ -145,7 +145,6 @@ class SampleGrid:
     domain: Domain
     decades: float
     per_arm: int
-    label: str = "fit"
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -183,8 +182,8 @@ def _radii(decades: float, per_arm: int) -> np.ndarray:
     return np.logspace(-decades, 0.0, per_arm)
 
 
-def build_fit_grid(domain: Domain, decades: float = 16.0, per_arm: int = 2000,
-                   label: str = "fit") -> SampleGrid:
+def build_fit_grid(domain: Domain, decades: float = 16.0,
+                   per_arm: int = 2000) -> SampleGrid:
     """Log-spaced grid over `decades` decades of radius, densest near 0.
 
     On the interval the points are real; on a V-domain each arm gets
@@ -197,11 +196,10 @@ def build_fit_grid(domain: Domain, decades: float = 16.0, per_arm: int = 2000,
         arm = r * np.exp(1j * domain.arm_angle)
         pts = np.concatenate([arm, np.conj(arm)])
     return SampleGrid(points=pts, domain=domain, decades=float(decades),
-                      per_arm=per_arm, label=label)
+                      per_arm=per_arm)
 
 
 def build_validation_grid(domain: Domain, per_arm: int = 10000,
                           decades: float = 16.0) -> SampleGrid:
     """Denser companion grid used to report max errors."""
-    return build_fit_grid(domain, decades=decades, per_arm=per_arm,
-                          label="validation")
+    return build_fit_grid(domain, decades=decades, per_arm=per_arm)

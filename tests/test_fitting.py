@@ -1,17 +1,19 @@
-"""Design matrices, TSVD least squares, fitted approximants."""
+"""Basis columns, TSVD least squares, fitted approximants."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from lightningfit import (ApproxProblem, BasisSpec, Domain, InputError,
-                          NumericError, Target, big_poles, build_design_matrix,
-                          build_fit_grid, build_validation_grid, eval_target,
-                          evaluate, fit, max_error, tapered_poles, tsvd_solve,
-                          uniform_poles)
+                          NumericError, Target, big_poles, build_fit_grid,
+                          build_validation_grid, eval_target, evaluate, fit,
+                          max_error, tapered_poles, tsvd_solve, uniform_poles)
 from lightningfit import fitting
-from lightningfit.experiments import run_grid
+from lightningfit.experiments import run_fit, run_grid
+from lightningfit.fitting import _poly_block, _poly_chain_eval, _write_system
 
 SQRT_PROBLEM = ApproxProblem(Target.sqrt(), Domain.unit_interval())
 
@@ -40,51 +42,53 @@ def test_basis_spec_rejects_empty_and_bad_degree():
 
 def test_polynomial_columns_orthonormal():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=500)
-    spec = BasisSpec(poly_degree=12)
-    design = build_design_matrix(grid, spec)
-    gram = design.matrix.T @ design.matrix
+    system = _write_system(grid, BasisSpec(poly_degree=12))[0]
+    gram = system.T @ system
     assert np.max(np.abs(gram - np.eye(13))) < 1e-12
 
 
 def test_polynomial_columns_orthonormal_complex_grid():
+    # the folded rows [Re; Im] on the upper arm: S^H S over the whole grid
+    # is 2 S_fold^T S_fold
     grid = build_fit_grid(Domain.vshape(1.0), per_arm=400)
-    design = build_design_matrix(grid, BasisSpec(poly_degree=8))
-    gram = design.matrix.conj().T @ design.matrix
+    system = _write_system(grid, BasisSpec(poly_degree=8))[0]
+    gram = 2.0 * system.T @ system
     assert np.max(np.abs(gram - np.eye(9))) < 1e-12
 
 
 def test_polynomial_reevaluation_matches_grid():
-    """columns_at on the original grid must reproduce the stored columns."""
+    """The recurrence re-evaluated at the grid reproduces the system's columns."""
     grid = build_fit_grid(Domain.unit_interval(), per_arm=300)
-    design = build_design_matrix(grid, BasisSpec(poly_degree=10))
-    again = design.columns_at(grid.points)
-    assert np.max(np.abs(again - design.matrix)) < 1e-13
+    system = _write_system(grid, BasisSpec(poly_degree=10))[0]
+    _, hess, norm0 = _poly_block(grid, 10)
+    again = _poly_chain_eval(grid.points, hess, norm0)
+    assert np.max(np.abs(again - system)) < 1e-13
 
 
 def test_polynomial_chain_spans_monomials():
     # degree-3 chain on a modest grid reproduces an exact cubic
     grid = build_fit_grid(Domain.unit_interval(), per_arm=200, decades=3.0)
-    design = build_design_matrix(grid, BasisSpec(poly_degree=3))
+    system = _write_system(grid, BasisSpec(poly_degree=3))[0]
     z = grid.points
     f = 1.0 - 2.0 * z + 0.5 * z**3
-    coeffs, rank = tsvd_solve(design, f)
+    coeffs, rank = tsvd_solve(system, f)
     assert rank == 4
-    assert np.max(np.abs(design.matrix @ coeffs - f)) < 1e-13
+    assert np.max(np.abs(system @ coeffs - f)) < 1e-13
 
 
 def test_partial_fraction_columns_scaled_to_unit_max():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=400)
-    design = build_design_matrix(grid, BasisSpec(clustered=tapered_poles(8, 3.0),
-                                                 poly_degree=-1))
-    assert np.allclose(np.abs(design.matrix).max(axis=0), 1.0, rtol=1e-14)
+    system = _write_system(grid, BasisSpec(clustered=tapered_poles(8, 3.0),
+                                           poly_degree=-1))[0]
+    assert np.allclose(np.abs(system).max(axis=0), 1.0, rtol=1e-14)
 
 
-def test_design_matrix_rejects_point_on_pole():
+def test_evaluate_rejects_point_on_pole():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=50)
     spec = BasisSpec(clustered=tapered_poles(4, 2.0), poly_degree=-1)
-    design = build_design_matrix(grid, spec)
+    approx, _ = fit(SQRT_PROBLEM, spec, grid=grid)
     with pytest.raises(InputError):
-        design.columns_at(np.array([spec.finite_poles[0]]))
+        evaluate(approx, np.array([spec.finite_poles[0]]))
 
 
 def test_tsvd_matches_normal_equations_when_well_conditioned():
@@ -221,9 +225,13 @@ def test_max_error_agrees_with_direct_computation(beta, degree):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_constant_column_is_exact(beta):
     grid = build_fit_grid(Domain(beta), per_arm=300)
-    design = build_design_matrix(grid, BasisSpec(poly_degree=0))
-    assert np.all(design.matrix == 1.0 / math.sqrt(len(grid)))
-    assert np.all(design.columns_at(np.array([0.25, 0.5])) == design.matrix[0])
+    system = _write_system(grid, BasisSpec(poly_degree=0))[0]
+    arm = len(grid.arm)  # the real parts' rows; the imaginary parts' follow
+    assert np.all(system[:arm] == 1.0 / math.sqrt(len(grid)))
+    assert np.all(system[arm:] == 0.0)
+    _, hess, norm0 = _poly_block(grid, 0)
+    assert np.all(_poly_chain_eval(np.array([0.25, 0.5]), hess, norm0)
+                  == system[0])
 
 
 def _fit_on(problem, degree, grid, vgrid):
@@ -238,7 +246,11 @@ def _grids(domain, per_arm=400):
 
 def _assert_same_fit(a, b):
     (approx_a, rep_a), (approx_b, rep_b) = a, b
-    assert np.array_equal(approx_a.design.matrix, approx_b.design.matrix)
+    assert np.array_equal(approx_a.spec.finite_poles, approx_b.spec.finite_poles)
+    assert approx_a.spec.poly_degree == approx_b.spec.poly_degree
+    assert np.array_equal(approx_a.pf_scales, approx_b.pf_scales)
+    assert np.array_equal(approx_a.hess, approx_b.hess)
+    assert approx_a.norm0 == approx_b.norm0
     assert np.array_equal(approx_a.coeffs, approx_b.coeffs)
     assert (rep_a.max_err, rep_a.resid_2norm, rep_a.eff_rank) == \
         (rep_b.max_err, rep_b.resid_2norm, rep_b.eff_rank)
@@ -315,8 +327,7 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
     assert sum(pf_points) == len(grid) // 2 + len(vgrid) // 2
     assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
     # the residual norm is still the whole grid's
-    whole = approx.design.matrix @ approx.coeffs - eval_target(Target.sqrt(),
-                                                               grid.points)
+    whole = evaluate(approx, grid.points) - eval_target(Target.sqrt(), grid.points)
     assert report.resid_2norm == pytest.approx(np.linalg.norm(whole), rel=1e-8)
 
 
@@ -354,4 +365,33 @@ def test_default_validation_grid_spans_fit_grid_decades():
 def test_polynomial_degree_must_fit_the_grid():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=20)
     with pytest.raises(InputError):
-        build_design_matrix(grid, BasisSpec(poly_degree=20))
+        fit(SQRT_PROBLEM, BasisSpec(poly_degree=20), grid=grid)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_approximant_outlives_its_grids(beta):
+    """An approximant holds no grid: its grids and their kept data are
+    freed once dropped, and it evaluates as before."""
+    grid, vgrid = _grids(Domain(beta))
+    approx, _ = _fit_on(ApproxProblem(Target.sqrt(), Domain(beta)), 8, grid, vgrid)
+    pts = build_validation_grid(Domain(beta), per_arm=777).points
+    before = evaluate(approx, pts)
+    refs = weakref.ref(grid), weakref.ref(vgrid)
+    del grid, vgrid
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert np.array_equal(evaluate(approx, pts), before)
+
+
+def test_package_fits_call_no_public_solve_or_error(monkeypatch):
+    """Package fits run through the factor-once path alone: the public
+    max_error and tsvd_solve, which tracing tools may wrap, are not called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("package code called a public fitting entry point")
+
+    monkeypatch.setattr(fitting, "max_error", forbidden)
+    monkeypatch.setattr(fitting, "tsvd_solve", forbidden)
+    fitted = run_fit(beta=1.0)  # a failed fit raises
+    assert len(fitted) == 1 and math.isfinite(fitted.column("max_err")[0])
+    swept = run_grid(n1_list=(16,))
+    assert len(swept) == 16 and not any(swept.column("status"))

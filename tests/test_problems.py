@@ -142,7 +142,6 @@ def test_grid_rejects_bad_parameters():
 def test_validation_grid_default_density():
     g = build_validation_grid(Domain.unit_interval())
     assert len(g) == 10000
-    assert g.label == "validation"
 
 
 def test_problem_carries_target_and_domain():

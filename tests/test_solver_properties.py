@@ -11,7 +11,8 @@ from lightningfit import (ApproxProblem, BasisSpec, Domain, Target,
                           build_fit_grid, build_validation_grid, eval_target,
                           evaluate, fit, tapered_poles, tsvd_solve)
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _fold_into,
-                                  _poly_chain_build, _poly_chain_eval, _solve_r)
+                                  _poly_chain_build, _poly_chain_eval, _solve_r,
+                                  _write_system)
 
 
 def reference_tsvd(a, f, eps_rel):
@@ -181,14 +182,18 @@ def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
 # a coarse grid and a high degree: columns that are not the recurrence's own
 # values on the grid drift from its re-evaluation there by ~1e-9
 @example(beta=0.0, n1=1, sigma=3.0, degree=9, per_arm=60, target=Target.sqrt())
-def test_evaluate_on_fit_grid_matches_design_matrix(beta, n1, sigma, degree,
-                                                    per_arm, target):
-    """Basis entries are at most 1 in modulus, so two summation orders of a
-    value differ by rounding on the scale of the coefficients' 1-norm."""
+def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
+                                                     per_arm, target):
+    """evaluate on the fit grid's upper arm, folded to [Re; Im], against the
+    rows of the system the fit solved.  Basis entries are at most 1 in
+    modulus, so two summation orders of a value differ by rounding on the
+    scale of the coefficients' 1-norm."""
     domain = Domain(beta)
     grid = build_fit_grid(domain, per_arm=per_arm)
     spec = BasisSpec(clustered=tapered_poles(n1, sigma), poly_degree=degree)
     approx, _ = fit(ApproxProblem(target, domain), spec, grid=grid)
-    direct = approx.design.matrix @ approx.coeffs
+    direct = _write_system(grid, spec)[0] @ approx.coeffs
+    values = np.empty(len(grid))
+    _fold_into(values, evaluate(approx, grid.arm))
     scale = max(1.0, float(np.abs(approx.coeffs).sum()))
-    assert np.max(np.abs(evaluate(approx, grid.points) - direct)) <= 1e-13 * scale
+    assert np.max(np.abs(values - direct)) <= 1e-13 * scale
