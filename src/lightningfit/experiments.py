@@ -54,10 +54,10 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
 
 
 def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
-    """Fit spec_of(key) for each key on shared grids, one fit_nested call
-    per finite pole set, after building every spec; raises the first key's
-    error when none can be built.  Returns [(key, report, "")] in key order,
-    with (key, _FAILED, reason) where the spec or the fit raised a
+    """Fit spec_of(key) for each key on shared grids in one fit_nested
+    call, after building every spec; raises the first key's error when
+    none can be built.  Returns [(key, report, "")] in key order, with
+    (key, _FAILED, reason) where the spec or the fit raised a
     LightningError.
     """
     keys = list(keys)
@@ -69,13 +69,9 @@ def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
             results[i] = exc
     if results and not specs:
         raise results[0]
-    groups = {}  # in order of their largest degree, so each poly block is built once
-    for i in sorted(specs, key=lambda i: -specs[i].poly_degree):
-        groups.setdefault(specs[i].finite_poles.tobytes(), []).append(i)
-    for group in groups.values():
-        for i, result in zip(group, fit_nested(problem, [specs[i] for i in group],
-                                               grid, eps_rel, vgrid)):
-            results[i] = result if isinstance(result, LightningError) else result[1]
+    for i, result in zip(specs, fit_nested(problem, list(specs.values()), grid,
+                                           eps_rel, vgrid)):
+        results[i] = result if isinstance(result, LightningError) else result[1]
     return [(key, _FAILED, str(results[i])) if isinstance(results[i], LightningError)
             else (key, results[i], "") for i, key in enumerate(keys)]
 
@@ -86,13 +82,12 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
             eps_rel: float = 2e-14) -> ResultTable:
     """One fit of sqrt, x^alpha or x^alpha log x on the opening-beta domain.
 
-    target names a TargetKind; sqrt ignores alpha.  n2 defaults to
+    target names a TargetKind; sqrt takes only alpha = 0.5.  n2 defaults to
     ceil(1.3 sqrt(n1)), sigma to 2 sqrt(2 - beta) pi.  Unlike the sweeps,
     a failed fit raises.
     """
     domain = Domain(beta)
-    problem = ApproxProblem(
-        Target.sqrt() if target == "sqrt" else Target(target, alpha), domain)
+    problem = ApproxProblem(Target(target, alpha), domain)
     if n2 is None:
         n2 = poly_degree_rule(n1)
     if sigma is None:
@@ -113,7 +108,7 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
                     decades: float = 16.0, val_per_arm: int = 10000) -> ResultTable:
     """Degree sweep of sqrt(x) fits for every pole/augmentation variant.
 
-    Every row refits from scratch on the shared grids; errors in a row
+    Every row is fitted in one sweep on the shared grids; errors in a row
     are recorded, not raised.
     """
     if variants is None:
@@ -266,16 +261,13 @@ def run_grid(alpha: float = math.pi / 10,
         sigma = 2.0 * math.pi / math.sqrt(alpha)
     grid = build_fit_grid(domain, per_arm=per_arm)
     vgrid = build_validation_grid(domain)
-    rows = []
+    clustered = {n1: tapered_poles(n1, sigma, 1.0) for n1 in n1_list}
+    rows = [(n1, n2, rep.max_err, status) for (n1, n2), rep, status in _sweep(
+        problem, grid, vgrid, eps_rel, [(n1, n2) for n1 in n1_list for n2 in n2_list],
+        lambda key: BasisSpec(clustered=clustered[key[0]], poly_degree=key[1]))]
     near_optimal = []
-    for n1 in n1_list:
-        clustered = tapered_poles(n1, sigma, 1.0)
-        row_errs = []
-        for n2, rep, status in _sweep(
-                problem, grid, vgrid, eps_rel, n2_list,
-                lambda n2: BasisSpec(clustered=clustered, poly_degree=n2)):
-            rows.append((n1, n2, rep.max_err, status))
-            row_errs.append(rep.max_err)
+    for k, n1 in enumerate(n1_list):
+        row_errs = [row[2] for row in rows[k * len(n2_list):(k + 1) * len(n2_list)]]
         finite = [e for e in row_errs if math.isfinite(e)]
         if finite:
             best = min(finite)

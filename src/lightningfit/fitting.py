@@ -17,8 +17,8 @@ forms no orthogonal factor: [A | f] is written into one array, one
 Householder QR leaves R with A's singular values in its leading columns
 and Q^H f in its last, and the truncated SVD runs on a small block of R.
 Fits that share their poles and differ in polynomial degree share that
-factorization (`fit_nested`; `fit` is a group of one): written at the
-largest degree with the polynomial columns last, R's leading
+factorization (a `fit_nested` group; `fit` is a group of one): written
+at the largest degree with the polynomial columns last, R's leading
 n1 + d + 1 columns solve degree d, exactly in exact arithmetic, because
 Householder QR factors every column prefix by the leading block of R.
 
@@ -42,11 +42,12 @@ arm of the validation grid only, and its maximum error is exactly the
 maximum over the whole grid; the residual norm is reported over the
 whole grid, sqrt(2) times that of the folded residual.
 
-What does not depend on the poles is kept in the grid's derived data:
-the target values, the polynomial block on the fit grid and its values
-on a validation grid, all on the upper arm.  The degree-d block is an
-exact prefix of the degree-D one, so a lower degree is a slice, bit for
-bit what a build at that degree gives; a larger one rebuilds it.
+What does not depend on the poles is computed once per `fit_nested`
+call, whatever the poles of its specs: the target values, the polynomial
+block on the fit grid and its values on the validation grid, all on the
+upper arm.  The degree-d block is an exact prefix of the degree-D one,
+so a lower degree is a slice, bit for bit what a build at that degree
+gives.  The call holds it, not the grids, which hold only their points.
 An approximant is its partial-fraction scales, its polynomial recurrence
 and its coefficients; it holds no grid.  Evaluation is matrix-free: the
 polynomial block at the points times its coefficients, plus the partial
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -186,46 +188,6 @@ def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return np.divide(poles, diff, out=diff)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _target_values(target: Target, grid: SampleGrid) -> np.ndarray:
-    """The target on the grid's upper arm, evaluated once per (grid, target)."""
-    key = ("target", target)
-    if key not in grid._derived:
-        grid._derived[key] = _frozen(eval_target(target, grid.arm))
-    return grid._derived[key]
-
-
-def _poly_block(grid: SampleGrid, degree: int):
-    """(Q, hess, norm0) of the grid's polynomial chain up to `degree`, Q on
-    the grid's upper arm."""
-    block = grid._derived.get("poly")
-    if block is None or block[1].shape[1] < degree:
-        q, hess, norm0 = _poly_chain_build(grid.arm, degree)
-        block = grid._derived["poly"] = (_frozen(q), _frozen(hess), norm0)
-    q, hess, norm0 = block
-    return q[:, : degree + 1], hess[: degree + 1, :degree], norm0
-
-
-def _poly_values(approx: Approximant, grid: SampleGrid,
-                 fit_grid: SampleGrid | None) -> np.ndarray:
-    """The approximant's polynomial block on `grid`'s upper arm, kept in
-    grid's derived data once per fit grid when the fit grid is given."""
-    if fit_grid is None:
-        return _poly_chain_eval(grid.arm, approx.hess, approx.norm0)
-    degree = approx.spec.poly_degree
-    key = ("poly_at", id(fit_grid))
-    entry = grid._derived.get(key)
-    if entry is None or entry[1].shape[1] <= degree:
-        # the entry holds the fit grid, so that its id is not reused
-        w = _poly_chain_eval(grid.arm, approx.hess, approx.norm0)
-        entry = grid._derived[key] = (fit_grid, _frozen(w))
-    return entry[1][:, : degree + 1]
-
-
 def _fold_into(rows: np.ndarray, values: np.ndarray):
     """Write values on a grid's upper arm into the real system's rows: the
     real parts first, then, for complex values, the imaginary parts."""
@@ -234,11 +196,13 @@ def _fold_into(rows: np.ndarray, values: np.ndarray):
         rows[len(values):] = values.imag
 
 
-def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None):
+def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None,
+                  poly=None):
     """(system, pf_scales): the real system [PF | Q | f] in one C-order
     array, f (the target on the upper arm) only if given.  It has
     len(grid) rows: on a V-domain the columns on the upper arm, real parts
-    over imaginary parts; on the interval the columns themselves."""
+    over imaginary parts; on the interval the columns themselves.
+    poly(degree) gives the polynomial block, by default built here."""
     if spec.poly_degree >= len(grid):
         raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
                          f"the grid's {len(grid)} points")
@@ -252,7 +216,8 @@ def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = N
             raise NumericError("a partial-fraction column vanished on the grid")
         _fold_into(system[:, :len(poles)], np.divide(pf, scales, out=pf))
     if spec.poly_degree >= 0:
-        _fold_into(system[:, len(poles):n], _poly_block(grid, spec.poly_degree)[0])
+        poly = poly or (lambda degree: _poly_chain_build(grid.arm, degree))
+        _fold_into(system[:, len(poles):n], poly(spec.poly_degree)[0])
     if fvec is not None:
         _fold_into(system[:, n], fvec)
     return system, scales
@@ -351,15 +316,13 @@ def evaluate(approx: Approximant, pts) -> np.ndarray:
     return out[0] if pts.ndim == 0 else out
 
 
-def _max_errors(approxes, target: Target, grid: SampleGrid,
-                fit_grid: SampleGrid | None) -> list:
-    """max_error of approximants sharing their poles, the largest degree
-    first; given the grid they were fitted on, grid keeps their polynomial
-    block for later fits there."""
-    polys = [None if a.hess is None else _poly_values(a, grid, fit_grid)
+def _max_errors(approxes, shared: _Shared) -> list:
+    """Max modulus deviations from the target on the validation grid's
+    upper arm of approximants sharing their poles."""
+    polys = [None if a.hess is None else shared.poly_at_validation(a.spec.poly_degree)
              for a in approxes]
-    return [float(np.max(np.abs(v - _target_values(target, grid))))
-            for v in _approximant_values(approxes, grid.arm, polys)]
+    return [float(np.max(np.abs(v - shared.vvec)))
+            for v in _approximant_values(approxes, shared.vgrid.arm, polys)]
 
 
 def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
@@ -368,7 +331,8 @@ def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
     Evaluated on the grid's upper arm: the approximant and the target are
     conjugate-symmetric bit for bit, so the lower arm repeats its values.
     """
-    return _max_errors([approx], target, grid, None)[0]
+    return float(np.max(np.abs(evaluate(approx, grid.arm)
+                               - eval_target(target, grid.arm))))
 
 
 def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
@@ -378,8 +342,8 @@ def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
 
     Returns (Approximant, FitReport).  The report's max_err is measured on
     the denser validation grid, not the fit grid; by default that grid
-    spans the fit grid's decades.  Reusing both grids across fits lets
-    the work that does not depend on the poles be done once.
+    spans the fit grid's decades.  A sweep passes all its specs to one
+    `fit_nested` call instead, which shares the pole-independent work.
     """
     result, = fit_nested(problem, [spec], grid, eps_rel, validation_grid)
     if isinstance(result, LightningError):
@@ -390,45 +354,88 @@ def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
 def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
                eps_rel: float = DEFAULT_TSVD_EPS,
                validation_grid: SampleGrid | None = None) -> list:
-    """Fit specs that share their finite poles and differ in polynomial degree.
+    """Fit every spec of a sweep on the same grids, whatever its poles.
 
-    One system, written and factored once at the largest degree D, solves
-    every degree, and one validation pass serves all.  Returns per spec
-    `fit`'s (Approximant, FitReport) or the LightningError it raised; if
-    the degree-D system fails, its specs fail and the rest are fitted alone.
+    The work that does not depend on the poles is done once per call (see
+    _Shared).  Specs that share their finite poles form a group: one
+    system, written and factored once at the group's largest degree D,
+    solves every degree in it, and one validation pass serves them all.
+    Returns per spec `fit`'s (Approximant, FitReport) or the LightningError
+    it raised; if a group's degree-D system fails, its degree-D specs fail
+    and its others are fitted alone.
     """
     specs = list(specs)
-    if not specs or any(not np.array_equal(s.finite_poles, specs[0].finite_poles)
-                        for s in specs):
-        raise InputError("nested fits need specs that share their finite poles")
     if grid is None:
         grid = build_fit_grid(problem.domain)
     if validation_grid is None:
         validation_grid = build_validation_grid(problem.domain, decades=grid.decades)
-    fvec = _target_values(problem.target, grid)
-    order = sorted(range(len(specs)), key=lambda i: -specs[i].poly_degree)
-    top = specs[order[0]]
+    shared = _Shared(problem.target, grid, validation_grid)
+    # groups in order of their largest degree, so the block is built once
+    groups = {}
+    for i in sorted(range(len(specs)), key=lambda i: -specs[i].poly_degree):
+        groups.setdefault(specs[i].finite_poles.tobytes(), []).append(i)
+    results = {}
+    for group in groups.values():
+        results.update(zip(group, _fit_group(problem, [specs[i] for i in group],
+                                             shared, eps_rel)))
+    return [results[i] for i in range(len(specs))]
+
+
+class _Shared:
+    """What one fit_nested call computes once for all its specs, on the
+    grids' upper arms: the target on both grids, the polynomial block on
+    the fit grid and its values on the validation grid, each at the
+    largest degree asked for so far; a lower degree reads a prefix."""
+
+    def __init__(self, target: Target, grid: SampleGrid, vgrid: SampleGrid):
+        self.target, self.grid, self.vgrid = target, grid, vgrid
+        self.fvec = eval_target(target, grid.arm)
+        self._block = self._at_validation = None
+
+    @cached_property
+    def vvec(self) -> np.ndarray:
+        """The target on the validation grid, evaluated at the first validation."""
+        return eval_target(self.target, self.vgrid.arm)
+
+    def poly(self, degree: int):
+        """(Q, hess, norm0) of the chain up to degree, Q on the fit grid."""
+        if self._block is None or self._block[1].shape[1] < degree:
+            self._block = _poly_chain_build(self.grid.arm, degree)
+        q, hess, norm0 = self._block
+        return q[:, :degree + 1], hess[:degree + 1, :degree], norm0
+
+    def poly_at_validation(self, degree: int):
+        """The chain up to degree on the validation grid."""
+        if self._at_validation is None or self._at_validation.shape[1] <= degree:
+            _, hess, norm0 = self.poly(degree)
+            self._at_validation = _poly_chain_eval(self.vgrid.arm, hess, norm0)
+        return self._at_validation[:, :degree + 1]
+
+
+def _fit_group(problem: ApproxProblem, specs, shared: _Shared,
+               eps_rel: float) -> list:
+    """fit_nested's results for specs that share their finite poles, the
+    largest degree first."""
+    grid, top = shared.grid, specs[0]
     try:
-        system, scales = _write_system(grid, top, fvec)
+        system, scales = _write_system(grid, top, shared.fvec, shared.poly)
         r = _factor(system, eps_rel)
     except LightningError as exc:
         return [exc if s.poly_degree == top.poly_degree
-                else fit_nested(problem, [s], grid, eps_rel, validation_grid)[0]
-                for s in specs]
+                else _fit_group(problem, [s], shared, eps_rel)[0] for s in specs]
     results, solved = [None] * len(specs), {}
-    for i in order:
+    for i, spec in enumerate(specs):
         try:
-            coeffs, rank = _solve_r(r, specs[i].n_columns, eps_rel)
+            coeffs, rank = _solve_r(r, spec.n_columns, eps_rel)
         except NumericError as exc:
             results[i] = exc
             continue
-        degree = specs[i].poly_degree
-        _, hess, norm0 = _poly_block(grid, degree) if degree >= 0 else (None,) * 3
-        solved[i] = (Approximant(specs[i], scales, hess, norm0, coeffs), rank)
+        _, hess, norm0 = shared.poly(spec.poly_degree) if spec.poly_degree >= 0 \
+            else (None,) * 3
+        solved[i] = (Approximant(spec, scales, hess, norm0, coeffs), rank)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            errs = _max_errors([a for a, _ in solved.values()], problem.target,
-                               validation_grid, grid) if solved else []
+            errs = _max_errors([a for a, _ in solved.values()], shared) if solved else []
     except LightningError as exc:
         errs = [exc] * len(solved)
     fold = math.sqrt(len(grid) / len(grid.arm))  # whole-grid norm of folded rows

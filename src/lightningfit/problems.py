@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,18 +135,14 @@ class SampleGrid:
     Complex points are laid out as [arm, conj(arm)]: the upper arm, then
     its mirror image point for point.  Fits on a V-domain use that layout
     to work on the upper arm alone (see `fitting`), so it is checked here.
-
-    `_derived` holds data computed from the points (target values, the
-    polynomial block) for the fitting module to reuse across fits on this
-    grid; it is not part of the grid's value.
+    A grid holds nothing computed from its points: what fits share is
+    computed once per `fitting.fit_nested` call.
     """
 
     points: np.ndarray
     domain: Domain
     decades: float
     per_arm: int
-    _derived: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         self.points.flags.writeable = False
@@ -179,7 +175,11 @@ def _radii(decades: float, per_arm: int) -> np.ndarray:
                          f"(at most about 307.6), got {decades}")
     if per_arm == 1:
         return np.array([1.0])
-    return np.logspace(-decades, 0.0, per_arm)
+    r = np.logspace(-decades, 0.0, per_arm)
+    if not np.all(np.diff(r) > 0):
+        raise InputError(f"decades = {decades} is too few for {per_arm} distinct "
+                         f"radii per arm")
+    return r
 
 
 def build_fit_grid(domain: Domain, decades: float = 16.0,

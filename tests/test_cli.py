@@ -194,6 +194,24 @@ def test_decades_beyond_float_range_exit_1(capsys, decades):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("decades", ["1e-16", "1e-300"])
+def test_decades_too_few_for_distinct_radii_exit_1(capsys, decades):
+    # 2000 radii over 1e-16 decades round to 3 distinct values, over 1e-300 to 1
+    code, out, err = run_cli(capsys, "fit", "--decades", decades)
+    assert code == 1
+    assert out == ""
+    assert err.count("input error:") == 1 and "Traceback" not in err
+
+
+def test_fit_sqrt_rejects_other_alpha(capsys):
+    code, out, err = run_cli(capsys, "fit", "--alpha", "0.3")
+    assert code == 1
+    assert out == ""
+    assert err.count("input error:") == 1 and "Traceback" not in err
+    assert run_cli(capsys, "fit", "--target", "sqrt", "--alpha", "0.5") == \
+        run_cli(capsys, "fit")
+
+
 def _reject_constant(token):
     raise ValueError(f"invalid JSON constant {token}")
 
@@ -254,7 +272,7 @@ def _fresh_env():
 
 @pytest.mark.parametrize("command",
                          ["fit", "pole-ladder", "verify-bounds", "sigma-sweep",
-                          "grid", "vshape"])
+                          "grid", "vshape", "converge"])
 def test_output_byte_identical_across_processes(command):
     """Two fresh interpreters at one BLAS thread print the same bytes."""
     outs = [subprocess.run([sys.executable, "-m", "lightningfit.cli", command],

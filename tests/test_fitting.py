@@ -13,7 +13,8 @@ from lightningfit import (ApproxProblem, BasisSpec, Domain, InputError,
                           max_error, tapered_poles, tsvd_solve, uniform_poles)
 from lightningfit import fitting
 from lightningfit.experiments import run_fit, run_grid
-from lightningfit.fitting import _poly_block, _poly_chain_eval, _write_system
+from lightningfit.fitting import (_poly_chain_build, _poly_chain_eval,
+                                  _write_system, fit_nested)
 
 SQRT_PROBLEM = ApproxProblem(Target.sqrt(), Domain.unit_interval())
 
@@ -60,7 +61,7 @@ def test_polynomial_reevaluation_matches_grid():
     """The recurrence re-evaluated at the grid reproduces the system's columns."""
     grid = build_fit_grid(Domain.unit_interval(), per_arm=300)
     system = _write_system(grid, BasisSpec(poly_degree=10))[0]
-    _, hess, norm0 = _poly_block(grid, 10)
+    _, hess, norm0 = _poly_chain_build(grid.arm, 10)
     again = _poly_chain_eval(grid.points, hess, norm0)
     assert np.max(np.abs(again - system)) < 1e-13
 
@@ -211,7 +212,7 @@ def test_evaluate_scalar_and_array():
     for name, beta in (("interval", 0.0), ("vshape", 1.0))
     for degree in (-1, 0, 2, 8)])
 def test_max_error_agrees_with_direct_computation(beta, degree):
-    """max_error reads the grid's kept data; evaluate rebuilds everything."""
+    """max_error on the upper arm is the whole grid's maximum of evaluate."""
     problem = ApproxProblem(Target.sqrt(), Domain(beta))
     spec = BasisSpec(clustered=tapered_poles(8, 5.0), poly_degree=degree)
     approx, _ = fit(problem, spec, grid=build_fit_grid(Domain(beta), per_arm=400))
@@ -219,7 +220,7 @@ def test_max_error_agrees_with_direct_computation(beta, degree):
     direct = np.max(np.abs(evaluate(approx, grid.points)
                            - eval_target(Target.sqrt(), grid.points)))
     assert max_error(approx, Target.sqrt(), grid) == direct
-    assert max_error(approx, Target.sqrt(), grid) == direct  # from kept data
+    assert max_error(approx, Target.sqrt(), grid) == direct  # and again
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -229,7 +230,7 @@ def test_constant_column_is_exact(beta):
     arm = len(grid.arm)  # the real parts' rows; the imaginary parts' follow
     assert np.all(system[:arm] == 1.0 / math.sqrt(len(grid)))
     assert np.all(system[arm:] == 0.0)
-    _, hess, norm0 = _poly_block(grid, 0)
+    _, hess, norm0 = _poly_chain_build(grid.arm, 0)
     assert np.all(_poly_chain_eval(np.array([0.25, 0.5]), hess, norm0)
                   == system[0])
 
@@ -242,6 +243,10 @@ def _fit_on(problem, degree, grid, vgrid):
 def _grids(domain, per_arm=400):
     return (build_fit_grid(domain, per_arm=per_arm),
             build_validation_grid(domain, per_arm=1500))
+
+
+def _fit_nested_on(problem, specs, grid, vgrid):
+    return fit_nested(problem, specs, grid=grid, validation_grid=vgrid)
 
 
 def _assert_same_fit(a, b):
@@ -258,21 +263,60 @@ def _assert_same_fit(a, b):
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_lower_degree_served_from_higher_degree_block(beta):
-    """Fits of degree 3, 15, 3 on the same grids are bit for bit the fits on
-    fresh grids: the block grows, then serves the lower degree as a prefix."""
+    """One call over three pole sets at degrees 3, 15 and 3 gives bit for
+    bit the fits on fresh grids: the degree-3 groups read a prefix of the
+    degree-15 block."""
     problem = ApproxProblem(Target.sqrt(), Domain(beta))
-    grids = _grids(Domain(beta))
-    for degree in (3, 15, 3):
-        _assert_same_fit(_fit_on(problem, degree, *grids),
-                         _fit_on(problem, degree, *_grids(Domain(beta))))
+    specs = [BasisSpec(clustered=tapered_poles(12, sigma), poly_degree=degree)
+             for sigma, degree in ((6.0, 3), (7.0, 15), (8.0, 3))]
+    nested = _fit_nested_on(problem, specs, *_grids(Domain(beta)))
+    for spec, result in zip(specs, nested):
+        grid, vgrid = _grids(Domain(beta))
+        _assert_same_fit(result, fit(problem, spec, grid=grid, validation_grid=vgrid))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
+    """Specs of three pole sets, in mixed order, fitted in one call are bit
+    for bit the per-group calls on fresh grids, and share one build of the
+    polynomial block and one evaluation of it on the validation grid."""
+    problem = ApproxProblem(Target.sqrt(), Domain(beta))
+    a, b = tapered_poles(12, 6.0), tapered_poles(10, 8.0)
+    specs = [BasisSpec(clustered=a, poly_degree=2),
+             BasisSpec(clustered=b, poly_degree=12),
+             BasisSpec(clustered=a, extra_finite=big_poles(16, 4), poly_degree=0),
+             BasisSpec(clustered=a, poly_degree=9),
+             BasisSpec(clustered=b, poly_degree=-1)]
+    calls = {"build": 0, "eval": 0}
+    build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
+
+    def counted_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    def counted_eval(*args):
+        calls["eval"] += 1
+        return chain_eval(*args)
+
+    monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
+    monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
+    nested = _fit_nested_on(problem, specs, *_grids(Domain(beta)))
+    assert calls == {"build": 1, "eval": 1}
+    monkeypatch.undo()
+    for group in ([0, 3], [1, 4], [2]):
+        alone = _fit_nested_on(problem, [specs[i] for i in group],
+                               *_grids(Domain(beta)))
+        for i, result in zip(group, alone):
+            _assert_same_fit(nested[i], result)
 
 
 def test_grid_sweep_continues_the_recurrence(monkeypatch):
     """A degree 0..15 sweep runs 15 recurrence steps on each grid, not the
-    0 + 1 + ... + 15 = 120 of a rebuild at every degree; it also runs one
-    QR and builds the partial fractions once on the fit grid and once per
-    validation chunk, for all 16 degrees."""
-    steps = {"build": 0, "eval": 0, "qr": 0, "pf": 0}
+    0 + 1 + ... + 15 = 120 of a rebuild at every degree, however many pole
+    sets it covers; it also runs one QR per pole set and builds the partial
+    fractions once on the fit grid and once per validation chunk, for all
+    16 degrees."""
+    steps = {}
     build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
     qr, pf_columns = np.linalg.qr, fitting._partial_fraction_columns
 
@@ -296,11 +340,15 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
-    table = run_grid(n1_list=(16,))
-    assert len(table) == 16 and not any(table.column("status"))
     chunks = math.ceil(len(build_validation_grid(Domain.unit_interval()))
                        / fitting._EVAL_CHUNK)
-    assert steps == {"build": 15, "eval": 15, "qr": 1, "pf": 1 + chunks}
+    for n1_list in ((16,), (9, 16)):
+        steps.update(build=0, eval=0, qr=0, pf=0)
+        table = run_grid(n1_list=n1_list)
+        assert len(table) == 16 * len(n1_list) and not any(table.column("status"))
+        groups = len(n1_list)
+        assert steps == {"build": 15, "eval": 15, "qr": groups,
+                         "pf": groups * (1 + chunks)}
 
 
 def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
@@ -341,16 +389,6 @@ def test_kept_data_separates_targets_and_fit_grids():
             fresh = build_fit_grid(domain, per_arm=fit_grid.per_arm)
             _assert_same_fit(_fit_on(problem, 8, fit_grid, vgrid),
                              _fit_on(problem, 8, fresh, _grids(domain)[1]))
-
-
-def test_kept_grid_data_is_read_only():
-    grid, vgrid = _grids(Domain.vshape(1.0))
-    _fit_on(ApproxProblem(Target.sqrt(), Domain.vshape(1.0)), 6, grid, vgrid)
-    kept = [a for g in (grid, vgrid) for entry in g._derived.values()
-            for a in (entry if isinstance(entry, tuple) else (entry,))
-            if isinstance(a, np.ndarray)]
-    assert len(kept) == 5  # two target vectors, Q and hess, validation block
-    assert not any(a.flags.writeable for a in kept)
 
 
 def test_default_validation_grid_spans_fit_grid_decades():

@@ -137,6 +137,8 @@ def test_grid_rejects_bad_parameters():
         build_fit_grid(Domain.unit_interval(), per_arm=0)
     with pytest.raises(InputError):
         build_fit_grid(Domain.unit_interval(), decades=0.0)
+    with pytest.raises(InputError):  # the radii round to repeated values
+        build_fit_grid(Domain.unit_interval(), decades=1e-16)
 
 
 def test_validation_grid_default_density():
