@@ -28,4 +28,4 @@ from .contour import (ContourSetup, ContourTerms, PoleResidue, BoundCheck,
                       residue_term, contour_terms, error_identity_report,
                       check_conjecture_bound, residue_rate_check)
 from .tables import ResultTable, render_table, write_table, parse_csv_table
-from .quadrature import doubling_simpson, line_integral
+from .quadrature import integrate

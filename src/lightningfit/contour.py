@@ -26,17 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, InputError
-from .quadrature import doubling_simpson, line_integral
+from .quadrature import integrate
 from .trapezoid import checked_step, t_parameter, truncated_sqrt_integral
 
 
-def quadrature_error_kernel(u, step: float, branch: int | None = None):
+def quadrature_error_kernel(u, step: float, branch=None):
     """delta(u): -1/2 + (i/2)cot(pi u/step) above the real axis, +1/2 + ... below.
 
     Evaluated through e^{2 pi i u/step} on whichever side keeps that factor
-    small, so it never overflows.  `branch` forces the upper (+1) or lower
-    (-1) expression regardless of sign(Im u); contour legs that touch the
-    real axis use it to stay on their one-sided limit.
+    small, so it never overflows.  `branch` (one value, or one per point)
+    forces the upper (+1) or lower (-1) expression regardless of sign(Im u);
+    contour legs that touch the real axis use it to stay on their
+    one-sided limit.
     """
     uu = np.atleast_1d(np.asarray(u, dtype=complex))
     scaled = uu / step
@@ -44,17 +45,10 @@ def quadrature_error_kernel(u, step: float, branch: int | None = None):
         & (np.abs(scaled.real - np.round(scaled.real)) < 1e-12)
     if np.any(on_lattice):
         raise EvaluationError("delta evaluated on a quadrature node of the comb")
-    if branch is None:
-        upper = uu.imag >= 0
-    elif branch > 0:
-        upper = np.ones(uu.shape, dtype=bool)
-    else:
-        upper = np.zeros(uu.shape, dtype=bool)
-    out = np.empty_like(uu)
-    q = np.exp(2j * math.pi * scaled[upper])
-    out[upper] = q / (1.0 - q)
-    qc = np.exp(-2j * math.pi * scaled[~upper])
-    out[~upper] = -qc / (1.0 - qc)
+    upper = uu.imag >= 0 if branch is None else np.asarray(branch) > 0
+    sign = np.where(upper, 1.0, -1.0)
+    q = np.exp(2j * math.pi * sign * scaled)
+    out = sign * q / (1.0 - q)
     return out[0] if np.asarray(u).ndim == 0 else out
 
 
@@ -185,10 +179,13 @@ class ContourTerms:
 def contour_terms(setup: ContourSetup) -> ContourTerms:
     """The three pieces of the quadrature-error identity, each by quadrature.
 
-    Vertical rectangle legs are split at the real axis and evaluated on
-    the one-sided limit of delta, since delta jumps by 1 across the axis;
-    the left real stub uses u = v^2 to remove the u^{-1/2} endpoint
-    singularity.
+    The six rectangle legs are integrated in one adaptive pass over
+    t in [0, 6], leg k being t in [k, k + 1], with an edge at every
+    vertex so that no panel spans two legs; each leg keeps the tolerance
+    `setup.tol`.  The vertical legs are split at the real axis, where
+    delta jumps by 1, and each leg evaluates delta on its own explicit
+    one-sided branch.  The left real stub uses u = v^2 to remove the
+    u^{-1/2} endpoint singularity.
     """
     z, tp, h = setup.z, setup.t_param, setup.step
     tol = setup.tol
@@ -202,27 +199,22 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
         s = v - tp
         return (2.0 * z / math.pi) / (np.exp(s) + z * np.exp(-s))
 
-    left_stub = doubling_simpson(stub_left, 0.0, math.sqrt(x0), tol)
-    right_stub = doubling_simpson(f, 4.0 * tp**2, x1, tol)
+    left_stub = integrate(stub_left, (0.0, math.sqrt(x0)), tol)
+    right_stub = integrate(f, (4.0 * tp**2, x1), tol)
     end_ints = left_stub - right_stub
 
-    def f_delta(branch):
-        def g(u):
-            return error_integrand(u, z, tp) \
-                * quadrature_error_kernel(u, h, branch=branch)
-        return g
+    corners = np.array([x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a,
+                        x0 + 1j * a, x0 + 0j, x0 - 1j * a])
+    # bottom, right lower and upper half, top, left upper and lower half
+    branch = np.array([-1, -1, +1, +1, +1, -1])
+    start, dz = corners[:-1], np.diff(corners)
 
-    legs = [
-        (x0 - 1j * a, x1 - 1j * a, -1),   # bottom
-        (x1 - 1j * a, x1 + 0j, -1),       # right, lower half
-        (x1 + 0j, x1 + 1j * a, +1),       # right, upper half
-        (x1 + 1j * a, x0 + 1j * a, +1),   # top
-        (x0 + 1j * a, x0 + 0j, +1),       # left, upper half
-        (x0 + 0j, x0 - 1j * a, -1),       # left, lower half
-    ]
-    gamma = 0.0j
-    for z0, z1, branch in legs:
-        gamma += line_integral(f_delta(branch), z0, z1, tol)
+    def on_legs(t):
+        k = np.minimum(t.astype(int), 5)  # quadrature nodes avoid the vertices
+        u = start[k] + (t - k) * dz[k]
+        return f(u) * quadrature_error_kernel(u, h, branch=branch[k]) * dz[k]
+
+    gamma = integrate(on_legs, np.arange(7.0), 6 * tol)
 
     return ContourTerms(end_ints=end_ints, gamma_int=gamma,
                         residue_term=residue_term(z, tp, h))

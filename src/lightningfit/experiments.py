@@ -261,10 +261,10 @@ def run_grid(alpha: float = math.pi / 10,
         sigma = 2.0 * math.pi / math.sqrt(alpha)
     grid = build_fit_grid(domain, per_arm=per_arm)
     vgrid = build_validation_grid(domain)
-    clustered = {n1: tapered_poles(n1, sigma, 1.0) for n1 in n1_list}
     rows = [(n1, n2, rep.max_err, status) for (n1, n2), rep, status in _sweep(
         problem, grid, vgrid, eps_rel, [(n1, n2) for n1 in n1_list for n2 in n2_list],
-        lambda key: BasisSpec(clustered=clustered[key[0]], poly_degree=key[1]))]
+        lambda key: BasisSpec(clustered=tapered_poles(key[0], sigma, 1.0),
+                              poly_degree=key[1]))]
     near_optimal = []
     for k, n1 in enumerate(n1_list):
         row_errs = [row[2] for row in rows[k * len(n2_list):(k + 1) * len(n2_list)]]

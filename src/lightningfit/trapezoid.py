@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, InputError, NumericError
-from .quadrature import doubling_simpson
+from .quadrature import integrate
 
 
 def default_step(beta: float = 0.0) -> float:
@@ -210,7 +210,7 @@ def truncated_sqrt_integral(z, t_param: float, tol: float = 1e-13):
     """Window-truncated integral representation of sqrt(z).
 
     (2z/pi) * integral over s in [-T, T] of ds/(e^s + z e^{-s}), by
-    panel-doubling quadrature, deliberately independent of the
+    adaptive Gauss-Kronrod quadrature, deliberately independent of the
     trapezoidal discretization it serves as an oracle for.  Converges to
     sqrt(z) as T grows; the truncation error is below (4/pi) e^{-T} on
     the closed unit interval.
@@ -229,5 +229,5 @@ def truncated_sqrt_integral(z, t_param: float, tol: float = 1e-13):
         return 1.0 / (np.exp(s) + z * np.exp(-s))
 
     inner_tol = tol * math.pi / (2.0 * abs(z))
-    val = doubling_simpson(integrand, -t_param, t_param, inner_tol)
+    val = integrate(integrand, (-t_param, t_param), inner_tol)
     return (2.0 * z / math.pi) * val

@@ -212,6 +212,17 @@ def test_fit_sqrt_rejects_other_alpha(capsys):
         run_cli(capsys, "fit")
 
 
+def test_grid_with_some_unbuildable_pole_sets_exits_0(capsys):
+    # sigma = 100 underflows the poles of n1 = 81 and 100 only, 1000 those of every n1
+    code, out, err = run_cli(capsys, "grid", "--sigma", "100")
+    assert code == 0 and err == ""
+    statuses = parse_csv_table(out).column("status")
+    assert sum(bool(s) for s in statuses) == 32
+    code, out, err = run_cli(capsys, "grid", "--sigma", "1000")
+    assert code == 1 and out == ""
+    assert err.count("input error:") == 1 and "Traceback" not in err
+
+
 def _reject_constant(token):
     raise ValueError(f"invalid JSON constant {token}")
 
@@ -279,6 +290,15 @@ def test_output_byte_identical_across_processes(command):
                            env=_fresh_env(), capture_output=True,
                            check=True).stdout
             for _ in range(2)]
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_verify_bounds_byte_identical_across_blas_threads():
+    """The oracle quadrature sums without BLAS, so the thread count is moot."""
+    outs = [subprocess.run([sys.executable, "-m", "lightningfit.cli", "verify-bounds"],
+                           env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=True).stdout
+            for threads in ("1", "2")]
     assert outs[0] and outs[0] == outs[1]
 
 

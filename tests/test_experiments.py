@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from lightningfit import contour
+from lightningfit import contour, trapezoid
 from lightningfit.contour import ContourSetup, check_conjecture_bound
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
@@ -264,6 +264,22 @@ def test_group_beyond_the_grid_fails_only_its_rows():
         assert err == rep.max_err
 
 
+def test_grid_n1_whose_poles_underflow_fails_only_its_rows():
+    """At sigma = 100 the poles of n1 = 81 and 100 underflow to -0.0: those
+    32 rows carry the pole set's error, and the other 112 are the sweep
+    without them, bit for bit."""
+    with pytest.raises(InputError) as exc:
+        tapered_poles(81, 100.0, 1.0)
+    tab = run_grid(sigma=100.0)
+    failed = [row for row in tab.rows if row[0] in (81, 100)]
+    assert len(failed) == 32 and all(row[3] == str(exc.value) for row in failed)
+    kept = run_grid(sigma=100.0, n1_list=(4, 9, 16, 25, 36, 49, 64))
+    assert [row for row in tab.rows if row[0] not in (81, 100)] == kept.rows
+    assert not any(kept.column("status"))
+    with pytest.raises(InputError):
+        run_grid(sigma=100.0, n1_list=(81, 100))
+
+
 def test_sweep_without_a_buildable_spec_is_input_error():
     with pytest.raises(InputError, match="need at least one pole"):
         run_vshape(n1=0)
@@ -354,6 +370,25 @@ def test_verify_bounds_smoke():
     assert all(r[idx["identity_pass"]] for r in tab.rows)
     assert all(r[idx["conj_pass"]] for r in tab.rows)
     assert set(tab.meta) >= {"residue_rates_matched", "residue_rates_mismatched"}
+
+
+def test_verify_bounds_integrand_evaluations(monkeypatch):
+    """An nt = 16 run makes at most a tenth of the 157,156 integrand
+    evaluations a global panel-doubling Simpson rule makes on it."""
+    evals = []
+
+    def counting(integrate):
+        def counted(func, *args, **kwargs):
+            def g(x):
+                evals.append(np.size(x))
+                return func(x)
+            return integrate(g, *args, **kwargs)
+        return counted
+
+    for module in (contour, trapezoid):
+        monkeypatch.setattr(module, "integrate", counting(module.integrate))
+    run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
+    assert 0 < sum(evals) <= 157_156 // 10
 
 
 def test_verify_bounds_evaluates_the_contour_once_per_row(monkeypatch):

@@ -1,42 +1,49 @@
-"""Panel-doubling Simpson engine."""
+"""Adaptive Gauss-Kronrod engine."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lightningfit import NumericError, doubling_simpson, line_integral
+from lightningfit import InputError, NumericError, integrate
+from lightningfit.quadrature import GAUSS, KRONROD, NODES
+
+
+def segment(func, z0, z1):
+    """func along the straight segment from z0 to z1, parametrised by [0, 1]."""
+    dz = z1 - z0
+    return lambda t: func(z0 + t * dz) * dz
 
 
 def test_polynomial_near_exact():
-    # Simpson integrates cubics exactly; only roundoff remains
-    val = doubling_simpson(lambda x: x**3 - 2 * x, 0.0, 2.0, 1e-14)
+    # K15 integrates cubics exactly; only roundoff remains
+    val = integrate(lambda x: x**3 - 2 * x, (0.0, 2.0), 1e-14)
     assert val == pytest.approx(0.0, abs=1e-13)
 
 
 def test_smooth_oscillatory():
-    val = doubling_simpson(np.sin, 0.0, math.pi, 1e-13)
+    val = integrate(np.sin, (0.0, math.pi), 1e-13)
     assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exp_tail():
-    val = doubling_simpson(lambda s: np.exp(-s), 0.0, 40.0, 1e-13)
+    val = integrate(lambda s: np.exp(-s), (0.0, 40.0), 1e-13)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sharp_peak():
-    # width-0.01 bump forces several doublings before the tolerance is met
-    val = doubling_simpson(lambda x: 1.0 / (1e-4 + x**2), -1.0, 1.0, 1e-10)
+    # width-0.01 bump forces several bisections before the tolerance is met
+    val = integrate(lambda x: 1.0 / (1e-4 + x**2), (-1.0, 1.0), 1e-10)
     exact = 2.0 * math.atan(1e2) / 1e-2
     assert val == pytest.approx(exact, rel=1e-11)
 
 
 def test_zero_width_interval():
-    assert doubling_simpson(lambda x: np.exp(x), 1.0, 1.0, 1e-13) == 0.0
+    assert integrate(lambda x: np.exp(x), (1.0, 1.0), 1e-13) == 0.0
 
 
 def test_tolerance_is_absolute():
-    big = doubling_simpson(lambda x: 1e8 * np.ones_like(x), 0.0, 1.0, 1e-4)
+    big = integrate(lambda x: 1e8 * np.ones_like(x), (0.0, 1.0), 1e-4)
     assert big == pytest.approx(1e8, abs=1e-4)
 
 
@@ -46,11 +53,17 @@ def test_unreachable_tolerance_raises():
         return np.sin(x) + 1e-3 * np.sin(1e7 * x)
 
     with pytest.raises(NumericError):
-        doubling_simpson(noisy, 0.0, 1.0, 1e-15, max_panels=2**12)
+        integrate(noisy, (0.0, 1.0), 1e-15, max_evals=2**13)
+
+
+@pytest.mark.parametrize("edges", [(1.0, 0.0), (0.0,), (0.0, np.inf), (0.0, np.nan, 1.0)])
+def test_edges_must_be_an_ordered_finite_sequence(edges):
+    with pytest.raises(InputError):
+        integrate(np.sin, edges, 1e-13)
 
 
 def test_complex_integrand():
-    val = doubling_simpson(lambda t: np.exp(1j * t), 0.0, math.pi / 2, 1e-13)
+    val = integrate(lambda t: np.exp(1j * t), (0.0, math.pi / 2), 1e-13)
     assert val == pytest.approx(1.0 + 1j, abs=1e-12)
 
 
@@ -59,12 +72,35 @@ def test_line_integral_cauchy():
     corners = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
     total = 0.0j
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        total += line_integral(lambda z: 1.0 / z, z0, z1, 1e-12)
+        total += integrate(segment(lambda z: 1.0 / z, z0, z1), (0.0, 1.0), 1e-12)
     assert total == pytest.approx(2j * math.pi, abs=1e-11)
 
 
 def test_line_integral_entire_function_path_independence():
     f = lambda z: z * np.exp(z)
-    direct = line_integral(f, 0.0, 1 + 1j, 1e-13)
-    dogleg = line_integral(f, 0.0, 1.0, 1e-13) + line_integral(f, 1.0, 1 + 1j, 1e-13)
+    direct = integrate(segment(f, 0.0, 1 + 1j), (0.0, 1.0), 1e-13)
+    dogleg = integrate(segment(f, 0.0, 1.0), (0.0, 1.0), 1e-13) \
+        + integrate(segment(f, 1.0, 1 + 1j), (0.0, 1.0), 1e-13)
     assert direct == pytest.approx(dogleg, abs=1e-12)
+
+
+def test_rule_degrees_of_exactness():
+    """On [0, 1], K15 is exact for x^d through d = 22 and G7 through d = 13."""
+    x, half = 0.5 * (1.0 + NODES), 0.5
+    for d in range(23):
+        exact = 1.0 / (d + 1)
+        assert half * (KRONROD * x**d).sum() == pytest.approx(exact, abs=1e-15), d
+        gauss = half * (GAUSS * x**d).sum()
+        assert (abs(gauss - exact) < 1e-15) == (d <= 13), d
+
+
+def test_jump_at_an_edge_is_cheap():
+    calls = []
+
+    def step(x):
+        calls.append(x.size)
+        return np.where(x < 0.3, np.cos(x), 2.0 + np.cos(x))
+
+    val = integrate(step, (0.0, 0.3, 1.0), 1e-13)
+    assert val == pytest.approx(math.sin(1.0) + 1.4, abs=1e-13)
+    assert sum(calls) < 200
