@@ -12,6 +12,7 @@ numeric failure (including running out of memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import experiments
@@ -61,7 +62,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lightningfit",
         description="rational approximation with preassigned clustered poles")

@@ -53,7 +53,19 @@ and its coefficients; it holds no grid.  Evaluation is matrix-free: the
 polynomial block at the points times its coefficients, plus the partial
 fractions summed over row chunks of _EVAL_CHUNK points, each chunk's
 block built once per group of fits.  `evaluate` and `max_error` share
-that routine, so both give the same values bit for bit.
+that routine, so both give the same values bit for bit.  A point's value
+does not depend on the other points evaluated with it: the partial-fraction
+sums at complex points run through einsum, which calls no BLAS, and the
+other products through _matvec, whose padding gives that property on the
+BLAS kernel it was checked on (OpenBLAS 0.3.31, Haswell), not on every BLAS.
+
+The poles are real, so at a complex point z = x + iy the partial
+fraction is p/(z - p) = p (x - p) / D - i p y / D with D = (x - p)^2 + y^2,
+computed in real arithmetic, pole by pole: the system takes its real and
+imaginary rows straight from D, and a validation chunk sums
+Re = w (G o (x - p)) and Im = -y (w G) with G = p / D.  Points where D
+could leave the normal range take complex division instead.  On the
+interval the columns are p / (x - p) themselves.
 """
 
 from __future__ import annotations
@@ -71,6 +83,7 @@ from .problems import (ApproxProblem, SampleGrid, Target, build_fit_grid,
 
 DEFAULT_TSVD_EPS = 2e-14
 _EVAL_CHUNK = 4096  # rows of partial-fraction columns evaluated at a time
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -153,14 +166,32 @@ def _poly_chain_build(arm: np.ndarray, degree: int):
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x with each row's value independent of the number of rows.
 
-    numpy computes a one-row product by another BLAS routine than a
-    matrix-vector product, and it rounds differently; a one-row a is
-    computed as two rows instead, so that a point's value does not
-    depend on how many points share the call.
+    BLAS matrix-vector kernels such as OpenBLAS's work on rows in groups
+    of four and round the leftover rows differently; a one-row product
+    even goes to another routine.  So a is padded with zero rows to a
+    multiple of four, and a point's value does not depend on how many
+    points share the call.  That rests on how the BLAS kernel groups its
+    rows: it holds on OpenBLAS 0.3.31's Haswell kernel, and the property
+    test checks it on whatever BLAS it runs with.  A BLAS that groups rows
+    otherwise would need einsum here too (see _vecmat), at about 2.7 times
+    the GEMV's cost per 4096 x 20 block.
     """
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ x)[:1]
-    return a @ x
+    rows = len(a)
+    if rows % 4:
+        a = np.concatenate([a, np.zeros((-rows % 4, a.shape[1]), dtype=a.dtype)])
+    return (a @ x)[:rows]
+
+
+def _vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x @ a with each column's value independent of the number of columns.
+
+    einsum runs over a's columns in its inner loop and sums over the rows
+    in the same order at every column; a single column it would sum as one
+    reduction, in another order, so it is computed as two.
+    """
+    if a.shape[1] == 1:
+        return np.einsum("j,ji->i", x, np.repeat(a, 2, axis=1))[:1]
+    return np.einsum("j,ji->i", x, a)
 
 
 def _chain_step(pts: np.ndarray, w: np.ndarray, hess: np.ndarray, k: int):
@@ -188,6 +219,71 @@ def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return np.divide(poles, diff, out=diff)
 
 
+def _pf_kernel(z: np.ndarray, poles: np.ndarray):
+    """p/(z - p) at complex points z = x + iy for real poles p, in real
+    arithmetic: p/(z - p) = p (dx - iy) / D with dx = x - p and
+    D = dx^2 + y^2.
+
+    Returns (d, dx, hard, exact), d and dx pole by pole: one row per pole,
+    one column per point.  At the points indexed by hard, where a D or p/D
+    could leave the normal range (within about 1e-154 of a pole, or so
+    far out that D overflows or p/D underflows), the values are `exact`,
+    one row per point, from complex division, which raises where a point
+    is a pole (None when hard is empty); there d is inf and dx 0.  Each
+    point is decided on its own, so its value does not depend on the
+    other points.
+    """
+    p_min, p_max = float(np.min(np.abs(poles))), float(np.max(np.abs(poles)))
+    d_lo = max(_TINY, p_max / _HUGE)  # D >= d_lo: D normal, p/D finite
+    z_max = math.sqrt(min(_HUGE, p_min / _TINY)) - p_max  # |z| <= z_max: D, p/D normal
+    y = z.imag
+    dx = np.ascontiguousarray(z.real) - poles[:, None]
+    with np.errstate(over="ignore"):
+        y2 = y * y
+        d = np.square(dx)
+        d += y2
+    near = y2 < d_lo  # only here can D fall below d_lo
+    if near.any():
+        near[near] = d[:, near].min(axis=0) < d_lo
+    hard = np.flatnonzero(near | ~(np.abs(z) <= z_max))
+    exact = _partial_fraction_columns(z[hard], poles) if len(hard) else None
+    d[:, hard], dx[:, hard] = np.inf, 0.0
+    return d, dx, hard, exact
+
+
+def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
+                             poles: np.ndarray) -> np.ndarray:
+    """Write the partial fractions p/(z - p) on a grid's upper arm into the
+    real system's rows, each column divided by its maximum modulus on the
+    arm, and return those scales.  On a complex arm the real parts go
+    over the imaginary parts, p (x - p) / D over -p y / D, written straight
+    from D: the largest modulus |p| / sqrt(D) sits at the smallest D."""
+    if not np.iscomplexobj(arm):
+        pf = _partial_fraction_columns(arm, poles)
+        scales = np.abs(pf).max(axis=0)
+        _check_scales(scales)
+        np.divide(pf, scales, out=rows)
+        return scales
+    d, dx, hard, exact = _pf_kernel(arm, poles)
+    scales = np.abs(poles) / np.sqrt(d.min(axis=1))
+    if len(hard):
+        scales = np.maximum(scales, np.abs(exact).max(axis=0))
+    _check_scales(scales)
+    g = np.divide((poles / scales)[:, None], d, out=d)
+    h = len(arm)
+    np.multiply(g, dx, out=rows[:h].T)
+    np.multiply(g, -arm.imag, out=rows[h:].T)
+    if len(hard):
+        exact /= scales
+        rows[hard], rows[h + hard] = exact.real, exact.imag
+    return scales
+
+
+def _check_scales(scales: np.ndarray):
+    if np.any(scales == 0):
+        raise NumericError("a partial-fraction column vanished on the grid")
+
+
 def _fold_into(rows: np.ndarray, values: np.ndarray):
     """Write values on a grid's upper arm into the real system's rows: the
     real parts first, then, for complex values, the imaginary parts."""
@@ -210,11 +306,7 @@ def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = N
     system = np.empty((len(grid), n + (0 if fvec is None else 1)))
     scales = np.empty(0)
     if len(poles):
-        pf = _partial_fraction_columns(grid.arm, poles)
-        scales = np.abs(pf).max(axis=0)
-        if np.any(scales == 0):
-            raise NumericError("a partial-fraction column vanished on the grid")
-        _fold_into(system[:, :len(poles)], np.divide(pf, scales, out=pf))
+        scales = _write_partial_fractions(system[:, :len(poles)], grid.arm, poles)
     if spec.poly_degree >= 0:
         poly = poly or (lambda degree: _poly_chain_build(grid.arm, degree))
         _fold_into(system[:, len(poles):n], poly(spec.poly_degree)[0])
@@ -297,13 +389,35 @@ def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
         weights = [a.coeffs[:n_pf] / scales for a in approxes]
         for start in range(0, len(pts), _EVAL_CHUNK):
             rows = slice(start, start + _EVAL_CHUNK)
-            block = _partial_fraction_columns(pts[rows], poles)
-            for out, w in zip(outs, weights):
-                out[rows] = _matvec(block, w)
+            for out, values in zip(outs, _pf_sums(pts[rows], poles, weights)):
+                out[rows] = values
     for out, a, poly in zip(outs, approxes, polys):
         if poly is not None:
             out += _matvec(poly, a.coeffs[n_pf:])
     return outs
+
+
+def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
+    """sum_j w_j p_j / (z - p_j) at pts for each weight vector w.  On
+    complex points Re = w (g o dx) and Im = -y (w g), with g = p / D
+    (see _pf_kernel)."""
+    if not np.iscomplexobj(pts):
+        block = _partial_fraction_columns(pts, poles)
+        return [_matvec(block, w) for w in weights]
+    d, dx, hard, exact = _pf_kernel(pts, poles)
+    g = np.divide(poles[:, None], d, out=d)
+    gdx = np.multiply(g, dx, out=dx)
+
+    def real_sum(w):
+        values = np.empty(len(pts), dtype=complex)
+        values.real = _vecmat(w, gdx)
+        values.imag = -pts.imag * _vecmat(w, g)
+        if len(hard):
+            values[hard] = _matvec(exact, w)
+        return values
+
+    return [real_sum(w.real) + 1j * real_sum(w.imag) if np.iscomplexobj(w)
+            else real_sum(w) for w in weights]
 
 
 def evaluate(approx: Approximant, pts) -> np.ndarray:

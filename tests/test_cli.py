@@ -294,12 +294,34 @@ def test_output_byte_identical_across_processes(command):
 
 
 def test_verify_bounds_byte_identical_across_blas_threads():
-    """The oracle quadrature sums without BLAS, so the thread count is moot."""
-    outs = [subprocess.run([sys.executable, "-m", "lightningfit.cli", "verify-bounds"],
+    """The oracle quadrature sums without BLAS, so the thread count is moot;
+    `grid` and `fit --beta 1.0` print the same bytes at 1 and 2 BLAS
+    threads too, as the README says."""
+    code = ("from lightningfit.cli import main\n"
+            "for argv in (['verify-bounds'], ['grid'], ['fit', '--beta', '1.0']):\n"
+            "    print(main(argv))\n")
+    outs = [subprocess.run([sys.executable, "-c", code],
                            env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=threads),
                            capture_output=True, check=True).stdout
             for threads in ("1", "2")]
-    assert outs[0] and outs[0] == outs[1]
+    assert outs[0].count(b"\n0\n") == 3 and outs[0] == outs[1]
+
+
+def test_parser_built_once_serves_every_call(capsys):
+    """One process runs fit, a grid, a usage error and fit again on one
+    parser, and prints what a fresh process prints for each."""
+    argvs = [["fit"], ["grid", "--grid-points", "8"], ["grid", "--n1", "5"], ["fit"]]
+    cli._build_parser.cache_clear()
+    in_process = [run_cli(capsys, *argv)[:2] for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    procs = {argv: subprocess.Popen([sys.executable, "-m", "lightningfit.cli", *argv],
+                                    env=_fresh_env(), stdout=subprocess.PIPE,
+                                    stderr=subprocess.DEVNULL, text=True)
+             for argv in map(tuple, argvs)}
+    fresh = {argv: (proc.communicate(timeout=60)[0], proc.returncode)
+             for argv, proc in procs.items()}
+    assert in_process == [fresh[tuple(argv)][::-1] for argv in argvs]
+    assert [code for code, _ in in_process] == [0, 0, 1, 0]
 
 
 def test_package_and_pole_ladder_import_no_scipy():

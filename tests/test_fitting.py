@@ -84,6 +84,17 @@ def test_partial_fraction_columns_scaled_to_unit_max():
     assert np.allclose(np.abs(system).max(axis=0), 1.0, rtol=1e-14)
 
 
+def test_vshape_partial_fraction_columns_scaled_to_unit_max():
+    """The real rows over the imaginary rows of the arm: each column's
+    largest modulus on the arm is 1."""
+    grid = build_fit_grid(Domain.vshape(1.0), per_arm=400)
+    system = _write_system(grid, BasisSpec(clustered=tapered_poles(8, 3.0),
+                                           poly_degree=-1))[0]
+    h = len(grid.arm)
+    modulus = np.hypot(system[:h], system[h:]).max(axis=0)
+    assert np.max(np.abs(modulus - 1.0)) <= 1e-14
+
+
 def test_evaluate_rejects_point_on_pole():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=50)
     spec = BasisSpec(clustered=tapered_poles(4, 2.0), poly_degree=-1)
@@ -354,25 +365,33 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
 def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
     """A V-domain fit factors one real system of len(grid) rows, the
     real and imaginary parts of its columns on the upper arm, and builds
-    partial fractions on the upper arms of its grids only."""
-    factored, pf_points = [], []
-    qr, pf_columns = np.linalg.qr, fitting._partial_fraction_columns
+    partial fractions in real arithmetic on the upper arms of its grids
+    only."""
+    factored, kernel_points, complex_pf = [], [], []
+    qr = np.linalg.qr
+    kernel, pf_columns = fitting._pf_kernel, fitting._partial_fraction_columns
 
     def counted_qr(a, *args, **kwargs):
         factored.append((a.dtype, a.shape))
         return qr(a, *args, **kwargs)
 
+    def counted_kernel(z, poles):
+        kernel_points.append(len(z))
+        return kernel(z, poles)
+
     def counted_pf(pts, poles):
-        pf_points.append(len(pts))
+        complex_pf.append(len(pts))
         return pf_columns(pts, poles)
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(fitting, "_pf_kernel", counted_kernel)
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
     domain = Domain.vshape(1.0)
     grid, vgrid = _grids(domain)
     approx, report = _fit_on(ApproxProblem(Target.sqrt(), domain), 8, grid, vgrid)
     assert factored == [(np.dtype(np.float64), (len(grid), 12 + 9 + 1))]
-    assert sum(pf_points) == len(grid) // 2 + len(vgrid) // 2
+    assert sum(kernel_points) == len(grid) // 2 + len(vgrid) // 2
+    assert complex_pf == []  # no point is near enough a pole to need it
     assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
     # the residual norm is still the whole grid's
     whole = evaluate(approx, grid.points) - eval_target(Target.sqrt(), grid.points)

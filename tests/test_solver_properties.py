@@ -1,18 +1,22 @@
-"""Property tests: the TSVD solve against a reference, the folded V-domain
-solve and its Arnoldi block, conjugate symmetry, evaluation on the fit grid."""
+"""Property tests: the TSVD solve against a reference, the folded
+V-domain solve and its Arnoldi block, the real-arithmetic partial
+fractions, conjugate symmetry, evaluation on the fit grid and its
+independence of the other points evaluated."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightningfit import (ApproxProblem, BasisSpec, Domain, Target,
-                          build_fit_grid, build_validation_grid, eval_target,
-                          evaluate, fit, tapered_poles, tsvd_solve)
+from lightningfit import (ApproxProblem, Approximant, BasisSpec, Domain,
+                          EvaluationError, PoleSet, Target, build_fit_grid,
+                          build_validation_grid, eval_target, evaluate, fit,
+                          tapered_poles, tsvd_solve)
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _fold_into,
-                                  _poly_chain_build, _poly_chain_eval, _solve_r,
-                                  _write_system)
+                                  _pf_kernel, _poly_chain_build,
+                                  _poly_chain_eval, _solve_r, _write_system)
 
 
 def reference_tsvd(a, f, eps_rel):
@@ -197,3 +201,88 @@ def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
     _fold_into(values, evaluate(approx, grid.arm))
     scale = max(1.0, float(np.abs(approx.coeffs).sum()))
     assert np.max(np.abs(values - direct)) <= 1e-13 * scale
+
+
+def _kernel_values(z, poles):
+    """p/(z - p) from _pf_kernel's parts, put together as its callers do."""
+    d, dx, hard, exact = _pf_kernel(z, poles)
+    values = (poles[:, None] / d * (dx - 1j * z.imag)).T
+    if len(hard):
+        values[hard] = exact
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       log_radii=st.lists(st.floats(-16.0, 0.0), min_size=1, max_size=40),
+       log_poles=st.lists(st.floats(-40.0, 1.0), min_size=1, max_size=30,
+                          unique=True))
+def test_real_arithmetic_kernel_matches_complex_division(beta, log_radii,
+                                                         log_poles):
+    """p (x - p) / D - i p y / D against numpy's complex p / (z - p), within
+    1e-14 of the modulus, for points on an arm of any opening."""
+    poles = -(10.0 ** np.array(log_poles))
+    z = 10.0 ** np.array(log_radii) * np.exp(0.5j * math.pi * beta)
+    ref = poles / (z[:, None] - poles)
+    got = _kernel_values(z, poles)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_poles=st.lists(st.floats(-40.0, 1.0), min_size=1, max_size=10,
+                          unique=True), hit=st.integers(0, 9))
+def test_kernel_raises_exactly_at_a_pole(log_poles, hit):
+    poles = -(10.0 ** np.array(log_poles))
+    p = poles[hit % len(poles)]
+    with pytest.raises(EvaluationError):
+        _pf_kernel(np.array([0.5j, complex(p, 0.0)]), poles)
+    # the nearest floats beside the pole, and a point 1e-170 above it, are no pole
+    beside = np.array([complex(np.nextafter(p, 0.0), 0.0),
+                       complex(np.nextafter(p, -np.inf), 0.0), complex(p, 1e-170)])
+    assert np.all(np.isfinite(_kernel_values(beside, poles)))
+
+
+def test_kernel_outside_the_normal_range_of_d_is_complex_division():
+    """Within 1e-170 of a pole D underflows, and at |z| = 1e170 it
+    overflows: those points take numpy's complex division, neither inf,
+    nan nor 0, and evaluate gives the same values."""
+    poles = -np.array([1e-3, 0.5, 2.0])
+    z = np.array([poles[1] + 1e-170 * np.exp(0.3j), poles[2] - 1e-170j,
+                  1e170 * np.exp(0.7j), -1e170 + 1e150j, 0.25 + 0.5j])
+    ref = poles / (z[:, None] - poles)
+    got = _kernel_values(z, poles)
+    assert np.all(np.isfinite(got)) and np.all(got != 0)
+    assert np.array_equal(got[:4], ref[:4])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    approx = Approximant(BasisSpec(clustered=PoleSet(poles, "test"),
+                                   poly_degree=-1),
+                         np.ones(3), None, None, np.array([1.0, -2.0, 3.0]))
+    values = evaluate(approx, z)
+    want = ref @ approx.coeffs
+    assert np.all(np.isfinite(values)) and np.all(values != 0)
+    assert np.all(np.abs(values - want) <= 1e-14 * (np.abs(ref) @ [1, 2, 3]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(beta=st.sampled_from([0.0, 0.5, 1.0, 1.5]), n1=st.integers(1, 24),
+       sigma=st.floats(3.0, 12.0), degree=st.integers(-1, 10),
+       start=st.integers(0, 5000), length=st.integers(1, 5000))
+@example(beta=0.0, n1=20, sigma=8.0, degree=6, start=3, length=6)
+@example(beta=1.0, n1=20, sigma=8.0, degree=6, start=4093, length=7)
+def test_evaluate_on_a_slice_is_the_full_call_bit_for_bit(beta, n1, sigma,
+                                                          degree, start, length):
+    """A point's value does not depend on which other points share the
+    call: a slice, and single points, against one call on 5000 points
+    (more than one 4096-point chunk)."""
+    domain = Domain(beta)
+    approx, _ = fit(ApproxProblem(Target.sqrt(), domain),
+                    BasisSpec(clustered=tapered_poles(n1, sigma),
+                              poly_degree=degree),
+                    grid=build_fit_grid(domain, per_arm=300),
+                    validation_grid=build_validation_grid(domain, per_arm=50))
+    pts = build_validation_grid(domain, per_arm=5000 // (2 if beta else 1)).points
+    full = evaluate(approx, pts)
+    part = slice(start, start + length)
+    assert np.array_equal(evaluate(approx, pts[part]), full[part])
+    for i in range(start % 97, len(pts), 487):
+        assert evaluate(approx, pts[i]) == full[i]
