@@ -1,0 +1,74 @@
+"""Print the exit code and the sha256 of stdout and stderr of every CLI output.
+
+The argvs are every subcommand at its defaults, every flag a subcommand
+honours (taken from tests/test_cli.py, with the value given there), and a
+few grid and V-domain cases; each runs in CSV and in JSON, in process
+through `lightningfit.cli.main`.  Run it once per source tree and diff:
+
+    PYTHONPATH=path/to/tree/src python scripts/output_digests.py > a.txt
+
+Two trees whose listings are equal print the same bytes for every output.
+OPENBLAS_NUM_THREADS defaults to 1 here, because the V-domain sweeps
+differ between BLAS thread counts (see the README).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+EXTRA_ARGVS = (
+    ("grid", "--sigma", "100"),
+    ("grid", "--sigma", "1000"),
+    ("grid", "--grid-points", "8"),
+    ("fit", "--grid-points", "10"),
+    ("fit", "--beta", "1.0"),
+)
+
+
+def _cli_tables():
+    path = Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
+    spec = importlib.util.spec_from_file_location("_test_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HONOURED, module.FLAG_VALUES
+
+
+def argvs():
+    honoured, flag_values = _cli_tables()
+    out = [(command,) for command in honoured]
+    out += [(command, flag, flag_values[flag][0])
+            for command, flags in honoured.items() for flag in flags]
+    return out + list(EXTRA_ARGVS)
+
+
+def digest(argv):
+    """(exit code, sha256 of stdout, sha256 of stderr) of one CLI call."""
+    from lightningfit.cli import main  # numpy loads after the thread pin
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return (code, *(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                    for s in (out, err)))
+
+
+def main() -> int:
+    print(f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
+    for argv in argvs():
+        for fmt in ("csv", "json"):
+            full = (*argv, "--format", fmt)
+            code, out, err = digest(full)
+            print(code, out, err, " ".join(full), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

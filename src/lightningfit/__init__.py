@@ -18,14 +18,14 @@ from .trapezoid import (TrapApproximant, PartialFractionForm, trap_eval,
                         truncated_sqrt_integral, large_pole_tail,
                         naive_partial_fraction_eval,
                         stable_partial_fraction_eval, default_step,
-                        t_parameter)
+                        t_parameter, error_integrand)
 from .density import (density_leading, density_correction, stahl_density,
                       invert_stahl_density, large_pole_estimate,
                       pole_from_density, count_large_poles)
 from .contour import (ContourSetup, ContourTerms, PoleResidue, BoundCheck,
                       IdentityReport, quadrature_error_kernel,
-                      error_integrand, node_sum, pole_residue_pairs,
-                      residue_term, contour_terms, error_identity_report,
-                      check_conjecture_bound, residue_rate_check)
+                      pole_residue_pairs, residue_term, contour_terms,
+                      error_identity_report, check_conjecture_bound,
+                      residue_rate_check)
 from .tables import ResultTable, render_table, write_table, parse_csv_table
 from .quadrature import integrate

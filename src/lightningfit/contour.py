@@ -1,16 +1,16 @@
 """Contour-integral decomposition of the trapezoidal quadrature error.
 
 The gap between the window-truncated integral representation of sqrt(z)
-and its Nt-node trapezoidal sum is, exactly,
+and the Nt-node trapezoidal approximant `trapezoid.trap_eval` is, exactly,
 
     integral - sum = end_ints + gamma_int - residue_term
 
-where end_ints integrates the kernel over the two real stubs the
-rectangle does not cover, gamma_int integrates kernel * delta over a
-positively oriented rectangle enclosing the quadrature nodes, and
-residue_term collects the kernel's two primary poles.  delta is the
-quadrature-error kernel: the piecewise-constant sign weight minus the
-cotangent comb whose residues reproduce the node sum.
+where end_ints integrates the rule's kernel f (`trapezoid.error_integrand`)
+over the two real stubs the rectangle does not cover, gamma_int
+integrates kernel * delta over a positively oriented rectangle enclosing
+the quadrature nodes, and residue_term collects the kernel's two primary
+poles.  delta is the quadrature-error kernel: the piecewise-constant sign
+weight minus the cotangent comb whose residues reproduce the node sum.
 
 Everything here is double-checked machinery: the identity holds to
 quadrature tolerance, the conjectured bound on gamma_int and the decay
@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, InputError
+from .problems import Domain
 from .quadrature import integrate
-from .trapezoid import checked_step, t_parameter, truncated_sqrt_integral
+from .trapezoid import (TrapApproximant, checked_step, error_integrand, t_parameter,
+                        trap_eval, truncated_sqrt_integral)
 
 
 def quadrature_error_kernel(u, step: float, branch=None):
@@ -50,26 +52,6 @@ def quadrature_error_kernel(u, step: float, branch=None):
     q = np.exp(2j * math.pi * sign * scaled)
     out = sign * q / (1.0 - q)
     return out[0] if np.asarray(u).ndim == 0 else out
-
-
-def error_integrand(u, z: complex, t_param: float):
-    """Kernel f(u) = (z/pi) u^{-1/2} e^{sqrt(u)-T} / (e^{2(sqrt(u)-T)} + z).
-
-    Principal square root; callers keep Re u > 0 except for the u -> 0
-    endpoint where f ~ u^{-1/2} is integrable.
-    """
-    uu = np.atleast_1d(np.asarray(u, dtype=complex))
-    root = np.sqrt(uu)
-    s = root - t_param
-    out = (z / math.pi) / (root * (np.exp(s) + z * np.exp(-s)))
-    return out[0] if np.asarray(u).ndim == 0 else out
-
-
-def node_sum(z: complex, nt: int, step: float) -> complex:
-    """Trapezoidal node sum step * sum_j f(j step); the S of the identity."""
-    t_param = t_parameter(nt, step)
-    nodes = step * np.arange(1, nt + 1)
-    return step * np.sum(error_integrand(nodes, z, t_param))
 
 
 @dataclass(frozen=True)
@@ -140,7 +122,7 @@ class ContourSetup:
         r = abs(z)
         if not 0 < r <= 1 + 1e-12:
             raise InputError(f"|z| must lie in (0, 1], got {r}")
-        arm = self.beta * math.pi / 2.0
+        arm = Domain(self.beta).arm_angle
         theta = abs(cmath.phase(z))
         if not (theta < 1e-12 or abs(theta - arm) < 1e-9):
             raise InputError(
@@ -239,7 +221,7 @@ def error_identity_report(setup: ContourSetup) -> IdentityReport:
     is correct; it is the master self-check of this module.
     """
     i_val = truncated_sqrt_integral(setup.z, setup.t_param, tol=1e-13)
-    s_val = node_sum(setup.z, setup.nt, setup.step)
+    s_val = trap_eval(TrapApproximant(setup.nt, setup.beta, setup.step), setup.z)
     terms = contour_terms(setup)
     lhs = i_val - s_val
     rhs = terms.end_ints + terms.gamma_int - terms.residue_term
@@ -284,14 +266,13 @@ def residue_rate_check(step: float, beta: float, nt_list,
     makes it drift exponentially in nt, which is how a wrong step is
     detected.
     """
+    domain = Domain(beta)
     step = checked_step(beta, step)
     rows = []
-    arm = beta * math.pi / 2.0
     for nt in nt_list:
         tp = t_parameter(nt, step)
         for r in radii:
-            z = r * cmath.exp(1j * arm) if beta > 0 else complex(r)
-            mag = float(abs(residue_term(z, tp, step)))
+            mag = float(abs(residue_term(domain.arm_point(r), tp, step)))
             rows.append({
                 "nt": int(nt),
                 "radius": float(r),

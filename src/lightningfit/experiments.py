@@ -9,7 +9,6 @@ of aborting.  The acceptance checks read everything from these tables.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from .contour import (ContourSetup, check_conjecture_bound,
                       error_identity_report, residue_rate_check)
 from .density import count_large_poles, large_pole_estimate, pole_from_density
 from .errors import InputError, LightningError, NumericError
-from .fitting import BasisSpec, FitReport, fit, fit_nested
+from .fitting import DEFAULT_TSVD_EPS, BasisSpec, FitReport, fit, fit_nested
 from .poles import big_poles, tapered_poles, uniform_poles
 from .problems import (ApproxProblem, Domain, Target, build_fit_grid,
                        build_validation_grid)
@@ -26,7 +25,6 @@ from .tables import ResultTable
 from .trapezoid import default_step, t_parameter
 
 DEFAULT_N1_LIST = (9, 16, 25, 36, 49, 64)
-RHO_BERNSTEIN = 3.0 + 2.0 * math.sqrt(2.0)
 
 # scheme, sigma, augmentation for each convergence variant; the augmented
 # variants use N2 = ceil(1.3 sqrt(N1)), the plain ones a bare constant
@@ -53,13 +51,17 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
                     coeff_2norm=math.nan, eff_rank=0)
 
 
-def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
-    """Fit spec_of(key) for each key on shared grids in one fit_nested
-    call, after building every spec; raises the first key's error when
-    none can be built.  Returns [(key, report, "")] in key order, with
-    (key, _FAILED, reason) where the spec or the fit raised a
-    LightningError.
+def _sweep(target, domain, per_arm, eps_rel, keys, spec_of,
+           decades=16.0, val_per_arm=10000):
+    """Fit spec_of(key) for each key in one fit_nested call, on the fit and
+    validation grids of the domain it builds, after building every spec;
+    raises the first key's error when none can be built.  Returns
+    [(key, report, "")] in key order, with (key, _FAILED, reason) where the
+    spec or the fit raised a LightningError.
     """
+    problem = ApproxProblem(target, domain)
+    grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
+    vgrid = build_validation_grid(domain, per_arm=val_per_arm, decades=decades)
     keys = list(keys)
     specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
@@ -79,7 +81,7 @@ def _sweep(problem, grid, vgrid, eps_rel, keys, spec_of):
 def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
             n1: int = 40, n2: int | None = None, sigma: float | None = None,
             scale: float = 1.0, per_arm: int = 2000, decades: float = 16.0,
-            eps_rel: float = 2e-14) -> ResultTable:
+            eps_rel: float = DEFAULT_TSVD_EPS) -> ResultTable:
     """One fit of sqrt, x^alpha or x^alpha log x on the opening-beta domain.
 
     target names a TargetKind; sqrt takes only alpha = 0.5.  n2 defaults to
@@ -91,7 +93,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     if n2 is None:
         n2 = poly_degree_rule(n1)
     if sigma is None:
-        sigma = 2.0 * math.sqrt(2.0 - beta) * math.pi
+        sigma = _vshape_sigma("opening-matched", beta)
     spec = BasisSpec(clustered=tapered_poles(n1, sigma, scale), poly_degree=n2)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
     _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel)
@@ -104,7 +106,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
 
 
 def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
-                    eps_rel: float = 2e-14, per_arm: int = 2000,
+                    eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000,
                     decades: float = 16.0, val_per_arm: int = 10000) -> ResultTable:
     """Degree sweep of sqrt(x) fits for every pole/augmentation variant.
 
@@ -113,10 +115,6 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
     """
     if variants is None:
         variants = tuple(CONVERGENCE_VARIANTS)
-    domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.sqrt(), domain)
-    grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
-    vgrid = build_validation_grid(domain, per_arm=val_per_arm, decades=decades)
     keys = [(name, n1, 0 if CONVERGENCE_VARIANTS[name][2] == "none"
              else poly_degree_rule(n1)) for name in variants for n1 in n1_list]
 
@@ -129,8 +127,9 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
             poly_degree=n2 if augment == "poly" else 0)
 
     rows = []
-    for (name, n1, n2), rep, status in _sweep(problem, grid, vgrid, eps_rel,
-                                              keys, spec_of):
+    for (name, n1, n2), rep, status in _sweep(
+            Target.sqrt(), Domain.unit_interval(), per_arm, eps_rel, keys,
+            spec_of, decades, val_per_arm):
         scheme, sigma, _ = CONVERGENCE_VARIANTS[name]
         rows.append((name, scheme, n1 + n2, n1, n2, sigma, rep.max_err,
                      rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, status))
@@ -206,7 +205,7 @@ def refine_argmin(xs, ys):
 def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
                     poly_degree: int = 3, sigma_min: float = 2.0,
                     sigma_max: float = 30.0, n_sigma: int = 41,
-                    scale: float = 1.0, eps_rel: float = 2e-14,
+                    scale: float = 1.0, eps_rel: float = DEFAULT_TSVD_EPS,
                     per_arm: int = 2000, include_plain: bool = True) -> ResultTable:
     """Clustering-parameter sweep for x^alpha on the unit interval.
 
@@ -215,10 +214,6 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     each family lands in the metadata next to the 2 pi / sqrt(alpha) rule.
     """
     BasisSpec.check_poly_degree(poly_degree)  # else the poly family has no argmin
-    domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.power(alpha), domain)
-    grid = build_fit_grid(domain, per_arm=per_arm)
-    vgrid = build_validation_grid(domain)
     sigmas = np.geomspace(sigma_min, sigma_max, n_sigma)
     variants = (("plain", 0), ("poly", poly_degree)) if include_plain \
         else (("poly", poly_degree),)
@@ -227,7 +222,7 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     rows = []
     errs = {name: [] for name, _ in variants}
     for (sigma, name, _), rep, status in _sweep(
-            problem, grid, vgrid, eps_rel, keys,
+            Target.power(alpha), Domain.unit_interval(), per_arm, eps_rel, keys,
             lambda key: BasisSpec(clustered=tapered_poles(n1, key[0], scale),
                                   poly_degree=key[2])):
         rows.append((name, sigma, rep.max_err, status))
@@ -253,16 +248,14 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
 def run_grid(alpha: float = math.pi / 10,
              n1_list=(4, 9, 16, 25, 36, 49, 64, 81, 100),
              n2_list=tuple(range(0, 16)), sigma: float | None = None,
-             eps_rel: float = 2e-14, per_arm: int = 2000) -> ResultTable:
+             eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000) -> ResultTable:
     """(N1, N2) error surface for x^alpha; where does more polynomial stop helping."""
-    domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.power(alpha), domain)  # validates alpha
+    target = Target.power(alpha)  # validates alpha
     if sigma is None:
         sigma = 2.0 * math.pi / math.sqrt(alpha)
-    grid = build_fit_grid(domain, per_arm=per_arm)
-    vgrid = build_validation_grid(domain)
     rows = [(n1, n2, rep.max_err, status) for (n1, n2), rep, status in _sweep(
-        problem, grid, vgrid, eps_rel, [(n1, n2) for n1 in n1_list for n2 in n2_list],
+        target, Domain.unit_interval(), per_arm, eps_rel,
+        [(n1, n2) for n1 in n1_list for n2 in n2_list],
         lambda key: BasisSpec(clustered=tapered_poles(key[0], sigma, 1.0),
                               poly_degree=key[1]))]
     near_optimal = []
@@ -304,18 +297,14 @@ def _vshape_sigma(rule: str, beta: float) -> float:
 
 
 def run_vshape(beta_list=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5), n1: int = 40,
-               n2: int = 10, eps_rel: float = 2e-14,
+               n2: int = 10, eps_rel: float = DEFAULT_TSVD_EPS,
                per_arm: int = 2000) -> ResultTable:
     """sqrt(z) on V-domains: one row per (opening, sigma rule)."""
     rows = []
     for beta in beta_list:
-        domain = Domain.vshape(beta)
-        problem = ApproxProblem(Target.sqrt(), domain)
-        grid = build_fit_grid(domain, per_arm=per_arm)
-        vgrid = build_validation_grid(domain)
         keys = [(rule, _vshape_sigma(rule, beta)) for rule in VSHAPE_SIGMA_RULES]
         for (rule, sigma), rep, status in _sweep(
-                problem, grid, vgrid, eps_rel, keys,
+                Target.sqrt(), Domain.vshape(beta), per_arm, eps_rel, keys,
                 lambda key: BasisSpec(clustered=tapered_poles(n1, key[1], 1.0),
                                       poly_degree=n2)):
             rows.append((float(beta), rule, sigma, rep.max_err, status))
@@ -348,20 +337,17 @@ def corner_sigma_rule(beta: float) -> float:
 
 def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
                      sigma_min: float = 2.0, sigma_max: float = 30.0,
-                     n_sigma: int = 41, eps_rel: float = 2e-14,
+                     n_sigma: int = 41, eps_rel: float = DEFAULT_TSVD_EPS,
                      per_arm: int = 2000) -> ResultTable:
     """Per-opening sigma sweep for the corner target z^{1/beta}."""
     sigmas = np.geomspace(sigma_min, sigma_max, n_sigma)
     rows = []
     argmins = []
     for beta in beta_list:
-        domain = Domain.vshape(beta)
-        problem = ApproxProblem(corner_target(beta), domain)
-        grid = build_fit_grid(domain, per_arm=per_arm)
-        vgrid = build_validation_grid(domain)
         log_err = []
         for sigma, rep, status in _sweep(
-                problem, grid, vgrid, eps_rel, [float(s) for s in sigmas],
+                corner_target(beta), Domain.vshape(beta), per_arm, eps_rel,
+                [float(s) for s in sigmas],
                 lambda sigma: BasisSpec(clustered=tapered_poles(n1, sigma, 1.0),
                                         poly_degree=n2)):
             rows.append((float(beta), sigma, rep.max_err, status))
@@ -429,8 +415,7 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144),
     """
     rows = []
     for beta, nts in ((0.0, tuple(nt_list)), (vshape_beta, tuple(vshape_nt_list))):
-        step = default_step(beta)
-        arm = beta * math.pi / 2.0
+        domain, step = Domain(beta), default_step(beta)
         for nt in nts:
             t_param = t_parameter(nt, step)
             if beta == 0.0:
@@ -438,8 +423,8 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144),
             else:
                 radii = (1.0,)
             for r in radii:
-                z = r * cmath.exp(1j * arm) if beta > 0 else r
-                setup = ContourSetup(z=z, nt=nt, beta=beta, tol=tol)
+                setup = ContourSetup(z=domain.arm_point(r), nt=nt, beta=beta,
+                                     tol=tol)
                 report = error_identity_report(setup)
                 bound = check_conjecture_bound(setup, terms=report.terms)
                 scale = math.exp(-t_param)

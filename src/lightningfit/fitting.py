@@ -279,6 +279,11 @@ def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
     return scales
 
 
+def _check_eps(eps_rel: float):
+    if not eps_rel > 0:
+        raise InputError(f"eps_rel must be positive, got {eps_rel}")
+
+
 def _check_scales(scales: np.ndarray):
     if np.any(scales == 0):
         raise NumericError("a partial-fraction column vanished on the grid")
@@ -323,10 +328,8 @@ def _lapack(routine, *args, **kwargs):
         raise NumericError(f"{routine.__name__} failed: {exc}") from exc
 
 
-def _factor(system: np.ndarray, eps_rel: float) -> np.ndarray:
+def _factor(system: np.ndarray) -> np.ndarray:
     """R of one Householder QR of the augmented system [A | f]."""
-    if not eps_rel > 0:
-        raise InputError(f"eps_rel must be positive, got {eps_rel}")
     if not np.all(np.isfinite(system)):
         raise NumericError("the least-squares system has non-finite entries")
     return _lapack(np.linalg.qr, system, mode="r")
@@ -347,10 +350,11 @@ def _solve_r(r: np.ndarray, n: int, eps_rel: float):
 def tsvd_solve(a: np.ndarray, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
     """(coeffs, effective_rank) of the least-squares solve `fit` runs:
     minimum norm, keeping singular values >= eps_rel * s_max."""
+    _check_eps(eps_rel)
     a, f = np.asarray(a), np.asarray(f)
     if a.shape[0] != len(f):
         raise InputError("matrix and data lengths differ")
-    return _solve_r(_factor(np.column_stack([a, f]), eps_rel), a.shape[1], eps_rel)
+    return _solve_r(_factor(np.column_stack([a, f])), a.shape[1], eps_rel)
 
 
 @dataclass(frozen=True)
@@ -476,8 +480,10 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
     solves every degree in it, and one validation pass serves them all.
     Returns per spec `fit`'s (Approximant, FitReport) or the LightningError
     it raised; if a group's degree-D system fails, its degree-D specs fail
-    and its others are fitted alone.
+    and its others are fitted alone.  An eps_rel that is not positive
+    raises InputError before any group runs.
     """
+    _check_eps(eps_rel)
     specs = list(specs)
     if grid is None:
         grid = build_fit_grid(problem.domain)
@@ -533,7 +539,7 @@ def _fit_group(problem: ApproxProblem, specs, shared: _Shared,
     grid, top = shared.grid, specs[0]
     try:
         system, scales = _write_system(grid, top, shared.fvec, shared.poly)
-        r = _factor(system, eps_rel)
+        r = _factor(system)
     except LightningError as exc:
         return [exc if s.poly_degree == top.poly_degree
                 else _fit_group(problem, [s], shared, eps_rel)[0] for s in specs]

@@ -113,6 +113,10 @@ class Domain:
     def arm_angle(self) -> float:
         return self.beta * math.pi / 2.0
 
+    def arm_point(self, r):
+        """The upper-arm point at radius r (scalar or array); real on [0, 1]."""
+        return r if self.beta == 0.0 else r * np.exp(1j * self.arm_angle)
+
     def contains(self, z, tol: float = 1e-12) -> bool:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         r = np.abs(z)
@@ -189,12 +193,9 @@ def build_fit_grid(domain: Domain, decades: float = 16.0,
     On the interval the points are real; on a V-domain each arm gets
     `per_arm` points and the set is closed under conjugation.
     """
-    r = _radii(decades, per_arm)
-    if domain.beta == 0.0:
-        pts = r
-    else:
-        arm = r * np.exp(1j * domain.arm_angle)
-        pts = np.concatenate([arm, np.conj(arm)])
+    pts = domain.arm_point(_radii(decades, per_arm))
+    if domain.beta != 0.0:
+        pts = np.concatenate([pts, np.conj(pts)])
     return SampleGrid(points=pts, domain=domain, decades=float(decades),
                       per_arm=per_arm)
 

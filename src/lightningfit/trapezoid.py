@@ -1,13 +1,13 @@
 """Trapezoidal-quadrature rational approximant to sqrt on [0,1] and V-domains.
 
-Discretizing the integral representation of sqrt(z) along the real axis
-with step h and Nt nodes gives a rational function of degree Nt whose
-error decays like exp(-sqrt(Nt*h)/2).  Written in partial fractions it
-has Nt simple poles on the negative real axis; the Nt/4 poles of
-magnitude <= 1 are exactly the tapered clustered family with
-sigma = 2 sqrt(h), and the remaining large poles plus the constant are
-polynomial-like on the domain.  This approximant is the constructive
-benchmark the fitted ones are measured against.
+The rule h * sum_j f(j h) over Nt nodes, with f the integrand of
+sqrt(z)'s integral representation (`error_integrand`), is a rational
+function of degree Nt whose error decays like exp(-sqrt(Nt*h)/2).
+Written in partial fractions it has Nt simple poles on the negative real
+axis; the Nt/4 poles of magnitude <= 1 are exactly the tapered clustered
+family with sigma = 2 sqrt(h), and the remaining large poles plus the
+constant are polynomial-like on the domain.  This approximant is the
+constructive benchmark the fitted ones are measured against.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, InputError, NumericError
+from .problems import Domain
 from .quadrature import integrate
 
 
@@ -27,12 +28,9 @@ def default_step(beta: float = 0.0) -> float:
 
 
 def checked_step(beta: float, step: float | None = None) -> float:
-    """Validate the opening beta in [0, 2) and the step; None gives the default.
-
-    The package's one beta and step check.
-    """
-    if not (0.0 <= beta < 2.0):
-        raise InputError(f"beta must lie in [0, 2), got {beta}")
+    """Validate the opening beta, by building its Domain, and the step;
+    None gives the default step."""
+    Domain(beta)
     if step is None:
         return (2.0 - beta) * math.pi**2
     if not step > 0:
@@ -64,26 +62,35 @@ class TrapApproximant:
         return trap_eval(self, z)
 
 
-def trap_eval(t: TrapApproximant, z):
-    """Evaluate the trapezoidal approximant at z (scalar or array).
+def error_integrand(u, z, t_param: float):
+    """Kernel f(u) = (z/pi) u^{-1/2} e^{sqrt(u)-T} / (e^{2(sqrt(u)-T)} + z).
 
-    Terms are summed in ascending node order; for z >= 0 every term is
-    positive so the ordering only shuffles roundoff.  The summand is
+    Principal square root; callers keep Re u > 0 except for the u -> 0
+    endpoint where f ~ u^{-1/2} is integrable.  z may be an array that
+    broadcasts against u.
+    """
+    uu = np.atleast_1d(np.asarray(u, dtype=complex))
+    root = np.sqrt(uu)
+    s = root - t_param
+    den = np.exp(s) + z * np.exp(-s)
+    if np.any(den == 0):
+        raise EvaluationError("evaluation point coincides with a pole")
+    out = (z / math.pi) / (root * den)
+    return out[0] if np.asarray(u).ndim == 0 else out
+
+
+def trap_eval(t: TrapApproximant, z):
+    """Evaluate the trapezoidal approximant step * sum_j f(j step) at z.
+
+    f is `error_integrand`, summed over the nodes in ascending order; z is
+    a scalar or an array, and real z gives real values.  The summand is
     evaluated as 1/(e^s + z e^{-s}) which stays bounded for all node
     positions, unlike the textbook e^s/(e^{2s} + z) form.
     """
     z = np.asarray(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    j = np.arange(1, t.nt + 1)
-    s = np.sqrt(j * t.step) - t.t_param
-    es, ems = np.exp(s), np.exp(-s)
-    den = es[None, :] + z[:, None] * ems[None, :]
-    if np.any(den == 0):
-        raise EvaluationError("evaluation point coincides with a pole")
-    terms = (1.0 / np.sqrt(j * t.step))[None, :] / den
-    out = (z * t.step / math.pi) * terms.sum(axis=1)
-    return out[0] if scalar else out
+    nodes = t.step * np.arange(1, t.nt + 1)
+    out = t.step * np.sum(error_integrand(nodes, z[..., None], t.t_param), axis=-1)
+    return out if np.iscomplexobj(z) else out.real
 
 
 def trap_error_bound(nt: int, beta: float = 0.0) -> float:

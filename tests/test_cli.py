@@ -137,6 +137,17 @@ def test_tsvd_eps_nan_is_input_error(capsys):
     assert "input error" in err and "eps_rel" in err
 
 
+@pytest.mark.parametrize("command", ["converge", "sigma-sweep", "grid", "vshape",
+                                     "corner-sigma"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_sweep_tsvd_eps_not_positive_exit_1(capsys, command, eps):
+    # checked once before any fit, not turned into a status on every row
+    code, out, err = run_cli(capsys, command, "--tsvd-eps", eps)
+    assert code == 1
+    assert out == ""
+    assert err.count("input error:") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("sigma-sweep", "--tsvd-eps", "10", "--grid-points", "200"),
     ("corner-sigma", "--tsvd-eps", "10", "--grid-points", "100", "--n1", "4",

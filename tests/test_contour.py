@@ -9,7 +9,7 @@ import pytest
 from lightningfit import (ContourSetup, EvaluationError, InputError,
                           TrapApproximant, check_conjecture_bound, contour_terms,
                           default_step, error_identity_report, error_integrand,
-                          node_sum, pole_residue_pairs, quadrature_error_kernel,
+                          pole_residue_pairs, quadrature_error_kernel,
                           residue_rate_check, residue_term, t_parameter,
                           trap_eval, integrate)
 
@@ -106,10 +106,18 @@ def test_kernel_bound_three_halves_beyond_band():
         assert np.all(vals <= 1.5 * math.exp(-2 * math.pi * im / H0) * (1 + 1e-12))
 
 
-def test_node_sum_equals_trap_eval():
+def test_identity_node_sum_is_trap_eval():
+    """The identity's S is the package's approximant, bit for bit, and
+    that equals the rule's textbook sum (z h/pi) sum_j 1/(sqrt(jh) den_j)."""
+    for setup in (ContourSetup(0.5, 64), ContourSetup(1j, 64, beta=1.0)):
+        trap = TrapApproximant(setup.nt, setup.beta, setup.step)
+        assert error_identity_report(setup).node_sum == trap_eval(trap, setup.z)
     for nt, x in ((8, 0.3), (32, 1.0), (64, 1e-5)):
-        direct = trap_eval(TrapApproximant(nt), x)
-        assert node_sum(x, nt, H0) == pytest.approx(direct, rel=1e-14)
+        trap = TrapApproximant(nt)
+        root = np.sqrt(np.arange(1, nt + 1) * H0)
+        s = root - trap.t_param
+        direct = x * H0 / math.pi * np.sum(1.0 / (root * (np.exp(s) + x * np.exp(-s))))
+        assert trap_eval(trap, x) == pytest.approx(direct, rel=1e-14)
 
 
 def test_pole_defining_equation():

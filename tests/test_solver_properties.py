@@ -84,7 +84,7 @@ def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, s
             columns.append(basis[:, :k] @ mix + 1e-17 * noise / np.linalg.norm(noise))
     a = np.column_stack(columns)
     f = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_ else 0)
-    r = _factor(np.column_stack([a, f]), DEFAULT_TSVD_EPS)
+    r = _factor(np.column_stack([a, f]))
     for n in range(1, len(kinds) + 1):
         coeffs, rank = _solve_r(r, n, DEFAULT_TSVD_EPS)
         ref, ref_rank = tsvd_solve(a[:, :n], f)
@@ -115,8 +115,7 @@ def test_folded_solve_matches_complex_tsvd_of_unfolded_system(h, n, rank_frac,
     system = np.empty((2 * h, n + 1))
     _fold_into(system[:, :n], arm)
     _fold_into(system[:, n], f_arm)
-    coeffs, got_rank = _solve_r(_factor(system, DEFAULT_TSVD_EPS), n,
-                                DEFAULT_TSVD_EPS)
+    coeffs, got_rank = _solve_r(_factor(system), n, DEFAULT_TSVD_EPS)
     ref, ref_rank = reference_tsvd(np.concatenate([arm, arm.conj()]),
                                    np.concatenate([f_arm, f_arm.conj()]),
                                    DEFAULT_TSVD_EPS)

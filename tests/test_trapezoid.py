@@ -8,7 +8,7 @@ import pytest
 
 from lightningfit import (ContourSetup, EvaluationError, InputError,
                           TrapApproximant, default_step, large_pole_tail,
-                          naive_partial_fraction_eval,
+                          naive_partial_fraction_eval, residue_rate_check,
                           stable_partial_fraction_eval, t_parameter,
                           tapered_poles, trap_error_bound,
                           trap_partial_fractions, trap_eval,
@@ -71,11 +71,13 @@ def test_trap_validation():
         trap_partial_fractions(4, math.nan)
 
 
-@pytest.mark.parametrize("make", [TrapApproximant,
-                                  lambda nt, **kw: ContourSetup(1.0, nt, **kw)],
-                         ids=["TrapApproximant", "ContourSetup"])
+@pytest.mark.parametrize("make", [
+    TrapApproximant,
+    lambda nt, **kw: ContourSetup(1.0, nt, **kw),
+    lambda nt, step=None, beta=0.0: residue_rate_check(step, beta, [nt])],
+    ids=["TrapApproximant", "ContourSetup", "residue_rate_check"])
 def test_nan_step_and_beta_rejected(make):
-    # both classes validate through trapezoid.checked_step
+    # each validates the step in trapezoid.checked_step and beta through Domain
     with pytest.raises(InputError, match="step must be positive"):
         make(16, step=math.nan)
     with pytest.raises(InputError, match="beta must lie"):
