@@ -8,8 +8,9 @@ through `lightningfit.cli.main`.  Run it once per source tree and diff:
     PYTHONPATH=path/to/tree/src python scripts/output_digests.py > a.txt
 
 Two trees whose listings are equal print the same bytes for every output.
-OPENBLAS_NUM_THREADS defaults to 1 here, because the V-domain sweeps
-differ between BLAS thread counts (see the README).
+Every listed output is the same at 1 and 2 BLAS threads (see the README);
+OPENBLAS_NUM_THREADS still defaults to 1 here, so that two listings are
+compared at one thread count unless a thread count is the point.
 """
 
 from __future__ import annotations

@@ -16,9 +16,7 @@ from .fitting import (BasisSpec, Approximant, FitReport, tsvd_solve, fit,
 from .trapezoid import (TrapApproximant, PartialFractionForm, trap_eval,
                         trap_partial_fractions, trap_error_bound,
                         truncated_sqrt_integral, large_pole_tail,
-                        naive_partial_fraction_eval,
-                        stable_partial_fraction_eval, default_step,
-                        t_parameter, error_integrand)
+                        default_step, t_parameter, error_integrand)
 from .density import (density_leading, density_correction, stahl_density,
                       invert_stahl_density, large_pole_estimate,
                       pole_from_density, count_large_poles)

@@ -27,20 +27,22 @@ targets satisfy f(conj z) = conj f(z), and a V-domain grid is
 [arm, conj(arm)].  So a V-domain fit is solved as a real problem on the
 upper arm.  The row map (s(z), s(conj z)) -> (sqrt(2) Re s(z),
 sqrt(2) Im s(z)) is unitary, so the complex system over the whole grid
-and the real system [Re S_arm; Im S_arm] over the arm have the same
-singular values up to one common factor sqrt(2), hence the same
-truncation rank and the same minimum-norm solution, which is real.  The
-polynomial block is orthogonalized on the arm in the inner product
-2 Re<u, v>, the whole grid's for conjugate-symmetric columns, so its
-recurrence coefficients are real and the block's symmetry is exact.  The
-system is real and holds half the numbers of the complex one, and its QR
-and SVD run in real arithmetic.  On the interval the arm is the whole
-grid and there are no imaginary rows: the same code writes the same
-system as an unfolded fit.  With real coefficients the approximant is
-conjugate-symmetric bit for bit, so validation evaluates on the upper
-arm of the validation grid only, and its maximum error is exactly the
-maximum over the whole grid; the residual norm is reported over the
-whole grid, sqrt(2) times that of the folded residual.
+and the real system over the arm, each point's real row followed by its
+imaginary row, have the same singular values up to one common factor
+sqrt(2), hence the same truncation rank and the same minimum-norm
+solution, which is real.  That row order is the memory layout of a
+complex128 array, so values.view(float) is a column of the system; on
+the interval, where the arm is the whole grid, it is the identity.  The
+polynomial block is real rows in this layout, orthogonalized on the arm
+by the real projection Q^T v, half of 2 Re<u, v>, the whole grid's inner
+product for conjugate-symmetric columns: its recurrence coefficients are
+real, its symmetry is exact, and every BLAS product of a fit is real.
+The system holds half the numbers of the complex one.  With real
+coefficients the approximant is conjugate-symmetric bit for bit, so
+validation evaluates on the upper arm of the validation grid only, and
+its maximum error is exactly the maximum over the whole grid; the
+residual norm is reported over the whole grid, sqrt(2) times that of
+the folded residual.
 
 What does not depend on the poles is computed once per `fit_nested`
 call, whatever the poles of its specs: the target values, the polynomial
@@ -131,7 +133,8 @@ class BasisSpec:
 
 def _poly_chain_build(arm: np.ndarray, degree: int):
     """Orthonormal polynomial columns on a grid, degrees 0..degree, from
-    the grid's upper arm (see SampleGrid.arm).
+    the grid's upper arm (see SampleGrid.arm), as real rows in the
+    system's layout (see _write_system).
 
     Returns (Q, hess, norm0) where hess holds the real recurrence
     coefficients (including one full reorthogonalization pass folded in),
@@ -143,23 +146,22 @@ def _poly_chain_build(arm: np.ndarray, degree: int):
     real recurrence makes every column conjugate-symmetric, in
     2 Re<u, v> over the arm.
     """
-    m = len(arm)
     weight = 2.0 if np.iscomplexobj(arm) else 1.0  # len(grid) / len(arm)
-    q = np.empty((m, degree + 1), dtype=arm.dtype)
-    norm0 = math.sqrt(weight * m)
+    norm0 = math.sqrt(weight * len(arm))
+    q = np.empty((arm.view(float).size, degree + 1))
     hess = np.zeros((degree + 1, degree))
-    q[:, 0] = 1.0 / norm0
+    q[:, 0] = col = np.ones_like(arm).view(float) / norm0
     for k in range(degree):
-        v = arm * q[:, k]
+        v = (arm * col.view(arm.dtype)).view(float)
         for _ in range(2):  # classical Gram-Schmidt, two passes
-            proj = weight * (q[:, : k + 1].conj().T @ v).real
+            proj = weight * (q[:, : k + 1].T @ v)
             v = v - _matvec(q[:, : k + 1], proj)
             hess[: k + 1, k] += proj
         nrm = math.sqrt(weight) * np.linalg.norm(v)
         if nrm == 0.0:
             raise NumericError("grid cannot support the requested polynomial degree")
         hess[k + 1, k] = nrm
-        _chain_step(arm, q, hess, k)
+        col = _chain_step(arm, q, hess, k, col)
     return q, hess, norm0
 
 
@@ -169,10 +171,11 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     BLAS matrix-vector kernels such as OpenBLAS's work on rows in groups
     of four and round the leftover rows differently; a one-row product
     even goes to another routine.  So a is padded with zero rows to a
-    multiple of four, and a point's value does not depend on how many
-    points share the call.  That rests on how the BLAS kernel groups its
-    rows: it holds on OpenBLAS 0.3.31's Haswell kernel, and the property
-    test checks it on whatever BLAS it runs with.  A BLAS that groups rows
+    multiple of four, and a point's value, one row or, on a complex arm,
+    its real and imaginary rows, does not depend on how many points share
+    the call.  That rests on how the BLAS kernel groups its rows: it
+    holds on OpenBLAS 0.3.31's Haswell kernel, and the property test
+    checks it on whatever BLAS it runs with.  A BLAS that groups rows
     otherwise would need einsum here too (see _vecmat), at about 2.7 times
     the GEMV's cost per 4096 x 20 block.
     """
@@ -194,20 +197,23 @@ def _vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("j,ji->i", x, a)
 
 
-def _chain_step(pts: np.ndarray, w: np.ndarray, hess: np.ndarray, k: int):
-    """Column k + 1 of the recurrence at pts, from columns 0..k of w."""
-    v = pts * w[:, k] - _matvec(w[:, : k + 1], hess[: k + 1, k])
-    w[:, k + 1] = v / hess[k + 1, k]
+def _chain_step(pts: np.ndarray, w: np.ndarray, hess: np.ndarray, k: int,
+                col: np.ndarray) -> np.ndarray:
+    """Write column k + 1 of the recurrence at pts into w, from its columns
+    0..k, all real rows in the system's layout, and return it; col is
+    column k, contiguous, so that it views as complex on a complex arm."""
+    v = (pts * col.view(pts.dtype)).view(float) - _matvec(w[:, : k + 1], hess[: k + 1, k])
+    w[:, k + 1] = v = v / hess[k + 1, k]
+    return v
 
 
 def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndarray:
-    """Re-evaluate the recurrence polynomials at new points."""
-    degree = hess.shape[1]
-    dtype = complex if np.iscomplexobj(pts) else float
-    w = np.empty((len(pts), degree + 1), dtype=dtype)
-    w[:, 0] = 1.0 / norm0
-    for k in range(degree):
-        _chain_step(pts, w, hess, k)
+    """Re-evaluate the recurrence polynomials at new points (a contiguous
+    float64 or complex128 array), as real rows in the system's layout."""
+    w = np.empty((pts.view(float).size, hess.shape[1] + 1))
+    w[:, 0] = col = np.ones_like(pts).view(float) / norm0
+    for k in range(hess.shape[1]):
+        col = _chain_step(pts, w, hess, k, col)
     return w
 
 
@@ -255,9 +261,10 @@ def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
                              poles: np.ndarray) -> np.ndarray:
     """Write the partial fractions p/(z - p) on a grid's upper arm into the
     real system's rows, each column divided by its maximum modulus on the
-    arm, and return those scales.  On a complex arm the real parts go
-    over the imaginary parts, p (x - p) / D over -p y / D, written straight
-    from D: the largest modulus |p| / sqrt(D) sits at the smallest D."""
+    arm, and return those scales.  On a complex arm each point's real part
+    p (x - p) / D goes into an even row and its imaginary part -p y / D
+    into the next, written straight from D: the largest modulus
+    |p| / sqrt(D) sits at the smallest D."""
     if not np.iscomplexobj(arm):
         pf = _partial_fraction_columns(arm, poles)
         scales = np.abs(pf).max(axis=0)
@@ -270,12 +277,11 @@ def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
         scales = np.maximum(scales, np.abs(exact).max(axis=0))
     _check_scales(scales)
     g = np.divide((poles / scales)[:, None], d, out=d)
-    h = len(arm)
-    np.multiply(g, dx, out=rows[:h].T)
-    np.multiply(g, -arm.imag, out=rows[h:].T)
+    np.multiply(g, dx, out=rows[0::2].T)
+    np.multiply(g, -arm.imag, out=rows[1::2].T)
     if len(hard):
         exact /= scales
-        rows[hard], rows[h + hard] = exact.real, exact.imag
+        rows[2 * hard], rows[2 * hard + 1] = exact.real, exact.imag
     return scales
 
 
@@ -289,21 +295,14 @@ def _check_scales(scales: np.ndarray):
         raise NumericError("a partial-fraction column vanished on the grid")
 
 
-def _fold_into(rows: np.ndarray, values: np.ndarray):
-    """Write values on a grid's upper arm into the real system's rows: the
-    real parts first, then, for complex values, the imaginary parts."""
-    rows[:len(values)] = values.real
-    if np.iscomplexobj(values):
-        rows[len(values):] = values.imag
-
-
 def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None,
                   poly=None):
     """(system, pf_scales): the real system [PF | Q | f] in one C-order
     array, f (the target on the upper arm) only if given.  It has
-    len(grid) rows: on a V-domain the columns on the upper arm, real parts
-    over imaginary parts; on the interval the columns themselves.
-    poly(degree) gives the polynomial block, by default built here."""
+    len(grid) rows: on a V-domain each upper-arm point's real part, then
+    its imaginary part (values.view(float)); on the interval the columns
+    themselves.  poly(degree) gives the polynomial block, by default
+    built here."""
     if spec.poly_degree >= len(grid):
         raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
                          f"the grid's {len(grid)} points")
@@ -314,9 +313,9 @@ def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = N
         scales = _write_partial_fractions(system[:, :len(poles)], grid.arm, poles)
     if spec.poly_degree >= 0:
         poly = poly or (lambda degree: _poly_chain_build(grid.arm, degree))
-        _fold_into(system[:, len(poles):n], poly(spec.poly_degree)[0])
+        system[:, len(poles):n] = poly(spec.poly_degree)[0]
     if fvec is not None:
-        _fold_into(system[:, n], fvec)
+        system[:, n] = fvec.view(float)
     return system, scales
 
 
@@ -387,8 +386,7 @@ def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
     polynomial blocks there (or None); one partial-fraction block per chunk."""
     poles, scales = approxes[0].spec.finite_poles, approxes[0].pf_scales
     n_pf = len(scales)
-    outs = [np.zeros(len(pts), dtype=np.result_type(pts, poles, a.coeffs))
-            for a in approxes]
+    outs = [np.zeros(len(pts), dtype=pts.dtype) for _ in approxes]
     if n_pf:
         weights = [a.coeffs[:n_pf] / scales for a in approxes]
         for start in range(0, len(pts), _EVAL_CHUNK):
@@ -397,12 +395,12 @@ def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
                 out[rows] = values
     for out, a, poly in zip(outs, approxes, polys):
         if poly is not None:
-            out += _matvec(poly, a.coeffs[n_pf:])
+            out.view(float)[:] += _matvec(poly, a.coeffs[n_pf:])
     return outs
 
 
 def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
-    """sum_j w_j p_j / (z - p_j) at pts for each weight vector w.  On
+    """sum_j w_j p_j / (z - p_j) at pts for each real weight vector w.  On
     complex points Re = w (g o dx) and Im = -y (w g), with g = p / D
     (see _pf_kernel)."""
     if not np.iscomplexobj(pts):
@@ -412,7 +410,7 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
     g = np.divide(poles[:, None], d, out=d)
     gdx = np.multiply(g, dx, out=dx)
 
-    def real_sum(w):
+    def weighted_sum(w):
         values = np.empty(len(pts), dtype=complex)
         values.real = _vecmat(w, gdx)
         values.imag = -pts.imag * _vecmat(w, g)
@@ -420,14 +418,15 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
             values[hard] = _matvec(exact, w)
         return values
 
-    return [real_sum(w.real) + 1j * real_sum(w.imag) if np.iscomplexobj(w)
-            else real_sum(w) for w in weights]
+    return [weighted_sum(w) for w in weights]
 
 
 def evaluate(approx: Approximant, pts) -> np.ndarray:
-    """Evaluate the approximant; raises if a point coincides with a pole."""
+    """Evaluate the approximant; raises if a point coincides with a pole.
+    Real input is evaluated as float64, complex input as complex128."""
     pts = np.asarray(pts)
-    flat = np.atleast_1d(pts)
+    flat = np.ascontiguousarray(np.atleast_1d(pts),
+                                dtype=complex if np.iscomplexobj(pts) else float)
     poly = None if approx.hess is None else \
         _poly_chain_eval(flat, approx.hess, approx.norm0)
     out = _approximant_values([approx], flat, [poly])[0]

@@ -117,14 +117,6 @@ class Domain:
         """The upper-arm point at radius r (scalar or array); real on [0, 1]."""
         return r if self.beta == 0.0 else r * np.exp(1j * self.arm_angle)
 
-    def contains(self, z, tol: float = 1e-12) -> bool:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        r = np.abs(z)
-        if np.any(r > 1 + tol):
-            return False
-        on_arm = np.abs(np.abs(np.angle(np.where(z == 0, 1.0, z))) - self.arm_angle) <= tol
-        return bool(np.all(on_arm | (r <= tol)))
-
 
 @dataclass(frozen=True)
 class ApproxProblem:
@@ -138,7 +130,9 @@ class SampleGrid:
 
     Complex points are laid out as [arm, conj(arm)]: the upper arm, then
     its mirror image point for point.  Fits on a V-domain use that layout
-    to work on the upper arm alone (see `fitting`), so it is checked here.
+    to work on the upper arm alone (see `fitting`), so it is checked here;
+    `fitting` reads the arm as real rows, so the points are held as a
+    contiguous float64 or complex128 array.
     A grid holds nothing computed from its points: what fits share is
     computed once per `fitting.fit_nested` call.
     """
@@ -149,6 +143,8 @@ class SampleGrid:
     per_arm: int
 
     def __post_init__(self):
+        object.__setattr__(self, "points", np.ascontiguousarray(
+            self.points, dtype=complex if np.iscomplexobj(self.points) else float))
         self.points.flags.writeable = False
         if np.iscomplexobj(self.points):
             half, odd = divmod(len(self.points), 2)

@@ -111,8 +111,8 @@ class PartialFractionForm:
     poles p_j = -exp(-2 sqrt(h)(sqrt(N1) - sqrt(j))), j = 1..4N1, ascending
     magnitude; residues w_j p_j and constant sum(w_j) with weights
     w_j = (sqrt(h)/pi) sqrt(|p_j|/j).  Only the first N1 poles have
-    magnitude <= 1; beyond roughly N1 = 6000 the large-pole weights
-    overflow double precision.
+    magnitude <= 1 (the tapered family with sigma = 2 sqrt(h)); beyond
+    roughly N1 = 6000 the large-pole weights overflow double precision.
     """
 
     n1: int
@@ -131,19 +131,6 @@ class PartialFractionForm:
     @property
     def t_param(self) -> float:
         return t_parameter(self.nt, self.step)
-
-    @property
-    def residues(self) -> np.ndarray:
-        return self.term_weights * self.poles
-
-    @property
-    def constant(self) -> float:
-        return float(self.term_weights.sum())
-
-    @property
-    def small_poles(self) -> np.ndarray:
-        """The N1 poles of magnitude <= 1 (tapered family, sigma = 2 sqrt(h))."""
-        return self.poles[: self.n1]
 
     @property
     def large_poles(self) -> np.ndarray:
@@ -174,18 +161,6 @@ def _pole_differences(z, poles):
     return z, diff
 
 
-def naive_partial_fraction_eval(pf: PartialFractionForm, z):
-    """Literal sum C + sum a_j/(z - p_j).
-
-    Suffers catastrophic cancellation between the constant and the
-    large-pole terms (absolute error ~1e-9 already at n1 = 16); kept for
-    identity tests, not for production evaluation.
-    """
-    zv, diff = _pole_differences(z, pf.poles)
-    out = pf.constant + (pf.residues[None, :] / diff).sum(axis=1)
-    return out[0] if np.asarray(z).ndim == 0 else out
-
-
 def large_pole_tail(pf: PartialFractionForm, z):
     """Constant plus large-pole partial fractions, evaluated stably.
 
@@ -198,18 +173,6 @@ def large_pole_tail(pf: PartialFractionForm, z):
     head = pf.term_weights[: pf.n1].sum()
     tail = (pf.term_weights[pf.n1:][None, :] * zv[:, None] / diff).sum(axis=1)
     out = head + tail
-    return out[0] if np.asarray(z).ndim == 0 else out
-
-
-def stable_partial_fraction_eval(pf: PartialFractionForm, z):
-    """Partial-fraction evaluation with the cancellation removed.
-
-    C + sum a_j/(z - p_j) collapses algebraically to sum w_j z/(z - p_j),
-    whose terms are all positive for z in [0, 1]; near z = 0 the naive
-    form instead subtracts O(1) quantities to produce an O(z) value.
-    """
-    zv, diff = _pole_differences(z, pf.poles)
-    out = (pf.term_weights[None, :] * zv[:, None] / diff).sum(axis=1)
     return out[0] if np.asarray(z).ndim == 0 else out
 
 

@@ -306,16 +306,19 @@ def test_output_byte_identical_across_processes(command):
 
 def test_verify_bounds_byte_identical_across_blas_threads():
     """The oracle quadrature sums without BLAS, so the thread count is moot;
-    `grid` and `fit --beta 1.0` print the same bytes at 1 and 2 BLAS
-    threads too, as the README says."""
+    `grid` and the V-domain fits, `fit --beta`, `vshape` and
+    `corner-sigma`, print the same bytes at 1 and 2 BLAS threads too, as
+    the README says."""
+    argvs = (['verify-bounds'], ['grid'], ['fit', '--beta', '1.0'],
+             ['fit', '--beta', '0.5'], ['vshape'], ['corner-sigma'])
     code = ("from lightningfit.cli import main\n"
-            "for argv in (['verify-bounds'], ['grid'], ['fit', '--beta', '1.0']):\n"
+            f"for argv in {argvs!r}:\n"
             "    print(main(argv))\n")
     outs = [subprocess.run([sys.executable, "-c", code],
                            env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=threads),
                            capture_output=True, check=True).stdout
             for threads in ("1", "2")]
-    assert outs[0].count(b"\n0\n") == 3 and outs[0] == outs[1]
+    assert outs[0].count(b"\n0\n") == len(argvs) and outs[0] == outs[1]
 
 
 def test_parser_built_once_serves_every_call(capsys):

@@ -49,8 +49,8 @@ def test_polynomial_columns_orthonormal():
 
 
 def test_polynomial_columns_orthonormal_complex_grid():
-    # the folded rows [Re; Im] on the upper arm: S^H S over the whole grid
-    # is 2 S_fold^T S_fold
+    # the real rows Re, Im of each upper-arm point: S^H S over the whole
+    # grid is 2 S_fold^T S_fold
     grid = build_fit_grid(Domain.vshape(1.0), per_arm=400)
     system = _write_system(grid, BasisSpec(poly_degree=8))[0]
     gram = 2.0 * system.T @ system
@@ -85,14 +85,33 @@ def test_partial_fraction_columns_scaled_to_unit_max():
 
 
 def test_vshape_partial_fraction_columns_scaled_to_unit_max():
-    """The real rows over the imaginary rows of the arm: each column's
+    """Each arm point's real row, then its imaginary row: each column's
     largest modulus on the arm is 1."""
     grid = build_fit_grid(Domain.vshape(1.0), per_arm=400)
     system = _write_system(grid, BasisSpec(clustered=tapered_poles(8, 3.0),
                                            poly_degree=-1))[0]
-    h = len(grid.arm)
-    modulus = np.hypot(system[:h], system[h:]).max(axis=0)
+    modulus = np.hypot(system[0::2], system[1::2]).max(axis=0)
     assert np.max(np.abs(modulus - 1.0)) <= 1e-14
+
+
+def test_evaluate_reads_input_as_its_contiguous_copy():
+    """A strided complex view, an int list and float32 input evaluate bit
+    for bit as their contiguous complex128 or float64 copies."""
+    spec = BasisSpec(clustered=tapered_poles(8, 4.0), poly_degree=5)
+    vshape, _ = fit(ApproxProblem(Target.sqrt(), Domain.vshape(1.0)), spec,
+                    grid=build_fit_grid(Domain.vshape(1.0), per_arm=300))
+    z = build_validation_grid(Domain.vshape(1.0), per_arm=101).points[::3]
+    assert not z.flags.c_contiguous
+    assert np.array_equal(evaluate(vshape, z), evaluate(vshape, z.copy()))
+    interval, _ = fit(SQRT_PROBLEM, spec,
+                      grid=build_fit_grid(Domain.unit_interval(), per_arm=300))
+    x32 = np.linspace(0.0, 1.0, 37, dtype=np.float32)
+    for approx in (interval, vshape):
+        values = evaluate(approx, x32)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, evaluate(approx, x32.astype(float)))
+        assert np.array_equal(evaluate(approx, [0, 1, 2]),
+                              evaluate(approx, np.array([0.0, 1.0, 2.0])))
 
 
 def test_evaluate_rejects_point_on_pole():
@@ -238,9 +257,10 @@ def test_max_error_agrees_with_direct_computation(beta, degree):
 def test_constant_column_is_exact(beta):
     grid = build_fit_grid(Domain(beta), per_arm=300)
     system = _write_system(grid, BasisSpec(poly_degree=0))[0]
-    arm = len(grid.arm)  # the real parts' rows; the imaginary parts' follow
-    assert np.all(system[:arm] == 1.0 / math.sqrt(len(grid)))
-    assert np.all(system[arm:] == 0.0)
+    per_point = len(grid) // len(grid.arm)  # rows per arm point: Re, then Im
+    assert np.all(system[::per_point] == 1.0 / math.sqrt(len(grid)))
+    if beta:
+        assert np.all(system[1::2] == 0.0)
     _, hess, norm0 = _poly_chain_build(grid.arm, 0)
     assert np.all(_poly_chain_eval(np.array([0.25, 0.5]), hess, norm0)
                   == system[0])

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lightningfit import (ApproxProblem, Domain, InputError, SampleGrid, Target,
-                          build_fit_grid, build_validation_grid, eval_target)
+from lightningfit import (ApproxProblem, BasisSpec, Domain, InputError,
+                          SampleGrid, Target, build_fit_grid,
+                          build_validation_grid, eval_target, fit,
+                          tapered_poles)
 
 
 def test_sqrt_target_fixes_alpha():
@@ -74,16 +76,6 @@ def test_domain_validation():
         Domain(-0.1)
 
 
-def test_domain_contains():
-    d = Domain.vshape(1.0)
-    arm = np.exp(1j * math.pi / 2)
-    assert d.contains(0.7 * arm)
-    assert d.contains(np.conj(0.7 * arm))
-    assert not d.contains(1.5 * arm)
-    assert not d.contains(0.5)  # interior point off the arms
-    assert Domain.unit_interval().contains(np.linspace(0, 1, 11))
-
-
 def test_fit_grid_interval_is_real_logspaced():
     g = build_fit_grid(Domain.unit_interval(), decades=16.0, per_arm=100)
     assert len(g) == 100
@@ -124,6 +116,24 @@ def test_complex_grid_must_be_arm_then_mirror(points):
     with pytest.raises(InputError):
         SampleGrid(points=points(arm), domain=Domain.vshape(1.0), decades=16.0,
                    per_arm=8)
+
+
+def test_grid_holds_contiguous_float64_or_complex128_points():
+    """A hand-built grid of strided float32 or complex64 points holds and
+    fits them bit for bit as their contiguous float64 or complex128 copy."""
+    spec = BasisSpec(clustered=tapered_poles(6, 4.0), poly_degree=4)
+    for domain in (Domain.unit_interval(), Domain.vshape(1.0)):
+        grid = build_fit_grid(domain, per_arm=200)
+        narrow = grid.points.astype(np.complex64 if domain.beta else np.float32)
+        coarse = SampleGrid(points=np.repeat(narrow, 2)[::2], domain=domain,
+                            decades=16.0, per_arm=200)
+        wide = SampleGrid(points=narrow.astype(grid.points.dtype),
+                          domain=domain, decades=16.0, per_arm=200)
+        assert coarse.points.dtype == grid.points.dtype
+        assert coarse.points.flags.c_contiguous
+        problem = ApproxProblem(Target.sqrt(), domain)
+        assert np.array_equal(fit(problem, spec, coarse)[0].coeffs,
+                              fit(problem, spec, wide)[0].coeffs)
 
 
 def test_grid_points_read_only():

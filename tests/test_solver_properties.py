@@ -14,9 +14,10 @@ from lightningfit import (ApproxProblem, Approximant, BasisSpec, Domain,
                           EvaluationError, PoleSet, Target, build_fit_grid,
                           build_validation_grid, eval_target, evaluate, fit,
                           tapered_poles, tsvd_solve)
-from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _fold_into,
-                                  _pf_kernel, _poly_chain_build,
-                                  _poly_chain_eval, _solve_r, _write_system)
+from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _pf_kernel,
+                                  _poly_chain_build, _poly_chain_eval,
+                                  _solve_r, _write_partial_fractions,
+                                  _write_system)
 
 
 def reference_tsvd(a, f, eps_rel):
@@ -98,9 +99,10 @@ def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, s
 def test_folded_solve_matches_complex_tsvd_of_unfolded_system(h, n, rank_frac,
                                                               seed):
     """The conjugate-symmetric system [S; conj S] c = [f; conj f], written
-    as fit writes a V-domain fit, the real [Re S; Im S | Re f; Im f], and
-    solved in real arithmetic, against the complex truncated SVD of the
-    whole system.  The folded matrix has the singular values of
+    as fit writes a V-domain fit, each row of [S | f] as its real row over
+    its imaginary row, and solved in real arithmetic, against the complex
+    truncated SVD of the whole system.  The folded matrix, a row
+    permutation of `folded`, has the singular values of
     test_tsvd_matches_reference_truncated_svd, the whole one those times
     sqrt(2): the same wide gap around the cut."""
     rng = np.random.default_rng(seed)
@@ -113,8 +115,8 @@ def test_folded_solve_matches_complex_tsvd_of_unfolded_system(h, n, rank_frac,
     arm = folded[:h] + 1j * folded[h:]
     f_arm = rng.standard_normal(h) + 1j * rng.standard_normal(h)
     system = np.empty((2 * h, n + 1))
-    _fold_into(system[:, :n], arm)
-    _fold_into(system[:, n], f_arm)
+    system[0::2, :n], system[1::2, :n] = arm.real, arm.imag
+    system[:, n] = f_arm.view(float)
     coeffs, got_rank = _solve_r(_factor(system), n, DEFAULT_TSVD_EPS)
     ref, ref_rank = reference_tsvd(np.concatenate([arm, arm.conj()]),
                                    np.concatenate([f_arm, f_arm.conj()]),
@@ -129,16 +131,21 @@ def test_folded_solve_matches_complex_tsvd_of_unfolded_system(h, n, rank_frac,
        per_arm=st.integers(30, 2000), decades=st.floats(1.0, 16.0))
 def test_folded_arnoldi_block_is_orthonormal_on_the_whole_grid(beta, degree,
                                                                per_arm, decades):
-    """Built on the upper arm in the inner product 2 Re<u, v>, the block has
-    real recurrence coefficients, and re-evaluated on the whole grid it is
+    """Built on the upper arm in the inner product 2 Re<u, v>, the block is
+    real rows, each point's real part over its imaginary part, with real
+    recurrence coefficients, and re-evaluated on the whole grid it is
     orthonormal there and conjugate-symmetric bit for bit."""
     grid = build_fit_grid(Domain(beta), per_arm=per_arm, decades=decades)
     q, hess, norm0 = _poly_chain_build(grid.arm, degree)
-    assert hess.dtype == np.float64
+    assert q.dtype == hess.dtype == np.float64
+    assert q.shape == (2 * per_arm, degree + 1)
     w = _poly_chain_eval(grid.points, hess, norm0)
-    assert np.array_equal(w[:per_arm], q)
-    assert np.array_equal(w[per_arm:], q.conj())
-    assert np.max(np.abs(w.conj().T @ w - np.eye(degree + 1))) <= 1e-12
+    assert w.dtype == np.float64
+    assert np.array_equal(w[:2 * per_arm], q)
+    assert np.array_equal(w[2 * per_arm::2], q[0::2])
+    assert np.array_equal(w[2 * per_arm + 1::2], -q[1::2])
+    values = w[0::2] + 1j * w[1::2]
+    assert np.max(np.abs(values.conj().T @ values - np.eye(degree + 1))) <= 1e-12
 
 
 VSHAPE_TARGETS = [Target.sqrt(), Target.power(0.3), Target.power(1.0 / 1.5),
@@ -187,8 +194,9 @@ def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
 @example(beta=0.0, n1=1, sigma=3.0, degree=9, per_arm=60, target=Target.sqrt())
 def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
                                                      per_arm, target):
-    """evaluate on the fit grid's upper arm, folded to [Re; Im], against the
-    rows of the system the fit solved.  Basis entries are at most 1 in
+    """evaluate on the fit grid's upper arm, viewed as real rows (each
+    value's real part, then its imaginary part), against the rows of the
+    system the fit solved.  Basis entries are at most 1 in
     modulus, so two summation orders of a value differ by rounding on the
     scale of the coefficients' 1-norm."""
     domain = Domain(beta)
@@ -196,8 +204,7 @@ def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
     spec = BasisSpec(clustered=tapered_poles(n1, sigma), poly_degree=degree)
     approx, _ = fit(ApproxProblem(target, domain), spec, grid=grid)
     direct = _write_system(grid, spec)[0] @ approx.coeffs
-    values = np.empty(len(grid))
-    _fold_into(values, evaluate(approx, grid.arm))
+    values = evaluate(approx, grid.arm).view(float)
     scale = max(1.0, float(np.abs(approx.coeffs).sum()))
     assert np.max(np.abs(values - direct)) <= 1e-13 * scale
 
@@ -244,7 +251,9 @@ def test_kernel_raises_exactly_at_a_pole(log_poles, hit):
 def test_kernel_outside_the_normal_range_of_d_is_complex_division():
     """Within 1e-170 of a pole D underflows, and at |z| = 1e170 it
     overflows: those points take numpy's complex division, neither inf,
-    nan nor 0, and evaluate gives the same values."""
+    nan nor 0; evaluate gives the same values, and the system's rows, each
+    point's real row then its imaginary row, hold them divided by the
+    column scales."""
     poles = -np.array([1e-3, 0.5, 2.0])
     z = np.array([poles[1] + 1e-170 * np.exp(0.3j), poles[2] - 1e-170j,
                   1e170 * np.exp(0.7j), -1e170 + 1e150j, 0.25 + 0.5j])
@@ -253,6 +262,11 @@ def test_kernel_outside_the_normal_range_of_d_is_complex_division():
     assert np.all(np.isfinite(got)) and np.all(got != 0)
     assert np.array_equal(got[:4], ref[:4])
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    rows = np.empty((2 * len(z), len(poles)))
+    scaled = ref / _write_partial_fractions(rows, z, poles)
+    assert np.array_equal(rows[0:8:2], scaled[:4].real)
+    assert np.array_equal(rows[1:8:2], scaled[:4].imag)
+    assert np.all(np.abs(rows[8] + 1j * rows[9] - scaled[4]) <= 1e-14 * np.abs(scaled[4]))
     approx = Approximant(BasisSpec(clustered=PoleSet(poles, "test"),
                                    poly_degree=-1),
                          np.ones(3), None, None, np.array([1.0, -2.0, 3.0]))
