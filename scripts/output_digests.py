@@ -31,6 +31,7 @@ EXTRA_ARGVS = (
     ("grid", "--grid-points", "8"),
     ("fit", "--grid-points", "10"),
     ("fit", "--beta", "1.0"),
+    ("vshape", "--grid-points", "1"),
 )
 
 

@@ -22,34 +22,30 @@ at the largest degree with the polynomial columns last, R's leading
 n1 + d + 1 columns solve degree d, exactly in exact arithmetic, because
 Householder QR factors every column prefix by the leading block of R.
 
-Every problem here is conjugate-symmetric: the poles are real, the
-targets satisfy f(conj z) = conj f(z), and a V-domain grid is
-[arm, conj(arm)].  So a V-domain fit is solved as a real problem on the
-upper arm.  The row map (s(z), s(conj z)) -> (sqrt(2) Re s(z),
-sqrt(2) Im s(z)) is unitary, so the complex system over the whole grid
-and the real system over the arm, each point's real row followed by its
-imaginary row, have the same singular values up to one common factor
+Every problem here is conjugate-symmetric: the poles are real and the
+targets satisfy f(conj z) = conj f(z).  So a V-domain grid holds only its
+upper arm, and each complex point stands for itself and its mirror image
+(_weight decides that once, for the inner product, the row count and the
+residual norm).  The row map (s(z), s(conj z)) -> (sqrt(2) Re s(z),
+sqrt(2) Im s(z)) is unitary, so the complex system over both arms and
+the real system over the upper arm, each point's real row followed by
+its imaginary row, have the same singular values up to one common factor
 sqrt(2), hence the same truncation rank and the same minimum-norm
 solution, which is real.  That row order is the memory layout of a
 complex128 array, so values.view(float) is a column of the system; on
-the interval, where the arm is the whole grid, it is the identity.  The
-polynomial block is real rows in this layout, orthogonalized on the arm
-by the real projection Q^T v, half of 2 Re<u, v>, the whole grid's inner
-product for conjugate-symmetric columns: its recurrence coefficients are
-real, its symmetry is exact, and every BLAS product of a fit is real.
-The system holds half the numbers of the complex one.  With real
-coefficients the approximant is conjugate-symmetric bit for bit, so
-validation evaluates on the upper arm of the validation grid only, and
-its maximum error is exactly the maximum over the whole grid; the
-residual norm is reported over the whole grid, sqrt(2) times that of
-the folded residual.
+the interval it is the identity.  The polynomial block is real rows in
+this layout, orthogonalized by the real projection 2 Q^T v, which is
+2 Re<u, v> over the arm, both arms' inner product for conjugate-symmetric
+columns: its recurrence coefficients are real, its symmetry is exact,
+and every BLAS product of a fit is real.  With real coefficients the approximant is
+conjugate-symmetric bit for bit, so its maximum error on the upper arm is
+exactly that over both arms; the residual norm is reported over both.
 
-What does not depend on the poles is computed once per `fit_nested`
-call, whatever the poles of its specs: the target values, the polynomial
-block on the fit grid and its values on the validation grid, all on the
-upper arm.  The degree-d block is an exact prefix of the degree-D one,
-so a lower degree is a slice, bit for bit what a build at that degree
-gives.  The call holds it, not the grids, which hold only their points.
+`fit_nested` computes what does not depend on the poles once, before any
+fit: the target on both grids and the polynomial block on both, at the
+largest degree any spec asks for and the grid carries.  The degree-d
+block is an exact prefix of the degree-D one, so a lower degree is a
+slice, bit for bit what a build at that degree gives.
 An approximant is its partial-fraction scales, its polynomial recurrence
 and its coefficients; it holds no grid.  Evaluation is matrix-free: the
 polynomial block at the points times its coefficients, plus the partial
@@ -74,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -131,22 +126,29 @@ class BasisSpec:
         return len(self.finite_poles) + max(self.poly_degree, 0)
 
 
+def _weight(pts: np.ndarray) -> int:
+    """How many points each of pts stands for: a complex point (on a
+    V-domain's upper arm) itself and its mirror image, a real one itself."""
+    return 2 if np.iscomplexobj(pts) else 1
+
+
 def _poly_chain_build(arm: np.ndarray, degree: int):
-    """Orthonormal polynomial columns on a grid, degrees 0..degree, from
-    the grid's upper arm (see SampleGrid.arm), as real rows in the
-    system's layout (see _write_system).
+    """Orthonormal polynomial columns on a grid's points, degrees 0..degree,
+    as real rows in the system's layout (see _write_system), up to where
+    the recurrence breaks down: a block that stops at degree k < degree
+    is all the grid carries.
 
     Returns (Q, hess, norm0) where hess holds the real recurrence
     coefficients (including one full reorthogonalization pass folded in),
     norm0 is the normalization of the constant column, and Q holds the
-    recurrence's values on the arm, bit for bit what _poly_chain_eval
+    recurrence's values on the points, bit for bit what _poly_chain_eval
     gives there, so that the fit and every later evaluation use the same
     basis functions.  The columns are orthonormal over the whole grid: on
     a real grid in the plain inner product, on a complex one, where the
     real recurrence makes every column conjugate-symmetric, in
     2 Re<u, v> over the arm.
     """
-    weight = 2.0 if np.iscomplexobj(arm) else 1.0  # len(grid) / len(arm)
+    weight = _weight(arm)
     norm0 = math.sqrt(weight * len(arm))
     q = np.empty((arm.view(float).size, degree + 1))
     hess = np.zeros((degree + 1, degree))
@@ -159,7 +161,7 @@ def _poly_chain_build(arm: np.ndarray, degree: int):
             hess[: k + 1, k] += proj
         nrm = math.sqrt(weight) * np.linalg.norm(v)
         if nrm == 0.0:
-            raise NumericError("grid cannot support the requested polynomial degree")
+            return q[:, :k + 1], hess[:k + 1, :k], norm0
         hess[k + 1, k] = nrm
         col = _chain_step(arm, q, hess, k, col)
     return q, hess, norm0
@@ -296,24 +298,23 @@ def _check_scales(scales: np.ndarray):
 
 
 def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None,
-                  poly=None):
+                  block: np.ndarray | None = None):
     """(system, pf_scales): the real system [PF | Q | f] in one C-order
-    array, f (the target on the upper arm) only if given.  It has
-    len(grid) rows: on a V-domain each upper-arm point's real part, then
-    its imaginary part (values.view(float)); on the interval the columns
-    themselves.  poly(degree) gives the polynomial block, by default
-    built here."""
-    if spec.poly_degree >= len(grid):
-        raise InputError(f"polynomial degree {spec.poly_degree} needs more than "
-                         f"the grid's {len(grid)} points")
+    array, f (the target on the grid) only if given.  Its rows are on a
+    V-domain each point's real part, then its imaginary part
+    (values.view(float)); on the interval the columns themselves.  Q is
+    the leading columns of the polynomial block, by default built
+    here."""
     poles, n = spec.finite_poles, spec.n_columns
-    system = np.empty((len(grid), n + (0 if fvec is None else 1)))
+    rows = _weight(grid.points) * len(grid)
+    system = np.empty((rows, n + (0 if fvec is None else 1)))
     scales = np.empty(0)
     if len(poles):
-        scales = _write_partial_fractions(system[:, :len(poles)], grid.arm, poles)
+        scales = _write_partial_fractions(system[:, :len(poles)], grid.points, poles)
     if spec.poly_degree >= 0:
-        poly = poly or (lambda degree: _poly_chain_build(grid.arm, degree))
-        system[:, len(poles):n] = poly(spec.poly_degree)[0]
+        if block is None:
+            block = _poly_chain_build(grid.points, spec.poly_degree)[0]
+        system[:, len(poles):n] = block[:, :spec.poly_degree + 1]
     if fvec is not None:
         system[:, n] = fvec.view(float)
     return system, scales
@@ -351,6 +352,8 @@ def tsvd_solve(a: np.ndarray, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
     minimum norm, keeping singular values >= eps_rel * s_max."""
     _check_eps(eps_rel)
     a, f = np.asarray(a), np.asarray(f)
+    if a.ndim != 2 or a.size == 0:
+        raise InputError(f"the matrix must be 2-D and non-empty, got shape {a.shape}")
     if a.shape[0] != len(f):
         raise InputError("matrix and data lengths differ")
     return _solve_r(_factor(np.column_stack([a, f])), a.shape[1], eps_rel)
@@ -423,33 +426,21 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
 
 def evaluate(approx: Approximant, pts) -> np.ndarray:
     """Evaluate the approximant; raises if a point coincides with a pole.
-    Real input is evaluated as float64, complex input as complex128."""
+    Input of any shape: real as float64, complex as complex128."""
     pts = np.asarray(pts)
-    flat = np.ascontiguousarray(np.atleast_1d(pts),
+    flat = np.ascontiguousarray(pts.ravel(),
                                 dtype=complex if np.iscomplexobj(pts) else float)
     poly = None if approx.hess is None else \
         _poly_chain_eval(flat, approx.hess, approx.norm0)
-    out = _approximant_values([approx], flat, [poly])[0]
-    return out[0] if pts.ndim == 0 else out
-
-
-def _max_errors(approxes, shared: _Shared) -> list:
-    """Max modulus deviations from the target on the validation grid's
-    upper arm of approximants sharing their poles."""
-    polys = [None if a.hess is None else shared.poly_at_validation(a.spec.poly_degree)
-             for a in approxes]
-    return [float(np.max(np.abs(v - shared.vvec)))
-            for v in _approximant_values(approxes, shared.vgrid.arm, polys)]
+    return _approximant_values([approx], flat, [poly])[0].reshape(pts.shape)[()]
 
 
 def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
-    """Max modulus deviation from the target over the grid.
-
-    Evaluated on the grid's upper arm: the approximant and the target are
-    conjugate-symmetric bit for bit, so the lower arm repeats its values.
-    """
-    return float(np.max(np.abs(evaluate(approx, grid.arm)
-                               - eval_target(target, grid.arm))))
+    """Max modulus deviation from the target over the grid, and on a
+    V-domain over its mirror image too: the approximant and the target are
+    conjugate-symmetric bit for bit, so the mirror repeats their values."""
+    return float(np.max(np.abs(evaluate(approx, grid.points)
+                               - eval_target(target, grid.points))))
 
 
 def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
@@ -473,14 +464,17 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
                validation_grid: SampleGrid | None = None) -> list:
     """Fit every spec of a sweep on the same grids, whatever its poles.
 
-    The work that does not depend on the poles is done once per call (see
-    _Shared).  Specs that share their finite poles form a group: one
-    system, written and factored once at the group's largest degree D,
-    solves every degree in it, and one validation pass serves them all.
-    Returns per spec `fit`'s (Approximant, FitReport) or the LightningError
-    it raised; if a group's degree-D system fails, its degree-D specs fail
-    and its others are fitted alone.  An eps_rel that is not positive
-    raises InputError before any group runs.
+    What does not depend on the poles is computed first, once: the target
+    on both grids and the polynomial block on both, at the largest degree
+    any spec asks for and the fit grid carries.  That decides each spec's
+    degree failure: InputError at a degree the grid's rows cannot carry,
+    NumericError past a breakdown of the recurrence.  The other specs that
+    share their finite poles form a group: one system, written and
+    factored once at the group's largest degree, solves every degree in
+    it, and one validation pass serves them all.  Returns per spec `fit`'s
+    (Approximant, FitReport) or the LightningError it raised.  An eps_rel
+    that is not positive, or a grid on another domain than the problem's,
+    raises InputError before any fit.
     """
     _check_eps(eps_rel)
     specs = list(specs)
@@ -488,60 +482,51 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
         grid = build_fit_grid(problem.domain)
     if validation_grid is None:
         validation_grid = build_validation_grid(problem.domain, decades=grid.decades)
-    shared = _Shared(problem.target, grid, validation_grid)
-    # groups in order of their largest degree, so the block is built once
-    groups = {}
-    for i in sorted(range(len(specs)), key=lambda i: -specs[i].poly_degree):
-        groups.setdefault(specs[i].finite_poles.tobytes(), []).append(i)
-    results = {}
+    for g in (grid, validation_grid):
+        if g.domain != problem.domain:
+            raise InputError(f"a grid on beta = {g.domain.beta} cannot fit a "
+                             f"problem on beta = {problem.domain.beta}")
+    rows = _weight(grid.points) * len(grid)
+    carried = max((s.poly_degree for s in specs if s.poly_degree < rows), default=-1)
+    chain = (None, None, None)
+    if carried >= 0:
+        chain = _poly_chain_build(grid.points, carried)
+        carried = chain[1].shape[1]  # lower where the recurrence broke down
+    fvec, vpts = eval_target(problem.target, grid.points), validation_grid.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        validation = (vpts, eval_target(problem.target, vpts),
+                      None if carried < 0 else _poly_chain_eval(vpts, *chain[1:]))
+    results, groups = [None] * len(specs), {}
+    for i, spec in enumerate(specs):
+        if spec.poly_degree >= rows:
+            results[i] = InputError(f"polynomial degree {spec.poly_degree} needs "
+                                    f"more than the grid's {rows} points")
+        elif spec.poly_degree > carried:
+            results[i] = NumericError("grid cannot support the requested polynomial degree")
+        else:
+            groups.setdefault(spec.finite_poles.tobytes(), []).append(i)
     for group in groups.values():
-        results.update(zip(group, _fit_group(problem, [specs[i] for i in group],
-                                             shared, eps_rel)))
-    return [results[i] for i in range(len(specs))]
+        fits = _fit_group(problem, [specs[i] for i in group], grid, eps_rel, fvec,
+                          chain, validation)
+        for i, result in zip(group, fits):
+            results[i] = result
+    return results
 
 
-class _Shared:
-    """What one fit_nested call computes once for all its specs, on the
-    grids' upper arms: the target on both grids, the polynomial block on
-    the fit grid and its values on the validation grid, each at the
-    largest degree asked for so far; a lower degree reads a prefix."""
-
-    def __init__(self, target: Target, grid: SampleGrid, vgrid: SampleGrid):
-        self.target, self.grid, self.vgrid = target, grid, vgrid
-        self.fvec = eval_target(target, grid.arm)
-        self._block = self._at_validation = None
-
-    @cached_property
-    def vvec(self) -> np.ndarray:
-        """The target on the validation grid, evaluated at the first validation."""
-        return eval_target(self.target, self.vgrid.arm)
-
-    def poly(self, degree: int):
-        """(Q, hess, norm0) of the chain up to degree, Q on the fit grid."""
-        if self._block is None or self._block[1].shape[1] < degree:
-            self._block = _poly_chain_build(self.grid.arm, degree)
-        q, hess, norm0 = self._block
-        return q[:, :degree + 1], hess[:degree + 1, :degree], norm0
-
-    def poly_at_validation(self, degree: int):
-        """The chain up to degree on the validation grid."""
-        if self._at_validation is None or self._at_validation.shape[1] <= degree:
-            _, hess, norm0 = self.poly(degree)
-            self._at_validation = _poly_chain_eval(self.vgrid.arm, hess, norm0)
-        return self._at_validation[:, :degree + 1]
-
-
-def _fit_group(problem: ApproxProblem, specs, shared: _Shared,
-               eps_rel: float) -> list:
-    """fit_nested's results for specs that share their finite poles, the
-    largest degree first."""
-    grid, top = shared.grid, specs[0]
+def _fit_group(problem: ApproxProblem, specs, grid: SampleGrid, eps_rel: float,
+               fvec: np.ndarray, chain, validation) -> list:
+    """fit_nested's results for specs that share their finite poles and
+    whose degrees the grid carries, all from one system at their largest
+    degree.  fvec is the target on the fit grid, chain the polynomial
+    block there with its recurrence (Q, hess, norm0), and validation the
+    validation grid's points with the target and the block on them."""
+    (q, hess, norm0), (vpts, vvec, vq) = chain, validation
     try:
-        system, scales = _write_system(grid, top, shared.fvec, shared.poly)
+        system, scales = _write_system(
+            grid, max(specs, key=lambda s: s.poly_degree), fvec, q)
         r = _factor(system)
     except LightningError as exc:
-        return [exc if s.poly_degree == top.poly_degree
-                else _fit_group(problem, [s], shared, eps_rel)[0] for s in specs]
+        return [exc] * len(specs)
     results, solved = [None] * len(specs), {}
     for i, spec in enumerate(specs):
         try:
@@ -549,15 +534,18 @@ def _fit_group(problem: ApproxProblem, specs, shared: _Shared,
         except NumericError as exc:
             results[i] = exc
             continue
-        _, hess, norm0 = shared.poly(spec.poly_degree) if spec.poly_degree >= 0 \
-            else (None,) * 3
-        solved[i] = (Approximant(spec, scales, hess, norm0, coeffs), rank)
+        d = spec.poly_degree
+        recurrence = (hess[:d + 1, :d], norm0) if d >= 0 else (None, None)
+        solved[i] = (Approximant(spec, scales, *recurrence, coeffs), rank)
+    approxes = [a for a, _ in solved.values()]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            errs = _max_errors([a for a, _ in solved.values()], shared) if solved else []
+            values = _approximant_values(approxes, vpts, [
+                None if a.hess is None else vq[:, :a.spec.poly_degree + 1]
+                for a in approxes]) if approxes else []
+            errs = [float(np.max(np.abs(v - vvec))) for v in values]
     except LightningError as exc:
         errs = [exc] * len(solved)
-    fold = math.sqrt(len(grid) / len(grid.arm))  # whole-grid norm of folded rows
     for (i, (a, rank)), err in zip(solved.items(), errs):
         spec, clustered = specs[i], specs[i].clustered
         params = {} if clustered is None else clustered.params
@@ -568,7 +556,7 @@ def _fit_group(problem: ApproxProblem, specs, shared: _Shared,
         else:
             results[i] = (a, FitReport(
                 max_err=err,
-                resid_2norm=fold * float(np.linalg.norm(
+                resid_2norm=math.sqrt(_weight(grid.points)) * float(np.linalg.norm(
                     system[:, :spec.n_columns] @ a.coeffs - system[:, -1])),
                 coeff_2norm=float(np.linalg.norm(a.coeffs)),
                 eff_rank=rank,

@@ -47,17 +47,19 @@ class PoleSet:
 def _check_counts(n: int, sigma: float | None = None, scale: float | None = None):
     if n < 1:
         raise InputError(f"need at least one pole, got {n}")
-    if sigma is not None and not sigma > 0:
-        raise InputError(f"sigma must be positive, got {sigma}")
-    if scale is not None and not scale > 0:
-        raise InputError(f"scale must be positive, got {scale}")
+    for name, value in (("sigma", sigma), ("scale", scale)):
+        if value is not None and not value > 0:
+            raise InputError(f"{name} must be positive, got {value}")
+        if value == math.inf:
+            raise InputError(f"{name} must be finite, got {value}")
 
 
 def uniform_poles(n1: int, sigma: float, scale: float = 1.0) -> PoleSet:
     """Exponentially spaced poles with uniform log-gap sigma/sqrt(N1)."""
     _check_counts(n1, sigma, scale)
     j = np.arange(n1)
-    p = -scale * np.exp(-sigma * j / math.sqrt(n1))
+    with np.errstate(over="ignore"):  # PoleSet reports poles that underflow
+        p = -scale * np.exp(-sigma * j / math.sqrt(n1))
     return PoleSet(p, "uniform", {"n1": n1, "sigma": sigma, "scale": scale})
 
 
@@ -68,7 +70,8 @@ def tapered_poles(n1: int, sigma: float, scale: float = 1.0) -> PoleSet:
     """
     _check_counts(n1, sigma, scale)
     j = np.arange(1, n1 + 1)
-    p = -scale * np.exp(-sigma * (math.sqrt(n1) - np.sqrt(j)))
+    with np.errstate(over="ignore"):  # PoleSet reports poles that underflow
+        p = -scale * np.exp(-sigma * (math.sqrt(n1) - np.sqrt(j)))
     return PoleSet(p, "tapered", {"n1": n1, "sigma": sigma, "scale": scale})
 
 

@@ -5,7 +5,8 @@ the principal branch.  Domains are the unit interval [0, 1] or a V-shaped
 pair of arms r exp(+-i beta pi / 2), r in (0, 1], with opening parameter
 beta in [0, 2); beta = 0 degenerates to the interval.  Grids are
 exponentially spaced in radius so that the clustering of the singularity
-at 0 is resolved down to 1e-16.
+at 0 is resolved down to 1e-16.  A V-domain grid holds its upper arm
+only: the targets are conjugate-symmetric, so it stands for both arms.
 """
 
 from __future__ import annotations
@@ -128,13 +129,11 @@ class ApproxProblem:
 class SampleGrid:
     """Immutable point set with its construction parameters.
 
-    Complex points are laid out as [arm, conj(arm)]: the upper arm, then
-    its mirror image point for point.  Fits on a V-domain use that layout
-    to work on the upper arm alone (see `fitting`), so it is checked here;
-    `fitting` reads the arm as real rows, so the points are held as a
-    contiguous float64 or complex128 array.
-    A grid holds nothing computed from its points: what fits share is
-    computed once per `fitting.fit_nested` call.
+    Complex points are a V-domain's upper arm, and each stands for itself
+    and its mirror image (see `fitting`).  `fitting` reads the points as
+    real rows, so they are held as a contiguous float64 or complex128
+    array.  A grid holds nothing computed from its points: what fits
+    share is computed once per `fitting.fit_nested` call.
     """
 
     points: np.ndarray
@@ -146,22 +145,9 @@ class SampleGrid:
         object.__setattr__(self, "points", np.ascontiguousarray(
             self.points, dtype=complex if np.iscomplexobj(self.points) else float))
         self.points.flags.writeable = False
-        if np.iscomplexobj(self.points):
-            half, odd = divmod(len(self.points), 2)
-            if odd or not np.array_equal(self.points[half:],
-                                         np.conj(self.points[:half])):
-                raise InputError("a complex grid must be laid out as "
-                                 "[arm, conj(arm)]")
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def arm(self) -> np.ndarray:
-        """The upper arm: the first half of a complex grid, all of a real one."""
-        if np.iscomplexobj(self.points):
-            return self.points[:len(self.points) // 2]
-        return self.points
 
 
 def _radii(decades: float, per_arm: int) -> np.ndarray:
@@ -186,14 +172,11 @@ def build_fit_grid(domain: Domain, decades: float = 16.0,
                    per_arm: int = 2000) -> SampleGrid:
     """Log-spaced grid over `decades` decades of radius, densest near 0.
 
-    On the interval the points are real; on a V-domain each arm gets
-    `per_arm` points and the set is closed under conjugation.
+    On the interval the points are real; on a V-domain they are the
+    upper arm's `per_arm` points, which stand for both arms.
     """
-    pts = domain.arm_point(_radii(decades, per_arm))
-    if domain.beta != 0.0:
-        pts = np.concatenate([pts, np.conj(pts)])
-    return SampleGrid(points=pts, domain=domain, decades=float(decades),
-                      per_arm=per_arm)
+    return SampleGrid(points=domain.arm_point(_radii(decades, per_arm)),
+                      domain=domain, decades=float(decades), per_arm=per_arm)
 
 
 def build_validation_grid(domain: Domain, per_arm: int = 10000,

@@ -182,6 +182,20 @@ def test_bad_sweep_arguments_exit_1(capsys, argv):
     assert err.count("input error:") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit", "--sigma", "inf"),
+    ("fit", "--sigma", "1e308"),
+    ("grid", "--sigma", "inf"),
+])
+def test_sigma_beyond_float_range_exit_1(capsys, argv):
+    # inf is refused, and 1e308 overflows the ladder's exponent so that the
+    # poles underflow to -0.0: one input error line, no numpy warning
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
     # 60 points carry degree 59 only in exact arithmetic: validation overflows
     code, out, err = run_cli(capsys, "fit", "--grid-points", "60", "--n1", "4",

@@ -7,12 +7,13 @@ to survive BLAS/libm variation but tight enough to catch real regressions.
 """
 
 import cmath
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from lightningfit import contour, trapezoid
+from lightningfit import contour, fitting, trapezoid
 from lightningfit.contour import ContourSetup, check_conjecture_bound
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
@@ -247,21 +248,35 @@ def test_grid_rows_do_not_depend_on_degree_order():
     assert sorted(rows) == sorted(run_grid(n1_list=(16,), n2_list=(15, 9, 5, 2)).rows)
 
 
-def test_group_beyond_the_grid_fails_only_its_rows():
-    """The system of the largest degree cannot be built, so those rows fail
-    and every other degree is fitted alone, bit for bit a standalone fit."""
+def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch):
+    """Degrees the grid's 40 points cannot carry fail their rows; the other
+    degrees are solved from the group's one factorization, bit for bit a
+    call without the failed specs, on one build of the polynomial block
+    and one evaluation of it on the validation grid."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((np.linalg, "qr"), (fitting, "_poly_chain_build"),
+                         (fitting, "_poly_chain_eval")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     tab = run_grid(n1_list=(4,), n2_list=(3, 45, 5, 40), per_arm=40)
+    assert calls == {"qr": 1, "_poly_chain_build": 1, "_poly_chain_eval": 1}
+    monkeypatch.undo()
     statuses = tab.column("status")
     assert [s == "" for s in statuses] == [True, False, True, False]
     assert all("needs more than the grid's 40 points" in s for s in statuses[1::2])
     domain = Domain.unit_interval()
     problem = ApproxProblem(Target.power(tab.meta["alpha"]), domain)
-    for n2, err in zip((3, 5), tab.column("max_err")[::2]):
-        spec = BasisSpec(clustered=tapered_poles(4, tab.meta["sigma"], 1.0),
-                         poly_degree=n2)
-        _, rep = fit(problem, spec, grid=build_fit_grid(domain, per_arm=40),
-                     validation_grid=build_validation_grid(domain))
-        assert err == rep.max_err
+    specs = [BasisSpec(clustered=tapered_poles(4, tab.meta["sigma"], 1.0),
+                       poly_degree=n2) for n2 in (3, 5)]
+    feasible = fit_nested(problem, specs, grid=build_fit_grid(domain, per_arm=40),
+                          validation_grid=build_validation_grid(domain))
+    assert tab.column("max_err")[::2] == [rep.max_err for _, rep in feasible]
 
 
 def test_grid_n1_whose_poles_underflow_fails_only_its_rows():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from lightningfit import (ApproxProblem, BasisSpec, Domain, InputError,
-                          NumericError, Target, big_poles, build_fit_grid,
-                          build_validation_grid, eval_target, evaluate, fit,
-                          max_error, tapered_poles, tsvd_solve, uniform_poles)
+                          NumericError, SampleGrid, Target, big_poles,
+                          build_fit_grid, build_validation_grid, eval_target,
+                          evaluate, fit, max_error, tapered_poles, tsvd_solve,
+                          uniform_poles)
 from lightningfit import fitting
 from lightningfit.experiments import run_fit, run_grid
 from lightningfit.fitting import (_poly_chain_build, _poly_chain_eval,
@@ -61,7 +62,7 @@ def test_polynomial_reevaluation_matches_grid():
     """The recurrence re-evaluated at the grid reproduces the system's columns."""
     grid = build_fit_grid(Domain.unit_interval(), per_arm=300)
     system = _write_system(grid, BasisSpec(poly_degree=10))[0]
-    _, hess, norm0 = _poly_chain_build(grid.arm, 10)
+    _, hess, norm0 = _poly_chain_build(grid.points, 10)
     again = _poly_chain_eval(grid.points, hess, norm0)
     assert np.max(np.abs(again - system)) < 1e-13
 
@@ -114,6 +115,20 @@ def test_evaluate_reads_input_as_its_contiguous_copy():
                               evaluate(approx, np.array([0.0, 1.0, 2.0])))
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_evaluate_keeps_the_input_shape(beta):
+    """A (2, 2) input gives the values of its raveled 1-D call bit for bit,
+    in the input's shape."""
+    approx, _ = fit(ApproxProblem(Target.sqrt(), Domain(beta)),
+                    BasisSpec(clustered=tapered_poles(8, 4.0), poly_degree=5),
+                    grid=build_fit_grid(Domain(beta), per_arm=300))
+    z = build_validation_grid(Domain(beta), per_arm=4).points.reshape(2, 2)
+    values = evaluate(approx, z)
+    assert values.shape == (2, 2)
+    assert np.array_equal(values.ravel(), evaluate(approx, z.ravel()))
+    assert np.array_equal(approx(z), values)
+
+
 def test_evaluate_rejects_point_on_pole():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=50)
     spec = BasisSpec(clustered=tapered_poles(4, 2.0), poly_degree=-1)
@@ -152,6 +167,9 @@ def test_tsvd_input_validation():
         tsvd_solve(a, np.ones(3), eps_rel=0.0)
     with pytest.raises(NumericError):
         tsvd_solve(np.zeros((3, 3)), np.ones(3))
+    for shape in ((5,), (0, 2), (5, 0)):
+        with pytest.raises(InputError):
+            tsvd_solve(np.ones(shape), np.ones(shape[0]))
 
 
 def test_tsvd_rejects_non_finite_input():
@@ -257,11 +275,12 @@ def test_max_error_agrees_with_direct_computation(beta, degree):
 def test_constant_column_is_exact(beta):
     grid = build_fit_grid(Domain(beta), per_arm=300)
     system = _write_system(grid, BasisSpec(poly_degree=0))[0]
-    per_point = len(grid) // len(grid.arm)  # rows per arm point: Re, then Im
-    assert np.all(system[::per_point] == 1.0 / math.sqrt(len(grid)))
+    per_point = len(system) // len(grid)  # rows per arm point: Re, then Im
+    assert per_point == (2 if beta else 1)
+    assert np.all(system[::per_point] == 1.0 / math.sqrt(len(system)))
     if beta:
         assert np.all(system[1::2] == 0.0)
-    _, hess, norm0 = _poly_chain_build(grid.arm, 0)
+    _, hess, norm0 = _poly_chain_build(grid.points, 0)
     assert np.all(_poly_chain_eval(np.array([0.25, 0.5]), hess, norm0)
                   == system[0])
 
@@ -383,7 +402,7 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
 
 
 def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
-    """A V-domain fit factors one real system of len(grid) rows, the
+    """A V-domain fit factors one real system of 2 len(grid) rows, the
     real and imaginary parts of its columns on the upper arm, and builds
     partial fractions in real arithmetic on the upper arms of its grids
     only."""
@@ -409,12 +428,13 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
     domain = Domain.vshape(1.0)
     grid, vgrid = _grids(domain)
     approx, report = _fit_on(ApproxProblem(Target.sqrt(), domain), 8, grid, vgrid)
-    assert factored == [(np.dtype(np.float64), (len(grid), 12 + 9 + 1))]
-    assert sum(kernel_points) == len(grid) // 2 + len(vgrid) // 2
+    assert factored == [(np.dtype(np.float64), (2 * len(grid), 12 + 9 + 1))]
+    assert sum(kernel_points) == len(grid) + len(vgrid)
     assert complex_pf == []  # no point is near enough a pole to need it
     assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
-    # the residual norm is still the whole grid's
-    whole = evaluate(approx, grid.points) - eval_target(Target.sqrt(), grid.points)
+    # the residual norm is both arms'
+    z = np.concatenate([grid.points, np.conj(grid.points)])
+    whole = evaluate(approx, z) - eval_target(Target.sqrt(), z)
     assert report.resid_2norm == pytest.approx(np.linalg.norm(whole), rel=1e-8)
 
 
@@ -443,6 +463,29 @@ def test_polynomial_degree_must_fit_the_grid():
     grid = build_fit_grid(Domain.unit_interval(), per_arm=20)
     with pytest.raises(InputError):
         fit(SQRT_PROBLEM, BasisSpec(poly_degree=20), grid=grid)
+
+
+def test_degree_failures_are_decided_per_spec():
+    """On ten equal points the recurrence breaks down after the constant:
+    degree 0 fits, degree 3 fails past the breakdown and degree 12 at the
+    grid's size, each in its own slot of the one call."""
+    grid = SampleGrid(points=np.full(10, 0.5), domain=Domain(0.0), decades=16.0,
+                      per_arm=10)
+    constant, past, beyond = fit_nested(
+        SQRT_PROBLEM, [BasisSpec(poly_degree=d) for d in (0, 3, 12)], grid)
+    assert (constant[1].max_err, constant[1].eff_rank) == (0.7071067711865476, 1)
+    assert type(past) is NumericError
+    assert str(past) == "grid cannot support the requested polynomial degree"
+    assert type(beyond) is InputError
+    assert str(beyond) == "polynomial degree 12 needs more than the grid's 10 points"
+
+
+@pytest.mark.parametrize("which", ["grid", "validation_grid"])
+def test_grids_must_lie_on_the_problems_domain(which):
+    problem = ApproxProblem(Target.sqrt(), Domain(1.0))
+    spec = BasisSpec(clustered=tapered_poles(10, 6.0), poly_degree=4)
+    with pytest.raises(InputError, match="cannot fit a problem on beta = 1.0"):
+        fit(problem, spec, **{which: build_fit_grid(Domain(0.0))})
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
