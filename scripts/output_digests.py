@@ -3,7 +3,9 @@
 The argvs are every subcommand at its defaults, every flag a subcommand
 honours (taken from tests/test_cli.py, with the value given there), and a
 few grid and V-domain cases; each runs in CSV and in JSON, in process
-through `lightningfit.cli.main`.  Run it once per source tree and diff:
+through `lightningfit.cli.main`.  The top level and every subcommand also
+run with --help, at COLUMNS=80 unless set, because argparse wraps help
+to the terminal width.  Run it once per source tree and diff:
 
     PYTHONPATH=path/to/tree/src python scripts/output_digests.py > a.txt
 
@@ -24,6 +26,7 @@ import sys
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("COLUMNS", "80")
 
 EXTRA_ARGVS = (
     ("grid", "--sigma", "100"),
@@ -44,11 +47,14 @@ def _cli_tables():
 
 
 def argvs():
+    """Every argv the listing runs: the tables in both formats, then help."""
     honoured, flag_values = _cli_tables()
     out = [(command,) for command in honoured]
     out += [(command, flag, flag_values[flag][0])
             for command, flags in honoured.items() for flag in flags]
-    return out + list(EXTRA_ARGVS)
+    out = [(*argv, "--format", fmt) for argv in out + list(EXTRA_ARGVS)
+           for fmt in ("csv", "json")]
+    return out + [("--help",)] + [(command, "--help") for command in honoured]
 
 
 def digest(argv):
@@ -65,10 +71,8 @@ def digest(argv):
 def main() -> int:
     print(f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
     for argv in argvs():
-        for fmt in ("csv", "json"):
-            full = (*argv, "--format", fmt)
-            code, out, err = digest(full)
-            print(code, out, err, " ".join(full), flush=True)
+        code, out, err = digest(argv)
+        print(code, out, err, " ".join(argv), flush=True)
     return 0
 
 

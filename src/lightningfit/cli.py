@@ -1,18 +1,19 @@
 """Command-line front end, built from one table.
 
-_COMMANDS gives each subcommand its experiments runner, its help line
-and the runner keywords it takes from flags; _FLAGS names the flag for
-each keyword.  A subcommand accepts only those flags plus --format and
---out, and passes only the flags that were set, so the runner's
-signature holds the only defaults.  Exit codes: 0 success, 1 bad input
-(including usage errors and flags the subcommand does not take), 2
-numeric failure (including running out of memory).
+_COMMANDS gives each subcommand its experiments runner and its help
+line; _FLAGS names the flag for each runner keyword that has one.  A
+subcommand's flags are its runner's parameters that have a flag, in
+_FLAGS order, plus --format and --out.  Only the flags that were set are
+passed, so the runner's signature holds the only defaults.  Exit codes:
+0 success, 1 bad input (including usage errors and flags the subcommand
+does not take), 2 numeric failure (including running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 
 from . import experiments
@@ -37,28 +38,21 @@ _FLAGS = {
     "eps_rel": ("--tsvd-eps", {"type": float, "help": "relative singular-value cutoff"}),
 }
 
-# subcommand: (runner, help, runner keywords it takes from flags)
+# subcommand: (runner, help)
 _COMMANDS = {
-    "fit": (experiments.run_fit, "run a single least-squares fit and report its errors",
-            ("target", "alpha", "beta", "n1", "n2", "sigma", "scale", "per_arm",
-             "decades", "eps_rel")),
+    "fit": (experiments.run_fit, "run a single least-squares fit and report its errors"),
     "converge": (experiments.run_convergence,
-                 "degree sweep across pole/augmentation variants",
-                 ("scale", "per_arm", "decades", "eps_rel")),
+                 "degree sweep across pole/augmentation variants"),
     "sigma-sweep": (experiments.run_sigma_sweep,
-                    "error vs clustering parameter on the interval",
-                    ("alpha", "n1", "poly_degree", "scale", "per_arm", "eps_rel")),
-    "grid": (experiments.run_grid, "(N1, N2) error surface",
-             ("alpha", "sigma", "per_arm", "eps_rel")),
-    "vshape": (experiments.run_vshape, "sigma rules for sqrt(z) on V-domains",
-               ("n1", "n2", "per_arm", "eps_rel")),
+                    "error vs clustering parameter on the interval"),
+    "grid": (experiments.run_grid, "(N1, N2) error surface"),
+    "vshape": (experiments.run_vshape, "sigma rules for sqrt(z) on V-domains"),
     "corner-sigma": (experiments.run_corner_sigma,
-                     "optimal sigma for corner targets z^(1/beta)",
-                     ("n1", "n2", "per_arm", "eps_rel")),
+                     "optimal sigma for corner targets z^(1/beta)"),
     "pole-ladder": (experiments.run_pole_ladder,
-                    "pole magnitudes from the density inversion", ()),
+                    "pole magnitudes from the density inversion"),
     "verify-bounds": (experiments.run_verify_bounds,
-                      "quadrature-error identity and conjectured bounds", ()),
+                      "quadrature-error identity and conjectured bounds"),
 }
 
 
@@ -70,11 +64,12 @@ def _build_parser():
         description="rational approximation with preassigned clustered poles")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, descr, keywords) in _COMMANDS.items():
+    for name, (runner, descr) in _COMMANDS.items():
         p = sub.add_parser(name, help=descr, argument_default=argparse.SUPPRESS)
-        for keyword in keywords:
-            flag, options = _FLAGS[keyword]
-            p.add_argument(flag, dest=keyword, **options)
+        params = inspect.signature(runner).parameters
+        for keyword, (flag, options) in _FLAGS.items():
+            if keyword in params:
+                p.add_argument(flag, dest=keyword, **options)
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="table serialization format")
         p.add_argument("--out", default=None, help="output path (default stdout)")

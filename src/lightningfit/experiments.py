@@ -99,10 +99,15 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel)
     row = (target, problem.target.alpha, beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
+    config = {"target": problem.target.kind.value, "alpha": problem.target.alpha,
+              "beta": domain.beta, "n_clustered": n1, "pole_scheme": "tapered",
+              "sigma": sigma, "scale_c": scale, "n_extra": 0, "poly_degree": n2,
+              "total_degree": spec.total_degree, "grid_per_arm": per_arm,
+              "decades": grid.decades, "eps_rel": eps_rel}
     return ResultTable(
         columns=("target", "alpha", "beta", "n1", "n2", "sigma", "scale_c",
                  "max_err", "coeff_2norm", "resid_2norm", "eff_rank"),
-        rows=[row], meta={"kind": "fit", "config": rep.config})
+        rows=[row], meta={"kind": "fit", "config": config})
 
 
 def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
@@ -405,16 +410,16 @@ def run_pole_ladder(n_list=(16, 36, 64)) -> ResultTable:
         rows=rows, meta=meta)
 
 
-def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144),
-                      vshape_beta: float = 1.0, tol: float = 2e-13) -> ResultTable:
+def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> ResultTable:
     """Quadrature-error identity, conjectured contour bound, and residue rates.
 
     Interval rows cover the 3x3 grid (radius near the validity floor, 0.5,
     1.0) x nt_list with the matched step; V-domain rows record the bound
-    ratio at |z| = 1.  Pass flags are stored as 0/1 ints.
+    ratio at |z| = 1 on the opening beta = 1.  Pass flags are stored as 0/1
+    ints.
     """
     rows = []
-    for beta, nts in ((0.0, tuple(nt_list)), (vshape_beta, tuple(vshape_nt_list))):
+    for beta, nts in ((0.0, tuple(nt_list)), (1.0, tuple(vshape_nt_list))):
         domain, step = Domain(beta), default_step(beta)
         for nt in nts:
             t_param = t_parameter(nt, step)
@@ -423,8 +428,7 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144),
             else:
                 radii = (1.0,)
             for r in radii:
-                setup = ContourSetup(z=domain.arm_point(r), nt=nt, beta=beta,
-                                     tol=tol)
+                setup = ContourSetup(z=domain.arm_point(r), nt=nt, beta=beta)
                 report = error_identity_report(setup)
                 bound = check_conjecture_bound(setup, terms=report.terms)
                 scale = math.exp(-t_param)
@@ -444,8 +448,8 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144),
         "kind": "verify-bounds",
         "nt_list": [int(n) for n in nt_list],
         "vshape_nt_list": [int(n) for n in vshape_nt_list],
-        "vshape_beta": vshape_beta,
-        "tol": tol,
+        "vshape_beta": 1.0,
+        "tol": ContourSetup.tol,
         "residue_rates_matched": residue_rate_check(
             default_step(0.0), 0.0, nt_list),
         "residue_rates_mismatched": residue_rate_check(

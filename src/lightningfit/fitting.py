@@ -69,7 +69,7 @@ interval the columns are p / (x - p) themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -381,7 +381,6 @@ class FitReport:
     resid_2norm: float
     coeff_2norm: float
     eff_rank: int
-    config: dict = field(default_factory=dict)
 
 
 def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
@@ -425,14 +424,22 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
 
 
 def evaluate(approx: Approximant, pts) -> np.ndarray:
-    """Evaluate the approximant; raises if a point coincides with a pole.
-    Input of any shape: real as float64, complex as complex128."""
+    """Evaluate the approximant at finite points of any shape, real as
+    float64, complex as complex128.  Raises InputError at a point that is
+    not finite or coincides with a pole, NumericError where a value
+    overflows."""
     pts = np.asarray(pts)
     flat = np.ascontiguousarray(pts.ravel(),
                                 dtype=complex if np.iscomplexobj(pts) else float)
-    poly = None if approx.hess is None else \
-        _poly_chain_eval(flat, approx.hess, approx.norm0)
-    return _approximant_values([approx], flat, [poly])[0].reshape(pts.shape)[()]
+    if not np.all(np.isfinite(flat)):
+        raise InputError("evaluation points must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = None if approx.hess is None else \
+            _poly_chain_eval(flat, approx.hess, approx.norm0)
+        values = _approximant_values([approx], flat, [poly])[0]
+    if not np.all(np.isfinite(values)):
+        raise NumericError("the approximant overflows at a point")
+    return values.reshape(pts.shape)[()]
 
 
 def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
@@ -506,15 +513,15 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
         else:
             groups.setdefault(spec.finite_poles.tobytes(), []).append(i)
     for group in groups.values():
-        fits = _fit_group(problem, [specs[i] for i in group], grid, eps_rel, fvec,
-                          chain, validation)
+        fits = _fit_group([specs[i] for i in group], grid, eps_rel, fvec, chain,
+                          validation)
         for i, result in zip(group, fits):
             results[i] = result
     return results
 
 
-def _fit_group(problem: ApproxProblem, specs, grid: SampleGrid, eps_rel: float,
-               fvec: np.ndarray, chain, validation) -> list:
+def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
+               validation) -> list:
     """fit_nested's results for specs that share their finite poles and
     whose degrees the grid carries, all from one system at their largest
     degree.  fvec is the target on the fit grid, chain the polynomial
@@ -547,8 +554,6 @@ def _fit_group(problem: ApproxProblem, specs, grid: SampleGrid, eps_rel: float,
     except LightningError as exc:
         errs = [exc] * len(solved)
     for (i, (a, rank)), err in zip(solved.items(), errs):
-        spec, clustered = specs[i], specs[i].clustered
-        params = {} if clustered is None else clustered.params
         if isinstance(err, LightningError):
             results[i] = err
         elif not math.isfinite(err):
@@ -557,22 +562,7 @@ def _fit_group(problem: ApproxProblem, specs, grid: SampleGrid, eps_rel: float,
             results[i] = (a, FitReport(
                 max_err=err,
                 resid_2norm=math.sqrt(_weight(grid.points)) * float(np.linalg.norm(
-                    system[:, :spec.n_columns] @ a.coeffs - system[:, -1])),
+                    system[:, :a.spec.n_columns] @ a.coeffs - system[:, -1])),
                 coeff_2norm=float(np.linalg.norm(a.coeffs)),
-                eff_rank=rank,
-                config={
-                    "target": problem.target.kind.value,
-                    "alpha": problem.target.alpha,
-                    "beta": problem.domain.beta,
-                    "n_clustered": 0 if clustered is None else len(clustered),
-                    "pole_scheme": None if clustered is None else clustered.scheme,
-                    "sigma": params.get("sigma"),
-                    "scale_c": params.get("scale"),
-                    "n_extra": 0 if spec.extra_finite is None else len(spec.extra_finite),
-                    "poly_degree": spec.poly_degree,
-                    "total_degree": spec.total_degree,
-                    "grid_per_arm": grid.per_arm,
-                    "decades": grid.decades,
-                    "eps_rel": eps_rel,
-                }))
+                eff_rank=rank))
     return results

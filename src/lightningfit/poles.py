@@ -16,7 +16,7 @@ polynomial term (poles clustering towards infinity):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class PoleSet:
+    """Distinct, finite, strictly negative poles, held read-only; the
+    family and parameters that made them are the caller's to record."""
+
     poles: np.ndarray
-    scheme: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         p = np.asarray(self.poles, dtype=float)
@@ -60,7 +61,7 @@ def uniform_poles(n1: int, sigma: float, scale: float = 1.0) -> PoleSet:
     j = np.arange(n1)
     with np.errstate(over="ignore"):  # PoleSet reports poles that underflow
         p = -scale * np.exp(-sigma * j / math.sqrt(n1))
-    return PoleSet(p, "uniform", {"n1": n1, "sigma": sigma, "scale": scale})
+    return PoleSet(p)
 
 
 def tapered_poles(n1: int, sigma: float, scale: float = 1.0) -> PoleSet:
@@ -72,7 +73,7 @@ def tapered_poles(n1: int, sigma: float, scale: float = 1.0) -> PoleSet:
     j = np.arange(1, n1 + 1)
     with np.errstate(over="ignore"):  # PoleSet reports poles that underflow
         p = -scale * np.exp(-sigma * (math.sqrt(n1) - np.sqrt(j)))
-    return PoleSet(p, "tapered", {"n1": n1, "sigma": sigma, "scale": scale})
+    return PoleSet(p)
 
 
 def big_poles(n: int, n2: int) -> PoleSet:
@@ -86,4 +87,4 @@ def big_poles(n: int, n2: int) -> PoleSet:
         raise InputError(f"need at least one big pole, got {n2}")
     i = np.arange(1, n2 + 1)
     p = -8.0 * n / ((2 * i + 1) ** 2 * math.pi**2)
-    return PoleSet(p, "big", {"n": n, "n2": n2})
+    return PoleSet(p)

@@ -127,19 +127,19 @@ class ApproxProblem:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Immutable point set with its construction parameters.
+    """Immutable points on a domain, with the radial decades they span.
 
     Complex points are a V-domain's upper arm, and each stands for itself
-    and its mirror image (see `fitting`).  `fitting` reads the points as
-    real rows, so they are held as a contiguous float64 or complex128
-    array.  A grid holds nothing computed from its points: what fits
-    share is computed once per `fitting.fit_nested` call.
+    and its mirror image (see `fitting`), so a grid of n points per arm
+    has len n on either domain.  `fitting` reads the points as real rows,
+    so they are held as a contiguous float64 or complex128 array.  A grid
+    holds nothing computed from its points: what fits share is computed
+    once per `fitting.fit_nested` call.
     """
 
     points: np.ndarray
     domain: Domain
     decades: float
-    per_arm: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.ascontiguousarray(
@@ -176,7 +176,7 @@ def build_fit_grid(domain: Domain, decades: float = 16.0,
     upper arm's `per_arm` points, which stand for both arms.
     """
     return SampleGrid(points=domain.arm_point(_radii(decades, per_arm)),
-                      domain=domain, decades=float(decades), per_arm=per_arm)
+                      domain=domain, decades=float(decades))
 
 
 def build_validation_grid(domain: Domain, per_arm: int = 10000,

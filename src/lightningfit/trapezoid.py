@@ -129,10 +129,6 @@ class PartialFractionForm:
         return 4 * self.n1
 
     @property
-    def t_param(self) -> float:
-        return t_parameter(self.nt, self.step)
-
-    @property
     def large_poles(self) -> np.ndarray:
         return self.poles[self.n1:]
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags, formats, exit codes."""
 
+import functools
 import inspect
 import json
 import os
@@ -38,6 +39,17 @@ def test_fit_json_format(capsys):
     doc = json.loads(out)
     assert doc["metadata"]["kind"] == "fit"
     assert doc["metadata"]["config"]["n_clustered"] == 8
+    # every flag set: the echo is the runner's values, an int --decades as a float
+    code, out, _ = run_cli(capsys, "fit", "--target", "power", "--alpha", "0.3",
+                           "--beta", "0.5", "--n1", "12", "--n2", "3", "--sigma", "5",
+                           "--scale-c", "1.5", "--grid-points", "400",
+                           "--decades", "12", "--tsvd-eps", "1e-12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["metadata"]["config"] == {
+        "alpha": 0.3, "beta": 0.5, "decades": 12.0, "eps_rel": 1e-12,
+        "grid_per_arm": 400, "n_clustered": 12, "n_extra": 0,
+        "pole_scheme": "tapered", "poly_degree": 3, "scale_c": 1.5, "sigma": 5.0,
+        "target": "power", "total_degree": 15}
 
 
 def test_fit_defaults_follow_rules(capsys):
@@ -119,6 +131,7 @@ def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
     (("Unable to allocate 8.00 GiB",),
      "numeric failure: out of memory: Unable to allocate 8.00 GiB\n")])
 def test_memory_error_is_numeric_failure(monkeypatch, capsys, args, line):
+    @functools.wraps(cli._COMMANDS["fit"][0])  # the parser reads its signature
     def runner(**kwargs):
         raise MemoryError(*args)
 
@@ -413,6 +426,7 @@ def test_flag_reaches_runner_keyword(monkeypatch, capsys, command, flag):
     runner, *rest = cli._COMMANDS[command]
     calls = []
 
+    @functools.wraps(runner)  # the parser reads the runner's signature
     def recorder(**kwargs):
         calls.append(kwargs)
         return ResultTable(columns=("x",), rows=[(1,)])

@@ -191,8 +191,7 @@ def test_fit_sqrt_moderate_accuracy():
     approx, report = fit(SQRT_PROBLEM, spec)
     assert report.max_err < 1e-6
     assert report.eff_rank > 0
-    assert report.config["pole_scheme"] == "tapered"
-    assert report.config["total_degree"] == 22
+    assert spec.total_degree == 22
 
 
 def test_fit_scale_invariance_of_report():
@@ -445,7 +444,7 @@ def test_kept_data_separates_targets_and_fit_grids():
     for target in (Target.sqrt(), Target.power(0.3)):
         problem = ApproxProblem(target, domain)
         for fit_grid in (grid, other_grid):
-            fresh = build_fit_grid(domain, per_arm=fit_grid.per_arm)
+            fresh = build_fit_grid(domain, per_arm=len(fit_grid))
             _assert_same_fit(_fit_on(problem, 8, fit_grid, vgrid),
                              _fit_on(problem, 8, fresh, _grids(domain)[1]))
 
@@ -456,7 +455,7 @@ def test_default_validation_grid_spans_fit_grid_decades():
     approx, report = fit(SQRT_PROBLEM, spec, grid=grid)
     vgrid = build_validation_grid(Domain.unit_interval(), decades=8.0)
     assert report.max_err == max_error(approx, Target.sqrt(), vgrid)
-    assert report.config["decades"] == 8.0
+    assert grid.decades == 8.0
 
 
 def test_polynomial_degree_must_fit_the_grid():
@@ -469,8 +468,7 @@ def test_degree_failures_are_decided_per_spec():
     """On ten equal points the recurrence breaks down after the constant:
     degree 0 fits, degree 3 fails past the breakdown and degree 12 at the
     grid's size, each in its own slot of the one call."""
-    grid = SampleGrid(points=np.full(10, 0.5), domain=Domain(0.0), decades=16.0,
-                      per_arm=10)
+    grid = SampleGrid(points=np.full(10, 0.5), domain=Domain(0.0), decades=16.0)
     constant, past, beyond = fit_nested(
         SQRT_PROBLEM, [BasisSpec(poly_degree=d) for d in (0, 3, 12)], grid)
     assert (constant[1].max_err, constant[1].eff_rank) == (0.7071067711865476, 1)
@@ -501,6 +499,21 @@ def test_approximant_outlives_its_grids(beta):
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert np.array_equal(evaluate(approx, pts), before)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("point, error", [
+    (np.inf, InputError), (-np.inf, InputError), (np.nan, InputError),
+    (complex(np.nan, 1.0), InputError), (complex(0.5, np.inf), InputError),
+    (1e300, NumericError), (1e300j, NumericError)])
+def test_evaluate_refuses_non_finite_points_and_overflow(beta, point, error):
+    """No point gives a numpy warning or a silent nan (the suite turns a
+    RuntimeWarning into an error): a point that is not finite is bad input,
+    a value that overflows a numeric failure."""
+    approx, _ = _fit_on(ApproxProblem(Target.sqrt(), Domain(beta)), 8,
+                        *_grids(Domain(beta)))
+    with pytest.raises(error):
+        evaluate(approx, [0.5, point])
 
 
 def test_package_fits_call_no_public_solve_or_error(monkeypatch):

@@ -87,15 +87,15 @@ def test_smallest_tapered_pole_magnitude_rule():
 
 def test_pole_set_validation():
     with pytest.raises(InputError):
-        PoleSet(np.array([-1.0, 0.0]), "raw")
+        PoleSet(np.array([-1.0, 0.0]))
     with pytest.raises(InputError):
-        PoleSet(np.array([-1.0, 1.0]), "raw")
+        PoleSet(np.array([-1.0, 1.0]))
     with pytest.raises(InputError):
-        PoleSet(np.array([-1.0, -1.0]), "raw")
+        PoleSet(np.array([-1.0, -1.0]))
     with pytest.raises(InputError):
-        PoleSet(np.array([[-1.0], [-2.0]]), "raw")
+        PoleSet(np.array([[-1.0], [-2.0]]))
     with pytest.raises(InputError):
-        PoleSet(np.array([-math.inf]), "raw")
+        PoleSet(np.array([-math.inf]))
 
 
 def test_pole_set_immutable():
@@ -121,8 +121,5 @@ def test_family_parameter_validation():
         uniform_poles(3, 1.0, math.nan)
 
 
-def test_len_and_params_echo():
-    p = tapered_poles(7, 2.5, 3.0)
-    assert len(p) == 7
-    assert p.scheme == "tapered"
-    assert p.params == {"n1": 7, "sigma": 2.5, "scale": 3.0}
+def test_len_counts_poles():
+    assert len(tapered_poles(7, 2.5, 3.0)) == 7

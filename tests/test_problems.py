@@ -113,9 +113,9 @@ def test_grid_holds_contiguous_float64_or_complex128_points():
         grid = build_fit_grid(domain, per_arm=200)
         narrow = grid.points.astype(np.complex64 if domain.beta else np.float32)
         coarse = SampleGrid(points=np.repeat(narrow, 2)[::2], domain=domain,
-                            decades=16.0, per_arm=200)
+                            decades=16.0)
         wide = SampleGrid(points=narrow.astype(grid.points.dtype),
-                          domain=domain, decades=16.0, per_arm=200)
+                          domain=domain, decades=16.0)
         assert coarse.points.dtype == grid.points.dtype
         assert coarse.points.flags.c_contiguous
         problem = ApproxProblem(Target.sqrt(), domain)

@@ -268,7 +268,7 @@ def test_kernel_outside_the_normal_range_of_d_is_complex_division():
     assert np.array_equal(rows[0:8:2], scaled[:4].real)
     assert np.array_equal(rows[1:8:2], scaled[:4].imag)
     assert np.all(np.abs(rows[8] + 1j * rows[9] - scaled[4]) <= 1e-14 * np.abs(scaled[4]))
-    approx = Approximant(BasisSpec(clustered=PoleSet(poles, "test"),
+    approx = Approximant(BasisSpec(clustered=PoleSet(poles),
                                    poly_degree=-1),
                          np.ones(3), None, None, np.array([1.0, -2.0, 3.0]))
     values = evaluate(approx, z)
