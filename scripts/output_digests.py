@@ -5,7 +5,10 @@ honours (taken from tests/test_cli.py, with the value given there), and a
 few grid and V-domain cases; each runs in CSV and in JSON, in process
 through `lightningfit.cli.main`.  The top level and every subcommand also
 run with --help, at COLUMNS=80 unless set, because argparse wraps help
-to the terminal width.  Run it once per source tree and diff:
+to the terminal width.  Runner calls whose list arguments no flag can
+express (the sizes the benchmark draws) run in process too, written in
+both formats through `lightningfit.tables.write_table`.  Run it once per
+source tree and diff:
 
     PYTHONPATH=path/to/tree/src python scripts/output_digests.py > a.txt
 
@@ -37,6 +40,14 @@ EXTRA_ARGVS = (
     ("vshape", "--grid-points", "1"),
 )
 
+# experiments runner, keyword arguments
+RUNNER_CALLS = (
+    ("run_verify_bounds", {"nt_list": (400,), "vshape_nt_list": (400,)}),
+    ("run_pole_ladder", {"n_list": (144,)}),
+    ("run_corner_sigma", {"beta_list": (1.6,)}),
+    ("run_grid", {"alpha": 0.9, "n1_list": (100,)}),
+)
+
 
 def _cli_tables():
     path = Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
@@ -57,15 +68,33 @@ def argvs():
     return out + [("--help",)] + [(command, "--help") for command in honoured]
 
 
-def digest(argv):
-    """(exit code, sha256 of stdout, sha256 of stderr) of one CLI call."""
-    from lightningfit.cli import main  # numpy loads after the thread pin
-
+def _captured(call):
+    """(exit code, sha256 of stdout, sha256 of stderr) of call()."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = call()
     return (code, *(hashlib.sha256(s.getvalue().encode()).hexdigest()
                     for s in (out, err)))
+
+
+def digest(argv):
+    """The digests of one CLI call."""
+    from lightningfit.cli import main  # numpy loads after the thread pin
+
+    return _captured(lambda: main(list(argv)))
+
+
+def runner_digest(name, kwargs, fmt):
+    """The digests of one runner call's table, written in format fmt."""
+    from lightningfit import experiments
+    from lightningfit.tables import write_table
+
+    def call():
+        write_table(getattr(experiments, name)(**kwargs), fmt=fmt,
+                    stream=sys.stdout)
+        return 0
+
+    return _captured(call)
 
 
 def main() -> int:
@@ -73,6 +102,11 @@ def main() -> int:
     for argv in argvs():
         code, out, err = digest(argv)
         print(code, out, err, " ".join(argv), flush=True)
+    for name, kwargs in RUNNER_CALLS:
+        args = ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
+        for fmt in ("csv", "json"):
+            code, out, err = runner_digest(name, kwargs, fmt)
+            print(code, out, err, f"{name}({args}) --format {fmt}", flush=True)
     return 0
 
 

@@ -20,10 +20,8 @@ from .trapezoid import (TrapApproximant, PartialFractionForm, trap_eval,
 from .density import (density_leading, density_correction, stahl_density,
                       invert_stahl_density, large_pole_estimate,
                       pole_from_density, count_large_poles)
-from .contour import (ContourSetup, ContourTerms, PoleResidue, BoundCheck,
-                      IdentityReport, quadrature_error_kernel,
-                      pole_residue_pairs, residue_term, contour_terms,
-                      error_identity_report, check_conjecture_bound,
-                      residue_rate_check)
+from .contour import (ContourSetup, ContourTerms, PoleResidue, IdentityReport,
+                      quadrature_error_kernel, pole_residue_pairs, residue_term,
+                      contour_terms, error_identity_report, residue_rate_check)
 from .tables import ResultTable, render_table, write_table, parse_csv_table
 from .quadrature import integrate

@@ -12,9 +12,11 @@ the quadrature nodes, and residue_term collects the kernel's two primary
 poles.  delta is the quadrature-error kernel: the piecewise-constant sign
 weight minus the cotangent comb whose residues reproduce the node sum.
 
-Everything here is double-checked machinery: the identity holds to
-quadrature tolerance, the conjectured bound on gamma_int and the decay
-rate of the residue term are then measured against it.
+A `ContourSetup` is a radius on the domain plus the `TrapApproximant`
+it measures.  Everything here is double-checked machinery:
+`error_identity_report` checks the identity to quadrature tolerance and
+measures gamma_int against its conjectured ceiling in the same record;
+`residue_rate_check` measures the decay rate of the residue term.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .errors import EvaluationError, InputError
 from .problems import Domain
 from .quadrature import integrate
-from .trapezoid import (TrapApproximant, checked_step, error_integrand, t_parameter,
-                        trap_eval, truncated_sqrt_integral)
+from .trapezoid import (TrapApproximant, error_integrand, trap_eval,
+                        truncated_sqrt_integral)
 
 
 def quadrature_error_kernel(u, step: float, branch=None):
@@ -97,50 +99,41 @@ def residue_term(z: complex, t_param: float, step: float) -> complex:
 
 @dataclass(frozen=True)
 class ContourSetup:
-    """Geometry for one quadrature-error evaluation.
+    """A radius on the opening-beta domain and the rule it measures.
 
-    Valid for |z| in [e^{4+2 beta - 2T}, 1]: close enough to the outer end
-    of the domain that the primary pole pair sits inside the rectangle
-    [1-beta/2, 4T^2+1-beta/2] x [-ia, ia], a = 2 pi (T + log|z|/2), and
-    every other pole sits outside.
+    `rule` is `TrapApproximant(nt, beta)`, the owner of the step and T,
+    and z the upper-arm point at `radius`.  Valid for radius in
+    [e^{4+2 beta - 2T}, 1]: close enough to the outer end of the domain
+    that the primary pole pair sits inside the rectangle
+    [1-beta/2, 4T^2+1-beta/2] x [-ia, ia], a = 2 pi (T + log(radius)/2),
+    and every other pole sits outside.
     """
 
-    z: complex
+    tol = 2e-13  # absolute tolerance of each rectangle leg; not a field
+
+    radius: float
     nt: int
     beta: float = 0.0
-    step: float | None = None
-    tol: float = 2e-13
-    t_param: float = field(init=False)
+    rule: TrapApproximant = field(init=False)
+    z: complex = field(init=False)
 
     def __post_init__(self):
-        if self.nt < 1:
-            raise InputError(f"need at least one node, got nt={self.nt}")
-        object.__setattr__(self, "step", checked_step(self.beta, self.step))
-        object.__setattr__(self, "t_param", t_parameter(self.nt, self.step))
-        z = complex(self.z)
-        object.__setattr__(self, "z", z)
-        r = abs(z)
+        object.__setattr__(self, "rule", TrapApproximant(self.nt, self.beta))
+        # complex on the interval too: the oracle quadratures sum complex values
+        object.__setattr__(self, "z", complex(Domain(self.beta).arm_point(self.radius)))
+        r = self.radius
         if not 0 < r <= 1 + 1e-12:
-            raise InputError(f"|z| must lie in (0, 1], got {r}")
-        arm = Domain(self.beta).arm_angle
-        theta = abs(cmath.phase(z))
-        if not (theta < 1e-12 or abs(theta - arm) < 1e-9):
-            raise InputError(
-                f"z must lie on the domain (argument 0 or +-{arm:.6f}), got {theta:.6f}")
-        floor = math.exp(4.0 + 2.0 * self.beta - 2.0 * self.t_param)
+            raise InputError(f"radius must lie in (0, 1], got {r}")
+        floor = math.exp(4.0 + 2.0 * self.beta - 2.0 * self.rule.t_param)
         if r < floor * (1.0 - 1e-9):
-            raise InputError(
-                f"|z| = {r:.3e} below the validity floor {floor:.3e} for nt={self.nt}")
+            raise InputError(f"radius {r:.3e} below the validity floor "
+                             f"{floor:.3e} for nt={self.nt}")
         if self.rect_left < 1e-6:
             raise InputError("degenerate rectangle: left edge at the origin")
 
     @property
-    def radius(self) -> float:
-        return abs(self.z)
-
-    @property
     def half_height(self) -> float:
-        return 2.0 * math.pi * (self.t_param + 0.5 * math.log(self.radius))
+        return 2.0 * math.pi * (self.rule.t_param + 0.5 * math.log(self.radius))
 
     @property
     def rect_left(self) -> float:
@@ -148,7 +141,7 @@ class ContourSetup:
 
     @property
     def rect_right(self) -> float:
-        return 4.0 * self.t_param**2 + 1.0 - self.beta / 2.0
+        return 4.0 * self.rule.t_param**2 + 1.0 - self.beta / 2.0
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,7 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
     one-sided branch.  The left real stub uses u = v^2 to remove the
     u^{-1/2} endpoint singularity.
     """
-    z, tp, h = setup.z, setup.t_param, setup.step
+    z, tp, h = setup.z, setup.rule.t_param, setup.rule.step
     tol = setup.tol
     x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
 
@@ -204,12 +197,20 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Both sides of the identity, and |gamma_int| against its conjectured
+    ceiling `conj_bound`: the sharp 12 e^{-T} on the interval, 100 e^{-T}
+    on V-domains, where only the rate is claimed and `gamma_ratio` =
+    |gamma_int| / e^{-T} is the measurement."""
+
     integral_value: complex
     node_sum: complex
     terms: ContourTerms
     lhs: complex
     rhs: complex
     defect: float
+    gamma_ratio: float
+    conj_bound: float
+    conj_pass: bool
 
 
 def error_identity_report(setup: ContourSetup) -> IdentityReport:
@@ -220,45 +221,23 @@ def error_identity_report(setup: ContourSetup) -> IdentityReport:
     is bounded by the stacked quadrature tolerances when the machinery
     is correct; it is the master self-check of this module.
     """
-    i_val = truncated_sqrt_integral(setup.z, setup.t_param, tol=1e-13)
-    s_val = trap_eval(TrapApproximant(setup.nt, setup.beta, setup.step), setup.z)
+    i_val = truncated_sqrt_integral(setup.z, setup.rule.t_param)
+    s_val = trap_eval(setup.rule, setup.z)
     terms = contour_terms(setup)
     lhs = i_val - s_val
     rhs = terms.end_ints + terms.gamma_int - terms.residue_term
+    gamma_abs = abs(terms.gamma_int)
+    scale = math.exp(-setup.rule.t_param)
+    conj_bound = (12.0 if setup.beta == 0.0 else 100.0) * scale
     return IdentityReport(integral_value=i_val, node_sum=s_val, terms=terms,
-                          lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
+                          lhs=lhs, rhs=rhs, defect=abs(lhs - rhs),
+                          gamma_ratio=gamma_abs / scale, conj_bound=conj_bound,
+                          conj_pass=gamma_abs < conj_bound)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    rhs: float
-    ratio: float
-    passed: bool
-    t_param: float
-
-
-def check_conjecture_bound(setup: ContourSetup, *,
-                           terms: ContourTerms | None = None) -> BoundCheck:
-    """|gamma_int| against its conjectured ceiling.
-
-    On the interval the ceiling is the sharp 12 e^{-T}; on V-domains only
-    the e^{-T} rate is claimed, so the ceiling is 100 e^{-T} and the
-    measured ratio is the interesting output.  `terms` are the
-    already computed `contour_terms(setup)`; omitted, they are computed.
-    """
-    if terms is None:
-        terms = contour_terms(setup)
-    lhs = abs(terms.gamma_int)
-    scale = math.exp(-setup.t_param)
-    rhs = (12.0 if setup.beta == 0.0 else 100.0) * scale
-    return BoundCheck(lhs=lhs, rhs=rhs, ratio=lhs / scale, passed=lhs < rhs,
-                      t_param=setup.t_param)
-
-
-def residue_rate_check(step: float, beta: float, nt_list,
-                       radii=(0.1, 0.5, 1.0)):
-    """Rows of |residue_term| / e^{-T} across node counts and radii.
+def residue_rate_check(step: float, beta: float, nt_list):
+    """Rows of |residue_term| / e^{-T} across node counts and the radii
+    0.1, 0.5 and 1.0.
 
     With the step matched to the domain the ratio is bounded by an
     nt-independent constant (it equals 4 |sin(phase)| to leading order, so
@@ -267,17 +246,16 @@ def residue_rate_check(step: float, beta: float, nt_list,
     detected.
     """
     domain = Domain(beta)
-    step = checked_step(beta, step)
     rows = []
     for nt in nt_list:
-        tp = t_parameter(nt, step)
-        for r in radii:
-            mag = float(abs(residue_term(domain.arm_point(r), tp, step)))
+        rule = TrapApproximant(nt, beta, step)
+        for r in (0.1, 0.5, 1.0):
+            mag = float(abs(residue_term(domain.arm_point(r), rule.t_param, rule.step)))
             rows.append({
                 "nt": int(nt),
                 "radius": float(r),
-                "t_param": tp,
+                "t_param": rule.t_param,
                 "residue_abs": mag,
-                "ratio": mag / math.exp(-tp),
+                "ratio": mag / math.exp(-rule.t_param),
             })
     return rows

@@ -138,15 +138,16 @@ def invert_stahl_density(n: int, j: float) -> float:
     """
     if not (j < (n + 1) / 2.0):
         raise InputError(f"j must be below (n+1)/2 = {(n + 1) / 2}, got {j}")
-    lo = _bracket_low(n)
     hi = 1e12
+    # stahl_density validates n before _bracket_low divides by sinh(pi sqrt(n))
+    f_hi = stahl_density(n, hi, j)
+    if f_hi <= 0:
+        raise NumericError("upper bracket failed; j too close to (n+1)/2")
+    lo = _bracket_low(n)
     f_lo = stahl_density(n, lo, j)
     if f_lo >= 0:
         raise InputError(
             f"j={j} is below the monotone range of H (H({lo:.3e}) = {f_lo + j:.4f})")
-    f_hi = stahl_density(n, hi, j)
-    if f_hi <= 0:
-        raise NumericError("upper bracket failed; j too close to (n+1)/2")
 
     root_n = math.sqrt(n)
     t_lo, t_hi = math.log(lo), math.log(hi)

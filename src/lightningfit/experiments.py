@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .contour import (ContourSetup, check_conjecture_bound,
-                      error_identity_report, residue_rate_check)
+from .contour import ContourSetup, error_identity_report, residue_rate_check
 from .density import count_large_poles, large_pole_estimate, pole_from_density
 from .errors import InputError, LightningError, NumericError
 from .fitting import DEFAULT_TSVD_EPS, BasisSpec, FitReport, fit, fit_nested
@@ -22,7 +21,7 @@ from .poles import big_poles, tapered_poles, uniform_poles
 from .problems import (ApproxProblem, Domain, Target, build_fit_grid,
                        build_validation_grid)
 from .tables import ResultTable
-from .trapezoid import default_step, t_parameter
+from .trapezoid import TrapApproximant, default_step
 
 DEFAULT_N1_LIST = (9, 16, 25, 36, 49, 64)
 
@@ -37,6 +36,8 @@ CONVERGENCE_VARIANTS = {
     "uniform+big": ("uniform", 2.0 * math.pi, "big"),
 }
 _POLE_SCHEMES = {"tapered": tapered_poles, "uniform": uniform_poles}
+VAL_PER_ARM = 10000  # validation-grid points per arm of every sweep
+SIGMA_MIN = 2.0  # the sigma sweeps' grids start here
 
 
 def poly_degree_rule(n1: int) -> int:
@@ -51,8 +52,7 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
                     coeff_2norm=math.nan, eff_rank=0)
 
 
-def _sweep(target, domain, per_arm, eps_rel, keys, spec_of,
-           decades=16.0, val_per_arm=10000):
+def _sweep(target, domain, per_arm, eps_rel, keys, spec_of, decades=16.0):
     """Fit spec_of(key) for each key in one fit_nested call, on the fit and
     validation grids of the domain it builds, after building every spec;
     raises the first key's error when none can be built.  Returns
@@ -61,7 +61,7 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of,
     """
     problem = ApproxProblem(target, domain)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
-    vgrid = build_validation_grid(domain, per_arm=val_per_arm, decades=decades)
+    vgrid = build_validation_grid(domain, per_arm=VAL_PER_ARM, decades=decades)
     keys = list(keys)
     specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
@@ -97,7 +97,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     spec = BasisSpec(clustered=tapered_poles(n1, sigma, scale), poly_degree=n2)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
     _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel)
-    row = (target, problem.target.alpha, beta, n1, n2, sigma, scale,
+    row = (target, problem.target.alpha, domain.beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
     config = {"target": problem.target.kind.value, "alpha": problem.target.alpha,
               "beta": domain.beta, "n_clustered": n1, "pole_scheme": "tapered",
@@ -112,7 +112,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
 
 def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
                     eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000,
-                    decades: float = 16.0, val_per_arm: int = 10000) -> ResultTable:
+                    decades: float = 16.0) -> ResultTable:
     """Degree sweep of sqrt(x) fits for every pole/augmentation variant.
 
     Every row is fitted in one sweep on the shared grids; errors in a row
@@ -134,7 +134,7 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
     rows = []
     for (name, n1, n2), rep, status in _sweep(
             Target.sqrt(), Domain.unit_interval(), per_arm, eps_rel, keys,
-            spec_of, decades, val_per_arm):
+            spec_of, decades):
         scheme, sigma, _ = CONVERGENCE_VARIANTS[name]
         rows.append((name, scheme, n1 + n2, n1, n2, sigma, rep.max_err,
                      rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, status))
@@ -147,7 +147,7 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
         "eps_rel": eps_rel,
         "per_arm": per_arm,
         "decades": decades,
-        "val_per_arm": val_per_arm,
+        "val_per_arm": VAL_PER_ARM,
     }
     return ResultTable(
         columns=("variant", "scheme", "n", "n1", "n2", "sigma", "max_err",
@@ -208,8 +208,7 @@ def refine_argmin(xs, ys):
 
 
 def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
-                    poly_degree: int = 3, sigma_min: float = 2.0,
-                    sigma_max: float = 30.0, n_sigma: int = 41,
+                    poly_degree: int = 3, sigma_max: float = 30.0, n_sigma: int = 41,
                     scale: float = 1.0, eps_rel: float = DEFAULT_TSVD_EPS,
                     per_arm: int = 2000, include_plain: bool = True) -> ResultTable:
     """Clustering-parameter sweep for x^alpha on the unit interval.
@@ -219,7 +218,7 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     each family lands in the metadata next to the 2 pi / sqrt(alpha) rule.
     """
     BasisSpec.check_poly_degree(poly_degree)  # else the poly family has no argmin
-    sigmas = np.geomspace(sigma_min, sigma_max, n_sigma)
+    sigmas = np.geomspace(SIGMA_MIN, sigma_max, n_sigma)
     variants = (("plain", 0), ("poly", poly_degree)) if include_plain \
         else (("poly", poly_degree),)
     keys = [(float(sigma), name, degree) for sigma in sigmas
@@ -341,11 +340,11 @@ def corner_sigma_rule(beta: float) -> float:
 
 
 def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
-                     sigma_min: float = 2.0, sigma_max: float = 30.0,
-                     n_sigma: int = 41, eps_rel: float = DEFAULT_TSVD_EPS,
+                     eps_rel: float = DEFAULT_TSVD_EPS,
                      per_arm: int = 2000) -> ResultTable:
-    """Per-opening sigma sweep for the corner target z^{1/beta}."""
-    sigmas = np.geomspace(sigma_min, sigma_max, n_sigma)
+    """Per-opening sigma sweep for the corner target z^{1/beta}, over 41
+    geometric sigmas from SIGMA_MIN to 30."""
+    sigmas = np.geomspace(SIGMA_MIN, 30.0, 41)
     rows = []
     argmins = []
     for beta in beta_list:
@@ -420,17 +419,15 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> Result
     """
     rows = []
     for beta, nts in ((0.0, tuple(nt_list)), (1.0, tuple(vshape_nt_list))):
-        domain, step = Domain(beta), default_step(beta)
         for nt in nts:
-            t_param = t_parameter(nt, step)
             if beta == 0.0:
-                radii = (math.exp(4.0 - 2.0 * t_param), 0.5, 1.0)
+                radii = (math.exp(4.0 - 2.0 * TrapApproximant(nt).t_param), 0.5, 1.0)
             else:
                 radii = (1.0,)
             for r in radii:
-                setup = ContourSetup(z=domain.arm_point(r), nt=nt, beta=beta)
+                setup = ContourSetup(r, nt, beta)
                 report = error_identity_report(setup)
-                bound = check_conjecture_bound(setup, terms=report.terms)
+                t_param = setup.rule.t_param
                 scale = math.exp(-t_param)
                 lhs_abs = abs(report.lhs)
                 identity_pass = report.defect <= max(1e-10, 1e-3 * lhs_abs)
@@ -441,7 +438,7 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> Result
                     abs(report.terms.gamma_int),
                     abs(report.terms.residue_term),
                     scale,
-                    bound.ratio, bound.rhs, int(bound.passed),
+                    report.gamma_ratio, report.conj_bound, int(report.conj_pass),
                     abs(report.terms.residue_term) / scale,
                 ))
     meta = {

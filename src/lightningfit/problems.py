@@ -35,7 +35,13 @@ class Target:
 
     def __post_init__(self):
         if not isinstance(self.kind, TargetKind):
-            object.__setattr__(self, "kind", TargetKind(self.kind))
+            try:
+                kind = TargetKind(self.kind)
+            except ValueError:
+                kinds = ", ".join(k.value for k in TargetKind)
+                raise InputError(f"target kind must be one of {kinds}, "
+                                 f"got {self.kind!r}") from None
+            object.__setattr__(self, "kind", kind)
         a = float(self.alpha)
         if not math.isfinite(a) or a <= 0:
             raise InputError(f"alpha must be positive and finite, got {self.alpha}")
@@ -96,7 +102,7 @@ class Domain:
         b = float(self.beta)
         if not (0.0 <= b < 2.0):
             raise InputError(f"beta must lie in [0, 2), got {self.beta}")
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "beta", b + 0.0)  # -0.0 becomes 0.0
 
     @classmethod
     def unit_interval(cls) -> "Domain":
@@ -105,10 +111,6 @@ class Domain:
     @classmethod
     def vshape(cls, beta: float) -> "Domain":
         return cls(beta)
-
-    @property
-    def kind(self) -> str:
-        return "interval" if self.beta == 0.0 else "vshape"
 
     @property
     def arm_angle(self) -> float:

@@ -23,16 +23,15 @@ from .quadrature import integrate
 
 
 def default_step(beta: float = 0.0) -> float:
-    """Quadrature step matched to the domain opening: h = (2 - beta) pi^2."""
-    return checked_step(beta)
+    """Quadrature step matched to the validated opening: h = (2 - beta) pi^2."""
+    return (2.0 - Domain(beta).beta) * math.pi**2
 
 
 def checked_step(beta: float, step: float | None = None) -> float:
-    """Validate the opening beta, by building its Domain, and the step;
-    None gives the default step."""
-    Domain(beta)
+    """Validate the opening beta and the step; None gives the default step."""
+    default = default_step(beta)
     if step is None:
-        return (2.0 - beta) * math.pi**2
+        return default
     if not step > 0:
         raise InputError(f"step must be positive, got {step}")
     return step
@@ -99,9 +98,7 @@ def trap_error_bound(nt: int, beta: float = 0.0) -> float:
     For beta = 0 the constant 20 is proved; for beta > 0 only the rate
     e^{-T} is, and the same constant is kept as a heuristic.
     """
-    if nt < 1:
-        raise InputError(f"need at least one node, got nt={nt}")
-    return 20.0 * math.exp(-t_parameter(nt, default_step(beta)))
+    return 20.0 * math.exp(-TrapApproximant(nt, beta).t_param)
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def large_pole_tail(pf: PartialFractionForm, z):
     return out[0] if np.asarray(z).ndim == 0 else out
 
 
-def truncated_sqrt_integral(z, t_param: float, tol: float = 1e-13):
+def truncated_sqrt_integral(z, t_param: float):
     """Window-truncated integral representation of sqrt(z).
 
     (2z/pi) * integral over s in [-T, T] of ds/(e^s + z e^{-s}), by
@@ -181,10 +178,10 @@ def truncated_sqrt_integral(z, t_param: float, tol: float = 1e-13):
     sqrt(z) as T grows; the truncation error is below (4/pi) e^{-T} on
     the closed unit interval.
 
-    tol is the absolute tolerance on the returned value; the raw integral
-    is ~pi/(2 sqrt|z|), so for small z the inner quadrature runs at the
-    correspondingly looser tolerance (an absolute 1e-13 on a 1e7-sized
-    integral would sit below its roundoff floor).
+    The absolute tolerance on the returned value is 1e-13; the raw
+    integral is ~pi/(2 sqrt|z|), so for small z the inner quadrature runs
+    at the correspondingly looser tolerance (an absolute 1e-13 on a
+    1e7-sized integral would sit below its roundoff floor).
     """
     if t_param <= 0:
         raise InputError(f"t_param must be positive, got {t_param}")
@@ -194,6 +191,6 @@ def truncated_sqrt_integral(z, t_param: float, tol: float = 1e-13):
     def integrand(s):
         return 1.0 / (np.exp(s) + z * np.exp(-s))
 
-    inner_tol = tol * math.pi / (2.0 * abs(z))
+    inner_tol = 1e-13 * math.pi / (2.0 * abs(z))
     val = integrate(integrand, (-t_param, t_param), inner_tol)
     return (2.0 * z / math.pi) * val

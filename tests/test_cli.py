@@ -89,6 +89,15 @@ def test_input_error_exit_1(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_beta_minus_zero_is_beta_zero(capsys, fmt):
+    args = ("--n1", "8", "--n2", "2", "--grid-points", "200", "--format", fmt)
+    minus = run_cli(capsys, "fit", "--beta", "-0", *args)
+    plus = run_cli(capsys, "fit", "--beta", "0", *args)
+    assert minus == plus
+    assert minus[0] == 0 and "-0.0" not in minus[1]
+
+
 def test_usage_error_exit_1(capsys):
     assert run_cli(capsys, "nosuchcmd")[0] == 1
     assert run_cli(capsys, "fit", "--format", "xml")[0] == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lightningfit import (ContourSetup, EvaluationError, InputError,
-                          TrapApproximant, check_conjecture_bound, contour_terms,
+                          TrapApproximant, contour_terms,
                           default_step, error_identity_report, error_integrand,
                           pole_residue_pairs, quadrature_error_kernel,
                           residue_rate_check, residue_term, t_parameter,
@@ -109,8 +109,8 @@ def test_kernel_bound_three_halves_beyond_band():
 def test_identity_node_sum_is_trap_eval():
     """The identity's S is the package's approximant, bit for bit, and
     that equals the rule's textbook sum (z h/pi) sum_j 1/(sqrt(jh) den_j)."""
-    for setup in (ContourSetup(0.5, 64), ContourSetup(1j, 64, beta=1.0)):
-        trap = TrapApproximant(setup.nt, setup.beta, setup.step)
+    for setup in (ContourSetup(0.5, 64), ContourSetup(1.0, 64, beta=1.0)):
+        trap = TrapApproximant(setup.nt, setup.beta)
         assert error_identity_report(setup).node_sum == trap_eval(trap, setup.z)
     for nt, x in ((8, 0.3), (32, 1.0), (64, 1e-5)):
         trap = TrapApproximant(nt)
@@ -177,7 +177,7 @@ def test_primary_poles_inside_rectangle_secondary_outside():
         tp = t_parameter(nt, step)
         arm = beta * math.pi / 2
         z = r * cmath.exp(1j * arm) if beta else complex(r)
-        setup = ContourSetup(z=z, nt=nt, beta=beta)
+        setup = ContourSetup(r, nt, beta=beta)
         pairs = pole_residue_pairs(z, tp, kmax=1)
         for pr in pairs:
             inside = (setup.rect_left < pr.pole.real < setup.rect_right
@@ -187,17 +187,15 @@ def test_primary_poles_inside_rectangle_secondary_outside():
 
 def test_setup_validation():
     with pytest.raises(InputError):
-        ContourSetup(z=0.5 * cmath.exp(0.3j), nt=32)  # off the domain
+        ContourSetup(1e-12, 16)  # below the validity floor
     with pytest.raises(InputError):
-        ContourSetup(z=1e-12, nt=16)  # below the validity floor
-    with pytest.raises(InputError):
-        ContourSetup(z=0.5, nt=0)
-    ok = ContourSetup(z=math.exp(4 - 2 * t_parameter(16, H0)), nt=16)
+        ContourSetup(0.5, 0)
+    ok = ContourSetup(math.exp(4 - 2 * t_parameter(16, H0)), 16)
     assert ok.radius > 0
 
 
 def test_identity_small_case():
-    rep = error_identity_report(ContourSetup(z=0.5, nt=32))
+    rep = error_identity_report(ContourSetup(0.5, 32))
     assert rep.defect < 1e-12
     assert abs(rep.lhs.imag) < 1e-14
     assert rep.integral_value.real == pytest.approx(math.sqrt(0.5), abs=1e-3)
@@ -205,15 +203,14 @@ def test_identity_small_case():
 
 def test_identity_on_upper_arm():
     # beta = 1 arm sits at angle pi/2
-    z = cmath.exp(1j * math.pi / 2)
-    rep = error_identity_report(ContourSetup(z=z, nt=64, beta=1.0))
-    assert rep.defect < 1e-12
+    setup = ContourSetup(1.0, 64, beta=1.0)
+    assert setup.z == pytest.approx(1j, abs=1e-15)
+    assert error_identity_report(setup).defect < 1e-12
 
 
 def test_one_pass_gamma_matches_per_leg_integrals():
     """The six legs in one adaptive pass agree with six separate integrals."""
-    for setup in (ContourSetup(z=0.5, nt=16),
-                  ContourSetup(z=cmath.exp(1j * math.pi / 2), nt=64, beta=1.0)):
+    for setup in (ContourSetup(0.5, 16), ContourSetup(1.0, 64, beta=1.0)):
         x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
         corners = [x0 - 1j * a, x1 - 1j * a, x1, x1 + 1j * a, x0 + 1j * a, x0,
                    x0 - 1j * a]
@@ -221,8 +218,8 @@ def test_one_pass_gamma_matches_per_leg_integrals():
         for z0, z1, branch in zip(corners[:-1], corners[1:], (-1, -1, 1, 1, 1, -1)):
             def leg(t, z0=z0, dz=z1 - z0, branch=branch):
                 u = z0 + t * dz
-                return error_integrand(u, setup.z, setup.t_param) * dz \
-                    * quadrature_error_kernel(u, setup.step, branch=branch)
+                return error_integrand(u, setup.z, setup.rule.t_param) * dz \
+                    * quadrature_error_kernel(u, setup.rule.step, branch=branch)
             total += integrate(leg, (0.0, 1.0), setup.tol)
         assert abs(contour_terms(setup).gamma_int - total) <= 6 * setup.tol
 
@@ -233,17 +230,17 @@ def test_identity_defect_within_tolerance(nt):
     amplitude ~1e-12: a bare |K15 - G7| test passes them unresolved on a
     chance agreement of the two rules (defect 1.1e-12 at nt = 40, |z| = 1)."""
     for r in (0.5, 1.0):
-        setup = ContourSetup(z=r, nt=nt)
+        setup = ContourSetup(r, nt)
         assert error_identity_report(setup).defect <= setup.tol
 
 
 def test_end_ints_scale():
     """|end_ints| tracks e^{-T} with a modest constant."""
     for nt in (16, 64):
-        setup = ContourSetup(z=0.5, nt=nt)
+        setup = ContourSetup(0.5, nt)
         terms = contour_terms(setup)
-        assert abs(terms.end_ints) < 1.5 * math.exp(-setup.t_param)
-        assert abs(terms.end_ints) > 0.1 * math.exp(-setup.t_param)
+        assert abs(terms.end_ints) < 1.5 * math.exp(-setup.rule.t_param)
+        assert abs(terms.end_ints) > 0.1 * math.exp(-setup.rule.t_param)
 
 
 def test_residue_term_envelope():
@@ -256,12 +253,14 @@ def test_residue_term_envelope():
 
 
 def test_conjecture_bound_interval():
-    check = check_conjecture_bound(ContourSetup(z=1.0, nt=16))
-    assert check.passed
-    assert check.rhs == pytest.approx(12 * math.exp(-check.t_param), rel=1e-14)
+    setup = ContourSetup(1.0, 16)
+    report = error_identity_report(setup)
+    assert report.conj_pass
+    assert report.conj_bound == pytest.approx(12 * math.exp(-setup.rule.t_param),
+                                              rel=1e-14)
     # measured ratio is ~9, comfortably below 12 but not small: the
     # conjectured constant is within ~30% of what the contour delivers
-    assert 7.0 < check.ratio < 12.0
+    assert 7.0 < report.gamma_ratio < 12.0
 
 
 def test_residue_rates_matched_step():
@@ -307,3 +306,6 @@ def test_residue_rate_check_validation():
         residue_rate_check(math.nan, 0.0, (16,))
     with pytest.raises(InputError, match="beta must lie"):
         residue_rate_check(default_step(), 3.0, (16,))
+    for nt in (0, -3):
+        with pytest.raises(InputError, match="at least one node"):
+            residue_rate_check(default_step(), 0.0, [nt])

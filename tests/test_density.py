@@ -180,6 +180,10 @@ def test_invert_range_validation():
         invert_stahl_density(100, 50.5)  # (n+1)/2 limit
     with pytest.raises(InputError):
         invert_stahl_density(100, 0.1)  # below the turning-point value
+    # n is checked before the bracket's 1/sinh(pi sqrt(n)) divides by zero
+    for invert in (invert_stahl_density, pole_from_density):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            invert(0, 0.3)
 
 
 def test_invert_example_value():

@@ -6,7 +6,6 @@ Numerical targets were frozen from direct runs; tolerances are loose enough
 to survive BLAS/libm variation but tight enough to catch real regressions.
 """
 
-import cmath
 import collections
 import math
 
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from lightningfit import contour, fitting, trapezoid
-from lightningfit.contour import ContourSetup, check_conjecture_bound
+from lightningfit.contour import ContourSetup, error_identity_report
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
@@ -421,7 +420,6 @@ def test_verify_bounds_evaluates_the_contour_once_per_row(monkeypatch):
     for row in tab.rows:
         cells = dict(zip(tab.columns, row))
         beta, r = cells["beta"], cells["radius"]
-        z = r * cmath.exp(1j * beta * math.pi / 2.0) if beta > 0 else r
-        bound = check_conjecture_bound(ContourSetup(z=z, nt=cells["nt"], beta=beta))
-        assert cells["gamma_ratio"] == bound.ratio
-        assert cells["conj_pass"] == int(bound.passed)
+        report = error_identity_report(ContourSetup(r, cells["nt"], beta))
+        assert cells["gamma_ratio"] == report.gamma_ratio
+        assert cells["conj_pass"] == int(report.conj_pass)

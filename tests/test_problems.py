@@ -29,6 +29,12 @@ def test_power_target_rejects_integer_exponents():
         Target.power(math.inf)
 
 
+@pytest.mark.parametrize("kind", ["cube", None])
+def test_unknown_target_kind_is_an_input_error(kind):
+    with pytest.raises(InputError, match="one of sqrt, power, powerlog"):
+        Target(kind)
+
+
 def test_power_log_allows_integer_exponents():
     # z^2 log z is still singular at 0, unlike plain z^2
     t = Target.power_log(2.0)
@@ -67,9 +73,8 @@ def test_eval_target_rejects_branch_cut():
 
 
 def test_domain_validation():
-    assert Domain.unit_interval().kind == "interval"
-    assert Domain.vshape(1.0).kind == "vshape"
     assert Domain.vshape(1.0).arm_angle == pytest.approx(math.pi / 2)
+    assert math.copysign(1.0, Domain(-0.0).beta) == 1.0  # -0 is the interval
     with pytest.raises(InputError):
         Domain(2.0)
     with pytest.raises(InputError):

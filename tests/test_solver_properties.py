@@ -243,10 +243,15 @@ def test_kernel_raises_exactly_at_a_pole(log_poles, hit):
     p = poles[hit % len(poles)]
     with pytest.raises(EvaluationError):
         _pf_kernel(np.array([0.5j, complex(p, 0.0)]), poles)
-    # the nearest floats beside the pole, and a point 1e-170 above it, are no pole
+    # the nearest floats beside the pole, and a point 1e-170 above it, are no
+    # pole, unless another drawn pole is that float (log_poles 1 and 1 - 1e-16)
     beside = np.array([complex(np.nextafter(p, 0.0), 0.0),
                        complex(np.nextafter(p, -np.inf), 0.0), complex(p, 1e-170)])
-    assert np.all(np.isfinite(_kernel_values(beside, poles)))
+    on_pole = np.isin(beside, poles)
+    assert np.all(np.isfinite(_kernel_values(beside[~on_pole], poles)))
+    for z in beside[on_pole]:
+        with pytest.raises(EvaluationError):
+            _pf_kernel(np.array([z]), poles)
 
 
 def test_kernel_outside_the_normal_range_of_d_is_complex_division():
