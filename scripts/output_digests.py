@@ -38,6 +38,8 @@ EXTRA_ARGVS = (
     ("fit", "--grid-points", "10"),
     ("fit", "--beta", "1.0"),
     ("vshape", "--grid-points", "1"),
+    # the benchmark's largest V-domain fit, a 4000 x 77 system
+    ("fit", "--target", "powerlog", "--n1", "64", "--alpha", "0.9", "--beta", "1.6"),
 )
 
 # experiments runner, keyword arguments

@@ -118,10 +118,10 @@ class ContourSetup:
     z: complex = field(init=False)
 
     def __post_init__(self):
+        r = float(InputError.check_number("radius", self.radius))
         object.__setattr__(self, "rule", TrapApproximant(self.nt, self.beta))
         # complex on the interval too: the oracle quadratures sum complex values
-        object.__setattr__(self, "z", complex(Domain(self.beta).arm_point(self.radius)))
-        r = self.radius
+        object.__setattr__(self, "z", complex(Domain(self.beta).arm_point(r)))
         if not 0 < r <= 1 + 1e-12:
             raise InputError(f"radius must lie in (0, 1], got {r}")
         floor = math.exp(4.0 + 2.0 * self.beta - 2.0 * self.rule.t_param)

@@ -13,9 +13,10 @@ own values, so the fit and every later evaluation use the same basis.
 The solve truncates singular values below eps_rel times the largest one
 and returns the minimum-norm solution, so the basis may be (and with
 clustered poles always is) numerically rank deficient on purpose.  It
-forms no orthogonal factor: [A | f] is written into one array, one
-Householder QR leaves R with A's singular values in its leading columns
-and Q^H f in its last, and the truncated SVD runs on a small block of R.
+forms no orthogonal factor: [A | f] is written into one column-major array
+(LAPACK's layout), one Householder QR leaves R = [R_A | R_f] with A's
+singular values in R_A and Q^H f in R_f, the truncated SVD runs on a small
+block of R, and as Q^H [A | f] = R, the residual ||A c - f|| = ||R_A c - R_f||.
 Fits that share their poles and differ in polynomial degree share that
 factorization (a `fit_nested` group; `fit` is a group of one): written
 at the largest degree with the polynomial columns last, R's leading
@@ -220,8 +221,8 @@ def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndar
 
 
 def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Unscaled columns p_j / (z - p_j) at pts."""
-    diff = pts[:, None] - poles[None, :]
+    """Unscaled p / (z - p) at pts, a row per point or per pole as broadcast."""
+    diff = pts - poles
     if np.any(diff == 0):
         raise EvaluationError("a point coincides with a pole")
     return np.divide(poles, diff, out=diff)
@@ -254,7 +255,7 @@ def _pf_kernel(z: np.ndarray, poles: np.ndarray):
     if near.any():
         near[near] = d[:, near].min(axis=0) < d_lo
     hard = np.flatnonzero(near | ~(np.abs(z) <= z_max))
-    exact = _partial_fraction_columns(z[hard], poles) if len(hard) else None
+    exact = _partial_fraction_columns(z[hard, None], poles) if len(hard) else None
     d[:, hard], dx[:, hard] = np.inf, 0.0
     return d, dx, hard, exact
 
@@ -262,16 +263,16 @@ def _pf_kernel(z: np.ndarray, poles: np.ndarray):
 def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
                              poles: np.ndarray) -> np.ndarray:
     """Write the partial fractions p/(z - p) on a grid's upper arm into the
-    real system's rows, each column divided by its maximum modulus on the
-    arm, and return those scales.  On a complex arm each point's real part
-    p (x - p) / D goes into an even row and its imaginary part -p y / D
-    into the next, written straight from D: the largest modulus
-    |p| / sqrt(D) sits at the smallest D."""
+    real system's rows, pole by pole, each column divided by its maximum
+    modulus on the arm, and return those scales.  On a complex arm each
+    point's real part p (x - p) / D goes into an even row and its imaginary
+    part -p y / D into the next, written straight from D: the largest
+    modulus |p| / sqrt(D) sits at the smallest D."""
     if not np.iscomplexobj(arm):
-        pf = _partial_fraction_columns(arm, poles)
-        scales = np.abs(pf).max(axis=0)
+        pf = _partial_fraction_columns(arm, poles[:, None])
+        scales = np.abs(pf).max(axis=1)
         _check_scales(scales)
-        np.divide(pf, scales, out=rows)
+        np.divide(pf, scales[:, None], out=rows.T)
         return scales
     d, dx, hard, exact = _pf_kernel(arm, poles)
     scales = np.abs(poles) / np.sqrt(d.min(axis=1))
@@ -299,15 +300,15 @@ def _check_scales(scales: np.ndarray):
 
 def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None,
                   block: np.ndarray | None = None):
-    """(system, pf_scales): the real system [PF | Q | f] in one C-order
-    array, f (the target on the grid) only if given.  Its rows are on a
-    V-domain each point's real part, then its imaginary part
+    """(system, pf_scales): the real system [PF | Q | f] in one
+    column-major array, f (the target on the grid) only if given.  Its
+    rows are on a V-domain each point's real part, then its imaginary part
     (values.view(float)); on the interval the columns themselves.  Q is
     the leading columns of the polynomial block, by default built
     here."""
     poles, n = spec.finite_poles, spec.n_columns
     rows = _weight(grid.points) * len(grid)
-    system = np.empty((rows, n + (0 if fvec is None else 1)))
+    system = np.empty((rows, n + (0 if fvec is None else 1)), order="F")
     scales = np.empty(0)
     if len(poles):
         scales = _write_partial_fractions(system[:, :len(poles)], grid.points, poles)
@@ -348,15 +349,15 @@ def _solve_r(r: np.ndarray, n: int, eps_rel: float):
 
 
 def tsvd_solve(a: np.ndarray, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
-    """(coeffs, effective_rank) of the least-squares solve `fit` runs:
-    minimum norm, keeping singular values >= eps_rel * s_max."""
+    """(coeffs, effective_rank) of the least-squares solve `fit` runs, on a
+    column-major [a | f]: minimum norm, keeping singular values >= eps_rel * s_max."""
     _check_eps(eps_rel)
     a, f = np.asarray(a), np.asarray(f)
     if a.ndim != 2 or a.size == 0:
         raise InputError(f"the matrix must be 2-D and non-empty, got shape {a.shape}")
-    if a.shape[0] != len(f):
-        raise InputError("matrix and data lengths differ")
-    return _solve_r(_factor(np.column_stack([a, f])), a.shape[1], eps_rel)
+    if f.ndim != 1 or a.shape[0] != len(f):
+        raise InputError("the data must be a vector as long as the matrix")
+    return _solve_r(_factor(np.asfortranarray(np.c_[a, f])), a.shape[1], eps_rel)
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
     complex points Re = w (g o dx) and Im = -y (w g), with g = p / D
     (see _pf_kernel)."""
     if not np.iscomplexobj(pts):
-        block = _partial_fraction_columns(pts, poles)
+        block = _partial_fraction_columns(pts[:, None], poles)
         return [_matvec(block, w) for w in weights]
     d, dx, hard, exact = _pf_kernel(pts, poles)
     g = np.divide(poles[:, None], d, out=d)
@@ -534,6 +535,7 @@ def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
         r = _factor(system)
     except LightningError as exc:
         return [exc] * len(specs)
+    del system  # the residual norms come from R
     results, solved = [None] * len(specs), {}
     for i, spec in enumerate(specs):
         try:
@@ -562,7 +564,7 @@ def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
             results[i] = (a, FitReport(
                 max_err=err,
                 resid_2norm=math.sqrt(_weight(grid.points)) * float(np.linalg.norm(
-                    system[:, :a.spec.n_columns] @ a.coeffs - system[:, -1])),
+                    r[:, :a.spec.n_columns] @ a.coeffs - r[:, -1])),
                 coeff_2norm=float(np.linalg.norm(a.coeffs)),
                 eff_rank=rank))
     return results

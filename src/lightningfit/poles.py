@@ -46,10 +46,10 @@ class PoleSet:
 
 
 def _check_counts(n: int, sigma: float | None = None, scale: float | None = None):
-    if n < 1:
+    if InputError.check_number("the number of poles", n, integral=True) < 1:
         raise InputError(f"need at least one pole, got {n}")
     for name, value in (("sigma", sigma), ("scale", scale)):
-        if value is not None and not value > 0:
+        if value is not None and not InputError.check_number(name, value) > 0:
             raise InputError(f"{name} must be positive, got {value}")
         if value == math.inf:
             raise InputError(f"{name} must be finite, got {value}")
@@ -83,7 +83,7 @@ def big_poles(n: int, n2: int) -> PoleSet:
     approximant; independent of any clustering scale.
     """
     _check_counts(n)
-    if n2 < 1:
+    if InputError.check_number("n2", n2, integral=True) < 1:
         raise InputError(f"need at least one big pole, got {n2}")
     i = np.arange(1, n2 + 1)
     p = -8.0 * n / ((2 * i + 1) ** 2 * math.pi**2)

@@ -42,7 +42,7 @@ class Target:
                 raise InputError(f"target kind must be one of {kinds}, "
                                  f"got {self.kind!r}") from None
             object.__setattr__(self, "kind", kind)
-        a = float(self.alpha)
+        a = float(InputError.check_number("alpha", self.alpha))
         if not math.isfinite(a) or a <= 0:
             raise InputError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kind is TargetKind.SQRT and a != 0.5:
@@ -99,7 +99,7 @@ class Domain:
     beta: float = 0.0
 
     def __post_init__(self):
-        b = float(self.beta)
+        b = float(InputError.check_number("beta", self.beta))
         if not (0.0 <= b < 2.0):
             raise InputError(f"beta must lie in [0, 2), got {self.beta}")
         object.__setattr__(self, "beta", b + 0.0)  # -0.0 becomes 0.0

@@ -342,11 +342,12 @@ def test_output_byte_identical_across_processes(command):
 
 def test_verify_bounds_byte_identical_across_blas_threads():
     """The oracle quadrature sums without BLAS, so the thread count is moot;
-    `grid` and the V-domain fits, `fit --beta`, `vshape` and
-    `corner-sigma`, print the same bytes at 1 and 2 BLAS threads too, as
-    the README says."""
-    argvs = (['verify-bounds'], ['grid'], ['fit', '--beta', '1.0'],
-             ['fit', '--beta', '0.5'], ['vshape'], ['corner-sigma'])
+    `grid`, the tables that print resid_2norm, `fit` and `converge`, and
+    the V-domain fits, `fit --beta`, `vshape` and `corner-sigma`, print
+    the same bytes at 1 and 2 BLAS threads too, as the README says."""
+    argvs = (['verify-bounds'], ['grid'], ['fit'], ['converge'],
+             ['fit', '--beta', '1.0'], ['fit', '--beta', '0.5'], ['vshape'],
+             ['corner-sigma'])
     code = ("from lightningfit.cli import main\n"
             f"for argv in {argvs!r}:\n"
             "    print(main(argv))\n")

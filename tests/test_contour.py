@@ -190,6 +190,9 @@ def test_setup_validation():
         ContourSetup(1e-12, 16)  # below the validity floor
     with pytest.raises(InputError):
         ContourSetup(0.5, 0)
+    with pytest.raises(InputError, match="radius must be real"):
+        ContourSetup(1j, 64)
+    assert ContourSetup(1, 64).z == 1.0
     ok = ContourSetup(math.exp(4 - 2 * t_parameter(16, H0)), 16)
     assert ok.radius > 0
 

@@ -292,6 +292,8 @@ def test_grid_n1_whose_poles_underflow_fails_only_its_rows():
     assert not any(kept.column("status"))
     with pytest.raises(InputError):
         run_grid(sigma=100.0, n1_list=(81, 100))
+    with pytest.raises(InputError, match="must be integral"):
+        run_grid(n1_list=(16.5,))  # no row of 17 poles
 
 
 def test_sweep_without_a_buildable_spec_is_input_error():

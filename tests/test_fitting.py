@@ -170,6 +170,8 @@ def test_tsvd_input_validation():
     for shape in ((5,), (0, 2), (5, 0)):
         with pytest.raises(InputError):
             tsvd_solve(np.ones(shape), np.ones(shape[0]))
+    with pytest.raises(InputError):
+        tsvd_solve(a, np.ones((3, 1)))
 
 
 def test_tsvd_rejects_non_finite_input():
@@ -435,6 +437,47 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
     z = np.concatenate([grid.points, np.conj(grid.points)])
     whole = evaluate(approx, z) - eval_target(Target.sqrt(), z)
     assert report.resid_2norm == pytest.approx(np.linalg.norm(whole), rel=1e-8)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_system_is_column_major_and_factored_as_is(monkeypatch, beta):
+    """[PF | Q | f] is written column-major, the layout LAPACK factors, and
+    a fit hands the QR that array; its R is bit for bit the R of the
+    C-order copy, which LAPACK would first gather column by column."""
+    domain = Domain(beta)
+    grid, vgrid = _grids(domain)
+    spec = BasisSpec(clustered=tapered_poles(12, 6.0), poly_degree=8)
+    system, _ = _write_system(grid, spec, eval_target(Target.sqrt(), grid.points))
+    assert system.flags.f_contiguous
+    assert np.array_equal(fitting._factor(system),
+                          np.linalg.qr(np.ascontiguousarray(system), mode="r"))
+    layouts, qr = [], np.linalg.qr
+
+    def recorded_qr(a, *args, **kwargs):
+        layouts.append(a.flags.f_contiguous)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    _fit_on(ApproxProblem(Target.sqrt(), domain), 8, grid, vgrid)
+    tsvd_solve(np.ascontiguousarray(system[:, :-1]), system[:, -1])
+    assert layouts == [True, True]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_residual_norm_from_r_is_the_direct_one(beta):
+    """resid_2norm, computed from R, agrees with sqrt(w) ||A c - f|| on the
+    fit grid, also for a degree solved from a prefix of a larger system,
+    where the residual sits far above the rounding floor."""
+    domain = Domain(beta)
+    grid, vgrid = _grids(domain)
+    fvec = eval_target(Target.sqrt(), grid.points).view(float)
+    specs = [BasisSpec(clustered=tapered_poles(6, 4.0), poly_degree=d) for d in (2, 6)]
+    for spec, (approx, report) in zip(specs, _fit_nested_on(
+            ApproxProblem(Target.sqrt(), domain), specs, grid, vgrid)):
+        residual = _write_system(grid, spec)[0] @ approx.coeffs - fvec
+        direct = math.sqrt(2 if beta else 1) * np.linalg.norm(residual)
+        assert report.resid_2norm > 1e-6
+        assert report.resid_2norm == pytest.approx(direct, rel=1e-10)
 
 
 def test_kept_data_separates_targets_and_fit_grids():

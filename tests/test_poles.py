@@ -121,5 +121,18 @@ def test_family_parameter_validation():
         uniform_poles(3, 1.0, math.nan)
 
 
+def test_counts_must_be_integers():
+    """16.5 poles would silently build 17, the last one beyond C."""
+    for make in (lambda: tapered_poles(16.5, 3.0), lambda: uniform_poles(16.0, 3.0),
+                 lambda: big_poles(None, 3)):
+        with pytest.raises(InputError, match="number of poles must be integral"):
+            make()
+    with pytest.raises(InputError, match="n2 must be integral"):
+        big_poles(10, 2.5)
+    with pytest.raises(InputError, match="sigma must be real"):
+        tapered_poles(16, "3.0")
+    assert len(tapered_poles(np.int64(16), np.float32(3.0))) == 16
+
+
 def test_len_counts_poles():
     assert len(tapered_poles(7, 2.5, 3.0)) == 7

@@ -81,6 +81,15 @@ def test_domain_validation():
         Domain(-0.1)
 
 
+@pytest.mark.parametrize("make", [lambda: Domain(None), lambda: Domain("abc"),
+                                  lambda: Domain(0.5j),
+                                  lambda: Target("power", None),
+                                  lambda: Target("power", "0.5")])
+def test_numeric_argument_of_the_wrong_kind_is_an_input_error(make):
+    with pytest.raises(InputError, match="must be real"):
+        make()
+
+
 def test_fit_grid_interval_is_real_logspaced():
     g = build_fit_grid(Domain.unit_interval(), decades=16.0, per_arm=100)
     assert len(g) == 100
