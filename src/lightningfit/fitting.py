@@ -14,9 +14,10 @@ The solve truncates singular values below eps_rel times the largest one
 and returns the minimum-norm solution, so the basis may be (and with
 clustered poles always is) numerically rank deficient on purpose.  It
 forms no orthogonal factor: [A | f] is written into one column-major array
-(LAPACK's layout), one Householder QR leaves R = [R_A | R_f] with A's
-singular values in R_A and Q^H f in R_f, the truncated SVD runs on a small
-block of R, and as Q^H [A | f] = R, the residual ||A c - f|| = ||R_A c - R_f||.
+(LAPACK's layout) and factored in place by LAPACK's geqrf, so one
+Householder QR leaves R = [R_A | R_f] with A's singular values in R_A and
+Q^H f in R_f, the truncated SVD runs on a small block of R, and as
+Q^H [A | f] = R, the residual ||A c - f|| = ||R_A c - R_f||.
 Fits that share their poles and differ in polynomial degree share that
 factorization (a `fit_nested` group; `fit` is a group of one): written
 at the largest degree with the polynomial columns last, R's leading
@@ -73,6 +74,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import EvaluationError, InputError, LightningError, NumericError
 from .poles import PoleSet
@@ -104,7 +106,7 @@ class BasisSpec:
 
     @staticmethod
     def check_poly_degree(poly_degree: int):
-        if poly_degree < -1:
+        if InputError.check_number("poly_degree", poly_degree, integral=True) < -1:
             raise InputError(f"poly_degree must be >= -1, got {poly_degree}")
 
     @property
@@ -321,26 +323,42 @@ def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = N
     return system, scales
 
 
-def _lapack(routine, *args, **kwargs):
-    """Call a numpy.linalg routine; its LinAlgError becomes a NumericError."""
-    try:
-        return routine(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"{routine.__name__} failed: {exc}") from exc
-
-
 def _factor(system: np.ndarray) -> np.ndarray:
-    """R of one Householder QR of the augmented system [A | f]."""
+    """R of one Householder QR of the augmented system [A | f], factored in
+    place by LAPACK's geqrf: a writeable float64 or complex128 column-major
+    system, as _write_system writes it, is overwritten with R and the
+    reflectors; any other is copied first.  The call and its workspace are
+    numpy.linalg.qr's, so R is bit for bit numpy's, and C-contiguous like
+    it.  lapack_lite checks the arrays' dtype and layout but not their
+    sizes, so every size passed is read off the arrays passed with it."""
     if not np.all(np.isfinite(system)):
         raise NumericError("the least-squares system has non-finite entries")
-    return _lapack(np.linalg.qr, system, mode="r")
+    a = np.require(system, dtype=np.result_type(system, float), requirements="FAW")
+    routine = lapack_lite.zgeqrf if np.iscomplexobj(a) else lapack_lite.dgeqrf
+    m, n = a.shape
+    tau = np.empty(min(m, n), a.dtype)
+
+    def geqrf(work, lwork):  # lapack_lite takes a as its C-order transpose
+        return routine(m, n, a.T, max(1, m), tau, work, lwork, 0)["info"]
+
+    query = np.empty(1, a.dtype)
+    info = geqrf(query, -1)  # the optimal workspace size, into query[0]
+    if not info:
+        work = np.empty(max(1, n, int(query[0].real)), a.dtype)
+        info = geqrf(work, len(work))
+    if info:
+        raise NumericError(f"geqrf failed with info = {info}")
+    return np.triu(a[:min(m, n)])
 
 
 def _solve_r(r: np.ndarray, n: int, eps_rel: float):
     """(coeffs, effective_rank) of A's leading n columns, from R of [A | f]:
     R's leading columns stand in for A's, its last column for Q^H f."""
     rows = min(len(r), n + 1)
-    u, s, vh = _lapack(np.linalg.svd, r[:rows, :n], full_matrices=False)
+    try:
+        u, s, vh = np.linalg.svd(r[:rows, :n], full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"svd failed: {exc}") from exc
     rank = int(np.count_nonzero(s >= eps_rel * s[0]))
     if s[0] == 0.0 or rank == 0:
         raise NumericError("all singular values below threshold; matrix is degenerate")
@@ -357,7 +375,9 @@ def tsvd_solve(a: np.ndarray, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
         raise InputError(f"the matrix must be 2-D and non-empty, got shape {a.shape}")
     if f.ndim != 1 or a.shape[0] != len(f):
         raise InputError("the data must be a vector as long as the matrix")
-    return _solve_r(_factor(np.asfortranarray(np.c_[a, f])), a.shape[1], eps_rel)
+    system = np.empty((len(f), a.shape[1] + 1), np.result_type(a, f, float), order="F")
+    system[:, :-1], system[:, -1] = a, f
+    return _solve_r(_factor(system), a.shape[1], eps_rel)
 
 
 @dataclass(frozen=True)

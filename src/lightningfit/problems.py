@@ -153,9 +153,9 @@ class SampleGrid:
 
 
 def _radii(decades: float, per_arm: int) -> np.ndarray:
-    if per_arm < 1:
+    if InputError.check_number("per_arm", per_arm, integral=True) < 1:
         raise InputError(f"grid needs at least one point per arm, got {per_arm}")
-    if decades <= 0:
+    if InputError.check_number("decades", decades) <= 0:
         raise InputError(f"decades must be positive, got {decades}")
     if not 10.0 ** -decades >= np.finfo(float).tiny:
         # beyond ~307.6 decades the smallest radii underflow to duplicate zeros

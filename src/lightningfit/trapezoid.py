@@ -52,7 +52,7 @@ class TrapApproximant:
     t_param: float = field(init=False)
 
     def __post_init__(self):
-        if self.nt < 1:
+        if InputError.check_number("nt", self.nt, integral=True) < 1:
             raise InputError(f"need at least one node, got nt={self.nt}")
         object.__setattr__(self, "step", checked_step(self.beta, self.step))
         object.__setattr__(self, "t_param", t_parameter(self.nt, self.step))

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -40,6 +41,11 @@ def test_basis_spec_rejects_empty_and_bad_degree():
         BasisSpec(poly_degree=-1)
     with pytest.raises(InputError):
         BasisSpec(clustered=tapered_poles(3, 1.0), poly_degree=-2)
+
+
+def test_basis_spec_rejects_a_fractional_degree():
+    with pytest.raises(InputError, match="poly_degree must be integral"):
+        BasisSpec(poly_degree=2.5)
 
 
 def test_polynomial_columns_orthonormal():
@@ -361,7 +367,7 @@ def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
             _assert_same_fit(nested[i], result)
 
 
-def test_grid_sweep_continues_the_recurrence(monkeypatch):
+def test_grid_sweep_continues_the_recurrence(monkeypatch, factored):
     """A degree 0..15 sweep runs 15 recurrence steps on each grid, not the
     0 + 1 + ... + 15 = 120 of a rebuild at every degree, however many pole
     sets it covers; it also runs one QR per pole set and builds the partial
@@ -369,7 +375,7 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
     16 degrees."""
     steps = {}
     build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
-    qr, pf_columns = np.linalg.qr, fitting._partial_fraction_columns
+    pf_columns = fitting._partial_fraction_columns
 
     def counted_build(z, degree):
         steps["build"] += degree
@@ -379,41 +385,32 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch):
         steps["eval"] += hess.shape[1]
         return chain_eval(pts, hess, norm0)
 
-    def counted_qr(*args, **kwargs):
-        steps["qr"] += 1
-        return qr(*args, **kwargs)
-
     def counted_pf(*args, **kwargs):
         steps["pf"] += 1
         return pf_columns(*args, **kwargs)
 
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
     chunks = math.ceil(len(build_validation_grid(Domain.unit_interval()))
                        / fitting._EVAL_CHUNK)
     for n1_list in ((16,), (9, 16)):
-        steps.update(build=0, eval=0, qr=0, pf=0)
+        steps.update(build=0, eval=0, pf=0)
+        factored.clear()
         table = run_grid(n1_list=n1_list)
         assert len(table) == 16 * len(n1_list) and not any(table.column("status"))
         groups = len(n1_list)
-        assert steps == {"build": 15, "eval": 15, "qr": groups,
-                         "pf": groups * (1 + chunks)}
+        assert steps == {"build": 15, "eval": 15, "pf": groups * (1 + chunks)}
+        assert len(factored) == groups
 
 
-def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
+def test_vshape_fit_folds_to_the_upper_arm(monkeypatch, factored):
     """A V-domain fit factors one real system of 2 len(grid) rows, the
     real and imaginary parts of its columns on the upper arm, and builds
     partial fractions in real arithmetic on the upper arms of its grids
     only."""
-    factored, kernel_points, complex_pf = [], [], []
-    qr = np.linalg.qr
+    kernel_points, complex_pf = [], []
     kernel, pf_columns = fitting._pf_kernel, fitting._partial_fraction_columns
-
-    def counted_qr(a, *args, **kwargs):
-        factored.append((a.dtype, a.shape))
-        return qr(a, *args, **kwargs)
 
     def counted_kernel(z, poles):
         kernel_points.append(len(z))
@@ -423,13 +420,13 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
         complex_pf.append(len(pts))
         return pf_columns(pts, poles)
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(fitting, "_pf_kernel", counted_kernel)
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
     domain = Domain.vshape(1.0)
     grid, vgrid = _grids(domain)
     approx, report = _fit_on(ApproxProblem(Target.sqrt(), domain), 8, grid, vgrid)
-    assert factored == [(np.dtype(np.float64), (2 * len(grid), 12 + 9 + 1))]
+    assert [(a.dtype, a.shape) for a in factored] == \
+        [(np.dtype(np.float64), (2 * len(grid), 12 + 9 + 1))]
     assert sum(kernel_points) == len(grid) + len(vgrid)
     assert complex_pf == []  # no point is near enough a pole to need it
     assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
@@ -440,27 +437,51 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch):
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_system_is_column_major_and_factored_as_is(monkeypatch, beta):
+def test_system_is_column_major_and_factored_as_is(monkeypatch, factored, beta):
     """[PF | Q | f] is written column-major, the layout LAPACK factors, and
-    a fit hands the QR that array; its R is bit for bit the R of the
-    C-order copy, which LAPACK would first gather column by column."""
+    a fit hands geqrf that very array, as tsvd_solve does the one it
+    writes; its R is bit for bit numpy.linalg.qr's R of the C-order copy,
+    which LAPACK would first gather column by column."""
     domain = Domain(beta)
     grid, vgrid = _grids(domain)
     spec = BasisSpec(clustered=tapered_poles(12, 6.0), poly_degree=8)
     system, _ = _write_system(grid, spec, eval_target(Target.sqrt(), grid.points))
     assert system.flags.f_contiguous
-    assert np.array_equal(fitting._factor(system),
+    assert np.array_equal(fitting._factor(system.copy(order="F")),
                           np.linalg.qr(np.ascontiguousarray(system), mode="r"))
-    layouts, qr = [], np.linalg.qr
+    factored.clear()
+    inputs, factor = [], fitting._factor
 
-    def recorded_qr(a, *args, **kwargs):
-        layouts.append(a.flags.f_contiguous)
-        return qr(a, *args, **kwargs)
+    def recorded_factor(a):
+        inputs.append(a)
+        return factor(a)
 
-    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    monkeypatch.setattr(fitting, "_factor", recorded_factor)
     _fit_on(ApproxProblem(Target.sqrt(), domain), 8, grid, vgrid)
     tsvd_solve(np.ascontiguousarray(system[:, :-1]), system[:, -1])
-    assert layouts == [True, True]
+    assert [a.flags.f_contiguous for a in inputs] == [True, True]
+    assert [np.shares_memory(a, b) for a, b in zip(factored, inputs)] == [True, True]
+
+
+def test_factor_overwrites_a_column_major_system_without_a_copy():
+    """A float64 column-major system is factored where it lies: the
+    workspace, R and the finiteness mask are all that _factor allocates."""
+    system = np.asfortranarray(np.random.default_rng(0).standard_normal((4000, 43)))
+    tracemalloc.start()
+    try:
+        fitting._factor(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system.nbytes / 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_refuses_a_non_finite_system(bad):
+    system = np.ones((5, 3), order="F")
+    system[2, 1] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        fitting._factor(system)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])

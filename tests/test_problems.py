@@ -90,6 +90,14 @@ def test_numeric_argument_of_the_wrong_kind_is_an_input_error(make):
         make()
 
 
+@pytest.mark.parametrize("kwargs, kind", [({"per_arm": None}, "integral"),
+                                          ({"per_arm": 100.5}, "integral"),
+                                          ({"decades": None}, "real")])
+def test_grid_size_of_the_wrong_kind_is_an_input_error(kwargs, kind):
+    with pytest.raises(InputError, match=f"must be {kind}"):
+        build_fit_grid(Domain(), **kwargs)
+
+
 def test_fit_grid_interval_is_real_logspaced():
     g = build_fit_grid(Domain.unit_interval(), decades=16.0, per_arm=100)
     assert len(g) == 100

@@ -34,6 +34,31 @@ def _orthonormal(rng, rows, cols, complex_):
     return np.linalg.qr(x)[0]
 
 
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), rank=st.integers(0, 40),
+       complex_=st.booleans(), order=st.sampled_from("CF"),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=1, n=1, rank=1, complex_=False, order="F", seed=0)
+@example(m=300, n=160, rank=150, complex_=False, order="F", seed=1)
+@example(m=300, n=160, rank=160, complex_=True, order="C", seed=2)
+def test_factor_is_numpy_qr_bit_for_bit(m, n, rank, complex_, order, seed):
+    """_factor's R is numpy.linalg.qr's, bit for bit and in the same
+    C-order layout, for float64 and complex128 systems in either order,
+    tall and wide (m < n), of one row or one column, and of any rank down
+    to 0: the product of an m x rank and a rank x n factor.  The larger
+    examples take LAPACK's blocked path."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, n)
+    x = _orthonormal(rng, m, rank, complex_) @ \
+        rng.standard_normal((rank, n)) if rank else np.zeros((m, n))
+    x = np.asarray(x, dtype=complex if complex_ else float, order=order)
+    want = np.linalg.qr(x, mode="r")
+    got = _factor(x.copy(order="K"))
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 40), n=st.integers(1, 40), complex_=st.booleans(),
        rank_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))

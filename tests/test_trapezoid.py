@@ -65,6 +65,12 @@ def test_trap_eval_rejects_pole_hit():
         trap_eval(t, -math.exp(2 * s1))
 
 
+@pytest.mark.parametrize("nt", [16.5, None])
+def test_node_count_of_the_wrong_kind_is_an_input_error(nt):
+    with pytest.raises(InputError, match="nt must be integral"):
+        TrapApproximant(nt)
+
+
 def test_trap_validation():
     with pytest.raises(InputError):
         TrapApproximant(0)
