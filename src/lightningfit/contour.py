@@ -24,14 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import EvaluationError, InputError
 from .problems import Domain
 from .quadrature import integrate
-from .trapezoid import (TrapApproximant, error_integrand, trap_eval,
-                        truncated_sqrt_integral)
+from .trapezoid import (TrapApproximant, _window_integral, error_integrand,
+                        trap_eval, truncated_sqrt_integral)
 
 
 def quadrature_error_kernel(u, step: float, branch=None):
@@ -120,7 +121,7 @@ class ContourSetup:
     def __post_init__(self):
         r = float(InputError.check_number("radius", self.radius))
         object.__setattr__(self, "rule", TrapApproximant(self.nt, self.beta))
-        # complex on the interval too: the oracle quadratures sum complex values
+        # complex on the interval too: in real arithmetic the stubs round differently
         object.__setattr__(self, "z", complex(Domain(self.beta).arm_point(r)))
         if not 0 < r <= 1 + 1e-12:
             raise InputError(f"radius must lie in (0, 1], got {r}")
@@ -152,31 +153,23 @@ class ContourTerms:
 
 
 def contour_terms(setup: ContourSetup) -> ContourTerms:
-    """The three pieces of the quadrature-error identity, each by quadrature.
+    """The three pieces of the quadrature-error identity.
 
-    The six rectangle legs are integrated in one adaptive pass over
-    t in [0, 6], leg k being t in [k, k + 1], with an edge at every
-    vertex so that no panel spans two legs; each leg keeps the tolerance
-    `setup.tol`.  The vertical legs are split at the real axis, where
-    delta jumps by 1, and each leg evaluates delta on its own explicit
-    one-sided branch.  The left real stub uses u = v^2 to remove the
-    u^{-1/2} endpoint singularity.
+    In s = sqrt(u) - T the real stubs u in [0, x0] and [4T^2, x1] are the
+    windows [-T, sqrt(x0) - T] and [T, sqrt(x1) - T] of the truncated
+    integral's kernel, so end_ints is in closed form.  gamma_int, which
+    carries delta, is by quadrature: the six rectangle legs are integrated
+    in one adaptive pass over t in [0, 6], leg k being t in [k, k + 1],
+    with an edge at every vertex so that no panel spans two legs; each leg
+    keeps the tolerance `setup.tol`.  The vertical legs are split at the
+    real axis, where delta jumps by 1, and each leg evaluates delta on its
+    own explicit one-sided branch.
     """
     z, tp, h = setup.z, setup.rule.t_param, setup.rule.step
-    tol = setup.tol
     x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
-
-    def f(u):
-        return error_integrand(u, z, tp)
-
-    def stub_left(v):
-        # f(v^2) * 2v with the singular factor cancelled
-        s = v - tp
-        return (2.0 * z / math.pi) / (np.exp(s) + z * np.exp(-s))
-
-    left_stub = integrate(stub_left, (0.0, math.sqrt(x0)), tol)
-    right_stub = integrate(f, (4.0 * tp**2, x1), tol)
-    end_ints = left_stub - right_stub
+    # the right window's width sqrt(x1) - 2T, from x1 - 4T^2 in exact arithmetic
+    width = float(Fraction(x1) - 4 * Fraction(tp) ** 2) / (math.sqrt(x1) + 2.0 * tp)
+    end_ints = _window_integral(z, -tp, math.sqrt(x0)) - _window_integral(z, tp, width)
 
     corners = np.array([x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a,
                         x0 + 1j * a, x0 + 0j, x0 - 1j * a])
@@ -187,9 +180,10 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
     def on_legs(t):
         k = np.minimum(t.astype(int), 5)  # quadrature nodes avoid the vertices
         u = start[k] + (t - k) * dz[k]
-        return f(u) * quadrature_error_kernel(u, h, branch=branch[k]) * dz[k]
+        delta = quadrature_error_kernel(u, h, branch=branch[k])
+        return error_integrand(u, z, tp) * delta * dz[k]
 
-    gamma = integrate(on_legs, np.arange(7.0), 6 * tol)
+    gamma = integrate(on_legs, np.arange(7.0), 6 * setup.tol)
 
     return ContourTerms(end_ints=end_ints, gamma_int=gamma,
                         residue_term=residue_term(z, tp, h))

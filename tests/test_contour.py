@@ -3,15 +3,17 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from lightningfit import contour
 from lightningfit import (ContourSetup, EvaluationError, InputError,
                           TrapApproximant, contour_terms,
                           default_step, error_identity_report, error_integrand,
                           pole_residue_pairs, quadrature_error_kernel,
                           residue_rate_check, residue_term, t_parameter,
-                          trap_eval, integrate)
+                          trap_eval, integrate, truncated_sqrt_integral)
 
 H0 = default_step()  # 2 pi^2
 
@@ -235,6 +237,43 @@ def test_identity_defect_within_tolerance(nt):
     for r in (0.5, 1.0):
         setup = ContourSetup(r, nt)
         assert error_identity_report(setup).defect <= setup.tol
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5])
+def test_window_integrals_match_mpmath(beta, monkeypatch):
+    """The truncated integral and both real stubs, each against the kernel's
+    antiderivative in mpmath, over the rectangle's own float endpoints: the
+    truncated integral over s in [-T, T], the stubs over [-T, sqrt(x0) - T]
+    and [T, sqrt(x1) - T].  The reference runs at 150 digits, so that the
+    arctangents' cancellation leaves it 40 correct ones."""
+    stubs = []
+
+    def recording(*args):
+        stubs.append(window(*args))
+        return stubs[-1]
+
+    window = contour._window_integral
+    monkeypatch.setattr(contour, "_window_integral", recording)
+    for nt in (16, 64, 144, 400):
+        t_param = TrapApproximant(nt, beta).t_param
+        floor = math.exp(4.0 + 2.0 * beta - 2.0 * t_param)
+        for r in (floor, 0.5, 1.0):
+            setup = ContourSetup(r, nt, beta)
+            stubs.clear()
+            contour_terms(setup)
+            with mp.workdps(150):
+                z, tp = mp.mpc(setup.z), mp.mpf(t_param)
+                root = mp.sqrt(z)
+
+                def exact(s_lo, s_hi):
+                    return 2 * root / mp.pi * (mp.atan(mp.exp(s_hi) / root)
+                                               - mp.atan(mp.exp(s_lo) / root))
+                cases = (
+                    (truncated_sqrt_integral(setup.z, t_param), exact(-tp, tp)),
+                    (stubs[0], exact(-tp, mp.sqrt(setup.rect_left) - tp)),
+                    (stubs[1], exact(tp, mp.sqrt(setup.rect_right) - tp)))
+                for got, want in cases:
+                    assert abs(got - want) <= 4e-15 * abs(want), (nt, r, got, want)
 
 
 def test_end_ints_scale():

@@ -8,11 +8,12 @@ to survive BLAS/libm variation but tight enough to catch real regressions.
 
 import collections
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from lightningfit import contour, fitting, trapezoid
+from lightningfit import contour, fitting
 from lightningfit.contour import ContourSetup, error_identity_report
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
@@ -389,22 +390,27 @@ def test_verify_bounds_smoke():
 
 
 def test_verify_bounds_integrand_evaluations(monkeypatch):
-    """An nt = 16 run makes at most a tenth of the 157,156 integrand
-    evaluations a global panel-doubling Simpson rule makes on it."""
-    evals = []
+    """Only the rectangle integral, which carries delta, runs quadrature:
+    one integrate call per row, and an nt = 16 run makes at most the
+    6,540 integrand evaluations of that call alone."""
+    calls, evals = [], []
 
     def counting(integrate):
         def counted(func, *args, **kwargs):
+            calls.append(func)
+
             def g(x):
                 evals.append(np.size(x))
                 return func(x)
             return integrate(g, *args, **kwargs)
         return counted
 
-    for module in (contour, trapezoid):
-        monkeypatch.setattr(module, "integrate", counting(module.integrate))
-    run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
-    assert 0 < sum(evals) <= 157_156 // 10
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lightningfit") and hasattr(module, "integrate"):
+            monkeypatch.setattr(module, "integrate", counting(module.integrate))
+    tab = run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
+    assert len(calls) == len(tab) == 4
+    assert 0 < sum(evals) <= 6_540
 
 
 def test_verify_bounds_evaluates_the_contour_once_per_row(monkeypatch):
