@@ -76,7 +76,7 @@ def pole_residue_pairs(z: complex, t_param: float, kmax: int = 0):
     r = abs(z)
     if not 0 < r <= 1 + 1e-12:
         raise InputError(f"|z| must lie in (0, 1], got {r}")
-    if kmax < 0:
+    if InputError.check_number("kmax", kmax, integral=True) < 0:
         raise InputError(f"kmax must be >= 0, got {kmax}")
     theta = cmath.phase(z)
     base = t_param + 0.5 * math.log(r)
@@ -167,7 +167,7 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
     """
     z, tp, h = setup.z, setup.rule.t_param, setup.rule.step
     x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
-    # the right window's width sqrt(x1) - 2T, from x1 - 4T^2 in exact arithmetic
+    # sqrt(x1) - 2T from x1 - 4T^2 exactly: 4.0 * tp**2 would round at T^2's scale
     width = float(Fraction(x1) - 4 * Fraction(tp) ** 2) / (math.sqrt(x1) + 2.0 * tp)
     end_ints = _window_integral(z, -tp, math.sqrt(x0)) - _window_integral(z, tp, width)
 

@@ -77,7 +77,7 @@ def density_correction(y: float) -> float:
     for y in [1e-8, 1e12]; the error is absolute, not relative, because the
     terms cancel to the O(1/y) result for large y.
     """
-    if not y > 0:
+    if not InputError.check_number("y", y) > 0:
         raise InputError(f"y must be positive, got {y}")
     return _correction(math.asinh(1.0 / y))
 
@@ -114,7 +114,7 @@ def stahl_density(n: int, y: float, j: float = 0.0) -> float:
     (n+1)/2 - j comes first, so it keeps its own precision as j nears
     (n+1)/2, where H - j would cancel to H's rounding of about ulp(n/2).
     """
-    if n < 1:
+    if InputError.check_number("n", n, integral=True) < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if not y > 0:
         raise InputError("y must be positive")
@@ -136,11 +136,11 @@ def invert_stahl_density(n: int, j: float) -> float:
     leading-order inverse W0 = pi((n+1)/2 - j)/sqrt(n); each evaluation
     shrinks the bracket by its sign, and a step leaving it bisects instead.
     """
+    hi = 1e12
+    # stahl_density validates n before the bounds below use it
+    f_hi = stahl_density(n, hi, j)
     if not (j < (n + 1) / 2.0):
         raise InputError(f"j must be below (n+1)/2 = {(n + 1) / 2}, got {j}")
-    hi = 1e12
-    # stahl_density validates n before _bracket_low divides by sinh(pi sqrt(n))
-    f_hi = stahl_density(n, hi, j)
     if f_hi <= 0:
         raise NumericError("upper bracket failed; j too close to (n+1)/2")
     lo = _bracket_low(n)
@@ -174,9 +174,9 @@ def invert_stahl_density(n: int, j: float) -> float:
 
 def large_pole_estimate(n: int, k: int):
     """Asymptotic location -8n/((2k+1)^2 pi^2) of the (k+1)-largest pole."""
-    if n < 1:
+    if InputError.check_number("n", n, integral=True) < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if not 0 <= k < n:
+    if not 0 <= InputError.check_number("k", k, integral=True) < n:
         raise InputError(f"k must satisfy 0 <= k < n, got {k}")
     return -8.0 * n / ((2 * k + 1) ** 2 * math.pi**2)
 
@@ -187,7 +187,7 @@ def pole_from_density(n: int, j: float) -> float:
     The density of the degree-n approximant's poles to sqrt is that of the
     degree-2n approximant to |x| on [-1,1], hence the doubled argument.
     """
-    y = invert_stahl_density(2 * n, j)
+    y = invert_stahl_density(2 * InputError.check_number("n", n, integral=True), j)
     return -(y * y)
 
 
@@ -197,6 +197,6 @@ def count_large_poles(n: int) -> float:
     n - H(2n, 1), approximately 0.4 sqrt(n); returned as a real since the
     statement is asymptotic, not a literal count.
     """
-    if n < 4:
+    if InputError.check_number("n", n, integral=True) < 4:
         raise InputError(f"n must be >= 4, got {n}")
     return n - stahl_density(2 * n, 1.0)

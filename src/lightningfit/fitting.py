@@ -331,7 +331,9 @@ def _factor(system: np.ndarray) -> np.ndarray:
     numpy.linalg.qr's, so R is bit for bit numpy's, and C-contiguous like
     it.  lapack_lite checks the arrays' dtype and layout but not their
     sizes, so every size passed is read off the arrays passed with it."""
-    if not np.all(np.isfinite(system)):
+    # min and max propagate nan and allocate no m x n mask
+    parts = (system.real, system.imag) if np.iscomplexobj(system) else (system,)
+    if not all(np.isfinite(f(part)) for part in parts for f in (np.min, np.max)):
         raise NumericError("the least-squares system has non-finite entries")
     a = np.require(system, dtype=np.result_type(system, float), requirements="FAW")
     routine = lapack_lite.zgeqrf if np.iscomplexobj(a) else lapack_lite.dgeqrf

@@ -15,7 +15,9 @@ stubs, are closed forms of one arctangent (`_window_integral`).
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +135,7 @@ class PartialFractionForm:
 
 
 def trap_partial_fractions(n1: int, step: float) -> PartialFractionForm:
-    if n1 < 1:
+    if InputError.check_number("n1", n1, integral=True) < 1:
         raise InputError(f"need n1 >= 1, got {n1}")
     step = checked_step(0.0, step)
     j = np.arange(1, 4 * n1 + 1)
@@ -179,8 +181,11 @@ def truncated_sqrt_integral(z, t_param: float):
     oracle for.  Converges to sqrt(z) as T grows; the truncation error is
     below (4/pi) e^{-T} on the closed unit interval.
     """
-    if t_param <= 0:
-        raise InputError(f"t_param must be positive, got {t_param}")
+    if not 0 < InputError.check_number("t_param", t_param) < math.inf:
+        raise InputError(f"t_param must be finite and positive, got {t_param}")
+    if (not isinstance(z, numbers.Complex) or not cmath.isfinite(z)
+            or (z.imag == 0 and z.real < 0)):
+        raise InputError(f"z must be finite and off the negative real axis, got {z!r}")
     if z == 0:
         return 0.0
     return _window_integral(z, -t_param, 2.0 * t_param)

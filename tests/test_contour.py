@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightningfit import contour
 from lightningfit import (ContourSetup, EvaluationError, InputError,
@@ -29,6 +31,21 @@ def test_kernel_periodicity():
     u = 0.3 * H0 + 1j * 2.0
     assert quadrature_error_kernel(u + 3 * H0, H0) == pytest.approx(
         quadrature_error_kernel(u, H0), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=st.floats(-0.5, 0.5, exclude_max=True), im=st.floats(1e-3, 2.0),
+       below=st.booleans(), branch=st.sampled_from((1, -1)),
+       k=st.integers(-3, 3), step=st.sampled_from((math.pi**2, 2 * math.pi**2)))
+def test_kernel_periodicity_property(re, im, below, branch, k, step):
+    """delta(u + k h) = delta(u) for u in the period centred on the origin,
+    at least 1e-3 h off the real axis, on either forced branch.  Near the
+    lattice |1 - q| falls to 6.3e-3 and divides the rounding of the phase
+    2 pi u/h, hence a tolerance of 1e-12 relative rather than a few ulps."""
+    u = complex(re * step, (-im if below else im) * step)
+    want = quadrature_error_kernel(u, step, branch=branch)
+    got = quadrature_error_kernel(u + k * step, step, branch=branch)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_kernel_decay_rate():

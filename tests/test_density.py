@@ -12,7 +12,8 @@ import pytest
 from lightningfit import (InputError, count_large_poles, density_correction,
                           density_leading, invert_stahl_density,
                           large_pole_estimate, pole_from_density, stahl_density)
-from lightningfit import density
+from lightningfit import density, pole_residue_pairs, trap_partial_fractions
+from lightningfit.experiments import run_pole_ladder
 
 
 def test_leading_closed_form_vs_quadrature():
@@ -86,6 +87,34 @@ def test_pole_ladder_runs_without_quadrature(monkeypatch):
             monkeypatch.setattr(module, "integrate", no_quadrature)
     assert pole_from_density(64, 30.0) < 0
     assert count_large_poles(2500) > 0
+
+
+H0 = 2.0 * math.pi**2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trap_partial_fractions(2.5, H0),
+    lambda: trap_partial_fractions(None, H0),
+    lambda: stahl_density(None, 1.0),
+    lambda: stahl_density(4.5, 1.0),
+    lambda: invert_stahl_density(None, 1.0),
+    lambda: pole_from_density(None, 1.0),
+    lambda: pole_from_density(2.5, 1.0),
+    lambda: count_large_poles(None),
+    lambda: count_large_poles(8.5),
+    lambda: large_pole_estimate(None, 1),
+    lambda: large_pole_estimate(8, 1.5),
+    lambda: pole_residue_pairs(1.0, 5.0, None),
+    lambda: pole_residue_pairs(1.0, 5.0, kmax=1.5),
+    lambda: density_correction(None),
+    lambda: density_correction("1"),
+    lambda: run_pole_ladder((8.5,)),
+])
+def test_oracle_counts_of_the_wrong_kind_are_input_errors(call):
+    """Counts must be integers and y a real number: InputError, not the
+    TypeError of a comparison or of numpy."""
+    with pytest.raises(InputError):
+        call()
 
 
 def test_density_rejects_nonpositive_y():

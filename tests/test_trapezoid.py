@@ -244,12 +244,9 @@ def test_truncated_integral_frozen_value():
 
 
 def test_truncated_integral_tiny_z():
-    """Small z: the tolerance applies to the output, not the huge raw integral.
-
-    The raw inner integral is ~pi/(2 sqrt z) ~ 1e7 here; an absolute
-    1e-13 on it would be unreachable.  The closed form
-    (2 sqrt z/pi)(atan(e^T/sqrt z) - atan(e^{-T}/sqrt z)) pins the value.
-    """
+    """Small z, where the raw integral over s is ~pi/(2 sqrt z) ~ 1e7 and
+    the result ~1e-7: the textbook difference of arctangents
+    (2 sqrt z/pi)(atan(e^T/sqrt z) - atan(e^{-T}/sqrt z)) pins the value."""
     z = 2e-14
     t_param = 17.0
     val = truncated_sqrt_integral(z, t_param)
@@ -264,8 +261,19 @@ def test_truncated_integral_tiny_z():
 
 def test_truncated_integral_edge_cases():
     assert truncated_sqrt_integral(0.0, 5.0) == 0.0
+    assert truncated_sqrt_integral(0j, 5.0) == 0.0
+
+
+@pytest.mark.parametrize("z, t_param", [
+    (0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf), (0.5, None),
+    (math.inf, 5.0), (complex(0.5, math.inf), 5.0), (math.nan, 5.0),
+    (-1.0, 5.0), (complex(-1.0, -0.0), 5.0), (None, 5.0), ("1", 5.0)])
+def test_truncated_integral_rejects_bad_input(z, t_param):
+    """T finite and positive; z finite and off the negative real axis,
+    where the closed form would otherwise return nan or take the wrong
+    branch."""
     with pytest.raises(InputError):
-        truncated_sqrt_integral(0.5, 0.0)
+        truncated_sqrt_integral(z, t_param)
 
 
 def test_truncated_integral_complex_arm():
