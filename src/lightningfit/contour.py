@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -167,8 +166,10 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
     """
     z, tp, h = setup.z, setup.rule.t_param, setup.rule.step
     x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
-    # sqrt(x1) - 2T from x1 - 4T^2 exactly: 4.0 * tp**2 would round at T^2's scale
-    width = float(Fraction(x1) - 4 * Fraction(tp) ** 2) / (math.sqrt(x1) + 2.0 * tp)
+    # sqrt(x1) - 2T from x1 - 4T^2 rounded once, in integers: 4.0 * tp**2
+    # would round at T^2's scale
+    (p, q), (m, n) = x1.as_integer_ratio(), tp.as_integer_ratio()
+    width = (p * n * n - 4 * m * m * q) / (q * n * n) / (math.sqrt(x1) + 2.0 * tp)
     end_ints = _window_integral(z, -tp, math.sqrt(x0)) - _window_integral(z, tp, width)
 
     corners = np.array([x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a,
