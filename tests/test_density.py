@@ -11,8 +11,10 @@ import pytest
 
 from lightningfit import (InputError, count_large_poles, density_correction,
                           density_leading, invert_stahl_density,
-                          large_pole_estimate, pole_from_density, stahl_density)
-from lightningfit import density, pole_residue_pairs, trap_partial_fractions
+                          large_pole_estimate, pole_from_density,
+                          pole_residue_pairs, stahl_density,
+                          trap_partial_fractions)
+from lightningfit import density
 from lightningfit.experiments import run_pole_ladder
 
 
