@@ -8,11 +8,11 @@ and contour-integral error verification alongside.
 
 from .version import __version__
 from .errors import (LightningError, InputError, EvaluationError, NumericError)
-from .problems import (Target, TargetKind, Domain, ApproxProblem, SampleGrid,
-                       eval_target, build_fit_grid, build_validation_grid)
-from .poles import PoleSet, uniform_poles, tapered_poles, big_poles
-from .fitting import (BasisSpec, Approximant, FitReport, tsvd_solve, fit,
-                      fit_nested, evaluate, max_error, DEFAULT_TSVD_EPS)
+from .problems import (Target, TargetKind, Domain, SampleGrid, eval_target,
+                       build_fit_grid)
+from .poles import uniform_poles, tapered_poles, big_poles
+from .fitting import (BasisSpec, Approximant, FitReport, fit, fit_nested,
+                      evaluate, max_error, DEFAULT_TSVD_EPS)
 from .trapezoid import (TrapApproximant, PartialFractionForm, trap_eval,
                         trap_partial_fractions, trap_error_bound,
                         truncated_sqrt_integral, large_pole_tail,

@@ -18,8 +18,7 @@ from .density import count_large_poles, large_pole_estimate, pole_from_density
 from .errors import InputError, LightningError, NumericError
 from .fitting import DEFAULT_TSVD_EPS, BasisSpec, FitReport, fit, fit_nested
 from .poles import big_poles, tapered_poles, uniform_poles
-from .problems import (ApproxProblem, Domain, Target, build_fit_grid,
-                       build_validation_grid)
+from .problems import Domain, Target, build_fit_grid
 from .tables import ResultTable
 from .trapezoid import TrapApproximant, default_step
 
@@ -36,7 +35,7 @@ CONVERGENCE_VARIANTS = {
     "uniform+big": ("uniform", 2.0 * math.pi, "big"),
 }
 _POLE_SCHEMES = {"tapered": tapered_poles, "uniform": uniform_poles}
-VAL_PER_ARM = 10000  # validation-grid points per arm of every sweep
+VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 SIGMA_MIN = 2.0  # the sigma sweeps' grids start here
 
 
@@ -59,9 +58,8 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of, decades=16.0):
     [(key, report, "")] in key order, with (key, _FAILED, reason) where the
     spec or the fit raised a LightningError.
     """
-    problem = ApproxProblem(target, domain)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
-    vgrid = build_validation_grid(domain, per_arm=VAL_PER_ARM, decades=decades)
+    vgrid = build_fit_grid(domain, decades=decades, per_arm=VAL_PER_ARM)
     keys = list(keys)
     specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
@@ -71,8 +69,8 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of, decades=16.0):
             results[i] = exc
     if results and not specs:
         raise results[0]
-    for i, result in zip(specs, fit_nested(problem, list(specs.values()), grid,
-                                           eps_rel, vgrid)):
+    for i, result in zip(specs, fit_nested(target, list(specs.values()), grid,
+                                           vgrid, eps_rel)):
         results[i] = result if isinstance(result, LightningError) else result[1]
     return [(key, _FAILED, str(results[i])) if isinstance(results[i], LightningError)
             else (key, results[i], "") for i, key in enumerate(keys)]
@@ -88,22 +86,22 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     ceil(1.3 sqrt(n1)), sigma to 2 sqrt(2 - beta) pi.  Unlike the sweeps,
     a failed fit raises.
     """
-    domain = Domain(beta)
-    problem = ApproxProblem(Target(target, alpha), domain)
+    domain, fitted = Domain(beta), Target(target, alpha)
     if n2 is None:
         n2 = poly_degree_rule(n1)
     if sigma is None:
         sigma = _vshape_sigma("opening-matched", beta)
-    spec = BasisSpec(clustered=tapered_poles(n1, sigma, scale), poly_degree=n2)
+    spec = BasisSpec(tapered_poles(n1, sigma, scale), poly_degree=n2)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
-    _, rep = fit(problem, spec, grid=grid, eps_rel=eps_rel)
-    row = (target, problem.target.alpha, domain.beta, n1, n2, sigma, scale,
+    vgrid = build_fit_grid(domain, decades=decades, per_arm=VAL_PER_ARM)
+    _, rep = fit(fitted, spec, grid, vgrid, eps_rel)
+    row = (target, fitted.alpha, domain.beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
-    config = {"target": problem.target.kind.value, "alpha": problem.target.alpha,
+    config = {"target": fitted.kind.value, "alpha": fitted.alpha,
               "beta": domain.beta, "n_clustered": n1, "pole_scheme": "tapered",
               "sigma": sigma, "scale_c": scale, "n_extra": 0, "poly_degree": n2,
               "total_degree": spec.total_degree, "grid_per_arm": per_arm,
-              "decades": grid.decades, "eps_rel": eps_rel}
+              "decades": float(decades), "eps_rel": eps_rel}
     return ResultTable(
         columns=("target", "alpha", "beta", "n1", "n2", "sigma", "scale_c",
                  "max_err", "coeff_2norm", "resid_2norm", "eff_rank"),
@@ -126,10 +124,10 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
     def spec_of(key):
         name, n1, n2 = key
         scheme, sigma, augment = CONVERGENCE_VARIANTS[name]
-        return BasisSpec(
-            clustered=_POLE_SCHEMES[scheme](n1, sigma, scale),
-            extra_finite=big_poles(n1 + n2, n2) if augment == "big" else None,
-            poly_degree=n2 if augment == "poly" else 0)
+        poles = _POLE_SCHEMES[scheme](n1, sigma, scale)
+        if augment == "big":
+            poles = np.concatenate([poles, big_poles(n1 + n2, n2)])
+        return BasisSpec(poles, poly_degree=n2 if augment == "poly" else 0)
 
     rows = []
     for (name, n1, n2), rep, status in _sweep(
@@ -227,7 +225,7 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     errs = {name: [] for name, _ in variants}
     for (sigma, name, _), rep, status in _sweep(
             Target.power(alpha), Domain.unit_interval(), per_arm, eps_rel, keys,
-            lambda key: BasisSpec(clustered=tapered_poles(n1, key[0], scale),
+            lambda key: BasisSpec(tapered_poles(n1, key[0], scale),
                                   poly_degree=key[2])):
         rows.append((name, sigma, rep.max_err, status))
         errs[name].append(rep.max_err)
@@ -260,7 +258,7 @@ def run_grid(alpha: float = math.pi / 10,
     rows = [(n1, n2, rep.max_err, status) for (n1, n2), rep, status in _sweep(
         target, Domain.unit_interval(), per_arm, eps_rel,
         [(n1, n2) for n1 in n1_list for n2 in n2_list],
-        lambda key: BasisSpec(clustered=tapered_poles(key[0], sigma, 1.0),
+        lambda key: BasisSpec(tapered_poles(key[0], sigma, 1.0),
                               poly_degree=key[1]))]
     near_optimal = []
     for k, n1 in enumerate(n1_list):
@@ -309,7 +307,7 @@ def run_vshape(beta_list=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5), n1: int = 40,
         keys = [(rule, _vshape_sigma(rule, beta)) for rule in VSHAPE_SIGMA_RULES]
         for (rule, sigma), rep, status in _sweep(
                 Target.sqrt(), Domain.vshape(beta), per_arm, eps_rel, keys,
-                lambda key: BasisSpec(clustered=tapered_poles(n1, key[1], 1.0),
+                lambda key: BasisSpec(tapered_poles(n1, key[1], 1.0),
                                       poly_degree=n2)):
             rows.append((float(beta), rule, sigma, rep.max_err, status))
     meta = {
@@ -352,7 +350,7 @@ def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
         for sigma, rep, status in _sweep(
                 corner_target(beta), Domain.vshape(beta), per_arm, eps_rel,
                 [float(s) for s in sigmas],
-                lambda sigma: BasisSpec(clustered=tapered_poles(n1, sigma, 1.0),
+                lambda sigma: BasisSpec(tapered_poles(n1, sigma, 1.0),
                                         poly_degree=n2)):
             rows.append((float(beta), sigma, rep.max_err, status))
             log_err.append(math.log(rep.max_err) if math.isfinite(rep.max_err)

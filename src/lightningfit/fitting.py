@@ -16,8 +16,8 @@ clustered poles always is) numerically rank deficient on purpose.  It
 forms no orthogonal factor: [A | f] is written into one column-major array
 (LAPACK's layout) and factored in place by LAPACK's geqrf, so one
 Householder QR leaves R = [R_A | R_f] with A's singular values in R_A and
-Q^H f in R_f, the truncated SVD runs on a small block of R, and as
-Q^H [A | f] = R, the residual ||A c - f|| = ||R_A c - R_f||.
+Q^T f in R_f, the truncated SVD runs on a small block of R, and as
+Q^T [A | f] = R, the residual ||A c - f|| = ||R_A c - R_f||.
 Fits that share their poles and differ in polynomial degree share that
 factorization (a `fit_nested` group; `fit` is a group of one): written
 at the largest degree with the polynomial columns last, R's leading
@@ -77,9 +77,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import EvaluationError, InputError, LightningError, NumericError
-from .poles import PoleSet
-from .problems import (ApproxProblem, SampleGrid, Target, build_fit_grid,
-                       build_validation_grid, eval_target)
+from .problems import SampleGrid, Target, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
 _EVAL_CHUNK = 4096  # rows of partial-fraction columns evaluated at a time
@@ -88,18 +86,28 @@ _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Basis layout: clustered poles, optional extra finite poles, polynomial degree.
+    """Basis layout: preassigned poles and a polynomial degree.
 
+    The poles are distinct, finite and strictly negative, held as a
+    read-only float64 copy, so the caller's array is left as it was.
     poly_degree = -1 means no polynomial columns at all; 0 means a constant
     column only.  The polynomial contributes max(poly_degree, 0) to the
     total degree (a constant adds none).
     """
 
-    clustered: PoleSet | None = None
-    extra_finite: PoleSet | None = None
+    poles: np.ndarray = ()
     poly_degree: int = 0
 
     def __post_init__(self):
+        p = np.array(self.poles, dtype=float)
+        if p.ndim != 1:
+            raise InputError("poles must form a 1-d array")
+        if np.any(p >= 0) or not np.all(np.isfinite(p)):
+            raise InputError("every pole must be finite and strictly negative")
+        if len(np.unique(p)) != len(p):
+            raise InputError("poles must be distinct")
+        p.flags.writeable = False
+        object.__setattr__(self, "poles", p)
         self.check_poly_degree(self.poly_degree)
         if self.n_columns == 0:
             raise InputError("basis is empty")
@@ -110,23 +118,12 @@ class BasisSpec:
             raise InputError(f"poly_degree must be >= -1, got {poly_degree}")
 
     @property
-    def finite_poles(self) -> np.ndarray:
-        parts = []
-        if self.clustered is not None:
-            parts.append(self.clustered.poles)
-        if self.extra_finite is not None:
-            parts.append(self.extra_finite.poles)
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
-
-    @property
     def n_columns(self) -> int:
-        return len(self.finite_poles) + self.poly_degree + 1
+        return len(self.poles) + self.poly_degree + 1
 
     @property
     def total_degree(self) -> int:
-        return len(self.finite_poles) + max(self.poly_degree, 0)
+        return len(self.poles) + max(self.poly_degree, 0)
 
 
 def _weight(pts: np.ndarray) -> int:
@@ -291,8 +288,9 @@ def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
 
 
 def _check_eps(eps_rel: float):
-    if not eps_rel > 0:
-        raise InputError(f"eps_rel must be positive, got {eps_rel}")
+    """A cutoff above 1 would keep no singular value at all."""
+    if not 0 < InputError.check_number("eps_rel", eps_rel) <= 1:
+        raise InputError(f"eps_rel must lie in (0, 1], got {eps_rel}")
 
 
 def _check_scales(scales: np.ndarray):
@@ -300,62 +298,53 @@ def _check_scales(scales: np.ndarray):
         raise NumericError("a partial-fraction column vanished on the grid")
 
 
-def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray | None = None,
-                  block: np.ndarray | None = None):
+def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray, block):
     """(system, pf_scales): the real system [PF | Q | f] in one
-    column-major array, f (the target on the grid) only if given.  Its
-    rows are on a V-domain each point's real part, then its imaginary part
+    column-major array, f the target on the grid.  Its rows are on a
+    V-domain each point's real part, then its imaginary part
     (values.view(float)); on the interval the columns themselves.  Q is
-    the leading columns of the polynomial block, by default built
-    here."""
-    poles, n = spec.finite_poles, spec.n_columns
-    rows = _weight(grid.points) * len(grid)
-    system = np.empty((rows, n + (0 if fvec is None else 1)), order="F")
+    the leading columns of the polynomial block (None without one)."""
+    poles, n = spec.poles, spec.n_columns
+    system = np.empty((_weight(grid.points) * len(grid), n + 1), order="F")
     scales = np.empty(0)
     if len(poles):
         scales = _write_partial_fractions(system[:, :len(poles)], grid.points, poles)
     if spec.poly_degree >= 0:
-        if block is None:
-            block = _poly_chain_build(grid.points, spec.poly_degree)[0]
         system[:, len(poles):n] = block[:, :spec.poly_degree + 1]
-    if fvec is not None:
-        system[:, n] = fvec.view(float)
+    system[:, n] = fvec.view(float)
     return system, scales
 
 
 def _factor(system: np.ndarray) -> np.ndarray:
     """R of one Householder QR of the augmented system [A | f], factored in
-    place by LAPACK's geqrf: a writeable float64 or complex128 column-major
-    system, as _write_system writes it, is overwritten with R and the
-    reflectors; any other is copied first.  The call and its workspace are
-    numpy.linalg.qr's, so R is bit for bit numpy's, and C-contiguous like
-    it.  lapack_lite checks the arrays' dtype and layout but not their
-    sizes, so every size passed is read off the arrays passed with it."""
+    place by LAPACK's dgeqrf: the float64 column-major system _write_system
+    writes is overwritten with R and the reflectors.  The call and its
+    workspace are numpy.linalg.qr's, so R is bit for bit numpy's, and
+    C-contiguous like it.  lapack_lite checks the arrays' dtype and layout
+    but not their sizes, so every size passed is read off the arrays
+    passed with it, nor the writeable flag, which the caller answers for."""
     # min and max propagate nan and allocate no m x n mask
-    parts = (system.real, system.imag) if np.iscomplexobj(system) else (system,)
-    if not all(np.isfinite(f(part)) for part in parts for f in (np.min, np.max)):
+    if not (np.isfinite(np.min(system)) and np.isfinite(np.max(system))):
         raise NumericError("the least-squares system has non-finite entries")
-    a = np.require(system, dtype=np.result_type(system, float), requirements="FAW")
-    routine = lapack_lite.zgeqrf if np.iscomplexobj(a) else lapack_lite.dgeqrf
-    m, n = a.shape
-    tau = np.empty(min(m, n), a.dtype)
+    m, n = system.shape
+    tau = np.empty(min(m, n))
 
-    def geqrf(work, lwork):  # lapack_lite takes a as its C-order transpose
-        return routine(m, n, a.T, max(1, m), tau, work, lwork, 0)["info"]
+    def geqrf(work, lwork):  # lapack_lite takes the C-order transpose
+        return lapack_lite.dgeqrf(m, n, system.T, max(1, m), tau, work, lwork, 0)["info"]
 
-    query = np.empty(1, a.dtype)
+    query = np.empty(1)
     info = geqrf(query, -1)  # the optimal workspace size, into query[0]
     if not info:
-        work = np.empty(max(1, n, int(query[0].real)), a.dtype)
+        work = np.empty(max(1, n, int(query[0])))
         info = geqrf(work, len(work))
     if info:
         raise NumericError(f"geqrf failed with info = {info}")
-    return np.triu(a[:min(m, n)])
+    return np.triu(system[:min(m, n)])
 
 
 def _solve_r(r: np.ndarray, n: int, eps_rel: float):
     """(coeffs, effective_rank) of A's leading n columns, from R of [A | f]:
-    R's leading columns stand in for A's, its last column for Q^H f."""
+    R's leading columns stand in for A's, its last column for Q^T f."""
     rows = min(len(r), n + 1)
     try:
         u, s, vh = np.linalg.svd(r[:rows, :n], full_matrices=False)
@@ -364,22 +353,8 @@ def _solve_r(r: np.ndarray, n: int, eps_rel: float):
     rank = int(np.count_nonzero(s >= eps_rel * s[0]))
     if s[0] == 0.0 or rank == 0:
         raise NumericError("all singular values below threshold; matrix is degenerate")
-    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ r[:rows, -1]) / s[:rank])
+    coeffs = vh[:rank].T @ ((u[:, :rank].T @ r[:rows, -1]) / s[:rank])
     return coeffs, rank
-
-
-def tsvd_solve(a: np.ndarray, f: np.ndarray, eps_rel: float = DEFAULT_TSVD_EPS):
-    """(coeffs, effective_rank) of the least-squares solve `fit` runs, on a
-    column-major [a | f]: minimum norm, keeping singular values >= eps_rel * s_max."""
-    _check_eps(eps_rel)
-    a, f = np.asarray(a), np.asarray(f)
-    if a.ndim != 2 or a.size == 0:
-        raise InputError(f"the matrix must be 2-D and non-empty, got shape {a.shape}")
-    if f.ndim != 1 or a.shape[0] != len(f):
-        raise InputError("the data must be a vector as long as the matrix")
-    system = np.empty((len(f), a.shape[1] + 1), np.result_type(a, f, float), order="F")
-    system[:, :-1], system[:, -1] = a, f
-    return _solve_r(_factor(system), a.shape[1], eps_rel)
 
 
 @dataclass(frozen=True)
@@ -409,7 +384,7 @@ class FitReport:
 def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
     """Values at pts of approximants sharing poles and scales, given their
     polynomial blocks there (or None); one partial-fraction block per chunk."""
-    poles, scales = approxes[0].spec.finite_poles, approxes[0].pf_scales
+    poles, scales = approxes[0].spec.poles, approxes[0].pf_scales
     n_pf = len(scales)
     outs = [np.zeros(len(pts), dtype=pts.dtype) for _ in approxes]
     if n_pf:
@@ -473,25 +448,23 @@ def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
                                - eval_target(target, grid.points))))
 
 
-def fit(problem: ApproxProblem, spec: BasisSpec, grid: SampleGrid | None = None,
-        eps_rel: float = DEFAULT_TSVD_EPS,
-        validation_grid: SampleGrid | None = None):
+def fit(target: Target, spec: BasisSpec, grid: SampleGrid,
+        validation_grid: SampleGrid, eps_rel: float = DEFAULT_TSVD_EPS):
     """Least-squares fit of the target over the fit grid.
 
     Returns (Approximant, FitReport).  The report's max_err is measured on
-    the denser validation grid, not the fit grid; by default that grid
-    spans the fit grid's decades.  A sweep passes all its specs to one
-    `fit_nested` call instead, which shares the pole-independent work.
+    the validation grid, not the fit grid.  A sweep passes all its specs
+    to one `fit_nested` call instead, which shares the pole-independent
+    work.
     """
-    result, = fit_nested(problem, [spec], grid, eps_rel, validation_grid)
+    result, = fit_nested(target, [spec], grid, validation_grid, eps_rel)
     if isinstance(result, LightningError):
         raise result
     return result
 
 
-def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
-               eps_rel: float = DEFAULT_TSVD_EPS,
-               validation_grid: SampleGrid | None = None) -> list:
+def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleGrid,
+               eps_rel: float = DEFAULT_TSVD_EPS) -> list:
     """Fit every spec of a sweep on the same grids, whatever its poles.
 
     What does not depend on the poles is computed first, once: the target
@@ -499,32 +472,27 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
     any spec asks for and the fit grid carries.  That decides each spec's
     degree failure: InputError at a degree the grid's rows cannot carry,
     NumericError past a breakdown of the recurrence.  The other specs that
-    share their finite poles form a group: one system, written and
-    factored once at the group's largest degree, solves every degree in
-    it, and one validation pass serves them all.  Returns per spec `fit`'s
+    share their poles form a group: one system, written and factored once
+    at the group's largest degree, solves every degree in it, and one
+    validation pass serves them all.  Returns per spec `fit`'s
     (Approximant, FitReport) or the LightningError it raised.  An eps_rel
-    that is not positive, or a grid on another domain than the problem's,
-    raises InputError before any fit.
+    outside (0, 1], or two grids on different domains, raises InputError
+    before any fit.
     """
     _check_eps(eps_rel)
+    if grid.domain != validation_grid.domain:
+        raise InputError(f"a fit grid on beta = {grid.domain.beta} cannot be "
+                         f"validated on beta = {validation_grid.domain.beta}")
     specs = list(specs)
-    if grid is None:
-        grid = build_fit_grid(problem.domain)
-    if validation_grid is None:
-        validation_grid = build_validation_grid(problem.domain, decades=grid.decades)
-    for g in (grid, validation_grid):
-        if g.domain != problem.domain:
-            raise InputError(f"a grid on beta = {g.domain.beta} cannot fit a "
-                             f"problem on beta = {problem.domain.beta}")
     rows = _weight(grid.points) * len(grid)
     carried = max((s.poly_degree for s in specs if s.poly_degree < rows), default=-1)
     chain = (None, None, None)
     if carried >= 0:
         chain = _poly_chain_build(grid.points, carried)
         carried = chain[1].shape[1]  # lower where the recurrence broke down
-    fvec, vpts = eval_target(problem.target, grid.points), validation_grid.points
+    fvec, vpts = eval_target(target, grid.points), validation_grid.points
     with np.errstate(over="ignore", invalid="ignore"):
-        validation = (vpts, eval_target(problem.target, vpts),
+        validation = (vpts, eval_target(target, vpts),
                       None if carried < 0 else _poly_chain_eval(vpts, *chain[1:]))
     results, groups = [None] * len(specs), {}
     for i, spec in enumerate(specs):
@@ -534,7 +502,7 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
         elif spec.poly_degree > carried:
             results[i] = NumericError("grid cannot support the requested polynomial degree")
         else:
-            groups.setdefault(spec.finite_poles.tobytes(), []).append(i)
+            groups.setdefault(spec.poles.tobytes(), []).append(i)
     for group in groups.values():
         fits = _fit_group([specs[i] for i in group], grid, eps_rel, fvec, chain,
                           validation)
@@ -545,7 +513,7 @@ def fit_nested(problem: ApproxProblem, specs, grid: SampleGrid | None = None,
 
 def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
                validation) -> list:
-    """fit_nested's results for specs that share their finite poles and
+    """fit_nested's results for specs that share their poles and
     whose degrees the grid carries, all from one system at their largest
     degree.  fvec is the target on the fit grid, chain the polynomial
     block there with its recurrence (Q, hess, norm0), and validation the

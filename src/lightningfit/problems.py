@@ -122,14 +122,8 @@ class Domain:
 
 
 @dataclass(frozen=True)
-class ApproxProblem:
-    target: Target
-    domain: Domain
-
-
-@dataclass(frozen=True)
 class SampleGrid:
-    """Immutable points on a domain, with the radial decades they span.
+    """Immutable points on a domain.
 
     Complex points are a V-domain's upper arm, and each stands for itself
     and its mirror image (see `fitting`), so a grid of n points per arm
@@ -141,7 +135,6 @@ class SampleGrid:
 
     points: np.ndarray
     domain: Domain
-    decades: float
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.ascontiguousarray(
@@ -177,11 +170,4 @@ def build_fit_grid(domain: Domain, decades: float = 16.0,
     On the interval the points are real; on a V-domain they are the
     upper arm's `per_arm` points, which stand for both arms.
     """
-    return SampleGrid(points=domain.arm_point(_radii(decades, per_arm)),
-                      domain=domain, decades=float(decades))
-
-
-def build_validation_grid(domain: Domain, per_arm: int = 10000,
-                          decades: float = 16.0) -> SampleGrid:
-    """Denser companion grid used to report max errors."""
-    return build_fit_grid(domain, decades=decades, per_arm=per_arm)
+    return SampleGrid(points=domain.arm_point(_radii(decades, per_arm)), domain=domain)

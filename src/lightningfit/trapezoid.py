@@ -199,7 +199,18 @@ def _window_integral(z, s_lo: float, width: float):
     c = e^{s_lo}/sqrt(z): no two values near pi/2 are subtracted, and each
     exponential takes an exact argument.  For z off (-inf, 0] the argument
     lies in the right half-plane, where the principal arctangent has no cut.
+    Where c or e^{-width}/c leaves the double range (T past about 708, or
+    |z| near the float limits) the quotient is nan or inf; the argument is
+    then huge, and atan(x) = pi/2 - atan(1/x), whose 1/x has the terms
+    c and e^{-width - s_lo} sqrt(z), neither divided by an underflow.
     """
     root = np.sqrt(z)
-    c = np.exp(s_lo) / root
-    return (2.0 * root / math.pi) * np.arctan(-np.expm1(-width) / (c + np.exp(-width) / c))
+    with np.errstate(all="ignore"):
+        c, rise = np.exp(s_lo) / root, -np.expm1(-width)  # rise = 1 - e^{-width}
+        value = (2.0 * root / math.pi) * np.arctan(rise / (c + np.exp(-width) / c))
+        if not cmath.isfinite(value):
+            inverse = (c + np.exp(-width - s_lo) * root) / rise
+            value = root - (2.0 * root / math.pi) * np.arctan(inverse)
+    if not cmath.isfinite(value):
+        raise NumericError(f"the window integral at z = {z!r} leaves the double range")
+    return value

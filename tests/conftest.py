@@ -17,6 +17,5 @@ def factored(monkeypatch):
             return routine(m, n, a, lda, tau, work, lwork, info)
         return geqrf
 
-    for name in ("dgeqrf", "zgeqrf"):
-        monkeypatch.setattr(lapack_lite, name, recorded(getattr(lapack_lite, name)))
+    monkeypatch.setattr(lapack_lite, "dgeqrf", recorded(lapack_lite.dgeqrf))
     return systems

@@ -25,6 +25,7 @@ from lightningfit.density import (
     stahl_density,
 )
 from lightningfit.experiments import (
+    VAL_PER_ARM,
     corner_sigma_rule,
     run_convergence,
     run_corner_sigma,
@@ -36,11 +37,9 @@ from lightningfit.experiments import (
 from lightningfit.fitting import BasisSpec, fit
 from lightningfit.poles import tapered_poles
 from lightningfit.problems import (
-    ApproxProblem,
     Domain,
     Target,
     build_fit_grid,
-    build_validation_grid,
 )
 from lightningfit.trapezoid import (
     TrapApproximant,
@@ -85,7 +84,7 @@ def test_01_sqrt_tapered_poly_best_rate():
 
 def test_02_trap_rule_error_bound():
     """max |trap_eval - sqrt| <= 20 exp(-pi sqrt(nt/2)); exact inequality."""
-    xs = build_validation_grid(Domain.unit_interval()).points.real
+    xs = build_fit_grid(Domain.unit_interval(), per_arm=VAL_PER_ARM).points.real
     lines = []
     for nt in (8, 16, 32, 64, 128):
         t = TrapApproximant(nt)
@@ -277,18 +276,14 @@ def test_11_coefficient_norm_floor():
     at the norm-scaled plateau 100 * eps * ||c||_2 with eps = 2e-14.
     """
     domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.sqrt(), domain)
     grid = build_fit_grid(domain)
-    vgrid = build_validation_grid(domain)
-    plain = BasisSpec(clustered=tapered_poles(59, math.sqrt(2.0) * math.pi, 1.0),
+    vgrid = build_fit_grid(domain, per_arm=VAL_PER_ARM)
+    plain = BasisSpec(tapered_poles(59, math.sqrt(2.0) * math.pi, 1.0),
                       poly_degree=0)
-    aug = BasisSpec(clustered=tapered_poles(49, 2.0 * math.sqrt(2.0) * math.pi,
-                                            1.0),
+    aug = BasisSpec(tapered_poles(49, 2.0 * math.sqrt(2.0) * math.pi, 1.0),
                     poly_degree=10)
-    _, rep_p = fit(problem, plain, grid=grid, eps_rel=2e-14,
-                   validation_grid=vgrid)
-    _, rep_a = fit(problem, aug, grid=grid, eps_rel=2e-14,
-                   validation_grid=vgrid)
+    _, rep_p = fit(Target.sqrt(), plain, grid, vgrid, eps_rel=2e-14)
+    _, rep_a = fit(Target.sqrt(), aug, grid, vgrid, eps_rel=2e-14)
     ratio = rep_p.coeff_2norm / rep_a.coeff_2norm
     floor = 100.0 * 2e-14 * rep_a.coeff_2norm
     print(f"criterion 11: norm ratio {ratio:.3e} (>= 100); augmented "

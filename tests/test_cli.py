@@ -1,15 +1,20 @@
 """Command-line interface: subcommands, flags, formats, exit codes."""
 
+import contextlib
 import functools
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lightningfit
 from lightningfit import ResultTable, cli, parse_csv_table
@@ -111,9 +116,9 @@ def test_help_and_version_exit_0(capsys):
 
 
 def test_numeric_failure_exit_2(capsys):
-    # an absurd tsvd threshold > 1 truncates every singular value
-    code, _, err = run_cli(capsys, "fit", "--n1", "6", "--n2", "2",
-                           "--grid-points", "100", "--tsvd-eps", "10.0")
+    # a degree-59 polynomial on 60 points overflows between them
+    code, _, err = run_cli(capsys, "fit", "--n1", "4", "--n2", "59",
+                           "--grid-points", "60")
     assert code == 2
     assert "numeric failure" in err
 
@@ -123,12 +128,10 @@ def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    spec = lightningfit.BasisSpec(clustered=lightningfit.tapered_poles(6, 8.0),
-                                  poly_degree=2)
-    problem = lightningfit.ApproxProblem(lightningfit.Target.sqrt(),
-                                         lightningfit.Domain.unit_interval())
+    spec = lightningfit.BasisSpec(lightningfit.tapered_poles(6, 8.0), poly_degree=2)
+    grid = lightningfit.build_fit_grid(lightningfit.Domain.unit_interval())
     with pytest.raises(lightningfit.NumericError, match="SVD did not converge"):
-        lightningfit.fit(problem, spec)
+        lightningfit.fit(lightningfit.Target.sqrt(), spec, grid, grid)
     code, out, err = run_cli(capsys, "fit")
     assert code == 2
     assert out == ""
@@ -171,13 +174,13 @@ def test_sweep_tsvd_eps_not_positive_exit_1(capsys, command, eps):
 
 
 @pytest.mark.parametrize("argv", [
-    ("sigma-sweep", "--tsvd-eps", "10", "--grid-points", "200"),
-    ("corner-sigma", "--tsvd-eps", "10", "--grid-points", "100", "--n1", "4",
-     "--n2", "2"),
+    ("sigma-sweep", "--grid-points", "60", "--n1", "4", "--n2", "59"),
+    ("corner-sigma", "--grid-points", "30", "--n1", "4", "--n2", "59"),
     ("sigma-sweep", "--grid-points", "3", "--n1", "4"),
 ])
 def test_sweep_with_every_fit_failed_exit_2(capsys, argv):
-    # no finite error to take the argmin sigma of
+    # no finite error to take the argmin sigma of: the degree-59 family
+    # overflows between its 60 rows on either domain
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -449,3 +452,60 @@ def test_flag_reaches_runner_keyword(monkeypatch, capsys, command, flag):
     expected = {} if flag is None else {HONOURED[command][flag]: FLAG_VALUES[flag][1]}
     assert calls == [expected]
     assert set(expected) <= set(inspect.signature(runner).parameters)
+
+
+@pytest.mark.parametrize("command", [c for c, flags in HONOURED.items()
+                                     if "--tsvd-eps" in flags])
+@pytest.mark.parametrize("eps", ["inf", "1e308", "2"])
+def test_tsvd_eps_above_one_exit_1(capsys, command, eps):
+    # a cutoff above 1 keeps no singular value: refused before any fit,
+    # with no numpy warning on the way
+    code, out, err = run_cli(capsys, command, "--tsvd-eps", eps)
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: eps_rel must lie in (0, 1], got {float(eps)}\n"
+
+
+_NOT_A_NUMBER = st.sampled_from(["nan", "inf", "-inf", "", "abc", "1e", "0x10"])
+_NOT_POSITIVE = st.floats(max_value=0.0).map(repr) | _NOT_A_NUMBER
+_NOT_A_COUNT = st.integers(max_value=0).map(str) | _NOT_A_NUMBER | st.just("2.5")
+
+# flag: values it refuses, whatever the subcommand and the other flags'
+# defaults; every text is passed as --flag=text, so that argparse reads
+# "-1" or "-inf" as the flag's value
+INVALID = {
+    "--target": st.text(max_size=8).filter(lambda t: t not in ("sqrt", "power",
+                                                               "powerlog")),
+    # an integer power is no singular target, and sqrt fixes alpha = 1/2
+    "--alpha": _NOT_POSITIVE | st.integers(1, 5).map(repr),
+    "--beta": st.floats(max_value=-5e-324).map(repr)
+              | st.floats(min_value=2.0).map(repr) | _NOT_A_NUMBER,
+    "--n1": _NOT_A_COUNT,
+    "--n2": st.integers(max_value=-2).map(str) | _NOT_A_NUMBER | st.just("2.5"),
+    # past 1e300 every tapered pole underflows to -0.0
+    "--sigma": _NOT_POSITIVE | st.floats(min_value=1e300).map(repr),
+    "--scale-c": _NOT_POSITIVE,
+    "--grid-points": _NOT_A_COUNT,
+    "--decades": _NOT_POSITIVE | st.floats(min_value=308.0).map(repr),
+    "--tsvd-eps": _NOT_POSITIVE | st.floats(min_value=1.0, exclude_min=True).map(repr),
+    "--format": st.text(max_size=8).filter(lambda t: t not in ("csv", "json")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_invalid_flag_value_exits_1(data):
+    """One invalid value for one flag, the others at their defaults: exit
+    1, nothing on stdout, no traceback and no numpy warning."""
+    command, flag = data.draw(st.sampled_from([
+        (command, flag) for command, flags in HONOURED.items()
+        for flag in (*flags, "--format")]))
+    value = data.draw(INVALID[flag])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, f"{flag}={value}"])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue() and "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []

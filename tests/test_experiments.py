@@ -18,6 +18,7 @@ from lightningfit.contour import ContourSetup, error_identity_report
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
+    VAL_PER_ARM,
     VSHAPE_SIGMA_RULES,
     corner_sigma_rule,
     corner_target,
@@ -34,8 +35,7 @@ from lightningfit.experiments import (
 )
 from lightningfit.fitting import BasisSpec, fit, fit_nested
 from lightningfit.poles import tapered_poles
-from lightningfit.problems import (ApproxProblem, Domain, Target, build_fit_grid,
-                                   build_validation_grid)
+from lightningfit.problems import Domain, Target, build_fit_grid
 
 
 def col(table, name):
@@ -230,15 +230,15 @@ def test_grid_rows_match_fits_on_fresh_grids():
     tab = run_grid(n1_list=(16,), n2_list=n2_list)
     assert tab.column("n2") == list(n2_list)
     domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.power(tab.meta["alpha"]), domain)
-    specs = [BasisSpec(clustered=tapered_poles(16, tab.meta["sigma"], 1.0),
-                       poly_degree=n2) for n2 in n2_list]
-    nested = fit_nested(problem, specs, grid=build_fit_grid(domain),
-                        validation_grid=build_validation_grid(domain))
+    target = Target.power(tab.meta["alpha"])
+    specs = [BasisSpec(tapered_poles(16, tab.meta["sigma"], 1.0), poly_degree=n2)
+             for n2 in n2_list]
+    nested = fit_nested(target, specs, build_fit_grid(domain),
+                        build_fit_grid(domain, per_arm=VAL_PER_ARM))
     assert tab.column("max_err") == [rep.max_err for _, rep in nested]
     for spec, (_, rep) in zip(specs, nested):
-        _, alone = fit(problem, spec, grid=build_fit_grid(domain),
-                       validation_grid=build_validation_grid(domain))
+        _, alone = fit(target, spec, build_fit_grid(domain),
+                       build_fit_grid(domain, per_arm=VAL_PER_ARM))
         assert rep.eff_rank == alone.eff_rank
         assert abs(rep.max_err - alone.max_err) <= 1e-4 * alone.max_err + 1e-13
 
@@ -271,11 +271,11 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
     assert [s == "" for s in statuses] == [True, False, True, False]
     assert all("needs more than the grid's 40 points" in s for s in statuses[1::2])
     domain = Domain.unit_interval()
-    problem = ApproxProblem(Target.power(tab.meta["alpha"]), domain)
-    specs = [BasisSpec(clustered=tapered_poles(4, tab.meta["sigma"], 1.0),
-                       poly_degree=n2) for n2 in (3, 5)]
-    feasible = fit_nested(problem, specs, grid=build_fit_grid(domain, per_arm=40),
-                          validation_grid=build_validation_grid(domain))
+    specs = [BasisSpec(tapered_poles(4, tab.meta["sigma"], 1.0), poly_degree=n2)
+             for n2 in (3, 5)]
+    feasible = fit_nested(Target.power(tab.meta["alpha"]), specs,
+                          build_fit_grid(domain, per_arm=40),
+                          build_fit_grid(domain, per_arm=VAL_PER_ARM))
     assert tab.column("max_err")[::2] == [rep.max_err for _, rep in feasible]
 
 
@@ -284,7 +284,7 @@ def test_grid_n1_whose_poles_underflow_fails_only_its_rows():
     32 rows carry the pole set's error, and the other 112 are the sweep
     without them, bit for bit."""
     with pytest.raises(InputError) as exc:
-        tapered_poles(81, 100.0, 1.0)
+        BasisSpec(tapered_poles(81, 100.0, 1.0))
     tab = run_grid(sigma=100.0)
     failed = [row for row in tab.rows if row[0] in (81, 100)]
     assert len(failed) == 32 and all(row[3] == str(exc.value) for row in failed)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from lightningfit import InputError, PoleSet, big_poles, tapered_poles, uniform_poles
+from lightningfit import BasisSpec, InputError, big_poles, tapered_poles, uniform_poles
 
 # -exp(-2 (sqrt(4) - sqrt(j))), j = 1..4
 TAPERED_4_2_1 = np.array([
@@ -36,23 +36,23 @@ BIG_100_3 = np.array([
 
 def test_tapered_frozen_values():
     p = tapered_poles(4, 2.0, 1.0)
-    assert np.allclose(p.poles, TAPERED_4_2_1, rtol=1e-15, atol=0)
+    assert np.allclose(p, TAPERED_4_2_1, rtol=1e-15, atol=0)
 
 
 def test_uniform_frozen_values():
     p = uniform_poles(3, 1.0, 2.0)
-    assert np.allclose(p.poles, UNIFORM_3_1_2, rtol=1e-15, atol=0)
+    assert np.allclose(p, UNIFORM_3_1_2, rtol=1e-15, atol=0)
 
 
 def test_big_frozen_values():
     p = big_poles(100, 3)
-    assert np.allclose(p.poles, BIG_100_3, rtol=1e-15, atol=0)
+    assert np.allclose(p, BIG_100_3, rtol=1e-15, atol=0)
 
 
 def test_tapered_ordering_and_extremes():
     """Tapered sets ascend in magnitude from exp(-sigma(sqrt(N1)-1)) to the scale."""
     n1, sigma, c = 25, 4.0, 1.5
-    p = tapered_poles(n1, sigma, c).poles
+    p = tapered_poles(n1, sigma, c)
     mags = np.abs(p)
     assert np.all(np.diff(mags) > 0)
     assert mags[-1] == pytest.approx(c, rel=1e-15)
@@ -62,7 +62,7 @@ def test_tapered_ordering_and_extremes():
 def test_uniform_ordering_and_gap():
     """Uniform sets descend from the scale with constant log gap sigma/sqrt(N1)."""
     n1, sigma, c = 16, 3.0, 2.0
-    p = uniform_poles(n1, sigma, c).poles
+    p = uniform_poles(n1, sigma, c)
     mags = np.abs(p)
     assert np.all(np.diff(mags) < 0)
     assert mags[0] == pytest.approx(c, rel=1e-15)
@@ -71,9 +71,9 @@ def test_uniform_ordering_and_gap():
 
 
 def test_big_descends_and_scales_linearly_in_n():
-    p = big_poles(50, 5).poles
+    p = big_poles(50, 5)
     assert np.all(np.diff(np.abs(p)) < 0)
-    q = big_poles(100, 5).poles
+    q = big_poles(100, 5)
     assert np.allclose(q, 2.0 * p, rtol=1e-15)
 
 
@@ -82,26 +82,30 @@ def test_smallest_tapered_pole_magnitude_rule():
     for n1, sigma in ((9, 2.0), (49, 7.0)):
         p = tapered_poles(n1, sigma)
         expected = math.exp(-sigma * (math.sqrt(n1) - 1.0))
-        assert abs(p.poles[0]) == pytest.approx(expected, rel=1e-13)
+        assert abs(p[0]) == pytest.approx(expected, rel=1e-13)
 
 
 def test_pole_set_validation():
-    with pytest.raises(InputError):
-        PoleSet(np.array([-1.0, 0.0]))
-    with pytest.raises(InputError):
-        PoleSet(np.array([-1.0, 1.0]))
-    with pytest.raises(InputError):
-        PoleSet(np.array([-1.0, -1.0]))
-    with pytest.raises(InputError):
-        PoleSet(np.array([[-1.0], [-2.0]]))
-    with pytest.raises(InputError):
-        PoleSet(np.array([-math.inf]))
+    """A basis takes distinct, finite, strictly negative poles in a 1-d array."""
+    for poles, message in (([-1.0, 0.0], "finite and strictly negative"),
+                           ([-1.0, 1.0], "finite and strictly negative"),
+                           ([-1.0, -1.0], "distinct"),
+                           ([[-1.0], [-2.0]], "1-d array"),
+                           ([-math.inf], "finite and strictly negative"),
+                           ([-1.0, math.nan], "finite and strictly negative")):
+        with pytest.raises(InputError, match=message):
+            BasisSpec(np.array(poles))
 
 
 def test_pole_set_immutable():
+    """A basis holds a read-only copy: the caller's array stays writeable,
+    and a later write to it does not reach the basis."""
     p = tapered_poles(3, 1.0)
+    spec = BasisSpec(p)
     with pytest.raises(ValueError):
-        p.poles[0] = -5.0
+        spec.poles[0] = -5.0
+    p[0] = -5.0
+    assert spec.poles[0] == tapered_poles(3, 1.0)[0]
 
 
 def test_family_parameter_validation():

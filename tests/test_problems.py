@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lightningfit import (ApproxProblem, BasisSpec, Domain, InputError,
-                          SampleGrid, Target, build_fit_grid,
-                          build_validation_grid, eval_target, fit,
-                          tapered_poles)
+from lightningfit import (BasisSpec, Domain, InputError, SampleGrid, Target,
+                          build_fit_grid, eval_target, experiments, fit,
+                          fitting, tapered_poles)
 
 
 def test_sqrt_target_fixes_alpha():
@@ -130,19 +129,17 @@ def test_grid_upper_arm():
 def test_grid_holds_contiguous_float64_or_complex128_points():
     """A hand-built grid of strided float32 or complex64 points holds and
     fits them bit for bit as their contiguous float64 or complex128 copy."""
-    spec = BasisSpec(clustered=tapered_poles(6, 4.0), poly_degree=4)
+    spec = BasisSpec(tapered_poles(6, 4.0), poly_degree=4)
     for domain in (Domain.unit_interval(), Domain.vshape(1.0)):
         grid = build_fit_grid(domain, per_arm=200)
         narrow = grid.points.astype(np.complex64 if domain.beta else np.float32)
-        coarse = SampleGrid(points=np.repeat(narrow, 2)[::2], domain=domain,
-                            decades=16.0)
-        wide = SampleGrid(points=narrow.astype(grid.points.dtype),
-                          domain=domain, decades=16.0)
+        coarse = SampleGrid(points=np.repeat(narrow, 2)[::2], domain=domain)
+        wide = SampleGrid(points=narrow.astype(grid.points.dtype), domain=domain)
         assert coarse.points.dtype == grid.points.dtype
         assert coarse.points.flags.c_contiguous
-        problem = ApproxProblem(Target.sqrt(), domain)
-        assert np.array_equal(fit(problem, spec, coarse)[0].coeffs,
-                              fit(problem, spec, wide)[0].coeffs)
+        vgrid = build_fit_grid(domain, per_arm=500)
+        assert np.array_equal(fit(Target.sqrt(), spec, coarse, vgrid)[0].coeffs,
+                              fit(Target.sqrt(), spec, wide, vgrid)[0].coeffs)
 
 
 def test_grid_points_read_only():
@@ -160,12 +157,19 @@ def test_grid_rejects_bad_parameters():
         build_fit_grid(Domain.unit_interval(), decades=1e-16)
 
 
-def test_validation_grid_default_density():
-    g = build_validation_grid(Domain.unit_interval())
-    assert len(g) == 10000
+def test_validation_grid_default_density(monkeypatch):
+    """run_fit and the sweeps validate on 10000 points per arm, over the
+    fit grid's decades."""
+    seen = []
 
+    def recorded(target, specs, grid, validation_grid, eps_rel):
+        seen.append((len(grid), len(validation_grid), validation_grid.points[0]))
+        return fit_nested(target, specs, grid, validation_grid, eps_rel)
 
-def test_problem_carries_target_and_domain():
-    p = ApproxProblem(Target.sqrt(), Domain.unit_interval())
-    assert p.target.kind.value == "sqrt"
-    assert p.domain.beta == 0.0
+    fit_nested = fitting.fit_nested
+    for module in (experiments, fitting):  # run_fit calls fitting.fit
+        monkeypatch.setattr(module, "fit_nested", recorded)
+    experiments.run_fit(n1=6, per_arm=300, decades=8.0)
+    experiments.run_grid(n1_list=(4,), n2_list=(2,), per_arm=300)
+    assert seen == [(300, 10000, pytest.approx(1e-8, rel=1e-15)),
+                    (300, 10000, pytest.approx(1e-16, rel=1e-15))]

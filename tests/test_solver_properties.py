@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightningfit import (ApproxProblem, Approximant, BasisSpec, Domain,
-                          EvaluationError, PoleSet, Target, build_fit_grid,
-                          build_validation_grid, eval_target, evaluate, fit,
-                          tapered_poles, tsvd_solve)
+from lightningfit import (Approximant, BasisSpec, Domain, EvaluationError,
+                          Target, build_fit_grid, eval_target, evaluate, fit,
+                          tapered_poles)
+from lightningfit.experiments import VAL_PER_ARM
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _pf_kernel,
                                   _poly_chain_build, _poly_chain_eval,
                                   _solve_r, _write_partial_fractions,
@@ -27,42 +27,44 @@ def reference_tsvd(a, f, eps_rel):
     return vh[:rank].conj().T @ ((u[:, :rank].conj().T @ f) / s[:rank]), rank
 
 
-def _orthonormal(rng, rows, cols, complex_):
-    x = rng.standard_normal((rows, cols))
-    if complex_:
-        x = x + 1j * rng.standard_normal((rows, cols))
-    return np.linalg.qr(x)[0]
+def _augmented(a, f):
+    """[a | f] in one column-major array, the layout the fit writes."""
+    system = np.empty((len(f), a.shape[1] + 1), order="F")
+    system[:, :-1], system[:, -1] = a, f
+    return system
+
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 40), n=st.integers(1, 40), rank=st.integers(0, 40),
-       complex_=st.booleans(), order=st.sampled_from("CF"),
        seed=st.integers(0, 2**32 - 1))
-@example(m=1, n=1, rank=1, complex_=False, order="F", seed=0)
-@example(m=300, n=160, rank=150, complex_=False, order="F", seed=1)
-@example(m=300, n=160, rank=160, complex_=True, order="C", seed=2)
-def test_factor_is_numpy_qr_bit_for_bit(m, n, rank, complex_, order, seed):
+@example(m=1, n=1, rank=1, seed=0)
+@example(m=300, n=160, rank=150, seed=1)
+@example(m=300, n=160, rank=160, seed=2)
+def test_factor_is_numpy_qr_bit_for_bit(m, n, rank, seed):
     """_factor's R is numpy.linalg.qr's, bit for bit and in the same
-    C-order layout, for float64 and complex128 systems in either order,
-    tall and wide (m < n), of one row or one column, and of any rank down
-    to 0: the product of an m x rank and a rank x n factor.  The larger
-    examples take LAPACK's blocked path."""
+    C-order layout, for float64 column-major systems, tall and wide
+    (m < n), of one row or one column, and of any rank down to 0: the
+    product of an m x rank and a rank x n factor.  The larger examples
+    take LAPACK's blocked path."""
     rng = np.random.default_rng(seed)
     rank = min(rank, m, n)
-    x = _orthonormal(rng, m, rank, complex_) @ \
-        rng.standard_normal((rank, n)) if rank else np.zeros((m, n))
-    x = np.asarray(x, dtype=complex if complex_ else float, order=order)
+    x = _orthonormal(rng, m, rank) @ rng.standard_normal((rank, n)) if rank \
+        else np.zeros((m, n))
     want = np.linalg.qr(x, mode="r")
-    got = _factor(x.copy(order="K"))
+    got = _factor(np.asfortranarray(x))
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.flags.c_contiguous and want.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 40), n=st.integers(1, 40), complex_=st.booleans(),
+@given(m=st.integers(1, 40), n=st.integers(1, 40),
        rank_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_tsvd_matches_reference_truncated_svd(m, n, complex_, rank_frac, seed):
+def test_tsvd_matches_reference_truncated_svd(m, n, rank_frac, seed):
     """Kept singular values span [1e-2, 1], dropped ones sit below 1e-17:
     a gap of fifteen decades around the 2e-14 cut."""
     rng = np.random.default_rng(seed)
@@ -70,12 +72,9 @@ def test_tsvd_matches_reference_truncated_svd(m, n, complex_, rank_frac, seed):
     rank = max(1, round(rank_frac * k))
     s = np.concatenate([np.geomspace(1.0, 1e-2, rank),
                         np.geomspace(1e-17, 1e-19, k - rank)])
-    a = (_orthonormal(rng, m, k, complex_) * s) @ \
-        _orthonormal(rng, n, k, complex_).conj().T
+    a = (_orthonormal(rng, m, k) * s) @ _orthonormal(rng, n, k).T
     f = rng.standard_normal(m)
-    if complex_:
-        f = f + 1j * rng.standard_normal(m)
-    coeffs, got_rank = tsvd_solve(a, f)
+    coeffs, got_rank = _solve_r(_factor(_augmented(a, f)), n, DEFAULT_TSVD_EPS)
     ref, ref_rank = reference_tsvd(a, f, DEFAULT_TSVD_EPS)
     assert got_rank == ref_rank == rank
     assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -84,8 +83,8 @@ def test_tsvd_matches_reference_truncated_svd(m, n, complex_, rank_frac, seed):
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 40), independent=st.lists(st.booleans(), min_size=1,
                                                   max_size=40),
-       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, seed):
     """One factorization of [A | f] solves every column prefix of A.
 
     A column is independent, with a scale in [1e-2, 1] along its own
@@ -98,7 +97,7 @@ def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, s
     kinds = [True] + independent[1:]
     kinds = [k and sum(kinds[:j + 1]) <= m for j, k in enumerate(kinds)]
     n_ind = sum(kinds)
-    basis = _orthonormal(rng, m, n_ind, complex_) * np.geomspace(1.0, 1e-2, n_ind)
+    basis = _orthonormal(rng, m, n_ind) * np.geomspace(1.0, 1e-2, n_ind)
     columns, k = [], 0
     for is_independent in kinds:
         if is_independent:
@@ -109,11 +108,11 @@ def test_prefix_solves_match_tsvd_on_leading_columns(m, independent, complex_, s
             noise = rng.standard_normal(m)
             columns.append(basis[:, :k] @ mix + 1e-17 * noise / np.linalg.norm(noise))
     a = np.column_stack(columns)
-    f = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_ else 0)
-    r = _factor(np.column_stack([a, f]))
+    f = rng.standard_normal(m)
+    r = _factor(_augmented(a, f))
     for n in range(1, len(kinds) + 1):
         coeffs, rank = _solve_r(r, n, DEFAULT_TSVD_EPS)
-        ref, ref_rank = tsvd_solve(a[:, :n], f)
+        ref, ref_rank = reference_tsvd(a[:, :n], f, DEFAULT_TSVD_EPS)
         assert rank == ref_rank == sum(kinds[:n])
         assert np.linalg.norm(coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -135,11 +134,10 @@ def test_folded_solve_matches_complex_tsvd_of_unfolded_system(h, n, rank_frac,
     rank = max(1, round(rank_frac * k))
     s = np.concatenate([np.geomspace(1.0, 1e-2, rank),
                         np.geomspace(1e-17, 1e-19, k - rank)])
-    folded = (_orthonormal(rng, 2 * h, k, False) * s) @ \
-        _orthonormal(rng, n, k, False).T
+    folded = (_orthonormal(rng, 2 * h, k) * s) @ _orthonormal(rng, n, k).T
     arm = folded[:h] + 1j * folded[h:]
     f_arm = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-    system = np.empty((2 * h, n + 1))
+    system = np.empty((2 * h, n + 1), order="F")
     system[0::2, :n], system[1::2, :n] = arm.real, arm.imag
     system[:, n] = f_arm.view(float)
     coeffs, got_rank = _solve_r(_factor(system), n, DEFAULT_TSVD_EPS)
@@ -195,12 +193,9 @@ def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
     the maximum over the whole grid; the approximant is real on the
     positive real axis."""
     domain = Domain(beta)
-    vgrid = build_validation_grid(domain, per_arm=val_per_arm)
-    approx, report = fit(ApproxProblem(target, domain),
-                         BasisSpec(clustered=tapered_poles(n1, sigma),
-                                   poly_degree=degree),
-                         grid=build_fit_grid(domain, per_arm=per_arm),
-                         validation_grid=vgrid)
+    vgrid = build_fit_grid(domain, per_arm=val_per_arm)
+    spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
+    approx, report = fit(target, spec, build_fit_grid(domain, per_arm=per_arm), vgrid)
     assert approx.coeffs.dtype == np.float64
     z = np.concatenate([vgrid.points, np.conj(vgrid.points)])
     values = evaluate(approx, z)
@@ -227,9 +222,11 @@ def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
     scale of the coefficients' 1-norm."""
     domain = Domain(beta)
     grid = build_fit_grid(domain, per_arm=per_arm)
-    spec = BasisSpec(clustered=tapered_poles(n1, sigma), poly_degree=degree)
-    approx, _ = fit(ApproxProblem(target, domain), spec, grid=grid)
-    direct = _write_system(grid, spec)[0] @ approx.coeffs
+    spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
+    approx, _ = fit(target, spec, grid, build_fit_grid(domain, per_arm=VAL_PER_ARM))
+    block = _poly_chain_build(grid.points, degree)[0] if degree >= 0 else None
+    system = _write_system(grid, spec, eval_target(target, grid.points), block)[0]
+    direct = system[:, :-1] @ approx.coeffs
     values = evaluate(approx, grid.points).view(float)
     scale = max(1.0, float(np.abs(approx.coeffs).sum()))
     assert np.max(np.abs(values - direct)) <= 1e-13 * scale
@@ -298,8 +295,7 @@ def test_kernel_outside_the_normal_range_of_d_is_complex_division():
     assert np.array_equal(rows[0:8:2], scaled[:4].real)
     assert np.array_equal(rows[1:8:2], scaled[:4].imag)
     assert np.all(np.abs(rows[8] + 1j * rows[9] - scaled[4]) <= 1e-14 * np.abs(scaled[4]))
-    approx = Approximant(BasisSpec(clustered=PoleSet(poles),
-                                   poly_degree=-1),
+    approx = Approximant(BasisSpec(poles, poly_degree=-1),
                          np.ones(3), None, None, np.array([1.0, -2.0, 3.0]))
     values = evaluate(approx, z)
     want = ref @ approx.coeffs
@@ -319,12 +315,10 @@ def test_evaluate_on_a_slice_is_the_full_call_bit_for_bit(beta, n1, sigma,
     call: a slice, and single points, against one call on 5000 points
     (more than one 4096-point chunk)."""
     domain = Domain(beta)
-    approx, _ = fit(ApproxProblem(Target.sqrt(), domain),
-                    BasisSpec(clustered=tapered_poles(n1, sigma),
-                              poly_degree=degree),
-                    grid=build_fit_grid(domain, per_arm=300),
-                    validation_grid=build_validation_grid(domain, per_arm=50))
-    pts = build_validation_grid(domain, per_arm=5000).points
+    spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
+    approx, _ = fit(Target.sqrt(), spec, build_fit_grid(domain, per_arm=300),
+                    build_fit_grid(domain, per_arm=50))
+    pts = build_fit_grid(domain, per_arm=5000).points
     full = evaluate(approx, pts)
     part = slice(start, start + length)
     assert np.array_equal(evaluate(approx, pts[part]), full[part])

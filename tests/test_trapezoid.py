@@ -125,7 +125,7 @@ def test_small_poles_are_tapered_family():
     n1, h = 16, default_step()
     pf = trap_partial_fractions(n1, h)
     model = tapered_poles(n1, 2.0 * math.sqrt(h), 1.0)
-    assert np.allclose(pf.poles[: pf.n1], model.poles, rtol=1e-15, atol=0)
+    assert np.allclose(pf.poles[: pf.n1], model, rtol=1e-15, atol=0)
 
 
 def test_partial_fraction_identity_float_small():
@@ -274,6 +274,17 @@ def test_truncated_integral_rejects_bad_input(z, t_param):
     branch."""
     with pytest.raises(InputError):
         truncated_sqrt_integral(z, t_param)
+
+
+@pytest.mark.parametrize("z, t_param", [
+    (0.5, 750.0), (1e300, 400.0), (1e300 + 1e300j, 400.0), (1.0, 710.0)])
+def test_truncated_integral_beyond_the_exponentials_range(z, t_param):
+    """Where e^{-T} / sqrt(z) or e^{-2T} leaves the double range the value
+    is still finite, with no numpy warning (the suite turns one into an
+    error), and sqrt(z) to rounding: the truncation error there is below
+    (2/pi)(1 + |z|) e^{-T}, under 1e-23 relative."""
+    val = truncated_sqrt_integral(z, t_param)
+    assert val == pytest.approx(complex(z) ** 0.5, rel=4e-16)
 
 
 def test_truncated_integral_complex_arm():
