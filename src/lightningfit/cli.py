@@ -18,12 +18,13 @@ import sys
 
 from . import experiments
 from .errors import InputError, NumericError
+from .problems import TARGET_KINDS
 from .tables import write_table
 from .version import __version__
 
 # runner keyword: (flag, argparse options)
 _FLAGS = {
-    "target": ("--target", {"choices": ("sqrt", "power", "powerlog"),
+    "target": ("--target", {"choices": TARGET_KINDS,
                             "help": "target function family"}),
     "alpha": ("--alpha", {"type": float, "help": "exponent of the x^alpha target"}),
     "beta": ("--beta", {"type": float,

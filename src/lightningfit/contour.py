@@ -75,8 +75,7 @@ def pole_residue_pairs(z: complex, t_param: float, kmax: int = 0):
     r = abs(z)
     if not 0 < r <= 1 + 1e-12:
         raise InputError(f"|z| must lie in (0, 1], got {r}")
-    if InputError.check_number("kmax", kmax, integral=True) < 0:
-        raise InputError(f"kmax must be >= 0, got {kmax}")
+    InputError.check_count("kmax", kmax, least=0)
     theta = cmath.phase(z)
     base = t_param + 0.5 * math.log(r)
     root_z = cmath.sqrt(z)

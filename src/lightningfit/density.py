@@ -55,7 +55,10 @@ def density_leading(y):
     Closed form asinh(1/y)/pi; for large y it behaves like
     1/(pi y) - 1/(6 pi y^3) + O(y^-5).
     """
-    y = np.asarray(y, dtype=float)
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("y must be positive") from None
     if not np.all(y > 0):
         raise InputError("y must be positive")
     out = np.arcsinh(1.0 / y) / math.pi
@@ -77,9 +80,7 @@ def density_correction(y: float) -> float:
     for y in [1e-8, 1e12]; the error is absolute, not relative, because the
     terms cancel to the O(1/y) result for large y.
     """
-    if not InputError.check_number("y", y) > 0:
-        raise InputError(f"y must be positive, got {y}")
-    return _correction(math.asinh(1.0 / y))
+    return _correction(math.asinh(1.0 / InputError.check_positive("y", y)))
 
 
 def _correction(w: float) -> float:
@@ -114,11 +115,13 @@ def stahl_density(n: int, y: float, j: float = 0.0) -> float:
     (n+1)/2 - j comes first, so it keeps its own precision as j nears
     (n+1)/2, where H - j would cancel to H's rounding of about ulp(n/2).
     """
-    if InputError.check_number("n", n, integral=True) < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if not y > 0:
-        raise InputError("y must be positive")
-    w = math.asinh(1.0 / y)
+    InputError.check_count("n", n)
+    InputError.check_number("j", j)
+    return _margin(n, math.asinh(1.0 / InputError.check_positive("y", y)), j)
+
+
+def _margin(n: int, w: float, j: float) -> float:
+    """stahl_density at W = asinh(1/y), for checked n and j."""
     return ((n + 1) / 2.0 - j) - math.sqrt(n) * (w / math.pi) - _correction(w)
 
 
@@ -156,12 +159,13 @@ def invert_stahl_density(n: int, j: float) -> float:
     t = min(max(-(w0 + math.log(-math.expm1(-2.0 * w0) / 2.0)), t_lo), t_hi)
     for _ in range(_NEWTON_CAP):
         y = math.exp(t)
-        g = stahl_density(n, y, j)
+        w = math.asinh(1.0 / y)
+        g = _margin(n, w, j)
         t_lo, t_hi = (t, t_hi) if g < 0.0 else (t_lo, t)
         tol = 1e-13 * max(1.0, abs(t))
         if t_hi - t_lo <= tol:  # near the turning point H's rounding stalls Newton
             return y
-        slope = (root_n / math.hypot(1.0, y) - math.asinh(1.0 / y) / math.pi) / math.pi
+        slope = (root_n / math.hypot(1.0, y) - w / math.pi) / math.pi
         step = g / slope if slope > 0.0 else math.inf
         # tested before the safeguard, so a root on a bracket end is kept
         if abs(step) <= tol:
@@ -174,8 +178,7 @@ def invert_stahl_density(n: int, j: float) -> float:
 
 def large_pole_estimate(n: int, k: int):
     """Asymptotic location -8n/((2k+1)^2 pi^2) of the (k+1)-largest pole."""
-    if InputError.check_number("n", n, integral=True) < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    InputError.check_count("n", n)
     if not 0 <= InputError.check_number("k", k, integral=True) < n:
         raise InputError(f"k must satisfy 0 <= k < n, got {k}")
     return -8.0 * n / ((2 * k + 1) ** 2 * math.pi**2)
@@ -197,6 +200,4 @@ def count_large_poles(n: int) -> float:
     n - H(2n, 1), approximately 0.4 sqrt(n); returned as a real since the
     statement is asymptotic, not a literal count.
     """
-    if InputError.check_number("n", n, integral=True) < 4:
-        raise InputError(f"n must be >= 4, got {n}")
-    return n - stahl_density(2 * n, 1.0)
+    return InputError.check_count("n", n, least=4) - stahl_density(2 * n, 1.0)

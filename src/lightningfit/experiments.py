@@ -41,9 +41,7 @@ SIGMA_MIN = 2.0  # the sigma sweeps' grids start here
 
 def poly_degree_rule(n1: int) -> int:
     """Polynomial degree that balances the clustered poles: ceil(1.3 sqrt(N1))."""
-    if n1 < 1:
-        raise InputError(f"pole count must be >= 1, got {n1}")
-    return math.ceil(1.3 * math.sqrt(n1))
+    return math.ceil(1.3 * math.sqrt(InputError.check_count("n1", n1)))
 
 
 # the report of a failed row: nan errors, rank 0
@@ -82,9 +80,9 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
             eps_rel: float = DEFAULT_TSVD_EPS) -> ResultTable:
     """One fit of sqrt, x^alpha or x^alpha log x on the opening-beta domain.
 
-    target names a TargetKind; sqrt takes only alpha = 0.5.  n2 defaults to
-    ceil(1.3 sqrt(n1)), sigma to 2 sqrt(2 - beta) pi.  Unlike the sweeps,
-    a failed fit raises.
+    target names one of `TARGET_KINDS`; sqrt takes only alpha = 0.5.  n2
+    defaults to ceil(1.3 sqrt(n1)), sigma to 2 sqrt(2 - beta) pi.  Unlike
+    the sweeps, a failed fit raises.
     """
     domain, fitted = Domain(beta), Target(target, alpha)
     if n2 is None:
@@ -97,7 +95,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     _, rep = fit(fitted, spec, grid, vgrid, eps_rel)
     row = (target, fitted.alpha, domain.beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
-    config = {"target": fitted.kind.value, "alpha": fitted.alpha,
+    config = {"target": fitted.kind, "alpha": fitted.alpha,
               "beta": domain.beta, "n_clustered": n1, "pole_scheme": "tapered",
               "sigma": sigma, "scale_c": scale, "n_extra": 0, "poly_degree": n2,
               "total_degree": spec.total_degree, "grid_per_arm": per_arm,
@@ -131,8 +129,7 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
 
     rows = []
     for (name, n1, n2), rep, status in _sweep(
-            Target.sqrt(), Domain.unit_interval(), per_arm, eps_rel, keys,
-            spec_of, decades):
+            Target("sqrt"), Domain(), per_arm, eps_rel, keys, spec_of, decades):
         scheme, sigma, _ = CONVERGENCE_VARIANTS[name]
         rows.append((name, scheme, n1 + n2, n1, n2, sigma, rep.max_err,
                      rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, status))
@@ -215,7 +212,7 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     the same poles plus a low-degree polynomial.  The refined argmin of
     each family lands in the metadata next to the 2 pi / sqrt(alpha) rule.
     """
-    BasisSpec.check_poly_degree(poly_degree)  # else the poly family has no argmin
+    InputError.check_count("poly_degree", poly_degree, least=-1)  # else no argmin
     sigmas = np.geomspace(SIGMA_MIN, sigma_max, n_sigma)
     variants = (("plain", 0), ("poly", poly_degree)) if include_plain \
         else (("poly", poly_degree),)
@@ -224,7 +221,7 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
     rows = []
     errs = {name: [] for name, _ in variants}
     for (sigma, name, _), rep, status in _sweep(
-            Target.power(alpha), Domain.unit_interval(), per_arm, eps_rel, keys,
+            Target("power", alpha), Domain(), per_arm, eps_rel, keys,
             lambda key: BasisSpec(tapered_poles(n1, key[0], scale),
                                   poly_degree=key[2])):
         rows.append((name, sigma, rep.max_err, status))
@@ -252,11 +249,11 @@ def run_grid(alpha: float = math.pi / 10,
              n2_list=tuple(range(0, 16)), sigma: float | None = None,
              eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000) -> ResultTable:
     """(N1, N2) error surface for x^alpha; where does more polynomial stop helping."""
-    target = Target.power(alpha)  # validates alpha
+    target = Target("power", alpha)  # validates alpha
     if sigma is None:
         sigma = 2.0 * math.pi / math.sqrt(alpha)
     rows = [(n1, n2, rep.max_err, status) for (n1, n2), rep, status in _sweep(
-        target, Domain.unit_interval(), per_arm, eps_rel,
+        target, Domain(), per_arm, eps_rel,
         [(n1, n2) for n1 in n1_list for n2 in n2_list],
         lambda key: BasisSpec(tapered_poles(key[0], sigma, 1.0),
                               poly_degree=key[1]))]
@@ -306,7 +303,7 @@ def run_vshape(beta_list=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5), n1: int = 40,
     for beta in beta_list:
         keys = [(rule, _vshape_sigma(rule, beta)) for rule in VSHAPE_SIGMA_RULES]
         for (rule, sigma), rep, status in _sweep(
-                Target.sqrt(), Domain.vshape(beta), per_arm, eps_rel, keys,
+                Target("sqrt"), Domain(beta), per_arm, eps_rel, keys,
                 lambda key: BasisSpec(tapered_poles(n1, key[1], 1.0),
                                       poly_degree=n2)):
             rows.append((float(beta), rule, sigma, rep.max_err, status))
@@ -328,8 +325,8 @@ def corner_target(beta: float) -> Target:
     exponent = 1.0 / beta
     nearest = round(exponent)
     if abs(exponent - nearest) < 1e-12:
-        return Target.power_log(float(nearest))
-    return Target.power(exponent)
+        return Target("powerlog", float(nearest))
+    return Target("power", exponent)
 
 
 def corner_sigma_rule(beta: float) -> float:
@@ -348,7 +345,7 @@ def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
     for beta in beta_list:
         log_err = []
         for sigma, rep, status in _sweep(
-                corner_target(beta), Domain.vshape(beta), per_arm, eps_rel,
+                corner_target(beta), Domain(beta), per_arm, eps_rel,
                 [float(s) for s in sigmas],
                 lambda sigma: BasisSpec(tapered_poles(n1, sigma, 1.0),
                                         poly_degree=n2)):

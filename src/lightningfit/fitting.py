@@ -99,7 +99,10 @@ class BasisSpec:
     poly_degree: int = 0
 
     def __post_init__(self):
-        p = np.array(self.poles, dtype=float)
+        try:
+            p = np.array(self.poles, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("poles must form a 1-d array of reals") from None
         if p.ndim != 1:
             raise InputError("poles must form a 1-d array")
         if np.any(p >= 0) or not np.all(np.isfinite(p)):
@@ -108,14 +111,9 @@ class BasisSpec:
             raise InputError("poles must be distinct")
         p.flags.writeable = False
         object.__setattr__(self, "poles", p)
-        self.check_poly_degree(self.poly_degree)
+        InputError.check_count("poly_degree", self.poly_degree, least=-1)
         if self.n_columns == 0:
             raise InputError("basis is empty")
-
-    @staticmethod
-    def check_poly_degree(poly_degree: int):
-        if InputError.check_number("poly_degree", poly_degree, integral=True) < -1:
-            raise InputError(f"poly_degree must be >= -1, got {poly_degree}")
 
     @property
     def n_columns(self) -> int:

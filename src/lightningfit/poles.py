@@ -25,14 +25,10 @@ import numpy as np
 from .errors import InputError
 
 
-def _check_counts(n: int, sigma: float | None = None, scale: float | None = None):
-    if InputError.check_number("the number of poles", n, integral=True) < 1:
-        raise InputError(f"need at least one pole, got {n}")
-    for name, value in (("sigma", sigma), ("scale", scale)):
-        if value is not None and not InputError.check_number(name, value) > 0:
-            raise InputError(f"{name} must be positive, got {value}")
-        if value == math.inf:
-            raise InputError(f"{name} must be finite, got {value}")
+def _check_counts(n: int, sigma: float, scale: float):
+    InputError.check_count("the number of poles", n)
+    InputError.check_positive("sigma", sigma)
+    InputError.check_positive("scale", scale)
 
 
 def uniform_poles(n1: int, sigma: float, scale: float = 1.0) -> np.ndarray:
@@ -60,8 +56,7 @@ def big_poles(n: int, n2: int) -> np.ndarray:
     Descending magnitude, scale set by the total degree n of the target
     approximant; independent of any clustering scale.
     """
-    _check_counts(n)
-    if InputError.check_number("n2", n2, integral=True) < 1:
-        raise InputError(f"need at least one big pole, got {n2}")
+    InputError.check_count("the number of poles", n)
+    InputError.check_count("n2", n2)
     i = np.arange(1, n2 + 1)
     return -8.0 * n / ((2 * i + 1) ** 2 * math.pi**2)

@@ -11,7 +11,6 @@ only: the targets are conjugate-symmetric, so it stands for both arms.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,49 +19,27 @@ import numpy as np
 from .errors import InputError
 
 
-class TargetKind(str, enum.Enum):
-    SQRT = "sqrt"
-    POWER = "power"
-    POWER_LOG = "powerlog"
+TARGET_KINDS = ("sqrt", "power", "powerlog")
 
 
 @dataclass(frozen=True)
 class Target:
     """A singular model function: sqrt(z), z**alpha, or z**alpha * log(z)."""
 
-    kind: TargetKind
+    kind: str  # one of TARGET_KINDS
     alpha: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.kind, TargetKind):
-            try:
-                kind = TargetKind(self.kind)
-            except ValueError:
-                kinds = ", ".join(k.value for k in TargetKind)
-                raise InputError(f"target kind must be one of {kinds}, "
-                                 f"got {self.kind!r}") from None
-            object.__setattr__(self, "kind", kind)
-        a = float(InputError.check_number("alpha", self.alpha))
-        if not math.isfinite(a) or a <= 0:
-            raise InputError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.kind is TargetKind.SQRT and a != 0.5:
+        if self.kind not in TARGET_KINDS:
+            raise InputError(f"target kind must be one of {', '.join(TARGET_KINDS)}, "
+                             f"got {self.kind!r}")
+        a = float(InputError.check_positive("alpha", self.alpha))
+        if self.kind == "sqrt" and a != 0.5:
             raise InputError("sqrt target fixes alpha = 1/2")
-        if self.kind is TargetKind.POWER and a == int(a):
+        if self.kind == "power" and a == int(a):
             # integer powers are polynomials, not singular targets
             raise InputError(f"power target needs non-integer alpha, got {a}")
         object.__setattr__(self, "alpha", a)
-
-    @classmethod
-    def sqrt(cls) -> "Target":
-        return cls(TargetKind.SQRT, 0.5)
-
-    @classmethod
-    def power(cls, alpha: float) -> "Target":
-        return cls(TargetKind.POWER, alpha)
-
-    @classmethod
-    def power_log(cls, alpha: float) -> "Target":
-        return cls(TargetKind.POWER_LOG, alpha)
 
 
 def eval_target(target: Target, z):
@@ -82,11 +59,11 @@ def eval_target(target: Target, z):
 
     zero = z == 0
     zsafe = np.where(zero, 1.0, z)
-    if target.kind is TargetKind.SQRT:
+    if target.kind == "sqrt":
         out = np.sqrt(zsafe)
     else:
         out = zsafe ** target.alpha
-        if target.kind is TargetKind.POWER_LOG:
+        if target.kind == "powerlog":
             out = out * np.log(zsafe)
     out = np.where(zero, 0.0, out)
     return out[0] if scalar else out
@@ -103,14 +80,6 @@ class Domain:
         if not (0.0 <= b < 2.0):
             raise InputError(f"beta must lie in [0, 2), got {self.beta}")
         object.__setattr__(self, "beta", b + 0.0)  # -0.0 becomes 0.0
-
-    @classmethod
-    def unit_interval(cls) -> "Domain":
-        return cls(0.0)
-
-    @classmethod
-    def vshape(cls, beta: float) -> "Domain":
-        return cls(beta)
 
     @property
     def arm_angle(self) -> float:
@@ -146,10 +115,8 @@ class SampleGrid:
 
 
 def _radii(decades: float, per_arm: int) -> np.ndarray:
-    if InputError.check_number("per_arm", per_arm, integral=True) < 1:
-        raise InputError(f"grid needs at least one point per arm, got {per_arm}")
-    if InputError.check_number("decades", decades) <= 0:
-        raise InputError(f"decades must be positive, got {decades}")
+    InputError.check_count("per_arm", per_arm)
+    InputError.check_positive("decades", decades)
     if not 10.0 ** -decades >= np.finfo(float).tiny:
         # beyond ~307.6 decades the smallest radii underflow to duplicate zeros
         raise InputError(f"decades must leave 10**-decades a normal float "

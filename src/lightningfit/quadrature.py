@@ -45,6 +45,8 @@ def integrate(func, edges, tol: float, max_evals: int = MAX_EVALS):
     tol * w / (edges[-1] - edges[0]).  Raises NumericError when reaching
     that would take more than `max_evals` evaluations of `func`.
     """
+    InputError.check_positive("tol", tol)
+    InputError.check_count("max_evals", max_evals)
     edges = np.asarray(edges, dtype=float)
     if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
             or np.any(np.diff(edges) < 0)):

@@ -34,11 +34,7 @@ def default_step(beta: float = 0.0) -> float:
 def checked_step(beta: float, step: float | None = None) -> float:
     """Validate the opening beta and the step; None gives the default step."""
     default = default_step(beta)
-    if step is None:
-        return default
-    if not step > 0:
-        raise InputError(f"step must be positive, got {step}")
-    return step
+    return default if step is None else InputError.check_positive("step", step)
 
 
 def t_parameter(nt: int, step: float) -> float:
@@ -56,8 +52,7 @@ class TrapApproximant:
     t_param: float = field(init=False)
 
     def __post_init__(self):
-        if InputError.check_number("nt", self.nt, integral=True) < 1:
-            raise InputError(f"need at least one node, got nt={self.nt}")
+        InputError.check_count("nt", self.nt)
         object.__setattr__(self, "step", checked_step(self.beta, self.step))
         object.__setattr__(self, "t_param", t_parameter(self.nt, self.step))
 
@@ -135,8 +130,7 @@ class PartialFractionForm:
 
 
 def trap_partial_fractions(n1: int, step: float) -> PartialFractionForm:
-    if InputError.check_number("n1", n1, integral=True) < 1:
-        raise InputError(f"need n1 >= 1, got {n1}")
+    InputError.check_count("n1", n1)
     step = checked_step(0.0, step)
     j = np.arange(1, 4 * n1 + 1)
     root_h = math.sqrt(step)
@@ -181,8 +175,7 @@ def truncated_sqrt_integral(z, t_param: float):
     oracle for.  Converges to sqrt(z) as T grows; the truncation error is
     below (4/pi) e^{-T} on the closed unit interval.
     """
-    if not 0 < InputError.check_number("t_param", t_param) < math.inf:
-        raise InputError(f"t_param must be finite and positive, got {t_param}")
+    InputError.check_positive("t_param", t_param)
     if (not isinstance(z, numbers.Complex) or not cmath.isfinite(z)
             or (z.imag == 0 and z.real < 0)):
         raise InputError(f"z must be finite and off the negative real axis, got {z!r}")

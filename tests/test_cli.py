@@ -129,9 +129,9 @@ def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     spec = lightningfit.BasisSpec(lightningfit.tapered_poles(6, 8.0), poly_degree=2)
-    grid = lightningfit.build_fit_grid(lightningfit.Domain.unit_interval())
+    grid = lightningfit.build_fit_grid(lightningfit.Domain())
     with pytest.raises(lightningfit.NumericError, match="SVD did not converge"):
-        lightningfit.fit(lightningfit.Target.sqrt(), spec, grid, grid)
+        lightningfit.fit(lightningfit.Target("sqrt"), spec, grid, grid)
     code, out, err = run_cli(capsys, "fit")
     assert code == 2
     assert out == ""

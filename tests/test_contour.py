@@ -366,5 +366,5 @@ def test_residue_rate_check_validation():
     with pytest.raises(InputError, match="beta must lie"):
         residue_rate_check(default_step(), 3.0, (16,))
     for nt in (0, -3):
-        with pytest.raises(InputError, match="at least one node"):
+        with pytest.raises(InputError, match="nt must be >= 1"):
             residue_rate_check(default_step(), 0.0, [nt])

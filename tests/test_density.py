@@ -134,6 +134,12 @@ def test_density_rejects_nonpositive_y():
         density_leading(np.array([1.0, math.nan]))
 
 
+@pytest.mark.parametrize("y", ["a", 1j, [1.0, "a"], [[1.0], [1.0, 2.0]]])
+def test_density_leading_input_that_is_not_real_is_an_input_error(y):
+    with pytest.raises(InputError, match="y must be positive"):
+        density_leading(y)
+
+
 def test_density_limits():
     """H -> (n+1)/2 as y -> infinity; H is increasing on the monotone branch."""
     n = 100

@@ -229,8 +229,8 @@ def test_grid_rows_match_fits_on_fresh_grids():
     n2_list = (9, 2, 15, 5)
     tab = run_grid(n1_list=(16,), n2_list=n2_list)
     assert tab.column("n2") == list(n2_list)
-    domain = Domain.unit_interval()
-    target = Target.power(tab.meta["alpha"])
+    domain = Domain()
+    target = Target("power", tab.meta["alpha"])
     specs = [BasisSpec(tapered_poles(16, tab.meta["sigma"], 1.0), poly_degree=n2)
              for n2 in n2_list]
     nested = fit_nested(target, specs, build_fit_grid(domain),
@@ -270,10 +270,10 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
     statuses = tab.column("status")
     assert [s == "" for s in statuses] == [True, False, True, False]
     assert all("needs more than the grid's 40 points" in s for s in statuses[1::2])
-    domain = Domain.unit_interval()
+    domain = Domain()
     specs = [BasisSpec(tapered_poles(4, tab.meta["sigma"], 1.0), poly_degree=n2)
              for n2 in (3, 5)]
-    feasible = fit_nested(Target.power(tab.meta["alpha"]), specs,
+    feasible = fit_nested(Target("power", tab.meta["alpha"]), specs,
                           build_fit_grid(domain, per_arm=40),
                           build_fit_grid(domain, per_arm=VAL_PER_ARM))
     assert tab.column("max_err")[::2] == [rep.max_err for _, rep in feasible]
@@ -298,7 +298,7 @@ def test_grid_n1_whose_poles_underflow_fails_only_its_rows():
 
 
 def test_sweep_without_a_buildable_spec_is_input_error():
-    with pytest.raises(InputError, match="need at least one pole"):
+    with pytest.raises(InputError, match="number of poles must be >= 1"):
         run_vshape(n1=0)
 
 

@@ -56,6 +56,21 @@ def test_unreachable_tolerance_raises():
         integrate(noisy, (0.0, 1.0), 1e-15, max_evals=2**13)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # checked before any evaluation, not after the evaluation budget runs out
+    calls = []
+    with pytest.raises(InputError, match="tol must be"):
+        integrate(lambda x: calls.append(x) or np.sin(x), (0.0, 1.0), tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_evals", [0, -1, 2.5])
+def test_evaluation_budget_must_be_a_count(max_evals):
+    with pytest.raises(InputError, match="max_evals must be"):
+        integrate(np.sin, (0.0, 1.0), 1e-13, max_evals=max_evals)
+
+
 @pytest.mark.parametrize("edges", [(1.0, 0.0), (0.0,), (0.0, np.inf), (0.0, np.nan, 1.0)])
 def test_edges_must_be_an_ordered_finite_sequence(edges):
     with pytest.raises(InputError):

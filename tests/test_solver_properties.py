@@ -172,8 +172,8 @@ def test_folded_arnoldi_block_is_orthonormal_on_the_whole_grid(beta, degree,
     assert np.max(np.abs(values.conj().T @ values - np.eye(degree + 1))) <= 1e-12
 
 
-VSHAPE_TARGETS = [Target.sqrt(), Target.power(0.3), Target.power(1.0 / 1.5),
-                  Target.power_log(1.0), Target.power_log(0.7)]
+VSHAPE_TARGETS = [Target("sqrt"), Target("power", 0.3), Target("power", 1.0 / 1.5),
+                  Target("powerlog", 1.0), Target("powerlog", 0.7)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,9 +182,9 @@ VSHAPE_TARGETS = [Target.sqrt(), Target.power(0.3), Target.power(1.0 / 1.5),
        degree=st.integers(-1, 20), per_arm=st.integers(30, 600),
        val_per_arm=st.integers(1, 5000))
 # one validation point per arm, and a last chunk of one row on the arm
-@example(beta=1.0, target=Target.sqrt(), n1=4, sigma=5.0, degree=3, per_arm=50,
+@example(beta=1.0, target=Target("sqrt"), n1=4, sigma=5.0, degree=3, per_arm=50,
          val_per_arm=1)
-@example(beta=0.5, target=Target.power_log(1.0), n1=12, sigma=6.0, degree=8,
+@example(beta=0.5, target=Target("powerlog", 1.0), n1=12, sigma=6.0, degree=8,
          per_arm=200, val_per_arm=4097)
 def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
                                            per_arm, val_per_arm):
@@ -209,10 +209,10 @@ def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
 @given(beta=st.sampled_from([0.0, 0.5, 1.0, 1.5]), n1=st.integers(1, 24),
        sigma=st.floats(3.0, 12.0), degree=st.integers(-1, 10),
        per_arm=st.integers(60, 300),
-       target=st.sampled_from([Target.sqrt(), Target.power(0.3)]))
+       target=st.sampled_from([Target("sqrt"), Target("power", 0.3)]))
 # a coarse grid and a high degree: columns that are not the recurrence's own
 # values on the grid drift from its re-evaluation there by ~1e-9
-@example(beta=0.0, n1=1, sigma=3.0, degree=9, per_arm=60, target=Target.sqrt())
+@example(beta=0.0, n1=1, sigma=3.0, degree=9, per_arm=60, target=Target("sqrt"))
 def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
                                                      per_arm, target):
     """evaluate on the fit grid's upper arm, viewed as real rows (each
@@ -316,7 +316,7 @@ def test_evaluate_on_a_slice_is_the_full_call_bit_for_bit(beta, n1, sigma,
     (more than one 4096-point chunk)."""
     domain = Domain(beta)
     spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
-    approx, _ = fit(Target.sqrt(), spec, build_fit_grid(domain, per_arm=300),
+    approx, _ = fit(Target("sqrt"), spec, build_fit_grid(domain, per_arm=300),
                     build_fit_grid(domain, per_arm=50))
     pts = build_fit_grid(domain, per_arm=5000).points
     full = evaluate(approx, pts)
