@@ -117,11 +117,7 @@ def stahl_density(n: int, y: float, j: float = 0.0) -> float:
     """
     InputError.check_count("n", n)
     InputError.check_number("j", j)
-    return _margin(n, math.asinh(1.0 / InputError.check_positive("y", y)), j)
-
-
-def _margin(n: int, w: float, j: float) -> float:
-    """stahl_density at W = asinh(1/y), for checked n and j."""
+    w = math.asinh(1.0 / InputError.check_positive("y", y))
     return ((n + 1) / 2.0 - j) - math.sqrt(n) * (w / math.pi) - _correction(w)
 
 
@@ -159,13 +155,12 @@ def invert_stahl_density(n: int, j: float) -> float:
     t = min(max(-(w0 + math.log(-math.expm1(-2.0 * w0) / 2.0)), t_lo), t_hi)
     for _ in range(_NEWTON_CAP):
         y = math.exp(t)
-        w = math.asinh(1.0 / y)
-        g = _margin(n, w, j)
+        g = stahl_density(n, y, j)
         t_lo, t_hi = (t, t_hi) if g < 0.0 else (t_lo, t)
         tol = 1e-13 * max(1.0, abs(t))
         if t_hi - t_lo <= tol:  # near the turning point H's rounding stalls Newton
             return y
-        slope = (root_n / math.hypot(1.0, y) - w / math.pi) / math.pi
+        slope = (root_n / math.hypot(1.0, y) - math.asinh(1.0 / y) / math.pi) / math.pi
         step = g / slope if slope > 0.0 else math.inf
         # tested before the safeguard, so a root on a bracket end is kept
         if abs(step) <= tol:

@@ -30,7 +30,7 @@ class Target:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in TARGET_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in TARGET_KINDS):
             raise InputError(f"target kind must be one of {', '.join(TARGET_KINDS)}, "
                              f"got {self.kind!r}")
         a = float(InputError.check_positive("alpha", self.alpha))

@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,9 @@ CASES = {
                                not_a_count()),
     "build_fit_grid decades": (lambda v: build_fit_grid(Domain(), decades=v, per_arm=10),
                                NOT_POSITIVE),
+    # an array of kinds would make `in TARGET_KINDS` ambiguous
+    "Target kind": (lambda v: Target(v), NOT_REAL + (
+        "SQRT", np.array("sqrt"), np.array(["sqrt", "power"]))),
     "Target alpha": (lambda v: Target("powerlog", v), NOT_POSITIVE),
     "TrapApproximant nt": (lambda v: TrapApproximant(v), not_a_count()),
     # a step of None is the default step
@@ -94,7 +98,17 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 def test_every_invalid_parameter_value_is_an_input_error(pair):
     """One invalid value for one parameter: InputError, no value and no
     numpy warning."""
-    name, value = pair
+    _assert_input_error(*pair)
+
+
+@pytest.mark.parametrize("name, value", PAIRS,
+                         ids=[f"{name}={value!r}" for name, value in PAIRS])
+def test_each_invalid_parameter_value_is_an_input_error(name, value):
+    """The same check over the whole finite list, each pair on every run."""
+    _assert_input_error(name, value)
+
+
+def _assert_input_error(name, value):
     call, _ = CASES[name]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
