@@ -46,6 +46,7 @@ EXTRA_ARGVS = (
 RUNNER_CALLS = (
     ("run_verify_bounds", {"nt_list": (400,), "vshape_nt_list": (400,)}),
     ("run_pole_ladder", {"n_list": (144,)}),
+    ("run_pole_ladder", {"n_list": (8,)}),
     ("run_corner_sigma", {"beta_list": (1.6,)}),
     ("run_grid", {"alpha": 0.9, "n1_list": (100,)}),
 )

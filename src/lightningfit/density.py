@@ -30,7 +30,8 @@ H is NOT monotone all the way down: it has a shallow minimum (about 0.58)
 near y = 1/sinh(pi sqrt(N)) before diverging as y -> 0, so the inversion
 bracket must stop at that turning point.  Above it the inversion is a
 safeguarded Newton iteration in t = log y on the closed derivative
-dH/dt = sqrt(N)/(pi sqrt(1+y^2)) - W/pi^2.
+dH/dt = sqrt(N)/(pi sqrt(1+y^2)) - W/pi^2, run as one array Newton over
+all the rungs of a ladder: H and its helpers are written once, for arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _DILOG_SERIES = tuple(
     num / (den * math.factorial(2 * k + 1)) for k, (num, den) in enumerate(
         ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
          (-3617, 510), (43867, 798)), start=1))
+_LOG2 = math.log(2.0)
 _NEWTON_CAP = 100  # bisection alone closes the widest bracket in under 60 steps
 
 
@@ -55,10 +57,7 @@ def density_leading(y):
     Closed form asinh(1/y)/pi; for large y it behaves like
     1/(pi y) - 1/(6 pi y^3) + O(y^-5).
     """
-    try:
-        y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError("y must be positive") from None
+    y = InputError.check_reals(y, "y must be positive")
     if not np.all(y > 0):
         raise InputError("y must be positive")
     out = np.arcsinh(1.0 / y) / math.pi
@@ -80,30 +79,42 @@ def density_correction(y: float) -> float:
     for y in [1e-8, 1e12]; the error is absolute, not relative, because the
     terms cancel to the O(1/y) result for large y.
     """
-    return _correction(math.asinh(1.0 / InputError.check_positive("y", y)))
+    y = np.array([InputError.check_positive("y", y)])
+    return float(_correction(np.arcsinh(1.0 / y))[0])
 
 
-def _correction(w: float) -> float:
-    """Q as a function of W = asinh(1/y)."""
-    one_minus_q = -math.expm1(-2.0 * w)
-    dilog = _dilog(w, one_minus_q)
-    return -(0.5 * w * w + w * math.log(one_minus_q) - 0.5 * dilog
+def _correction(w):
+    """Q as a function of W = asinh(1/y), elementwise over an array."""
+    log_one_minus_q = np.log(-np.expm1(-2.0 * w))
+    return -(0.5 * w * w + w * log_one_minus_q - 0.5 * _dilog(w, log_one_minus_q)
              + math.pi**2 / 12.0) / math.pi**2
 
 
-def _dilog(w: float, one_minus_q: float) -> float:
-    """Li2(q) for q = e^{-2w}, given 1 - q: the series in u = -log(1-q) for
-    q <= 1/2, else the reflection, whose series runs at 1 - q with u = 2w."""
-    reflect = 2.0 * w < math.log(2.0)
-    u = 2.0 * w if reflect else -math.log1p(-math.exp(-2.0 * w))
+def _dilog(w, log_one_minus_q):
+    """Li2(q) for q = e^{-2w}, given log(1 - q), elementwise: the series in
+    u = -log(1-q) for q <= 1/2, else the reflection, whose series runs at
+    1 - q with u = 2w."""
+    two_w = 2.0 * w
+    reflect = two_w < _LOG2
+    # exp's argument is clamped to q <= 1/2, where its branch is taken, so
+    # a reflected w near 0 never reaches log1p(-1)
+    u = np.where(reflect, two_w, -np.log1p(-np.exp(-np.maximum(two_w, _LOG2))))
     u2 = u * u
-    tail = 0.0
-    for c in reversed(_DILOG_SERIES):
+    tail = _DILOG_SERIES[-1]
+    for c in reversed(_DILOG_SERIES[:-1]):
         tail = tail * u2 + c
     series = u - 0.25 * u2 + u * u2 * tail
-    if reflect:
-        return math.pi**2 / 6.0 + 2.0 * w * math.log(one_minus_q) - series
-    return series
+    reflected = math.pi**2 / 6.0 + two_w * log_one_minus_q - series
+    return np.where(reflect, reflected, series)
+
+
+def _h_minus_j(root_n, w, margin):
+    """H(n, y) - j from W = asinh(1/y) and the margin (n+1)/2 - j.
+
+    The margin comes first, so it keeps its own precision as j nears
+    (n+1)/2, where H - j would cancel to H's rounding of about ulp(n/2).
+    """
+    return margin - root_n * (w / math.pi) - _correction(w)
 
 
 def stahl_density(n: int, y: float, j: float = 0.0) -> float:
@@ -111,14 +122,11 @@ def stahl_density(n: int, y: float, j: float = 0.0) -> float:
     less j.
 
     Scalar y; L(y) = W/pi and Q(y) share W = asinh(1/y), computed once.
-    The difference is formed as ((n+1)/2 - j) - sqrt(n) L - Q: the margin
-    (n+1)/2 - j comes first, so it keeps its own precision as j nears
-    (n+1)/2, where H - j would cancel to H's rounding of about ulp(n/2).
     """
     InputError.check_count("n", n)
     InputError.check_number("j", j)
-    w = math.asinh(1.0 / InputError.check_positive("y", y))
-    return ((n + 1) / 2.0 - j) - math.sqrt(n) * (w / math.pi) - _correction(w)
+    y = np.array([InputError.check_positive("y", y)])
+    return float(_h_minus_j(math.sqrt(n), np.arcsinh(1.0 / y), (n + 1) / 2.0 - j)[0])
 
 
 def _bracket_low(n: int) -> float:
@@ -127,48 +135,68 @@ def _bracket_low(n: int) -> float:
     return 1.0 / math.sinh(min(math.pi * math.sqrt(n), 700.0))
 
 
-def invert_stahl_density(n: int, j: float) -> float:
-    """The y > 0 with H(n, y) = j, on the monotone branch.
+def invert_stahl_density(n: int, j):
+    """The y > 0 with H(n, y) = j, on the monotone branch; j a real or an
+    array of reals, whose shape y has.
 
-    Requires j strictly between the turning-point value of H (about 0.58)
-    and the y -> infinity limit (n+1)/2.  Newton in t = log y from the
-    leading-order inverse W0 = pi((n+1)/2 - j)/sqrt(n); each evaluation
-    shrinks the bracket by its sign, and a step leaving it bisects instead.
+    Requires each j strictly between the turning-point value of H (about
+    0.58) and the y -> infinity limit (n+1)/2.  Newton in t = log y from
+    the leading-order inverse W0 = pi((n+1)/2 - j)/sqrt(n), run in lockstep
+    over all j, with H evaluated only at the rungs still iterating; each
+    evaluation shrinks a rung's bracket by its sign, and a step leaving it
+    bisects instead.  A rung's y does not depend on the other j.
     """
-    hi = 1e12
-    # stahl_density validates n before the bounds below use it
-    f_hi = stahl_density(n, hi, j)
-    if not (j < (n + 1) / 2.0):
-        raise InputError(f"j must be below (n+1)/2 = {(n + 1) / 2}, got {j}")
-    if f_hi <= 0:
-        raise NumericError("upper bracket failed; j too close to (n+1)/2")
-    lo = _bracket_low(n)
-    f_lo = stahl_density(n, lo, j)
-    if f_lo >= 0:
-        raise InputError(
-            f"j={j} is below the monotone range of H (H({lo:.3e}) = {f_lo + j:.4f})")
-
+    InputError.check_count("n", n)
+    j = InputError.check_reals(j, "j must be real")
+    shape, j = j.shape, j.ravel()
+    half = (n + 1) / 2.0
+    margin = half - j
+    if not (margin > 0.0).all():
+        raise InputError(f"j must be below (n+1)/2 = {half}, "
+                         f"got {j[~(margin > 0.0)][0]}")
     root_n = math.sqrt(n)
-    t_lo, t_hi = math.log(lo), math.log(hi)
+    hi, lo = 1e12, _bracket_low(n)
+    h_hi, h_lo = _h_minus_j(root_n, np.arcsinh(1.0 / np.array([hi, lo])), half)
+    if not (j < h_hi).all():
+        raise NumericError("upper bracket failed; j too close to (n+1)/2")
+    if not (j > h_lo).all():
+        raise InputError(f"j={j[~(j > h_lo)][0]} is below the monotone range of H "
+                         f"(H({lo:.3e}) = {h_lo:.4f})")
+
+    y_out = np.empty(j.shape)
+    rung = np.arange(j.size)
+    t_lo, t_hi = np.full(j.shape, math.log(lo)), np.full(j.shape, math.log(hi))
     # -log sinh(W0), written so that neither a large nor a tiny W0 overflows
-    w0 = math.pi * ((n + 1) / 2.0 - j) / root_n
-    t = min(max(-(w0 + math.log(-math.expm1(-2.0 * w0) / 2.0)), t_lo), t_hi)
+    w0 = math.pi * margin / root_n
+    t = np.minimum(np.maximum(-(w0 + np.log(-np.expm1(-2.0 * w0) / 2.0)), t_lo), t_hi)
     for _ in range(_NEWTON_CAP):
-        y = math.exp(t)
-        g = stahl_density(n, y, j)
-        t_lo, t_hi = (t, t_hi) if g < 0.0 else (t_lo, t)
-        tol = 1e-13 * max(1.0, abs(t))
-        if t_hi - t_lo <= tol:  # near the turning point H's rounding stalls Newton
-            return y
-        slope = (root_n / math.hypot(1.0, y) - math.asinh(1.0 / y) / math.pi) / math.pi
-        step = g / slope if slope > 0.0 else math.inf
-        # tested before the safeguard, so a root on a bracket end is kept
-        if abs(step) <= tol:
-            return math.exp(t - step)
-        t -= step
-        if not t_lo < t < t_hi:
-            t = 0.5 * (t_lo + t_hi)
-    raise NumericError(f"density inversion for n={n}, j={j} did not converge")
+        if rung.size == 0:
+            break
+        y = np.exp(t)
+        w = np.arcsinh(1.0 / y)
+        g = _h_minus_j(root_n, w, margin)
+        below = g < 0.0
+        t_lo, t_hi = np.where(below, t, t_lo), np.where(below, t_hi, t)
+        tol = 1e-13 * np.maximum(1.0, np.abs(t))
+        slope = (root_n / np.hypot(1.0, y) - w / math.pi) / math.pi
+        step = np.divide(g, slope, out=np.full(g.shape, math.inf), where=slope > 0.0)
+        t = t - step
+        # near the turning point H's rounding stalls Newton and the bracket
+        # closes instead; the step is tested before the safeguard, so a root
+        # on a bracket end is kept
+        closed = t_hi - t_lo <= tol
+        done = closed | (np.abs(step) <= tol)
+        if done.any():
+            y_out[rung[done]] = np.where(closed, y, np.exp(t))[done]
+            going = ~done
+            rung, t, t_lo, t_hi, margin = (
+                a[going] for a in (rung, t, t_lo, t_hi, margin))
+        t = np.where((t_lo < t) & (t < t_hi), t, 0.5 * (t_lo + t_hi))
+    if rung.size:
+        raise NumericError(f"density inversion for n={n}, j={j[rung[0]]} "
+                           "did not converge")
+    y = y_out.reshape(shape)
+    return float(y) if y.ndim == 0 else y
 
 
 def large_pole_estimate(n: int, k: int):
@@ -179,8 +207,9 @@ def large_pole_estimate(n: int, k: int):
     return -8.0 * n / ((2 * k + 1) ** 2 * math.pi**2)
 
 
-def pole_from_density(n: int, j: float) -> float:
-    """Pole location -y^2 with H(2n, y) = j.
+def pole_from_density(n: int, j):
+    """Pole location -y^2 with H(2n, y) = j; j a real or an array of reals,
+    whose shape the result has.
 
     The density of the degree-n approximant's poles to sqrt is that of the
     degree-2n approximant to |x| on [-1,1], hence the doubled argument.

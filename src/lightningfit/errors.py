@@ -4,11 +4,14 @@ InputError covers precondition violations (bad parameters, off-domain or
 pole-coincident points); NumericError covers runtime numerical failures
 (quadrature non-convergence, degenerate matrices).  The CLI maps them to
 exit codes 1 and 2.  A numeric argument of the wrong kind is an InputError;
-every count and positive real is checked by check_count or check_positive.
+every count and positive real is checked by check_count or check_positive,
+and every array of reals is converted by check_reals.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LightningError(Exception):
@@ -32,13 +35,30 @@ class InputError(LightningError, ValueError):
         return value
 
     @staticmethod
-    def check_positive(name: str, value):
-        """value, if it is a finite real > 0."""
-        if not InputError.check_number(name, value) > 0:
+    def check_positive(name: str, value) -> float:
+        """value as a float, if it is a finite real > 0."""
+        try:
+            x = float(InputError.check_number(name, value))
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if not x > 0:
             raise InputError(f"{name} must be positive, got {value}")
-        if not value < math.inf:
+        if not x < math.inf:
             raise InputError(f"{name} must be finite, got {value}")
-        return value
+        return x
+
+    @staticmethod
+    def check_reals(value, message: str) -> np.ndarray:
+        """value as a new float64 array, if it holds only reals; else
+        InputError(message).  Complex and text arrays are refused, not cut
+        to their real part or parsed."""
+        try:
+            array = np.asarray(value)
+            if array.dtype.kind in "cSU":
+                raise TypeError
+            return array.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(message) from None
 
 
 class EvaluationError(InputError):

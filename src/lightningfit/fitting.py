@@ -99,10 +99,7 @@ class BasisSpec:
     poly_degree: int = 0
 
     def __post_init__(self):
-        try:
-            p = np.array(self.poles, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("poles must form a 1-d array of reals") from None
+        p = InputError.check_reals(self.poles, "poles must form a 1-d array of reals")
         if p.ndim != 1:
             raise InputError("poles must form a 1-d array")
         if np.any(p >= 0) or not np.all(np.isfinite(p)):

@@ -33,7 +33,7 @@ class Target:
         if not (isinstance(self.kind, str) and self.kind in TARGET_KINDS):
             raise InputError(f"target kind must be one of {', '.join(TARGET_KINDS)}, "
                              f"got {self.kind!r}")
-        a = float(InputError.check_positive("alpha", self.alpha))
+        a = InputError.check_positive("alpha", self.alpha)
         if self.kind == "sqrt" and a != 0.5:
             raise InputError("sqrt target fixes alpha = 1/2")
         if self.kind == "power" and a == int(a):

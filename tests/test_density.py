@@ -3,14 +3,17 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lightningfit import (InputError, count_large_poles, density_correction,
-                          density_leading, invert_stahl_density,
+from lightningfit import (InputError, NumericError, count_large_poles,
+                          density_correction, density_leading, invert_stahl_density,
                           large_pole_estimate, pole_from_density,
                           pole_residue_pairs, stahl_density,
                           trap_partial_fractions)
@@ -70,13 +73,13 @@ def test_correction_closed_form_vs_mpmath():
 
 def test_dilog_vs_mpmath():
     """The in-module Li2(e^{-2W}) is within 4.4e-16 absolute of mpmath's."""
+    w = np.geomspace(1e-12, 40.0, 2001)
+    ours = density._dilog(w, np.log(-np.expm1(-2.0 * w)))
     worst = 0.0
     with mp.workdps(40):
-        for w in np.geomspace(1e-12, 40.0, 2001):
-            w = float(w)
-            ref = mp.polylog(2, mp.exp(-2 * mp.mpf(w)))
-            worst = max(worst, abs(float(density._dilog(w, -math.expm1(-2.0 * w))
-                                         - ref)))
+        for wk, value in zip(w.tolist(), ours.tolist()):
+            ref = mp.polylog(2, mp.exp(-2 * mp.mpf(wk)))
+            worst = max(worst, abs(float(value - ref)))
     assert worst <= 4.4e-16
 
 
@@ -134,10 +137,15 @@ def test_density_rejects_nonpositive_y():
         density_leading(np.array([1.0, math.nan]))
 
 
-@pytest.mark.parametrize("y", ["a", 1j, [1.0, "a"], [[1.0], [1.0, 2.0]]])
+@pytest.mark.parametrize("y", ["a", 1j, [1.0, "a"], [[1.0], [1.0, 2.0]],
+                               np.array([1.0 + 1j]), "1.0"])
 def test_density_leading_input_that_is_not_real_is_an_input_error(y):
-    with pytest.raises(InputError, match="y must be positive"):
-        density_leading(y)
+    """Also a complex array, which numpy would cut to its real part with
+    a ComplexWarning, and numeric text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="y must be positive"):
+            density_leading(y)
 
 
 def test_density_limits():
@@ -176,18 +184,18 @@ def test_invert_next_to_the_limit_vs_mpmath(n, j):
 
 
 def test_invert_evaluations_per_pole(monkeypatch):
-    """Newton places a pole in at most 8 evaluations of H on average,
-    the two bracket checks included."""
-    calls = []
+    """Newton places a pole in at most 8 evaluations of H on average, the
+    two bracket ends included: each _correction call is counted by the
+    rungs it evaluates."""
+    rungs = []
     correction = density._correction
     monkeypatch.setattr(density, "_correction",
-                        lambda w: calls.append(w) or correction(w))
+                        lambda w: rungs.append(np.size(w)) or correction(w))
     poles = 0
     for n in (8, 64, 144):
-        for j in range(1, n + 1):
-            pole_from_density(n, float(j))
-            poles += 1
-    assert len(calls) / poles <= 8.0
+        pole_from_density(n, np.arange(1.0, n + 1.0))
+        poles += n
+    assert sum(rungs) / poles <= 8.0
 
 
 def test_pole_ladder_matches_frozen_values():
@@ -221,6 +229,56 @@ def test_invert_range_validation():
     for invert in (invert_stahl_density, pole_from_density):
         with pytest.raises(InputError, match="n must be >= 1"):
             invert(0, 0.3)
+
+
+@pytest.mark.parametrize("js, match", [
+    ([1.0, 0.1, 2.0], "j=0.1 is below the monotone range"),
+    ([1.0, 50.5, 2.0], "j must be below"),
+    ([1.0, math.nan], "j must be below"),
+])
+def test_one_rung_outside_the_range_fails_the_call(js, match):
+    with pytest.raises(InputError, match=match):
+        invert_stahl_density(100, np.array(js))
+
+
+@pytest.mark.parametrize("j", [np.array([1.0 + 1j]), np.array([1.0, 2.0 + 0j]),
+                               [1.0, "a"], 1j, "1.0", ["1.0"]])
+def test_complex_or_text_rungs_are_input_errors(j):
+    """A complex j is refused, not cut to its real part, and text is not
+    parsed as a number."""
+    for invert in (invert_stahl_density, pole_from_density):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="j must be real"):
+                invert(8, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(8, 2 * 10**4))
+def test_a_rung_is_the_same_alone_and_in_any_ladder(data, n):
+    """Each rung runs its own Newton iteration in lockstep with the others,
+    so its y is the same bit for bit alone, in a ladder and in reverse."""
+    rung = st.one_of(st.integers(1, n // 2).map(float),
+                     st.floats(0.59, (n + 1) / 2.0 - 1e-6))
+    js = np.array(data.draw(st.lists(rung, min_size=1, max_size=12)))
+    ladder = invert_stahl_density(n, js)
+    assert invert_stahl_density(n, js[::-1])[::-1].tobytes() == ladder.tobytes()
+    alone = np.array([invert_stahl_density(n, float(j)) for j in js])
+    assert alone.tobytes() == ladder.tobytes()
+
+
+def test_a_rung_that_does_not_converge_becomes_its_row_status(monkeypatch):
+    """Capped at one Newton step, the inversion fails; every ladder row
+    still comes back, nan with a status or finite without one."""
+    monkeypatch.setattr(density, "_NEWTON_CAP", 1)
+    with pytest.raises(NumericError, match="did not converge"):
+        pole_from_density(8, np.arange(1.0, 9.0))
+    rows = run_pole_ladder((8,)).rows
+    assert len(rows) == 8
+    assert any(row[-1] for row in rows)
+    for row in rows:
+        assert math.isnan(row[2]) == bool(row[-1])
+        assert all(math.isfinite(v) for v in row[3:6])
 
 
 def test_invert_example_value():

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -75,11 +76,17 @@ def test_basis_spec_rejects_a_fractional_degree():
         BasisSpec(poly_degree=2.5)
 
 
-@pytest.mark.parametrize("poles", [["a"], [[-1.0], [-2.0, -3.0]], [-1j]],
-                         ids=["text", "ragged", "complex"])
+@pytest.mark.parametrize("poles", [["a"], ["-1.0"], [[-1.0], [-2.0, -3.0]], [-1j],
+                                   np.array([-1 + 1j, -2])],
+                         ids=["text", "numeric text", "ragged", "complex",
+                              "complex array"])
 def test_basis_spec_poles_that_are_not_reals_are_input_errors(poles):
-    with pytest.raises(InputError, match="poles must form a 1-d array of reals"):
-        BasisSpec(poles)
+    """A complex array is refused, not cut to its real part with numpy's
+    ComplexWarning, and numeric text is not parsed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="poles must form a 1-d array of reals"):
+            BasisSpec(poles)
 
 
 def test_polynomial_columns_orthonormal():

@@ -28,7 +28,8 @@ from lightningfit.experiments import poly_degree_rule, run_fit
 SRC = Path(__file__).resolve().parents[1] / "src" / "lightningfit"
 
 NOT_REAL = ("a", None, 1j)
-NOT_POSITIVE = NOT_REAL + (math.nan, math.inf, -math.inf, 0, -1)
+# 10**400 is an int beyond the float range: not finite once converted
+NOT_POSITIVE = NOT_REAL + (math.nan, math.inf, -math.inf, 0, -1, 10**400)
 
 
 def not_a_count(least=1):
@@ -95,6 +96,10 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 @example(pair=("density_correction y", math.inf))
 @example(pair=("TrapApproximant step", "a"))
 @example(pair=("TrapApproximant step", math.inf))
+# each of these once escaped as OverflowError
+@example(pair=("Target alpha", 10**400))
+@example(pair=("tapered_poles sigma", 10**400))
+@example(pair=("build_fit_grid decades", 10**400))
 def test_every_invalid_parameter_value_is_an_input_error(pair):
     """One invalid value for one parameter: InputError, no value and no
     numpy warning."""
