@@ -31,7 +31,6 @@ _FLAGS = {
                         "help": "V-domain opening in [0,2); 0 is the unit interval"}),
     "n1": ("--n1", {"type": int, "help": "number of clustered poles"}),
     "n2": ("--n2", {"type": int, "help": "polynomial degree"}),
-    "poly_degree": ("--n2", {"type": int, "help": "polynomial degree"}),
     "sigma": ("--sigma", {"type": float, "help": "clustering parameter"}),
     "scale": ("--scale-c", {"type": float, "help": "clustered-pole scale factor"}),
     "per_arm": ("--grid-points", {"type": int, "help": "fit-grid points per arm"}),

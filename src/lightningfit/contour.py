@@ -96,6 +96,12 @@ def residue_term(z: complex, t_param: float, step: float) -> complex:
     return 2j * math.pi * total
 
 
+def validity_floor(rule: TrapApproximant) -> float:
+    """The smallest radius e^{4 + 2 beta - 2T} a `ContourSetup` takes on the
+    rule's opening-beta domain."""
+    return math.exp(4.0 + 2.0 * rule.beta - 2.0 * rule.t_param)
+
+
 @dataclass(frozen=True)
 class ContourSetup:
     """A radius on the opening-beta domain and the rule it measures.
@@ -123,7 +129,7 @@ class ContourSetup:
         object.__setattr__(self, "z", complex(Domain(self.beta).arm_point(r)))
         if not 0 < r <= 1 + 1e-12:
             raise InputError(f"radius must lie in (0, 1], got {r}")
-        floor = math.exp(4.0 + 2.0 * self.beta - 2.0 * self.rule.t_param)
+        floor = validity_floor(self.rule)
         if r < floor * (1.0 - 1e-9):
             raise InputError(f"radius {r:.3e} below the validity floor "
                              f"{floor:.3e} for nt={self.nt}")
@@ -194,7 +200,8 @@ class IdentityReport:
     """Both sides of the identity, and |gamma_int| against its conjectured
     ceiling `conj_bound`: the sharp 12 e^{-T} on the interval, 100 e^{-T}
     on V-domains, where only the rate is claimed and `gamma_ratio` =
-    |gamma_int| / e^{-T} is the measurement."""
+    |gamma_int| / e^{-T} is the measurement.  The identity passes when
+    the defect is at most max(1e-10, 1e-3 |lhs|)."""
 
     integral_value: complex
     node_sum: complex
@@ -205,6 +212,7 @@ class IdentityReport:
     gamma_ratio: float
     conj_bound: float
     conj_pass: bool
+    identity_pass: bool
 
 
 def error_identity_report(setup: ContourSetup) -> IdentityReport:
@@ -223,10 +231,12 @@ def error_identity_report(setup: ContourSetup) -> IdentityReport:
     gamma_abs = abs(terms.gamma_int)
     scale = math.exp(-setup.rule.t_param)
     conj_bound = (12.0 if setup.beta == 0.0 else 100.0) * scale
+    defect = abs(lhs - rhs)
     return IdentityReport(integral_value=i_val, node_sum=s_val, terms=terms,
-                          lhs=lhs, rhs=rhs, defect=abs(lhs - rhs),
+                          lhs=lhs, rhs=rhs, defect=defect,
                           gamma_ratio=gamma_abs / scale, conj_bound=conj_bound,
-                          conj_pass=gamma_abs < conj_bound)
+                          conj_pass=gamma_abs < conj_bound,
+                          identity_pass=defect <= max(1e-10, 1e-3 * abs(lhs)))
 
 
 def residue_rate_check(step: float, beta: float, nt_list):

@@ -5,13 +5,16 @@ pole-coincident points); NumericError covers runtime numerical failures
 (quadrature non-convergence, degenerate matrices).  The CLI maps them to
 exit codes 1 and 2.  A numeric argument of the wrong kind is an InputError;
 every count and positive real is checked by check_count or check_positive,
-and every array of reals is converted by check_reals.
+every array of reals is converted by check_reals, and every array a fit
+would allocate above MAX_ENTRIES is refused by check_entries.
 """
 
 import math
 import numbers
 
 import numpy as np
+
+MAX_ENTRIES = 2**25  # float64 entries (256 MiB): the largest array a fit may take
 
 
 class LightningError(Exception):
@@ -46,6 +49,14 @@ class InputError(LightningError, ValueError):
         if not x < math.inf:
             raise InputError(f"{name} must be finite, got {value}")
         return x
+
+    @staticmethod
+    def check_entries(what: str, entries: int):
+        """Refuse, before it is allocated, an array of more than
+        MAX_ENTRIES float64 entries."""
+        if entries > MAX_ENTRIES:
+            raise InputError(f"{what} needs {entries} float64 entries, above "
+                             f"the cap of {MAX_ENTRIES}")
 
     @staticmethod
     def check_reals(value, message: str) -> np.ndarray:

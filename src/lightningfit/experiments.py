@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .contour import ContourSetup, error_identity_report, residue_rate_check
+from .contour import (ContourSetup, error_identity_report, residue_rate_check,
+                      validity_floor)
 from .density import count_large_poles, pole_from_density
 from .errors import InputError, LightningError, NumericError
 from .fitting import DEFAULT_TSVD_EPS, BasisSpec, FitReport, fit, fit_nested
@@ -22,6 +23,7 @@ from .problems import Domain, Target, build_fit_grid
 from .tables import ResultTable
 from .trapezoid import TrapApproximant, default_step
 
+# each default table's design: the sweep axes no flag sets
 DEFAULT_N1_LIST = (9, 16, 25, 36, 49, 64)
 
 # scheme, sigma, augmentation for each convergence variant; the augmented
@@ -35,8 +37,17 @@ CONVERGENCE_VARIANTS = {
     "uniform+big": ("uniform", 2.0 * math.pi, "big"),
 }
 _POLE_SCHEMES = {"tapered": tapered_poles, "uniform": uniform_poles}
+GRID_N2 = tuple(range(16))  # the (N1, N2) surface's polynomial degrees
+VSHAPE_BETAS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+# sigma(beta) of each V-domain clustering rule
+VSHAPE_SIGMA_RULES = {
+    "tapered-default": lambda beta: 2.0 * math.sqrt(2.0) * math.pi,
+    "opening-matched": lambda beta: 2.0 * math.sqrt(2.0 - beta) * math.pi,
+    "four": lambda beta: 4.0,
+}
+# both sigma sweeps: 41 geometric values from 2 to 30
+SIGMA_GRID = tuple(float(s) for s in np.geomspace(2.0, 30.0, 41))
 VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
-SIGMA_MIN = 2.0  # the sigma sweeps' grids start here
 
 
 def poly_degree_rule(n1: int) -> int:
@@ -88,7 +99,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     if n2 is None:
         n2 = poly_degree_rule(n1)
     if sigma is None:
-        sigma = _vshape_sigma("opening-matched", beta)
+        sigma = VSHAPE_SIGMA_RULES["opening-matched"](domain.beta)
     spec = BasisSpec(tapered_poles(n1, sigma, scale), poly_degree=n2)
     grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
     vgrid = build_fit_grid(domain, decades=decades, per_arm=VAL_PER_ARM)
@@ -106,18 +117,17 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
         rows=[row], meta={"kind": "fit", "config": config})
 
 
-def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
-                    eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000,
-                    decades: float = 16.0) -> ResultTable:
-    """Degree sweep of sqrt(x) fits for every pole/augmentation variant.
+def run_convergence(scale: float = 2.0, eps_rel: float = DEFAULT_TSVD_EPS,
+                    per_arm: int = 2000, decades: float = 16.0) -> ResultTable:
+    """Degree sweep of sqrt(x) fits over DEFAULT_N1_LIST for every
+    pole/augmentation variant of CONVERGENCE_VARIANTS.
 
     Every row is fitted in one sweep on the shared grids; errors in a row
     are recorded, not raised.
     """
-    if variants is None:
-        variants = tuple(CONVERGENCE_VARIANTS)
-    keys = [(name, n1, 0 if CONVERGENCE_VARIANTS[name][2] == "none"
-             else poly_degree_rule(n1)) for name in variants for n1 in n1_list]
+    keys = [(name, n1, 0 if augment == "none" else poly_degree_rule(n1))
+            for name, (_, _, augment) in CONVERGENCE_VARIANTS.items()
+            for n1 in DEFAULT_N1_LIST]
 
     def spec_of(key):
         name, n1, n2 = key
@@ -133,17 +143,10 @@ def run_convergence(n1_list=DEFAULT_N1_LIST, variants=None, scale: float = 2.0,
         scheme, sigma, _ = CONVERGENCE_VARIANTS[name]
         rows.append((name, scheme, n1 + n2, n1, n2, sigma, rep.max_err,
                      rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, status))
-    meta = {
-        "kind": "convergence",
-        "target": "sqrt",
-        "n1_list": list(n1_list),
-        "variants": list(variants),
-        "scale": scale,
-        "eps_rel": eps_rel,
-        "per_arm": per_arm,
-        "decades": decades,
-        "val_per_arm": VAL_PER_ARM,
-    }
+    meta = {"kind": "convergence", "target": "sqrt",
+            "n1_list": list(DEFAULT_N1_LIST), "variants": list(CONVERGENCE_VARIANTS),
+            "scale": scale, "eps_rel": eps_rel, "per_arm": per_arm,
+            "decades": decades, "val_per_arm": VAL_PER_ARM}
     return ResultTable(
         columns=("variant", "scheme", "n", "n1", "n2", "sigma", "max_err",
                  "coeff_2norm", "resid_2norm", "eff_rank", "status"),
@@ -202,21 +205,26 @@ def refine_argmin(xs, ys):
     return float(math.exp(u_star))
 
 
-def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
-                    poly_degree: int = 3, sigma_max: float = 30.0, n_sigma: int = 41,
+def _argmin_sigma(errs) -> float:
+    """The refined argmin over SIGMA_GRID of log(max_err), one error per
+    sigma; a failed fit's nan is no candidate."""
+    return refine_argmin(SIGMA_GRID, [math.log(e) if math.isfinite(e) else math.nan
+                                      for e in errs])
+
+
+def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10, n2: int = 3,
                     scale: float = 1.0, eps_rel: float = DEFAULT_TSVD_EPS,
-                    per_arm: int = 2000, include_plain: bool = True) -> ResultTable:
-    """Clustering-parameter sweep for x^alpha on the unit interval.
+                    per_arm: int = 2000) -> ResultTable:
+    """Clustering-parameter sweep over SIGMA_GRID for x^alpha on the unit
+    interval.
 
     Two fit families per sigma: clustered poles with a bare constant, and
-    the same poles plus a low-degree polynomial.  The refined argmin of
+    the same poles plus a degree-n2 polynomial.  The refined argmin of
     each family lands in the metadata next to the 2 pi / sqrt(alpha) rule.
     """
-    InputError.check_count("poly_degree", poly_degree, least=-1)  # else no argmin
-    sigmas = np.geomspace(SIGMA_MIN, sigma_max, n_sigma)
-    variants = (("plain", 0), ("poly", poly_degree)) if include_plain \
-        else (("poly", poly_degree),)
-    keys = [(float(sigma), name, degree) for sigma in sigmas
+    InputError.check_count("n2", n2, least=-1)  # else no argmin
+    variants = (("plain", 0), ("poly", n2))
+    keys = [(sigma, name, degree) for sigma in SIGMA_GRID
             for name, degree in variants]
     rows = []
     errs = {name: [] for name, _ in variants}
@@ -226,103 +234,73 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10,
                                   poly_degree=key[2])):
         rows.append((name, sigma, rep.max_err, status))
         errs[name].append(rep.max_err)
-    meta = {
-        "kind": "sigma-sweep",
-        "alpha": alpha,
-        "n1": n1,
-        "poly_degree": poly_degree,
-        "scale": scale,
-        "eps_rel": eps_rel,
-        "per_arm": per_arm,
-        "sigma_grid": [float(s) for s in sigmas],
-        "sigma_rule": 2.0 * math.pi / math.sqrt(alpha),
-    }
+    meta = {"kind": "sigma-sweep", "alpha": alpha, "n1": n1, "poly_degree": n2,
+            "scale": scale, "eps_rel": eps_rel, "per_arm": per_arm,
+            "sigma_grid": list(SIGMA_GRID),
+            "sigma_rule": 2.0 * math.pi / math.sqrt(alpha)}
     for name, _ in variants:
-        log_err = [math.log(e) if math.isfinite(e) else math.nan for e in errs[name]]
-        meta[f"argmin_sigma_{name}"] = refine_argmin(sigmas, log_err)
+        meta[f"argmin_sigma_{name}"] = _argmin_sigma(errs[name])
     return ResultTable(columns=("variant", "sigma", "max_err", "status"),
                        rows=rows, meta=meta)
 
 
 def run_grid(alpha: float = math.pi / 10,
-             n1_list=(4, 9, 16, 25, 36, 49, 64, 81, 100),
-             n2_list=tuple(range(0, 16)), sigma: float | None = None,
+             n1_list=(4, 9, 16, 25, 36, 49, 64, 81, 100), sigma: float | None = None,
              eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000) -> ResultTable:
-    """(N1, N2) error surface for x^alpha; where does more polynomial stop helping."""
+    """(N1, N2) error surface for x^alpha over n1_list x GRID_N2; where does
+    more polynomial stop helping."""
     target = Target("power", alpha)  # validates alpha
     if sigma is None:
         sigma = 2.0 * math.pi / math.sqrt(alpha)
     rows = [(n1, n2, rep.max_err, status) for (n1, n2), rep, status in _sweep(
         target, Domain(), per_arm, eps_rel,
-        [(n1, n2) for n1 in n1_list for n2 in n2_list],
+        [(n1, n2) for n1 in n1_list for n2 in GRID_N2],
         lambda key: BasisSpec(tapered_poles(key[0], sigma, 1.0),
                               poly_degree=key[1]))]
     near_optimal = []
     for k, n1 in enumerate(n1_list):
-        row_errs = [row[2] for row in rows[k * len(n2_list):(k + 1) * len(n2_list)]]
+        row_errs = [row[2] for row in rows[k * len(GRID_N2):(k + 1) * len(GRID_N2)]]
         finite = [e for e in row_errs if math.isfinite(e)]
         if finite:
             best = min(finite)
-            chosen = next(n2 for n2, e in zip(n2_list, row_errs)
+            chosen = next(n2 for n2, e in zip(GRID_N2, row_errs)
                           if math.isfinite(e) and e <= 3.0 * best)
             near_optimal.append({"n1": int(n1), "n2": int(chosen),
                                  "best_err": best})
-    meta = {
-        "kind": "n1-n2-grid",
-        "alpha": alpha,
-        "sigma": sigma,
-        "eps_rel": eps_rel,
-        "per_arm": per_arm,
-        "n1_list": [int(n) for n in n1_list],
-        "n2_list": [int(n) for n in n2_list],
-        "near_optimal": near_optimal,
-        "n2_rule": "1.1*sqrt(n1) - 1",
-    }
+    meta = {"kind": "n1-n2-grid", "alpha": alpha, "sigma": sigma,
+            "eps_rel": eps_rel, "per_arm": per_arm,
+            "n1_list": [int(n) for n in n1_list], "n2_list": list(GRID_N2),
+            "near_optimal": near_optimal, "n2_rule": "1.1*sqrt(n1) - 1"}
     return ResultTable(columns=("n1", "n2", "max_err", "status"),
                        rows=rows, meta=meta)
 
 
-VSHAPE_SIGMA_RULES = ("tapered-default", "opening-matched", "four")
-
-
-def _vshape_sigma(rule: str, beta: float) -> float:
-    if rule == "tapered-default":
-        return 2.0 * math.sqrt(2.0) * math.pi
-    if rule == "opening-matched":
-        return 2.0 * math.sqrt(2.0 - beta) * math.pi
-    if rule == "four":
-        return 4.0
-    raise LightningError(f"unknown sigma rule {rule!r}")
-
-
-def run_vshape(beta_list=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5), n1: int = 40,
-               n2: int = 10, eps_rel: float = DEFAULT_TSVD_EPS,
+def run_vshape(n1: int = 40, n2: int = 10, eps_rel: float = DEFAULT_TSVD_EPS,
                per_arm: int = 2000) -> ResultTable:
-    """sqrt(z) on V-domains: one row per (opening, sigma rule)."""
+    """sqrt(z) on V-domains: one row per (opening of VSHAPE_BETAS, rule of
+    VSHAPE_SIGMA_RULES)."""
     rows = []
-    for beta in beta_list:
-        keys = [(rule, _vshape_sigma(rule, beta)) for rule in VSHAPE_SIGMA_RULES]
+    for beta in VSHAPE_BETAS:
+        keys = [(rule, sigma_of(beta)) for rule, sigma_of in VSHAPE_SIGMA_RULES.items()]
         for (rule, sigma), rep, status in _sweep(
                 Target("sqrt"), Domain(beta), per_arm, eps_rel, keys,
                 lambda key: BasisSpec(tapered_poles(n1, key[1], 1.0),
                                       poly_degree=n2)):
-            rows.append((float(beta), rule, sigma, rep.max_err, status))
-    meta = {
-        "kind": "vshape-angle",
-        "target": "sqrt",
-        "n1": n1,
-        "n2": n2,
-        "eps_rel": eps_rel,
-        "per_arm": per_arm,
-        "beta_list": [float(b) for b in beta_list],
-    }
+            rows.append((beta, rule, sigma, rep.max_err, status))
+    meta = {"kind": "vshape-angle", "target": "sqrt", "n1": n1, "n2": n2,
+            "eps_rel": eps_rel, "per_arm": per_arm, "beta_list": list(VSHAPE_BETAS)}
     return ResultTable(columns=("beta", "rule", "sigma", "max_err", "status"),
                        rows=rows, meta=meta)
 
 
+def _corner_opening(beta) -> float:
+    """beta, if it is a positive real that opens a V-domain: a corner."""
+    return Domain(InputError.check_positive("beta", beta)).beta
+
+
 def corner_target(beta: float) -> Target:
     """Dominant corner behaviour z^{1/beta}, with a log factor at integer powers."""
-    exponent = 1.0 / beta
+    exponent = 1.0 / _corner_opening(beta)
     nearest = round(exponent)
     if abs(exponent - nearest) < 1e-12:
         return Target("powerlog", float(nearest))
@@ -331,40 +309,29 @@ def corner_target(beta: float) -> Target:
 
 def corner_sigma_rule(beta: float) -> float:
     """Optimal clustering rule sqrt(2 (2-beta) beta) pi for corner targets."""
+    beta = _corner_opening(beta)
     return math.sqrt(2.0 * (2.0 - beta) * beta) * math.pi
 
 
 def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
                      eps_rel: float = DEFAULT_TSVD_EPS,
                      per_arm: int = 2000) -> ResultTable:
-    """Per-opening sigma sweep for the corner target z^{1/beta}, over 41
-    geometric sigmas from SIGMA_MIN to 30."""
-    sigmas = np.geomspace(SIGMA_MIN, 30.0, 41)
-    rows = []
-    argmins = []
-    for beta in beta_list:
-        log_err = []
+    """Per-opening sigma sweep over SIGMA_GRID for the corner target z^{1/beta}."""
+    betas = [_corner_opening(beta) for beta in beta_list]
+    rows, argmins = [], []
+    for beta in betas:
+        errs = []
         for sigma, rep, status in _sweep(
-                corner_target(beta), Domain(beta), per_arm, eps_rel,
-                [float(s) for s in sigmas],
+                corner_target(beta), Domain(beta), per_arm, eps_rel, SIGMA_GRID,
                 lambda sigma: BasisSpec(tapered_poles(n1, sigma, 1.0),
                                         poly_degree=n2)):
-            rows.append((float(beta), sigma, rep.max_err, status))
-            log_err.append(math.log(rep.max_err) if math.isfinite(rep.max_err)
-                           else math.nan)
-        argmins.append({"beta": float(beta),
-                        "argmin_sigma": refine_argmin(sigmas, log_err),
+            rows.append((beta, sigma, rep.max_err, status))
+            errs.append(rep.max_err)
+        argmins.append({"beta": beta, "argmin_sigma": _argmin_sigma(errs),
                         "rule_sigma": corner_sigma_rule(beta)})
-    meta = {
-        "kind": "corner-sigma",
-        "n1": n1,
-        "n2": n2,
-        "eps_rel": eps_rel,
-        "per_arm": per_arm,
-        "beta_list": [float(b) for b in beta_list],
-        "sigma_grid": [float(s) for s in sigmas],
-        "argmin": argmins,
-    }
+    meta = {"kind": "corner-sigma", "n1": n1, "n2": n2, "eps_rel": eps_rel,
+            "per_arm": per_arm, "beta_list": betas,
+            "sigma_grid": list(SIGMA_GRID), "argmin": argmins}
     return ResultTable(columns=("beta", "sigma", "max_err", "status"),
                        rows=rows, meta=meta)
 
@@ -417,20 +384,16 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> Result
     rows = []
     for beta, nts in ((0.0, tuple(nt_list)), (1.0, tuple(vshape_nt_list))):
         for nt in nts:
-            if beta == 0.0:
-                radii = (math.exp(4.0 - 2.0 * TrapApproximant(nt).t_param), 0.5, 1.0)
-            else:
-                radii = (1.0,)
+            radii = (validity_floor(TrapApproximant(nt)), 0.5, 1.0) if beta == 0.0 \
+                else (1.0,)
             for r in radii:
                 setup = ContourSetup(r, nt, beta)
                 report = error_identity_report(setup)
                 t_param = setup.rule.t_param
                 scale = math.exp(-t_param)
-                lhs_abs = abs(report.lhs)
-                identity_pass = report.defect <= max(1e-10, 1e-3 * lhs_abs)
                 rows.append((
                     float(beta), int(nt), float(r), t_param,
-                    lhs_abs, report.defect, int(identity_pass),
+                    abs(report.lhs), report.defect, int(report.identity_pass),
                     abs(report.terms.end_ints),
                     abs(report.terms.gamma_int),
                     abs(report.terms.residue_term),

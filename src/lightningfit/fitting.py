@@ -462,7 +462,9 @@ def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleG
                eps_rel: float = DEFAULT_TSVD_EPS) -> list:
     """Fit every spec of a sweep on the same grids, whatever its poles.
 
-    What does not depend on the poles is computed first, once: the target
+    A spec whose fit would allocate an array above the cap (see
+    `InputError.check_entries`) is refused first, with InputError.  What
+    does not depend on the poles is computed next, once: the target
     on both grids and the polynomial block on both, at the largest degree
     any spec asks for and the fit grid carries.  That decides each spec's
     degree failure: InputError at a degree the grid's rows cannot carry,
@@ -478,23 +480,24 @@ def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleG
     if grid.domain != validation_grid.domain:
         raise InputError(f"a fit grid on beta = {grid.domain.beta} cannot be "
                          f"validated on beta = {validation_grid.domain.beta}")
-    specs = list(specs)
+    specs, vpts = list(specs), validation_grid.points
     rows = _weight(grid.points) * len(grid)
-    carried = max((s.poly_degree for s in specs if s.poly_degree < rows), default=-1)
+    results = [_refusal(spec, rows, vpts) for spec in specs]
+    carried = max((s.poly_degree for s, refused in zip(specs, results)
+                   if refused is None), default=-1)
     chain = (None, None, None)
     if carried >= 0:
         chain = _poly_chain_build(grid.points, carried)
         carried = chain[1].shape[1]  # lower where the recurrence broke down
-    fvec, vpts = eval_target(target, grid.points), validation_grid.points
+    fvec = eval_target(target, grid.points)
     with np.errstate(over="ignore", invalid="ignore"):
         validation = (vpts, eval_target(target, vpts),
                       None if carried < 0 else _poly_chain_eval(vpts, *chain[1:]))
-    results, groups = [None] * len(specs), {}
+    groups = {}
     for i, spec in enumerate(specs):
-        if spec.poly_degree >= rows:
-            results[i] = InputError(f"polynomial degree {spec.poly_degree} needs "
-                                    f"more than the grid's {rows} points")
-        elif spec.poly_degree > carried:
+        if results[i] is not None:
+            continue
+        if spec.poly_degree > carried:
             results[i] = NumericError("grid cannot support the requested polynomial degree")
         else:
             groups.setdefault(spec.poles.tobytes(), []).append(i)
@@ -504,6 +507,25 @@ def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleG
         for i, result in zip(group, fits):
             results[i] = result
     return results
+
+
+def _refusal(spec: BasisSpec, rows: int, vpts: np.ndarray):
+    """The InputError of a spec at a polynomial degree at or beyond the fit
+    grid's rows, or whose system, polynomial block on either grid or
+    validation chunk is above the cap; else None."""
+    try:
+        if spec.poly_degree >= rows:
+            raise InputError(f"polynomial degree {spec.poly_degree} needs "
+                             f"more than the grid's {rows} points")
+        InputError.check_entries("the least-squares system",
+                                 rows * (spec.n_columns + 1))
+        InputError.check_entries("the polynomial block", (spec.poly_degree + 1)
+                                 * max(rows, vpts.view(float).size))
+        InputError.check_entries("a validation chunk",
+                                 min(_EVAL_CHUNK, len(vpts)) * len(spec.poles))
+    except InputError as exc:
+        return exc
+    return None
 
 
 def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,

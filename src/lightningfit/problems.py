@@ -115,7 +115,6 @@ class SampleGrid:
 
 
 def _radii(decades: float, per_arm: int) -> np.ndarray:
-    InputError.check_count("per_arm", per_arm)
     InputError.check_positive("decades", decades)
     if not 10.0 ** -decades >= np.finfo(float).tiny:
         # beyond ~307.6 decades the smallest radii underflow to duplicate zeros
@@ -135,6 +134,11 @@ def build_fit_grid(domain: Domain, decades: float = 16.0,
     """Log-spaced grid over `decades` decades of radius, densest near 0.
 
     On the interval the points are real; on a V-domain they are the
-    upper arm's `per_arm` points, which stand for both arms.
+    upper arm's `per_arm` points, which stand for both arms.  A grid of
+    more float64 entries than the cap (see `InputError.check_entries`) is
+    refused before any is allocated.
     """
+    InputError.check_count("per_arm", per_arm)
+    InputError.check_entries(f"a grid of {per_arm} points per arm",
+                             per_arm if domain.beta == 0.0 else 2 * per_arm)
     return SampleGrid(points=domain.arm_point(_radii(decades, per_arm)), domain=domain)

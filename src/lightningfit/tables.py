@@ -107,26 +107,3 @@ def write_table(table: ResultTable, fmt: str = "csv", path=None, stream=None) ->
             raise InputError(f"cannot write table to {path}: {exc}") from exc
     return text
 
-
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_csv_table(text: str) -> ResultTable:
-    """Inverse of the CSV rendering, with best-effort typing of cells."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty CSV text") from None
-    rows = [tuple(_parse_cell(c) for c in row) for row in reader]
-    return ResultTable(columns=tuple(header), rows=rows, meta={})

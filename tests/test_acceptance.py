@@ -69,12 +69,12 @@ def test_01_sqrt_tapered_poly_best_rate():
     Slope of log(max_err) against sqrt(N) must equal -pi*sqrt(2) within
     15%, and the largest run must reach 1e-11.
     """
-    table = run_convergence(n1_list=(9, 16, 25, 36, 49, 64),
-                            variants=("tapered+poly",), scale=2.0)
+    table = run_convergence(scale=2.0)
     assert all(s == "" for s in table.column("status"))
     slope, npts = slope_vs_sqrt_n(table, "tapered+poly")
     target = -math.pi * math.sqrt(2.0)
-    final_err = table.column("max_err")[-1]
+    final_err = [row[table.columns.index("max_err")] for row in table.rows
+                 if row[0] == "tapered+poly"][-1]
     print(f"criterion 1: slope={slope:.4f} target={target:.4f} "
           f"({npts} pts in window), final max_err={final_err:.3e}")
     assert npts >= 2
@@ -233,8 +233,7 @@ def test_09_optimal_sigma_rule_flat():
     """argmin over sigma for x^alpha lands within 30% of 2 pi/sqrt(alpha)."""
     lines = []
     for alpha in (0.25, math.pi / 10, 0.75):
-        table = run_sigma_sweep(alpha=alpha, n1=10, poly_degree=10,
-                                include_plain=False)
+        table = run_sigma_sweep(alpha=alpha, n1=10, n2=10)
         got = table.meta["argmin_sigma_poly"]
         rule = 2.0 * math.pi / math.sqrt(alpha)
         lines.append(f"alpha={alpha:.3f}: argmin={got:.2f} rule={rule:.2f}")
@@ -244,7 +243,7 @@ def test_09_optimal_sigma_rule_flat():
 
 def test_10_optimal_sigma_rule_vshape():
     """Opening-matched clustering beats the flat-interval default on V."""
-    table = run_vshape(beta_list=(0.5, 1.0, 1.5), n1=40, n2=10)
+    table = run_vshape(n1=40, n2=10)
     idx = {c: i for i, c in enumerate(table.columns)}
     errs = {}
     for r in table.rows:

@@ -1,15 +1,21 @@
 """Command-line interface: subcommands, flags, formats, exit codes."""
 
+import collections
 import contextlib
+import csv
 import functools
+import importlib.util
 import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightningfit
-from lightningfit import ResultTable, cli, parse_csv_table
+from lightningfit import ResultTable, cli
 from lightningfit.cli import main
+from lightningfit.errors import MAX_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -27,14 +34,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def csv_rows(text):
+    """The rows of CSV output, each a dict of its cells' text by column."""
+    return list(csv.DictReader(io.StringIO(text)))
+
+
 def test_fit_csv_stdout(capsys):
     code, out, err = run_cli(capsys, "fit", "--n1", "12", "--n2", "4")
     assert code == 0
-    table = parse_csv_table(out)
-    assert table.columns[:6] == ("target", "alpha", "beta", "n1", "n2", "sigma")
-    row = dict(zip(table.columns, table.rows[0]))
-    assert row["n1"] == 12 and row["n2"] == 4
-    assert 0 < row["max_err"] < 1e-3
+    assert out.splitlines()[0].split(",")[:6] == ["target", "alpha", "beta", "n1",
+                                                 "n2", "sigma"]
+    row, = csv_rows(out)
+    assert row["n1"] == "12" and row["n2"] == "4"
+    assert 0 < float(row["max_err"]) < 1e-3
 
 
 def test_fit_json_format(capsys):
@@ -61,19 +73,18 @@ def test_fit_defaults_follow_rules(capsys):
     # n2 defaults to ceil(1.3 sqrt(n1)) = 9, sigma to 2 sqrt(2) pi
     code, out, _ = run_cli(capsys, "fit", "--n1", "49", "--grid-points", "500")
     assert code == 0
-    table = parse_csv_table(out)
-    row = dict(zip(table.columns, table.rows[0]))
-    assert row["n2"] == 10  # ceil(1.3 * 7)
-    assert row["sigma"] == pytest.approx(8.885765876316732, rel=1e-12)
+    row, = csv_rows(out)
+    assert row["n2"] == "10"  # ceil(1.3 * 7)
+    assert float(row["sigma"]) == pytest.approx(8.885765876316732, rel=1e-12)
 
 
 def test_fit_powerlog_target(capsys):
     code, out, _ = run_cli(capsys, "fit", "--target", "powerlog", "--alpha", "1.0",
                            "--n1", "10", "--n2", "4", "--grid-points", "400")
     assert code == 0
-    row = dict(zip(parse_csv_table(out).columns, parse_csv_table(out).rows[0]))
+    row, = csv_rows(out)
     assert row["target"] == "powerlog"
-    assert row["max_err"] < 1e-2
+    assert float(row["max_err"]) < 1e-2
 
 
 def test_fit_writes_file(tmp_path, capsys):
@@ -82,7 +93,7 @@ def test_fit_writes_file(tmp_path, capsys):
                            "--out", str(out_path))
     assert code == 0
     assert out == ""
-    assert parse_csv_table(out_path.read_text()).rows
+    assert csv_rows(out_path.read_text())
 
 
 def test_input_error_exit_1(capsys):
@@ -253,6 +264,28 @@ def test_decades_too_few_for_distinct_radii_exit_1(capsys, decades):
     assert err.count("input error:") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # at the default sigma the smallest of 200000 poles underflows first
+    ("fit", "--n1", "200000", "--sigma", "1"),
+    ("fit", "--grid-points", "1000000000"),
+])
+def test_array_above_the_cap_exits_1_before_allocating(argv):
+    """An array above the cap is refused from its size: the traced peak
+    stays far below the bytes it would have taken."""
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.getvalue()) == (1, "")
+    entries = int(re.search(r"needs (\d+) float64 entries, above the cap of "
+                            f"{MAX_ENTRIES}\n$", err.getvalue()).group(1))
+    assert entries > MAX_ENTRIES and peak < 8 * entries / 100
+
+
 def test_fit_sqrt_rejects_other_alpha(capsys):
     code, out, err = run_cli(capsys, "fit", "--alpha", "0.3")
     assert code == 1
@@ -266,8 +299,7 @@ def test_grid_with_some_unbuildable_pole_sets_exits_0(capsys):
     # sigma = 100 underflows the poles of n1 = 81 and 100 only, 1000 those of every n1
     code, out, err = run_cli(capsys, "grid", "--sigma", "100")
     assert code == 0 and err == ""
-    statuses = parse_csv_table(out).column("status")
-    assert sum(bool(s) for s in statuses) == 32
+    assert sum(bool(row["status"]) for row in csv_rows(out)) == 32
     code, out, err = run_cli(capsys, "grid", "--sigma", "1000")
     assert code == 1 and out == ""
     assert err.count("input error:") == 1 and "Traceback" not in err
@@ -301,18 +333,17 @@ def test_sigma_sweep_smoke(capsys):
 def test_verify_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "verify-bounds")
     assert code == 0
-    table = parse_csv_table(out)
-    assert "identity_pass" in table.columns
-    assert all(v == 1 for v in table.column("identity_pass"))
-    assert all(v == 1 for v in table.column("conj_pass"))
+    rows = csv_rows(out)
+    assert "identity_pass" in rows[0]
+    assert all(row["identity_pass"] == row["conj_pass"] == "1" for row in rows)
 
 
 def test_pole_ladder_table(capsys):
     code, out, _ = run_cli(capsys, "pole-ladder")
     assert code == 0
-    table = parse_csv_table(out)
-    assert set(table.column("n")) == {16, 36, 64}
-    assert len(table) == 16 + 36 + 64
+    rows = csv_rows(out)
+    assert {row["n"] for row in rows} == {"16", "36", "64"}
+    assert len(rows) == 16 + 36 + 64
 
 
 def test_determinism_across_invocations(capsys):
@@ -398,7 +429,7 @@ HONOURED = {
             "--tsvd-eps": "eps_rel"},
     "converge": {"--scale-c": "scale", "--grid-points": "per_arm",
                  "--decades": "decades", "--tsvd-eps": "eps_rel"},
-    "sigma-sweep": {"--alpha": "alpha", "--n1": "n1", "--n2": "poly_degree",
+    "sigma-sweep": {"--alpha": "alpha", "--n1": "n1", "--n2": "n2",
                     "--scale-c": "scale", "--grid-points": "per_arm",
                     "--tsvd-eps": "eps_rel"},
     "grid": {"--alpha": "alpha", "--sigma": "sigma", "--grid-points": "per_arm",
@@ -454,6 +485,32 @@ def test_flag_reaches_runner_keyword(monkeypatch, capsys, command, flag):
     assert set(expected) <= set(inspect.signature(runner).parameters)
 
 
+def _output_digests():
+    """scripts/output_digests.py as a module, with the environment it
+    pins (the BLAS thread count, the terminal width) restored after."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("_output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_every_runner_parameter_has_a_caller():
+    """Each parameter of a subcommand's runner is set by a flag or by a
+    runner call of the output listing, never by tests alone; and the
+    listing loads, this file's tables included."""
+    digests = _output_digests()
+    called = collections.defaultdict(set)
+    for name, kwargs in digests.RUNNER_CALLS:
+        called[name] |= set(kwargs)
+    for command, (runner, _) in cli._COMMANDS.items():
+        params = set(inspect.signature(runner).parameters)
+        assert params - set(cli._FLAGS) - called[runner.__name__] == set(), command
+    assert ("sigma-sweep", "--n2", FLAG_VALUES["--n2"][0], "--format", "csv") \
+        in digests.argvs()
+
+
 @pytest.mark.parametrize("command", [c for c, flags in HONOURED.items()
                                      if "--tsvd-eps" in flags])
 @pytest.mark.parametrize("eps", ["inf", "1e308", "2"])
@@ -485,7 +542,8 @@ INVALID = {
     # past 1e300 every tapered pole underflows to -0.0
     "--sigma": _NOT_POSITIVE | st.floats(min_value=1e300).map(repr),
     "--scale-c": _NOT_POSITIVE,
-    "--grid-points": _NOT_A_COUNT,
+    # above the cap a grid is refused before it is allocated
+    "--grid-points": _NOT_A_COUNT | st.integers(min_value=MAX_ENTRIES + 1).map(str),
     "--decades": _NOT_POSITIVE | st.floats(min_value=308.0).map(repr),
     "--tsvd-eps": _NOT_POSITIVE | st.floats(min_value=1.0, exclude_min=True).map(repr),
     "--format": st.text(max_size=8).filter(lambda t: t not in ("csv", "json")),

@@ -15,7 +15,8 @@ from lightningfit import (ContourSetup, EvaluationError, InputError,
                           default_step, error_identity_report, error_integrand,
                           pole_residue_pairs, quadrature_error_kernel,
                           residue_rate_check, residue_term, t_parameter,
-                          trap_eval, integrate, truncated_sqrt_integral)
+                          trap_eval, integrate, truncated_sqrt_integral,
+                          validity_floor)
 
 H0 = default_step()  # 2 pi^2
 
@@ -202,6 +203,24 @@ def test_primary_poles_inside_rectangle_secondary_outside():
             inside = (setup.rect_left < pr.pole.real < setup.rect_right
                       and abs(pr.pole.imag) < setup.half_height)
             assert inside == (pr.k == 0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_validity_floor_is_the_smallest_radius_a_setup_takes(beta):
+    rule = TrapApproximant(64, beta)
+    floor = validity_floor(rule)
+    assert floor == math.exp(4.0 + 2.0 * beta - 2.0 * rule.t_param)
+    assert ContourSetup(floor, 64, beta).radius == floor
+    with pytest.raises(InputError, match="below the validity floor"):
+        ContourSetup(floor * (1.0 - 1e-8), 64, beta)
+
+
+def test_identity_pass_is_the_defect_within_its_tolerance():
+    for setup in (ContourSetup(0.5, 16), ContourSetup(1.0, 64, 1.0)):
+        report = error_identity_report(setup)
+        assert report.identity_pass
+        assert report.identity_pass == (
+            report.defect <= max(1e-10, 1e-3 * abs(report.lhs)))
 
 
 def test_setup_validation():

@@ -1,7 +1,9 @@
 """Tests for the experiment drivers.
 
-These are slower than the unit tests (each driver runs dozens of fits) so
-the configurations are trimmed: fewer sizes, fewer betas, one corner angle.
+These are slower than the unit tests (each driver runs dozens of fits);
+each default table runs in under half a second, so the tests run the
+tables' own designs, trimmed only where a runner takes a list (the n1 of
+`run_grid`, the openings of `run_corner_sigma`).
 Numerical targets were frozen from direct runs; tolerances are loose enough
 to survive BLAS/libm variation but tight enough to catch real regressions.
 """
@@ -18,6 +20,8 @@ from lightningfit.contour import ContourSetup, error_identity_report
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
+    DEFAULT_N1_LIST,
+    GRID_N2,
     VAL_PER_ARM,
     VSHAPE_SIGMA_RULES,
     corner_sigma_rule,
@@ -113,16 +117,13 @@ def test_refine_argmin_rejects_mismatch():
 
 @pytest.fixture(scope="module")
 def conv_table():
-    return run_convergence(
-        n1_list=(9, 16, 25),
-        variants=("tapered", "tapered+poly", "uniform+big"),
-    )
+    return run_convergence()
 
 
 def test_convergence_structure(conv_table):
     assert tuple(conv_table.columns[:4]) == ("variant", "scheme", "n", "n1")
     variants = set(col(conv_table, "variant"))
-    assert variants == {"tapered", "tapered+poly", "uniform+big"}
+    assert variants == set(CONVERGENCE_VARIANTS)
     assert all(s == "" for s in col(conv_table, "status"))
 
 
@@ -151,7 +152,7 @@ def test_convergence_poly_augmentation_wins(conv_table):
 def test_convergence_plain_tapered_rate(conv_table):
     # root-exponential with the single-rate constant pi/sqrt(2)
     slope, npts = slope_vs_sqrt_n(conv_table, "tapered", err_lo=1e-14, err_hi=1.0)
-    assert npts == 3
+    assert npts == len(DEFAULT_N1_LIST)
     assert slope == pytest.approx(-math.pi / math.sqrt(2.0), rel=0.2)
 
 
@@ -160,9 +161,9 @@ def test_slope_needs_two_rows(conv_table):
         slope_vs_sqrt_n(conv_table, "tapered", err_lo=1e-30, err_hi=1e-29)
 
 
-def test_big_poles_emulate_polynomial():
-    tab = run_convergence(n1_list=(25,), variants=("tapered+poly", "tapered+big"))
-    errs = col(tab, "max_err")
+def test_big_poles_emulate_polynomial(conv_table):
+    errs = [row[conv_table.columns.index("max_err")] for row in conv_table.rows
+            if row[0] in ("tapered+poly", "tapered+big") and row[3] == 25]
     assert len(errs) == 2
     # same clustering, same count of smooth-part dof: comparable accuracy
     assert errs[1] < 30.0 * errs[0]
@@ -226,13 +227,12 @@ def test_grid_rows_match_fits_on_fresh_grids():
     """Each n1 of the sweep is one fit_nested group, solved from a single
     factorization at its largest degree: the rows are bit for bit that call
     on fresh grids, and within the rounding gate of one fit per degree."""
-    n2_list = (9, 2, 15, 5)
-    tab = run_grid(n1_list=(16,), n2_list=n2_list)
-    assert tab.column("n2") == list(n2_list)
+    tab = run_grid(n1_list=(16,))
+    assert tab.column("n2") == list(GRID_N2)
     domain = Domain()
     target = Target("power", tab.meta["alpha"])
     specs = [BasisSpec(tapered_poles(16, tab.meta["sigma"], 1.0), poly_degree=n2)
-             for n2 in n2_list]
+             for n2 in GRID_N2]
     nested = fit_nested(target, specs, build_fit_grid(domain),
                         build_fit_grid(domain, per_arm=VAL_PER_ARM))
     assert tab.column("max_err") == [rep.max_err for _, rep in nested]
@@ -243,13 +243,22 @@ def test_grid_rows_match_fits_on_fresh_grids():
         assert abs(rep.max_err - alone.max_err) <= 1e-4 * alone.max_err + 1e-13
 
 
-def test_grid_rows_do_not_depend_on_degree_order():
-    rows = run_grid(n1_list=(16,), n2_list=(9, 2, 15, 5)).rows
-    assert sorted(rows) == sorted(run_grid(n1_list=(16,), n2_list=(15, 9, 5, 2)).rows)
+def test_nested_reports_do_not_depend_on_degree_order():
+    domain = Domain()
+    target = Target("power", math.pi / 10)
+    poles = tapered_poles(16, 2.0 * math.pi / math.sqrt(target.alpha), 1.0)
+
+    def reports(degrees):
+        specs = [BasisSpec(poles, poly_degree=d) for d in degrees]
+        return dict(zip(degrees, (rep for _, rep in fit_nested(
+            target, specs, build_fit_grid(domain),
+            build_fit_grid(domain, per_arm=VAL_PER_ARM)))))
+
+    assert reports((9, 2, 15, 5)) == reports((15, 9, 5, 2))
 
 
 def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
-    """Degrees the grid's 40 points cannot carry fail their rows; the other
+    """Degrees the grid's 8 points cannot carry fail their rows; the other
     degrees are solved from the group's one factorization, bit for bit a
     call without the failed specs, on one build of the polynomial block
     and one evaluation of it on the validation grid."""
@@ -263,20 +272,20 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
 
     for name in ("_poly_chain_build", "_poly_chain_eval"):
         monkeypatch.setattr(fitting, name, counted(name, getattr(fitting, name)))
-    tab = run_grid(n1_list=(4,), n2_list=(3, 45, 5, 40), per_arm=40)
+    tab = run_grid(n1_list=(4,), per_arm=8)
     assert len(factored) == 1
     assert calls == {"_poly_chain_build": 1, "_poly_chain_eval": 1}
     monkeypatch.undo()
     statuses = tab.column("status")
-    assert [s == "" for s in statuses] == [True, False, True, False]
-    assert all("needs more than the grid's 40 points" in s for s in statuses[1::2])
+    assert [s == "" for s in statuses] == [n2 < 8 for n2 in GRID_N2]
+    assert all("needs more than the grid's 8 points" in s for s in statuses[8:])
     domain = Domain()
     specs = [BasisSpec(tapered_poles(4, tab.meta["sigma"], 1.0), poly_degree=n2)
-             for n2 in (3, 5)]
+             for n2 in range(8)]
     feasible = fit_nested(Target("power", tab.meta["alpha"]), specs,
-                          build_fit_grid(domain, per_arm=40),
+                          build_fit_grid(domain, per_arm=8),
                           build_fit_grid(domain, per_arm=VAL_PER_ARM))
-    assert tab.column("max_err")[::2] == [rep.max_err for _, rep in feasible]
+    assert tab.column("max_err")[:8] == [rep.max_err for _, rep in feasible]
 
 
 def test_grid_n1_whose_poles_underflow_fails_only_its_rows():
@@ -297,20 +306,32 @@ def test_grid_n1_whose_poles_underflow_fails_only_its_rows():
         run_grid(n1_list=(16.5,))  # no row of 17 poles
 
 
+def test_spec_above_the_cap_fails_only_its_rows():
+    """20000 poles on 2000 points need a system of more than 2000 x 20000
+    float64 entries, above the cap: those rows carry the refusal, and the
+    n1 = 4 rows are the sweep without them, bit for bit."""
+    tab = run_grid(sigma=1.0, n1_list=(4, 20000))
+    capped = tab.rows[len(GRID_N2):]
+    assert all(math.isnan(row[2]) and "above the cap" in row[3] for row in capped)
+    assert tab.rows[:len(GRID_N2)] == run_grid(sigma=1.0, n1_list=(4,)).rows
+
+
 def test_sweep_without_a_buildable_spec_is_input_error():
     with pytest.raises(InputError, match="number of poles must be >= 1"):
         run_vshape(n1=0)
 
 
 def test_sweep_reports_specs_that_fail_for_some_keys():
-    # at sigma = 100 the smallest of 100 poles underflows to -0.0
-    tab = run_sigma_sweep(n1=100, sigma_max=100.0, n_sigma=5, per_arm=200,
-                          include_plain=False)
+    # at sigma = 30, the grid's last, the smallest of 676 poles,
+    # exp(-30 * 25), underflows to -0.0; at the one before, 28.04, it is
+    # a normal float
+    tab = run_sigma_sweep(n1=676, per_arm=20)
     statuses = tab.column("status")
-    assert statuses[:4] == [""] * 4
-    assert all(math.isfinite(e) for e in tab.column("max_err")[:4])
-    assert tab.column("sigma")[4] == 100.0
-    assert "finite and strictly negative" in statuses[4]
+    assert statuses[:-2] == [""] * 80
+    assert all(math.isfinite(e) for e in tab.column("max_err")[:-2])
+    assert tab.column("sigma")[-2:] == [30.0, 30.0]
+    assert all("finite and strictly negative" in s for s in statuses[-2:])
+    assert math.isfinite(tab.meta["argmin_sigma_poly"])
 
 
 # ---------------------------------------------------------------- corners
@@ -318,7 +339,7 @@ def test_sweep_reports_specs_that_fail_for_some_keys():
 
 @pytest.fixture(scope="module")
 def vshape_table():
-    return run_vshape(beta_list=(0.5, 1.0, 1.5), n1=40, n2=10)
+    return run_vshape()
 
 
 def test_vshape_opening_matched_wins(vshape_table):
@@ -431,3 +452,4 @@ def test_verify_bounds_evaluates_the_contour_once_per_row(monkeypatch):
         report = error_identity_report(ContourSetup(r, cells["nt"], beta))
         assert cells["gamma_ratio"] == report.gamma_ratio
         assert cells["conj_pass"] == int(report.conj_pass)
+        assert cells["identity_pass"] == int(report.identity_pass)

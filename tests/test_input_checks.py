@@ -23,13 +23,17 @@ from lightningfit import (BasisSpec, Domain, InputError, Target, TrapApproximant
                           pole_residue_pairs, stahl_density, tapered_poles,
                           trap_partial_fractions, truncated_sqrt_integral,
                           uniform_poles)
-from lightningfit.experiments import poly_degree_rule, run_fit
+from lightningfit.errors import MAX_ENTRIES
+from lightningfit.experiments import (corner_sigma_rule, corner_target,
+                                      poly_degree_rule, run_corner_sigma, run_fit)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lightningfit"
 
 NOT_REAL = ("a", None, 1j)
 # 10**400 is an int beyond the float range: not finite once converted
 NOT_POSITIVE = NOT_REAL + (math.nan, math.inf, -math.inf, 0, -1, 10**400)
+# a corner's opening beta is a positive real that opens a V-domain, below 2
+NOT_AN_OPENING = NOT_POSITIVE + (2.0, 2.5)
 
 
 def not_a_count(least=1):
@@ -47,8 +51,12 @@ CASES = {
     "big_poles n2": (lambda v: big_poles(10, v), not_a_count()),
     "BasisSpec poly_degree": (lambda v: BasisSpec([-1.0], poly_degree=v),
                               not_a_count(-1)),
+    # a grid above the cap is refused before np.logspace allocates it
     "build_fit_grid per_arm": (lambda v: build_fit_grid(Domain(), per_arm=v),
-                               not_a_count()),
+                               not_a_count() + (MAX_ENTRIES + 1, 10**30)),
+    # a V-domain point is two float64 entries
+    "build_fit_grid per_arm on a V-domain": (
+        lambda v: build_fit_grid(Domain(1.0), per_arm=v), (MAX_ENTRIES // 2 + 1,)),
     "build_fit_grid decades": (lambda v: build_fit_grid(Domain(), decades=v, per_arm=10),
                                NOT_POSITIVE),
     # an array of kinds would make `in TARGET_KINDS` ambiguous
@@ -78,6 +86,10 @@ CASES = {
                                 not_a_count(0)),
     "poly_degree_rule n1": (lambda v: poly_degree_rule(v), not_a_count()),
     "run_fit n1": (lambda v: run_fit(n1=v), not_a_count()),
+    "corner_target beta": (lambda v: corner_target(v), NOT_AN_OPENING),
+    "corner_sigma_rule beta": (lambda v: corner_sigma_rule(v), NOT_AN_OPENING),
+    "run_corner_sigma beta_list": (lambda v: run_corner_sigma(beta_list=(v,)),
+                                   NOT_AN_OPENING),
     "integrate tol": (lambda v: integrate(np.sin, (0.0, 1.0), v), NOT_POSITIVE),
     "integrate max_evals": (lambda v: integrate(np.sin, (0.0, 1.0), 1e-13, v),
                             not_a_count()),
@@ -96,6 +108,12 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 @example(pair=("density_correction y", math.inf))
 @example(pair=("TrapApproximant step", "a"))
 @example(pair=("TrapApproximant step", math.inf))
+@example(pair=("corner_target beta", 0))  # ZeroDivisionError
+@example(pair=("corner_target beta", math.nan))  # ValueError
+@example(pair=("corner_sigma_rule beta", 2.5))  # ValueError
+@example(pair=("run_corner_sigma beta_list", "a"))  # TypeError
+# this one returned a target for an opening outside the domain
+@example(pair=("corner_target beta", 2.5))
 # each of these once escaped as OverflowError
 @example(pair=("Target alpha", 10**400))
 @example(pair=("tapered_poles sigma", 10**400))

@@ -170,6 +170,6 @@ def test_validation_grid_default_density(monkeypatch):
     for module in (experiments, fitting):  # run_fit calls fitting.fit
         monkeypatch.setattr(module, "fit_nested", recorded)
     experiments.run_fit(n1=6, per_arm=300, decades=8.0)
-    experiments.run_grid(n1_list=(4,), n2_list=(2,), per_arm=300)
+    experiments.run_grid(n1_list=(4,), per_arm=300)
     assert seen == [(300, 10000, pytest.approx(1e-8, rel=1e-15)),
                     (300, 10000, pytest.approx(1e-16, rel=1e-15))]
