@@ -7,7 +7,7 @@ and contour-integral error verification alongside.
 """
 
 from .version import __version__
-from .errors import (LightningError, InputError, EvaluationError, NumericError)
+from .errors import LightningError, InputError, NumericError
 from .problems import (TARGET_KINDS, Target, Domain, SampleGrid, eval_target,
                        build_fit_grid)
 from .poles import uniform_poles, tapered_poles, big_poles

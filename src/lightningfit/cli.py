@@ -34,7 +34,6 @@ _FLAGS = {
     "sigma": ("--sigma", {"type": float, "help": "clustering parameter"}),
     "scale": ("--scale-c", {"type": float, "help": "clustered-pole scale factor"}),
     "per_arm": ("--grid-points", {"type": int, "help": "fit-grid points per arm"}),
-    "decades": ("--decades", {"type": float, "help": "radial decades the grids span"}),
     "eps_rel": ("--tsvd-eps", {"type": float, "help": "relative singular-value cutoff"}),
 }
 

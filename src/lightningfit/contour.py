@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, InputError
+from .errors import InputError
 from .problems import Domain
 from .quadrature import integrate
 from .trapezoid import (TrapApproximant, _window_integral, error_integrand,
@@ -48,7 +48,7 @@ def quadrature_error_kernel(u, step: float, branch=None):
     on_lattice = (np.abs(scaled.imag) < 1e-12) \
         & (np.abs(scaled.real - np.round(scaled.real)) < 1e-12)
     if np.any(on_lattice):
-        raise EvaluationError("delta evaluated on a quadrature node of the comb")
+        raise InputError("delta evaluated on a quadrature node of the comb")
     upper = uu.imag >= 0 if branch is None else np.asarray(branch) > 0
     sign = np.where(upper, 1.0, -1.0)
     q = np.exp(2j * math.pi * sign * scaled)
@@ -239,9 +239,9 @@ def error_identity_report(setup: ContourSetup) -> IdentityReport:
                           identity_pass=defect <= max(1e-10, 1e-3 * abs(lhs)))
 
 
-def residue_rate_check(step: float, beta: float, nt_list):
-    """Rows of |residue_term| / e^{-T} across node counts and the radii
-    0.1, 0.5 and 1.0.
+def residue_rate_check(step: float, nt_list):
+    """Rows of |residue_term| / e^{-T} on [0, 1] across node counts and the
+    radii 0.1, 0.5 and 1.0.
 
     With the step matched to the domain the ratio is bounded by an
     nt-independent constant (it equals 4 |sin(phase)| to leading order, so
@@ -249,12 +249,11 @@ def residue_rate_check(step: float, beta: float, nt_list):
     makes it drift exponentially in nt, which is how a wrong step is
     detected.
     """
-    domain = Domain(beta)
     rows = []
     for nt in nt_list:
-        rule = TrapApproximant(nt, beta, step)
+        rule = TrapApproximant(nt, step=step)
         for r in (0.1, 0.5, 1.0):
-            mag = float(abs(residue_term(domain.arm_point(r), rule.t_param, rule.step)))
+            mag = float(abs(residue_term(r, rule.t_param, rule.step)))
             rows.append({
                 "nt": int(nt),
                 "radius": float(r),

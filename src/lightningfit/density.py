@@ -117,16 +117,14 @@ def _h_minus_j(root_n, w, margin):
     return margin - root_n * (w / math.pi) - _correction(w)
 
 
-def stahl_density(n: int, y: float, j: float = 0.0) -> float:
-    """Integrated pole density H(n, y) of the degree-n best approximant,
-    less j.
+def stahl_density(n: int, y: float) -> float:
+    """Integrated pole density H(n, y) of the degree-n best approximant.
 
     Scalar y; L(y) = W/pi and Q(y) share W = asinh(1/y), computed once.
     """
     InputError.check_count("n", n)
-    InputError.check_number("j", j)
     y = np.array([InputError.check_positive("y", y)])
-    return float(_h_minus_j(math.sqrt(n), np.arcsinh(1.0 / y), (n + 1) / 2.0 - j)[0])
+    return float(_h_minus_j(math.sqrt(n), np.arcsinh(1.0 / y), (n + 1) / 2.0)[0])
 
 
 def _bracket_low(n: int) -> float:

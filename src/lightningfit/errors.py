@@ -5,8 +5,9 @@ pole-coincident points); NumericError covers runtime numerical failures
 (quadrature non-convergence, degenerate matrices).  The CLI maps them to
 exit codes 1 and 2.  A numeric argument of the wrong kind is an InputError;
 every count and positive real is checked by check_count or check_positive,
-every array of reals is converted by check_reals, and every array a fit
-would allocate above MAX_ENTRIES is refused by check_entries.
+every array of reals is converted by check_reals, every array of
+evaluation points by check_points, and every array a fit would allocate
+above MAX_ENTRIES is refused by check_entries.
 """
 
 import math
@@ -71,9 +72,22 @@ class InputError(LightningError, ValueError):
         except (TypeError, ValueError, OverflowError):
             raise InputError(message) from None
 
-
-class EvaluationError(InputError):
-    """A point hit a pole or otherwise cannot be evaluated."""
+    @staticmethod
+    def check_points(value) -> np.ndarray:
+        """value as a float64 array, complex128 if it holds complex numbers,
+        if every entry is a finite number; else InputError.  Text is
+        refused, not parsed."""
+        try:
+            array = np.asarray(value)
+            if array.dtype.kind in "SU":
+                raise TypeError
+            array = array.astype(complex if array.dtype.kind == "c" else float,
+                                 copy=False)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("evaluation points must be real or complex numbers") from None
+        if not np.all(np.isfinite(array)):
+            raise InputError("evaluation points must be finite")
+        return array
 
 
 class NumericError(LightningError, RuntimeError):

@@ -19,7 +19,7 @@ from .density import count_large_poles, pole_from_density
 from .errors import InputError, LightningError, NumericError
 from .fitting import DEFAULT_TSVD_EPS, BasisSpec, FitReport, fit, fit_nested
 from .poles import big_poles, tapered_poles, uniform_poles
-from .problems import Domain, Target, build_fit_grid
+from .problems import DECADES, Domain, Target, build_fit_grid
 from .tables import ResultTable
 from .trapezoid import TrapApproximant, default_step
 
@@ -60,15 +60,15 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
                     coeff_2norm=math.nan, eff_rank=0)
 
 
-def _sweep(target, domain, per_arm, eps_rel, keys, spec_of, decades=16.0):
+def _sweep(target, domain, per_arm, eps_rel, keys, spec_of):
     """Fit spec_of(key) for each key in one fit_nested call, on the fit and
     validation grids of the domain it builds, after building every spec;
     raises the first key's error when none can be built.  Returns
     [(key, report, "")] in key order, with (key, _FAILED, reason) where the
     spec or the fit raised a LightningError.
     """
-    grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
-    vgrid = build_fit_grid(domain, decades=decades, per_arm=VAL_PER_ARM)
+    grid = build_fit_grid(domain, per_arm)
+    vgrid = build_fit_grid(domain, VAL_PER_ARM)
     keys = list(keys)
     specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
@@ -87,7 +87,7 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of, decades=16.0):
 
 def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
             n1: int = 40, n2: int | None = None, sigma: float | None = None,
-            scale: float = 1.0, per_arm: int = 2000, decades: float = 16.0,
+            scale: float = 1.0, per_arm: int = 2000,
             eps_rel: float = DEFAULT_TSVD_EPS) -> ResultTable:
     """One fit of sqrt, x^alpha or x^alpha log x on the opening-beta domain.
 
@@ -101,8 +101,8 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     if sigma is None:
         sigma = VSHAPE_SIGMA_RULES["opening-matched"](domain.beta)
     spec = BasisSpec(tapered_poles(n1, sigma, scale), poly_degree=n2)
-    grid = build_fit_grid(domain, decades=decades, per_arm=per_arm)
-    vgrid = build_fit_grid(domain, decades=decades, per_arm=VAL_PER_ARM)
+    grid = build_fit_grid(domain, per_arm)
+    vgrid = build_fit_grid(domain, VAL_PER_ARM)
     _, rep = fit(fitted, spec, grid, vgrid, eps_rel)
     row = (target, fitted.alpha, domain.beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
@@ -110,7 +110,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
               "beta": domain.beta, "n_clustered": n1, "pole_scheme": "tapered",
               "sigma": sigma, "scale_c": scale, "n_extra": 0, "poly_degree": n2,
               "total_degree": spec.total_degree, "grid_per_arm": per_arm,
-              "decades": float(decades), "eps_rel": eps_rel}
+              "decades": DECADES, "eps_rel": eps_rel}
     return ResultTable(
         columns=("target", "alpha", "beta", "n1", "n2", "sigma", "scale_c",
                  "max_err", "coeff_2norm", "resid_2norm", "eff_rank"),
@@ -118,7 +118,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
 
 
 def run_convergence(scale: float = 2.0, eps_rel: float = DEFAULT_TSVD_EPS,
-                    per_arm: int = 2000, decades: float = 16.0) -> ResultTable:
+                    per_arm: int = 2000) -> ResultTable:
     """Degree sweep of sqrt(x) fits over DEFAULT_N1_LIST for every
     pole/augmentation variant of CONVERGENCE_VARIANTS.
 
@@ -139,14 +139,14 @@ def run_convergence(scale: float = 2.0, eps_rel: float = DEFAULT_TSVD_EPS,
 
     rows = []
     for (name, n1, n2), rep, status in _sweep(
-            Target("sqrt"), Domain(), per_arm, eps_rel, keys, spec_of, decades):
+            Target("sqrt"), Domain(), per_arm, eps_rel, keys, spec_of):
         scheme, sigma, _ = CONVERGENCE_VARIANTS[name]
         rows.append((name, scheme, n1 + n2, n1, n2, sigma, rep.max_err,
                      rep.coeff_2norm, rep.resid_2norm, rep.eff_rank, status))
     meta = {"kind": "convergence", "target": "sqrt",
             "n1_list": list(DEFAULT_N1_LIST), "variants": list(CONVERGENCE_VARIANTS),
             "scale": scale, "eps_rel": eps_rel, "per_arm": per_arm,
-            "decades": decades, "val_per_arm": VAL_PER_ARM}
+            "decades": DECADES, "val_per_arm": VAL_PER_ARM}
     return ResultTable(
         columns=("variant", "scheme", "n", "n1", "n2", "sigma", "max_err",
                  "coeff_2norm", "resid_2norm", "eff_rank", "status"),
@@ -407,10 +407,8 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> Result
         "vshape_nt_list": [int(n) for n in vshape_nt_list],
         "vshape_beta": 1.0,
         "tol": ContourSetup.tol,
-        "residue_rates_matched": residue_rate_check(
-            default_step(0.0), 0.0, nt_list),
-        "residue_rates_mismatched": residue_rate_check(
-            math.pi**2, 0.0, nt_list),
+        "residue_rates_matched": residue_rate_check(default_step(0.0), nt_list),
+        "residue_rates_mismatched": residue_rate_check(math.pi**2, nt_list),
     }
     return ResultTable(
         columns=("beta", "nt", "radius", "t_param", "i_minus_s_abs",

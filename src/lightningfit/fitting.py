@@ -50,8 +50,8 @@ block is an exact prefix of the degree-D one, so a lower degree is a
 slice, bit for bit what a build at that degree gives.
 An approximant is its partial-fraction scales, its polynomial recurrence
 and its coefficients; it holds no grid.  Evaluation is matrix-free: the
-polynomial block at the points times its coefficients, plus the partial
-fractions summed over row chunks of _EVAL_CHUNK points, each chunk's
+polynomial block times its coefficients plus the partial fractions,
+summed over chunks of _EVAL_CHUNK points, each chunk's partial-fraction
 block built once per group of fits.  `evaluate` and `max_error` share
 that routine, so both give the same values bit for bit.  A point's value
 does not depend on the other points evaluated with it: the partial-fraction
@@ -76,11 +76,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import EvaluationError, InputError, LightningError, NumericError
+from .errors import InputError, LightningError, NumericError
 from .problems import SampleGrid, Target, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
-_EVAL_CHUNK = 4096  # rows of partial-fraction columns evaluated at a time
+_EVAL_CHUNK = 4096  # points whose basis columns are evaluated at a time
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
@@ -218,7 +218,7 @@ def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Unscaled p / (z - p) at pts, a row per point or per pole as broadcast."""
     diff = pts - poles
     if np.any(diff == 0):
-        raise EvaluationError("a point coincides with a pole")
+        raise InputError("a point coincides with a pole")
     return np.divide(poles, diff, out=diff)
 
 
@@ -376,21 +376,24 @@ class FitReport:
     eff_rank: int
 
 
-def _approximant_values(approxes, pts: np.ndarray, polys) -> list:
-    """Values at pts of approximants sharing poles and scales, given their
-    polynomial blocks there (or None); one partial-fraction block per chunk."""
+def _approximant_values(approxes, pts: np.ndarray, poly_rows) -> list:
+    """Values at pts of approximants sharing poles and scales, chunk by
+    chunk of _EVAL_CHUNK points: per chunk one partial-fraction block, and
+    poly_rows(k, rows) the polynomial block of approxes[k] at pts[rows],
+    asked for only where it has one."""
     poles, scales = approxes[0].spec.poles, approxes[0].pf_scales
     n_pf = len(scales)
     outs = [np.zeros(len(pts), dtype=pts.dtype) for _ in approxes]
-    if n_pf:
-        weights = [a.coeffs[:n_pf] / scales for a in approxes]
-        for start in range(0, len(pts), _EVAL_CHUNK):
-            rows = slice(start, start + _EVAL_CHUNK)
+    weights = [a.coeffs[:n_pf] / scales for a in approxes]
+    for start in range(0, len(pts), _EVAL_CHUNK):
+        rows = slice(start, start + _EVAL_CHUNK)
+        if n_pf:
             for out, values in zip(outs, _pf_sums(pts[rows], poles, weights)):
                 out[rows] = values
-    for out, a, poly in zip(outs, approxes, polys):
-        if poly is not None:
-            out.view(float)[:] += _matvec(poly, a.coeffs[n_pf:])
+        for k, (out, a) in enumerate(zip(outs, approxes)):
+            if a.hess is not None:
+                chunk = out[rows].view(float)
+                chunk += _matvec(poly_rows(k, rows), a.coeffs[n_pf:])
     return outs
 
 
@@ -419,17 +422,13 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
 def evaluate(approx: Approximant, pts) -> np.ndarray:
     """Evaluate the approximant at finite points of any shape, real as
     float64, complex as complex128.  Raises InputError at a point that is
-    not finite or coincides with a pole, NumericError where a value
-    overflows."""
-    pts = np.asarray(pts)
-    flat = np.ascontiguousarray(pts.ravel(),
-                                dtype=complex if np.iscomplexobj(pts) else float)
-    if not np.all(np.isfinite(flat)):
-        raise InputError("evaluation points must be finite")
+    not a finite number (see `InputError.check_points`) or coincides with
+    a pole, NumericError where a value overflows."""
+    pts = InputError.check_points(pts)
+    flat = np.ascontiguousarray(pts.ravel())
     with np.errstate(over="ignore", invalid="ignore"):
-        poly = None if approx.hess is None else \
-            _poly_chain_eval(flat, approx.hess, approx.norm0)
-        values = _approximant_values([approx], flat, [poly])[0]
+        values = _approximant_values([approx], flat, lambda _, rows: _poly_chain_eval(
+            flat[rows], approx.hess, approx.norm0))[0]
     if not np.all(np.isfinite(values)):
         raise NumericError("the approximant overflows at a point")
     return values.reshape(pts.shape)[()]
@@ -536,6 +535,7 @@ def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
     block there with its recurrence (Q, hess, norm0), and validation the
     validation grid's points with the target and the block on them."""
     (q, hess, norm0), (vpts, vvec, vq) = chain, validation
+    weight = _weight(vpts)  # the fit grid's too: both lie on one domain
     try:
         system, scales = _write_system(
             grid, max(specs, key=lambda s: s.poly_degree), fvec, q)
@@ -556,9 +556,9 @@ def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
     approxes = [a for a, _ in solved.values()]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _approximant_values(approxes, vpts, [
-                None if a.hess is None else vq[:, :a.spec.poly_degree + 1]
-                for a in approxes]) if approxes else []
+            values = _approximant_values(approxes, vpts, lambda k, rows: vq[
+                weight * rows.start:weight * rows.stop,
+                :approxes[k].spec.poly_degree + 1]) if approxes else []
             errs = [float(np.max(np.abs(v - vvec))) for v in values]
     except LightningError as exc:
         errs = [exc] * len(solved)
@@ -570,7 +570,7 @@ def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
         else:
             results[i] = (a, FitReport(
                 max_err=err,
-                resid_2norm=math.sqrt(_weight(grid.points)) * float(np.linalg.norm(
+                resid_2norm=math.sqrt(weight) * float(np.linalg.norm(
                     r[:, :a.spec.n_columns] @ a.coeffs - r[:, -1])),
                 coeff_2norm=float(np.linalg.norm(a.coeffs)),
                 eff_rank=rank))

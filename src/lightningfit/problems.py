@@ -5,8 +5,8 @@ the principal branch.  Domains are the unit interval [0, 1] or a V-shaped
 pair of arms r exp(+-i beta pi / 2), r in (0, 1], with opening parameter
 beta in [0, 2); beta = 0 degenerates to the interval.  Grids are
 exponentially spaced in radius so that the clustering of the singularity
-at 0 is resolved down to 1e-16.  A V-domain grid holds its upper arm
-only: the targets are conjugate-symmetric, so it stands for both arms.
+at 0 is resolved down to 10**-DECADES.  A V-domain grid holds its upper
+arm only: the targets are conjugate-symmetric, so it stands for both arms.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import InputError
 
 
 TARGET_KINDS = ("sqrt", "power", "powerlog")
+DECADES = 16.0  # decades of radius every grid spans
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,10 @@ class Target:
 def eval_target(target: Target, z):
     """Evaluate the target on the principal branch; exact zeros map to 0.
 
-    Accepts scalars or arrays.  Real positive input stays real.
+    Accepts finite scalars or arrays (see `InputError.check_points`).  Real
+    positive input stays real.
     """
-    z = np.asarray(z)
+    z = InputError.check_points(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if np.iscomplexobj(z):
@@ -114,31 +116,17 @@ class SampleGrid:
         return len(self.points)
 
 
-def _radii(decades: float, per_arm: int) -> np.ndarray:
-    InputError.check_positive("decades", decades)
-    if not 10.0 ** -decades >= np.finfo(float).tiny:
-        # beyond ~307.6 decades the smallest radii underflow to duplicate zeros
-        raise InputError(f"decades must leave 10**-decades a normal float "
-                         f"(at most about 307.6), got {decades}")
-    if per_arm == 1:
-        return np.array([1.0])
-    r = np.logspace(-decades, 0.0, per_arm)
-    if not np.all(np.diff(r) > 0):
-        raise InputError(f"decades = {decades} is too few for {per_arm} distinct "
-                         f"radii per arm")
-    return r
-
-
-def build_fit_grid(domain: Domain, decades: float = 16.0,
-                   per_arm: int = 2000) -> SampleGrid:
-    """Log-spaced grid over `decades` decades of radius, densest near 0.
+def build_fit_grid(domain: Domain, per_arm: int = 2000) -> SampleGrid:
+    """Log-spaced grid over DECADES decades of radius, densest near 0.
 
     On the interval the points are real; on a V-domain they are the
-    upper arm's `per_arm` points, which stand for both arms.  A grid of
-    more float64 entries than the cap (see `InputError.check_entries`) is
-    refused before any is allocated.
+    upper arm's `per_arm` points, which stand for both arms.  A single
+    point sits at radius 1.  A grid of more float64 entries than the cap
+    (see `InputError.check_entries`) is refused before any is allocated;
+    below it, DECADES decades keep every radius normal and distinct.
     """
     InputError.check_count("per_arm", per_arm)
     InputError.check_entries(f"a grid of {per_arm} points per arm",
                              per_arm if domain.beta == 0.0 else 2 * per_arm)
-    return SampleGrid(points=domain.arm_point(_radii(decades, per_arm)), domain=domain)
+    radii = np.array([1.0]) if per_arm == 1 else np.logspace(-DECADES, 0.0, per_arm)
+    return SampleGrid(points=domain.arm_point(radii), domain=domain)

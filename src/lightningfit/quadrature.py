@@ -35,7 +35,7 @@ NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
 KRONROD, GAUSS = (np.array(w[:-1] + w[::-1]) for w in (_WK, _WG))
 
 
-def integrate(func, edges, tol: float, max_evals: int = MAX_EVALS):
+def integrate(func, edges, tol: float):
     """Integrate vectorized `func` over [edges[0], edges[-1]] to absolute `tol`.
 
     The panels start as the intervals between consecutive `edges` and are
@@ -43,10 +43,9 @@ def integrate(func, edges, tol: float, max_evals: int = MAX_EVALS):
     every point where `func` jumps or changes formula.  A panel of width
     w is accepted once its error estimate is at most
     tol * w / (edges[-1] - edges[0]).  Raises NumericError when reaching
-    that would take more than `max_evals` evaluations of `func`.
+    that would take more than MAX_EVALS evaluations of `func`.
     """
     InputError.check_positive("tol", tol)
-    InputError.check_count("max_evals", max_evals)
     edges = np.asarray(edges, dtype=float)
     if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
             or np.any(np.diff(edges) < 0)):
@@ -59,9 +58,9 @@ def integrate(func, edges, tol: float, max_evals: int = MAX_EVALS):
     total, evals = 0.0, 0
     while a.size:
         evals += a.size * NODES.size
-        if evals > max_evals:
+        if evals > MAX_EVALS:
             raise NumericError(
-                f"quadrature failed to reach tol={tol:g} within {max_evals} evaluations")
+                f"quadrature failed to reach tol={tol:g} within {MAX_EVALS} evaluations")
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         fx = func((mid[:, None] + half[:, None] * NODES).ravel()).reshape(a.size, -1)
         # elementwise products, not fx @ w: the sums must not depend on BLAS

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, InputError, NumericError
+from .errors import InputError, NumericError
 from .problems import Domain
 
 
@@ -72,7 +72,7 @@ def error_integrand(u, z, t_param: float):
     s = root - t_param
     den = np.exp(s) + z * np.exp(-s)
     if np.any(den == 0):
-        raise EvaluationError("evaluation point coincides with a pole")
+        raise InputError("evaluation point coincides with a pole")
     out = (z / math.pi) / (root * den)
     return out[0] if np.asarray(u).ndim == 0 else out
 
@@ -85,19 +85,15 @@ def trap_eval(t: TrapApproximant, z):
     evaluated as 1/(e^s + z e^{-s}) which stays bounded for all node
     positions, unlike the textbook e^s/(e^{2s} + z) form.
     """
-    z = np.asarray(z)
+    z = InputError.check_points(z)
     nodes = t.step * np.arange(1, t.nt + 1)
     out = t.step * np.sum(error_integrand(nodes, z[..., None], t.t_param), axis=-1)
     return out if np.iscomplexobj(z) else out.real
 
 
-def trap_error_bound(nt: int, beta: float = 0.0) -> float:
-    """Max-norm error bound 20 e^{-T} with the default step for beta.
-
-    For beta = 0 the constant 20 is proved; for beta > 0 only the rate
-    e^{-T} is, and the same constant is kept as a heuristic.
-    """
-    return 20.0 * math.exp(-TrapApproximant(nt, beta).t_param)
+def trap_error_bound(nt: int) -> float:
+    """Max-norm error bound 20 e^{-T} on [0, 1] with the default step."""
+    return 20.0 * math.exp(-TrapApproximant(nt).t_param)
 
 
 @dataclass(frozen=True)
@@ -144,14 +140,6 @@ def trap_partial_fractions(n1: int, step: float) -> PartialFractionForm:
     return PartialFractionForm(n1=n1, step=step, poles=poles, term_weights=weights)
 
 
-def _pole_differences(z, poles):
-    z = np.atleast_1d(np.asarray(z))
-    diff = z[:, None] - poles[None, :]
-    if np.any(diff == 0):
-        raise EvaluationError("evaluation point coincides with a pole")
-    return z, diff
-
-
 def large_pole_tail(pf: PartialFractionForm, z):
     """Constant plus large-pole partial fractions, evaluated stably.
 
@@ -160,11 +148,12 @@ def large_pole_tail(pf: PartialFractionForm, z):
     appear.  On the domain this function is smooth and polynomial-like:
     its analyticity region is bounded by the smallest large pole.
     """
-    zv, diff = _pole_differences(z, pf.large_poles)
+    z = InputError.check_points(z)[..., None]
+    diff = z - pf.large_poles
+    if np.any(diff == 0):
+        raise InputError("evaluation point coincides with a pole")
     head = pf.term_weights[: pf.n1].sum()
-    tail = (pf.term_weights[pf.n1:][None, :] * zv[:, None] / diff).sum(axis=1)
-    out = head + tail
-    return out[0] if np.asarray(z).ndim == 0 else out
+    return head + (pf.term_weights[pf.n1:] * z / diff).sum(axis=-1)
 
 
 def truncated_sqrt_integral(z, t_param: float):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags, formats, exit codes."""
 
+import ast
 import collections
 import contextlib
 import csv
@@ -8,6 +9,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -56,14 +58,14 @@ def test_fit_json_format(capsys):
     doc = json.loads(out)
     assert doc["metadata"]["kind"] == "fit"
     assert doc["metadata"]["config"]["n_clustered"] == 8
-    # every flag set: the echo is the runner's values, an int --decades as a float
+    # every flag set: the echo is the runner's values, and the grid depth
     code, out, _ = run_cli(capsys, "fit", "--target", "power", "--alpha", "0.3",
                            "--beta", "0.5", "--n1", "12", "--n2", "3", "--sigma", "5",
                            "--scale-c", "1.5", "--grid-points", "400",
-                           "--decades", "12", "--tsvd-eps", "1e-12", "--format", "json")
+                           "--tsvd-eps", "1e-12", "--format", "json")
     assert code == 0
     assert json.loads(out)["metadata"]["config"] == {
-        "alpha": 0.3, "beta": 0.5, "decades": 12.0, "eps_rel": 1e-12,
+        "alpha": 0.3, "beta": 0.5, "decades": 16.0, "eps_rel": 1e-12,
         "grid_per_arm": 400, "n_clustered": 12, "n_extra": 0,
         "pole_scheme": "tapered", "poly_degree": 3, "scale_c": 1.5, "sigma": 5.0,
         "target": "power", "total_degree": 15}
@@ -245,25 +247,6 @@ def test_polynomial_degree_beyond_grid_fails_loudly(capsys):
     assert "input error" in err
 
 
-@pytest.mark.parametrize("decades", ["400", "320"])
-def test_decades_beyond_float_range_exit_1(capsys, decades):
-    # 10**-decades underflows: the grid's smallest radii would all be zero
-    code, out, err = run_cli(capsys, "fit", "--decades", decades,
-                             "--grid-points", "100")
-    assert code == 1
-    assert out == ""
-    assert "input error" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("decades", ["1e-16", "1e-300"])
-def test_decades_too_few_for_distinct_radii_exit_1(capsys, decades):
-    # 2000 radii over 1e-16 decades round to 3 distinct values, over 1e-300 to 1
-    code, out, err = run_cli(capsys, "fit", "--decades", decades)
-    assert code == 1
-    assert out == ""
-    assert err.count("input error:") == 1 and "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv", [
     # at the default sigma the smallest of 200000 poles underflows first
     ("fit", "--n1", "200000", "--sigma", "1"),
@@ -425,10 +408,9 @@ def test_package_and_pole_ladder_import_no_scipy():
 HONOURED = {
     "fit": {"--target": "target", "--alpha": "alpha", "--beta": "beta",
             "--n1": "n1", "--n2": "n2", "--sigma": "sigma", "--scale-c": "scale",
-            "--grid-points": "per_arm", "--decades": "decades",
-            "--tsvd-eps": "eps_rel"},
+            "--grid-points": "per_arm", "--tsvd-eps": "eps_rel"},
     "converge": {"--scale-c": "scale", "--grid-points": "per_arm",
-                 "--decades": "decades", "--tsvd-eps": "eps_rel"},
+                 "--tsvd-eps": "eps_rel"},
     "sigma-sweep": {"--alpha": "alpha", "--n1": "n1", "--n2": "n2",
                     "--scale-c": "scale", "--grid-points": "per_arm",
                     "--tsvd-eps": "eps_rel"},
@@ -447,8 +429,7 @@ FLAG_VALUES = {
     "--target": ("power", "power"), "--alpha": ("0.3", 0.3),
     "--beta": ("0.5", 0.5), "--n1": ("7", 7), "--n2": ("5", 5),
     "--sigma": ("4.5", 4.5), "--scale-c": ("1.5", 1.5),
-    "--grid-points": ("300", 300), "--decades": ("12", 12.0),
-    "--tsvd-eps": ("1e-12", 1e-12),
+    "--grid-points": ("300", 300), "--tsvd-eps": ("1e-12", 1e-12),
 }
 
 
@@ -511,6 +492,60 @@ def test_every_runner_parameter_has_a_caller():
         in digests.argvs()
 
 
+def _package_calls(roots):
+    """(positions, keywords) by callee name over every call in the .py
+    files under roots: the most arguments passed by position and the
+    keywords passed.  A name used as a value, or a call with *args or
+    **kwargs, passes every parameter by position (positions inf)."""
+    positions, keywords = collections.defaultdict(int), collections.defaultdict(set)
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            callees = {id(node.func) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    spread = any(isinstance(a, ast.Starred) for a in node.args) \
+                        or any(k.arg is None for k in node.keywords)
+                    positions[name] = max(positions[name],
+                                          math.inf if spread else len(node.args))
+                    keywords[name] |= {k.arg for k in node.keywords}
+                elif isinstance(node, (ast.Name, ast.Attribute)) \
+                        and isinstance(node.ctx, ast.Load) and id(node) not in callees:
+                    positions[getattr(node, "attr", getattr(node, "id", None))] = math.inf
+    return positions, keywords
+
+
+def _uncalled_defaults(roots):
+    """The defaulted parameters, as "function.parameter", of the functions
+    the package exports that no call under roots passes."""
+    positions, keywords = _package_calls(roots)
+    return sorted(
+        f"{name}.{param.name}" for name, func in vars(lightningfit).items()
+        if inspect.isfunction(func)
+        for k, param in enumerate(inspect.signature(func).parameters.values())
+        if param.default is not param.empty and k >= positions[name]
+        and param.name not in keywords[name])
+
+
+def test_every_package_parameter_has_a_caller():
+    """Each defaulted parameter of an exported function is passed by some
+    call in the package, the scripts or the benchmark, never by tests
+    alone: a default every caller keeps is a constant."""
+    root = Path(__file__).resolve().parents[1]
+    assert _uncalled_defaults([root / "src", root / "scripts", root / "bench"]) == []
+
+
+def test_the_package_guard_sees_an_uncalled_default(tmp_path):
+    (tmp_path / "calls.py").write_text(
+        "tapered_poles(8, 2.0)\nfit(t, s, g, v, eps_rel=e)\nf = fit_nested\n"
+        "evaluate(a, *points)\n")
+    uncalled = _uncalled_defaults([tmp_path])
+    assert "tapered_poles.scale" in uncalled
+    assert not {"fit.eps_rel", "fit_nested.eps_rel"} & set(uncalled)
+
+
 @pytest.mark.parametrize("command", [c for c, flags in HONOURED.items()
                                      if "--tsvd-eps" in flags])
 @pytest.mark.parametrize("eps", ["inf", "1e308", "2"])
@@ -544,7 +579,6 @@ INVALID = {
     "--scale-c": _NOT_POSITIVE,
     # above the cap a grid is refused before it is allocated
     "--grid-points": _NOT_A_COUNT | st.integers(min_value=MAX_ENTRIES + 1).map(str),
-    "--decades": _NOT_POSITIVE | st.floats(min_value=308.0).map(repr),
     "--tsvd-eps": _NOT_POSITIVE | st.floats(min_value=1.0, exclude_min=True).map(repr),
     "--format": st.text(max_size=8).filter(lambda t: t not in ("csv", "json")),
 }

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightningfit import contour
-from lightningfit import (ContourSetup, EvaluationError, InputError,
+from lightningfit import (ContourSetup, InputError,
                           TrapApproximant, contour_terms,
                           default_step, error_identity_report, error_integrand,
                           pole_residue_pairs, quadrature_error_kernel,
@@ -83,9 +83,9 @@ def test_kernel_branch_forcing():
 
 
 def test_kernel_rejects_comb_nodes():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError, match="on a quadrature node of the comb"):
         quadrature_error_kernel(3.0 * H0, H0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError, match="on a quadrature node of the comb"):
         quadrature_error_kernel(0.0, H0)
 
 
@@ -350,7 +350,7 @@ def test_residue_rates_matched_step():
     ratio wanders below 4; near a phase zero it can dip arbitrarily (the
     x = 0.5, nt = 64 row is such a dip), so only the envelope is stable.
     """
-    rows = residue_rate_check(H0, 0.0, (16, 64, 144))
+    rows = residue_rate_check(H0, (16, 64, 144))
     by_radius = {}
     for row in rows:
         by_radius.setdefault(row["radius"], []).append(row["ratio"])
@@ -368,7 +368,7 @@ def test_residue_rates_matched_step():
 def test_residue_rates_mismatched_step_drift():
     """step = pi^2 halves the kernel's decay length, so the ratio collapses
     with nt instead of plateauing; a wrong step is unmistakable."""
-    rows = residue_rate_check(math.pi**2, 0.0, (16, 144))
+    rows = residue_rate_check(math.pi**2, (16, 144))
     by_radius = {}
     for row in rows:
         by_radius.setdefault(row["radius"], []).append(row["ratio"])
@@ -379,11 +379,9 @@ def test_residue_rates_mismatched_step_drift():
 
 def test_residue_rate_check_validation():
     with pytest.raises(InputError):
-        residue_rate_check(0.0, 0.0, (16,))
+        residue_rate_check(0.0, (16,))
     with pytest.raises(InputError, match="step must be positive"):
-        residue_rate_check(math.nan, 0.0, (16,))
-    with pytest.raises(InputError, match="beta must lie"):
-        residue_rate_check(default_step(), 3.0, (16,))
+        residue_rate_check(math.nan, (16,))
     for nt in (0, -3):
         with pytest.raises(InputError, match="nt must be >= 1"):
-            residue_rate_check(default_step(), 0.0, [nt])
+            residue_rate_check(default_step(), [nt])

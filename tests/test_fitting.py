@@ -116,7 +116,7 @@ def test_polynomial_reevaluation_matches_grid():
 
 def test_polynomial_chain_spans_monomials():
     # degree-3 chain on a modest grid reproduces an exact cubic
-    grid = build_fit_grid(Domain(), per_arm=200, decades=3.0)
+    grid = SampleGrid(np.logspace(-3.0, 0.0, 200), Domain())
     system = _basis(grid, BasisSpec(poly_degree=3))
     z = grid.points
     f = 1.0 - 2.0 * z + 0.5 * z**3
@@ -169,6 +169,24 @@ def test_evaluate_keeps_the_input_shape(beta):
     assert values.shape == (2, 2)
     assert np.array_equal(values.ravel(), evaluate(approx, z.ravel()))
     assert np.array_equal(approx(z), values)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_evaluate_memory_is_bounded_by_its_output(beta):
+    """The polynomial block, like the partial fractions, is built chunk by
+    chunk: at 10^6 points the traced peak stays within twice the returned
+    array plus 4 MiB (a whole degree-10 block would be 88 or 176 MB)."""
+    domain = Domain(beta)
+    approx, _ = _fit(BasisSpec(tapered_poles(40, 8.0), poly_degree=10),
+                     build_fit_grid(domain))
+    z = domain.arm_point(np.linspace(1e-6, 1.0, 10**6))
+    tracemalloc.start()
+    try:
+        values = evaluate(approx, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * values.nbytes + 4 * 2**20
 
 
 def test_evaluate_rejects_point_on_pole():

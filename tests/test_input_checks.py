@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from lightningfit import (BasisSpec, Domain, InputError, Target, TrapApproximant,
                           big_poles, build_fit_grid, count_large_poles,
-                          density_correction, density_leading, integrate,
-                          invert_stahl_density, large_pole_estimate,
+                          density_correction, density_leading, eval_target,
+                          evaluate, fit, integrate, invert_stahl_density,
+                          large_pole_estimate, large_pole_tail,
                           pole_residue_pairs, stahl_density, tapered_poles,
-                          trap_partial_fractions, truncated_sqrt_integral,
-                          uniform_poles)
+                          trap_eval, trap_partial_fractions,
+                          truncated_sqrt_integral, uniform_poles)
 from lightningfit.errors import MAX_ENTRIES
 from lightningfit.experiments import (corner_sigma_rule, corner_target,
                                       poly_degree_rule, run_corner_sigma, run_fit)
@@ -34,6 +35,11 @@ NOT_REAL = ("a", None, 1j)
 NOT_POSITIVE = NOT_REAL + (math.nan, math.inf, -math.inf, 0, -1, 10**400)
 # a corner's opening beta is a positive real that opens a V-domain, below 2
 NOT_AN_OPENING = NOT_POSITIVE + (2.0, 2.5)
+# evaluation points are finite numbers: text is not parsed
+NOT_POINTS = ("abc", "0.5", b"0.5", {}, [0.5, [0.5, 0.25]], math.nan, math.inf)
+
+APPROX, _ = fit(Target("sqrt"), BasisSpec(tapered_poles(8, 5.0), poly_degree=3),
+                build_fit_grid(Domain(), per_arm=100), build_fit_grid(Domain(), per_arm=200))
 
 
 def not_a_count(least=1):
@@ -57,8 +63,6 @@ CASES = {
     # a V-domain point is two float64 entries
     "build_fit_grid per_arm on a V-domain": (
         lambda v: build_fit_grid(Domain(1.0), per_arm=v), (MAX_ENTRIES // 2 + 1,)),
-    "build_fit_grid decades": (lambda v: build_fit_grid(Domain(), decades=v, per_arm=10),
-                               NOT_POSITIVE),
     # an array of kinds would make `in TARGET_KINDS` ambiguous
     "Target kind": (lambda v: Target(v), NOT_REAL + (
         "SQRT", np.array("sqrt"), np.array(["sqrt", "power"]))),
@@ -77,7 +81,6 @@ CASES = {
                           tuple(v for v in NOT_POSITIVE if v != math.inf)),
     "stahl_density n": (lambda v: stahl_density(v, 1.0), not_a_count()),
     "stahl_density y": (lambda v: stahl_density(4, v), NOT_POSITIVE),
-    "stahl_density j": (lambda v: stahl_density(4, 1.0, v), NOT_REAL),
     "invert_stahl_density j": (lambda v: invert_stahl_density(8, v),
                                NOT_REAL + (math.nan, math.inf, -math.inf)),
     "large_pole_estimate n": (lambda v: large_pole_estimate(v, 0), not_a_count()),
@@ -91,8 +94,11 @@ CASES = {
     "run_corner_sigma beta_list": (lambda v: run_corner_sigma(beta_list=(v,)),
                                    NOT_AN_OPENING),
     "integrate tol": (lambda v: integrate(np.sin, (0.0, 1.0), v), NOT_POSITIVE),
-    "integrate max_evals": (lambda v: integrate(np.sin, (0.0, 1.0), 1e-13, v),
-                            not_a_count()),
+    "evaluate points": (lambda v: evaluate(APPROX, v), NOT_POINTS),
+    "eval_target points": (lambda v: eval_target(Target("sqrt"), v), NOT_POINTS),
+    "trap_eval points": (lambda v: trap_eval(TrapApproximant(16), v), NOT_POINTS),
+    "large_pole_tail points": (
+        lambda v: large_pole_tail(trap_partial_fractions(4, 2.0), v), NOT_POINTS),
 }
 PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in values]
 
@@ -112,12 +118,14 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 @example(pair=("corner_target beta", math.nan))  # ValueError
 @example(pair=("corner_sigma_rule beta", 2.5))  # ValueError
 @example(pair=("run_corner_sigma beta_list", "a"))  # TypeError
+@example(pair=("evaluate points", "0.5"))  # parsed, returned 0.707
+@example(pair=("eval_target points", math.nan))  # returned nan
+@example(pair=("trap_eval points", math.inf))  # RuntimeWarning, returned nan
 # this one returned a target for an opening outside the domain
 @example(pair=("corner_target beta", 2.5))
 # each of these once escaped as OverflowError
 @example(pair=("Target alpha", 10**400))
 @example(pair=("tapered_poles sigma", 10**400))
-@example(pair=("build_fit_grid decades", 10**400))
 def test_every_invalid_parameter_value_is_an_input_error(pair):
     """One invalid value for one parameter: InputError, no value and no
     numpy warning."""

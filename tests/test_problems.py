@@ -8,6 +8,8 @@ import pytest
 from lightningfit import (BasisSpec, Domain, InputError, SampleGrid, Target,
                           build_fit_grid, eval_target, experiments, fit,
                           fitting, tapered_poles)
+from lightningfit.errors import MAX_ENTRIES
+from lightningfit.problems import DECADES
 
 
 def test_sqrt_target_fixes_alpha():
@@ -89,16 +91,14 @@ def test_numeric_argument_of_the_wrong_kind_is_an_input_error(make):
         make()
 
 
-@pytest.mark.parametrize("kwargs, kind", [({"per_arm": None}, "integral"),
-                                          ({"per_arm": 100.5}, "integral"),
-                                          ({"decades": None}, "real")])
-def test_grid_size_of_the_wrong_kind_is_an_input_error(kwargs, kind):
-    with pytest.raises(InputError, match=f"must be {kind}"):
-        build_fit_grid(Domain(), **kwargs)
+@pytest.mark.parametrize("per_arm", [None, 100.5])
+def test_grid_size_of_the_wrong_kind_is_an_input_error(per_arm):
+    with pytest.raises(InputError, match="must be integral"):
+        build_fit_grid(Domain(), per_arm)
 
 
 def test_fit_grid_interval_is_real_logspaced():
-    g = build_fit_grid(Domain(), decades=16.0, per_arm=100)
+    g = build_fit_grid(Domain(), per_arm=100)
     assert len(g) == 100
     assert not np.iscomplexobj(g.points)
     assert g.points[0] == pytest.approx(1e-16)
@@ -151,15 +151,19 @@ def test_grid_points_read_only():
 def test_grid_rejects_bad_parameters():
     with pytest.raises(InputError):
         build_fit_grid(Domain(), per_arm=0)
-    with pytest.raises(InputError):
-        build_fit_grid(Domain(), decades=0.0)
-    with pytest.raises(InputError):  # the radii round to repeated values
-        build_fit_grid(Domain(), decades=1e-16)
+
+
+def test_grid_radii_stay_normal_and_distinct_up_to_the_cap():
+    """The checks the fixed depth made redundant: at DECADES the smallest
+    radius is a normal float, and the most points per arm the cap allows
+    still round to distinct radii."""
+    assert 10.0 ** -DECADES >= np.finfo(float).tiny
+    assert 10.0 ** (DECADES / (MAX_ENTRIES - 1)) > 1.0 + 1000 * np.finfo(float).eps
 
 
 def test_validation_grid_default_density(monkeypatch):
     """run_fit and the sweeps validate on 10000 points per arm, over the
-    fit grid's decades."""
+    fit grid's DECADES."""
     seen = []
 
     def recorded(target, specs, grid, validation_grid, eps_rel):
@@ -169,7 +173,6 @@ def test_validation_grid_default_density(monkeypatch):
     fit_nested = fitting.fit_nested
     for module in (experiments, fitting):  # run_fit calls fitting.fit
         monkeypatch.setattr(module, "fit_nested", recorded)
-    experiments.run_fit(n1=6, per_arm=300, decades=8.0)
+    experiments.run_fit(n1=6, per_arm=300)
     experiments.run_grid(n1_list=(4,), per_arm=300)
-    assert seen == [(300, 10000, pytest.approx(1e-8, rel=1e-15)),
-                    (300, 10000, pytest.approx(1e-16, rel=1e-15))]
+    assert seen == [(300, 10000, pytest.approx(1e-16, rel=1e-15))] * 2

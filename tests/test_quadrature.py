@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lightningfit import InputError, NumericError, integrate
+from lightningfit import InputError, NumericError, integrate, quadrature
 from lightningfit.quadrature import GAUSS, KRONROD, NODES
 
 
@@ -47,13 +47,15 @@ def test_tolerance_is_absolute():
     assert big == pytest.approx(1e8, abs=1e-4)
 
 
-def test_unreachable_tolerance_raises():
+def test_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 2**13)
+
     def noisy(x):
         # deterministic per-point jitter at 1e-3; no quadrature can settle to 1e-14
         return np.sin(x) + 1e-3 * np.sin(1e7 * x)
 
     with pytest.raises(NumericError):
-        integrate(noisy, (0.0, 1.0), 1e-15, max_evals=2**13)
+        integrate(noisy, (0.0, 1.0), 1e-15)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
@@ -63,12 +65,6 @@ def test_tolerance_must_be_positive_and_finite(tol):
     with pytest.raises(InputError, match="tol must be"):
         integrate(lambda x: calls.append(x) or np.sin(x), (0.0, 1.0), tol)
     assert calls == []
-
-
-@pytest.mark.parametrize("max_evals", [0, -1, 2.5])
-def test_evaluation_budget_must_be_a_count(max_evals):
-    with pytest.raises(InputError, match="max_evals must be"):
-        integrate(np.sin, (0.0, 1.0), 1e-13, max_evals=max_evals)
 
 
 @pytest.mark.parametrize("edges", [(1.0, 0.0), (0.0,), (0.0, np.inf), (0.0, np.nan, 1.0)])

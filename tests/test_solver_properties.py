@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightningfit import (Approximant, BasisSpec, Domain, EvaluationError,
-                          Target, build_fit_grid, eval_target, evaluate, fit,
-                          tapered_poles)
+from lightningfit import (Approximant, BasisSpec, Domain, InputError,
+                          SampleGrid, Target, build_fit_grid, eval_target,
+                          evaluate, fit, tapered_poles)
 from lightningfit.experiments import VAL_PER_ARM
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _pf_kernel,
                                   _poly_chain_build, _poly_chain_eval,
@@ -158,7 +158,8 @@ def test_folded_arnoldi_block_is_orthonormal_on_the_whole_grid(beta, degree,
     real rows, each point's real part over its imaginary part, with real
     recurrence coefficients, and re-evaluated on the whole grid it is
     orthonormal there and conjugate-symmetric bit for bit."""
-    grid = build_fit_grid(Domain(beta), per_arm=per_arm, decades=decades)
+    domain = Domain(beta)
+    grid = SampleGrid(domain.arm_point(np.logspace(-decades, 0.0, per_arm)), domain)
     q, hess, norm0 = _poly_chain_build(grid.points, degree)
     assert q.dtype == hess.dtype == np.float64
     assert q.shape == (2 * per_arm, degree + 1)
@@ -263,7 +264,7 @@ def test_real_arithmetic_kernel_matches_complex_division(beta, log_radii,
 def test_kernel_raises_exactly_at_a_pole(log_poles, hit):
     poles = -(10.0 ** np.array(log_poles))
     p = poles[hit % len(poles)]
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError, match="a point coincides with a pole"):
         _pf_kernel(np.array([0.5j, complex(p, 0.0)]), poles)
     # the nearest floats beside the pole, and a point 1e-170 above it, are no
     # pole, unless another drawn pole is that float (log_poles 1 and 1 - 1e-16)
@@ -272,7 +273,7 @@ def test_kernel_raises_exactly_at_a_pole(log_poles, hit):
     on_pole = np.isin(beside, poles)
     assert np.all(np.isfinite(_kernel_values(beside[~on_pole], poles)))
     for z in beside[on_pole]:
-        with pytest.raises(EvaluationError):
+        with pytest.raises(InputError, match="a point coincides with a pole"):
             _pf_kernel(np.array([z]), poles)
 
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lightningfit import (ContourSetup, EvaluationError, InputError,
+from lightningfit import (ContourSetup, InputError,
                           TrapApproximant, default_step, large_pole_tail,
                           residue_rate_check, t_parameter,
                           tapered_poles, trap_error_bound,
@@ -61,7 +61,7 @@ def test_trap_eval_rejects_pole_hit():
     t = TrapApproximant(4)
     # z = -e^{2 s_j} is a pole of the j-th term
     s1 = math.sqrt(t.step) - t.t_param
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError, match="evaluation point coincides with a pole"):
         trap_eval(t, -math.exp(2 * s1))
 
 
@@ -84,19 +84,19 @@ def test_trap_validation():
         trap_partial_fractions(4, math.nan)
 
 
-@pytest.mark.parametrize("make, takes_step", [
-    (TrapApproximant, True),
-    (lambda nt, **kw: ContourSetup(1.0, nt, **kw), False),
-    (lambda nt, step=None, beta=0.0: residue_rate_check(step, beta, [nt]), True)],
+@pytest.mark.parametrize("make, keywords", [
+    (TrapApproximant, ("step", "beta")),
+    (lambda nt, **kw: ContourSetup(1.0, nt, **kw), ("beta",)),
+    (lambda nt, step: residue_rate_check(step, [nt]), ("step",))],
     ids=["TrapApproximant", "ContourSetup", "residue_rate_check"])
-def test_nan_step_and_beta_rejected(make, takes_step):
+def test_nan_step_and_beta_rejected(make, keywords):
     # each validates the step in trapezoid.checked_step and beta through
-    # Domain; a ContourSetup has no step of its own, only the matched one
-    if takes_step:
-        with pytest.raises(InputError, match="step must be positive"):
-            make(16, step=math.nan)
-    with pytest.raises(InputError, match="beta must lie"):
-        make(16, beta=math.nan)
+    # Domain; a ContourSetup has no step of its own, only the matched one,
+    # and residue_rate_check measures the interval only
+    messages = {"step": "step must be positive", "beta": "beta must lie"}
+    for keyword in keywords:
+        with pytest.raises(InputError, match=messages[keyword]):
+            make(16, **{keyword: math.nan})
 
 
 def test_partial_fractions_reject_double_overflow():
@@ -218,6 +218,17 @@ def test_large_pole_tail_is_smooth_near_zero():
     vals = large_pole_tail(pf, z)
     curvature = vals[0] - 2 * vals[1] + vals[2]
     assert abs(curvature) < 1e-12 * abs(vals[0])
+
+
+def test_large_pole_tail_keeps_the_input_shape():
+    """A (2, 3) input gives the values of its raveled 1-D call bit for bit,
+    in the input's shape, and a scalar the 1-element call's value."""
+    pf = trap_partial_fractions(8, default_step())
+    z = np.logspace(-6, 0, 6).reshape(2, 3)
+    values = large_pole_tail(pf, z)
+    assert values.shape == (2, 3)
+    assert np.array_equal(values.ravel(), large_pole_tail(pf, z.ravel()))
+    assert large_pole_tail(pf, 0.5) == large_pole_tail(pf, [0.5])[0]
 
 
 def test_truncated_integral_converges_to_sqrt():
