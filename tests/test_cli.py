@@ -444,6 +444,15 @@ def test_flag_a_subcommand_ignores_is_usage_error(capsys, command, flag):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", HONOURED)
+def test_grid_depth_is_no_flag(capsys, command):
+    # every grid spans problems.DECADES; no subcommand sets the depth
+    code, out, err = run_cli(capsys, command, "--decades", "30")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --decades 30" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, flags in HONOURED.items()
     for flag in (None, *flags)])

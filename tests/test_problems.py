@@ -153,6 +153,13 @@ def test_grid_rejects_bad_parameters():
         build_fit_grid(Domain(), per_arm=0)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_single_point_grid_sits_at_radius_one(beta):
+    domain = Domain(beta)
+    g = build_fit_grid(domain, per_arm=1)
+    assert g.points.tolist() == [domain.arm_point(1.0)]
+
+
 def test_grid_radii_stay_normal_and_distinct_up_to_the_cap():
     """The checks the fixed depth made redundant: at DECADES the smallest
     radius is a normal float, and the most points per arm the cap allows
