@@ -45,6 +45,9 @@ EXTRA_ARGVS = (
 # experiments runner, keyword arguments
 RUNNER_CALLS = (
     ("run_verify_bounds", {"nt_list": (400,), "vshape_nt_list": (400,)}),
+    # interval floor rows whose gamma_int changes in its last bits if z/pi
+    # is rounded as a numpy array division
+    ("run_verify_bounds", {"nt_list": (23, 32, 65), "vshape_nt_list": (191,)}),
     ("run_pole_ladder", {"n_list": (144,)}),
     ("run_pole_ladder", {"n_list": (8,)}),
     ("run_corner_sigma", {"beta_list": (1.6,)}),
