@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InputError
 from .problems import Domain
-from .quadrature import integrate
-from .trapezoid import (TrapApproximant, _window_integral, error_integrand,
+from .quadrature import integrate_many
+from .trapezoid import (TrapApproximant, _error_integrand, _window_integral,
                         trap_eval, truncated_sqrt_integral)
 
 
@@ -88,12 +88,29 @@ def pole_residue_pairs(z: complex, t_param: float, kmax: int = 0):
     return pairs
 
 
+def residue_terms(cases) -> list:
+    """2 pi i (r+ delta(pole+) + r- delta(pole-)) for the primary pole pair
+    of each (z, t_param, step) in `cases`.
+
+    delta is evaluated at every case's poles in one call; each product and
+    sum is a scalar operation, in the order of a lone case.
+    """
+    pairs = [pole_residue_pairs(z, t_param, kmax=0) for z, t_param, _ in cases]
+    delta = quadrature_error_kernel(
+        np.array([pr.pole for pp in pairs for pr in pp], dtype=complex),
+        np.repeat([float(step) for *_, step in cases], 2))
+    terms = []
+    for k, pp in enumerate(pairs):
+        total = 0.0j
+        for j, pr in enumerate(pp):
+            total += pr.residue * delta[2 * k + j]
+        terms.append(2j * math.pi * total)
+    return terms
+
+
 def residue_term(z: complex, t_param: float, step: float) -> complex:
-    """2 pi i (r+ delta(pole+) + r- delta(pole-)) for the primary pole pair."""
-    total = 0.0j
-    for pr in pole_residue_pairs(z, t_param, kmax=0):
-        total += pr.residue * quadrature_error_kernel(pr.pole, step)
-    return 2j * math.pi * total
+    """`residue_terms` of one case."""
+    return residue_terms([(z, t_param, step)])[0]
 
 
 def validity_floor(rule: TrapApproximant) -> float:
@@ -148,6 +165,16 @@ class ContourSetup:
     def rect_right(self) -> float:
         return 4.0 * self.rule.t_param**2 + 1.0 - self.beta / 2.0
 
+    @property
+    def corners(self) -> list:
+        """The rectangle's vertices, counterclockwise from the bottom left,
+        with the real-axis points of the right and left sides: the six legs
+        are bottom, right lower and upper half, top, left upper and lower
+        half."""
+        x0, x1, a = self.rect_left, self.rect_right, self.half_height
+        return [x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a, x0 + 1j * a,
+                x0 + 0j, x0 - 1j * a]
+
 
 @dataclass(frozen=True)
 class ContourTerms:
@@ -156,8 +183,19 @@ class ContourTerms:
     residue_term: complex
 
 
-def contour_terms(setup: ContourSetup) -> ContourTerms:
-    """The three pieces of the quadrature-error identity.
+def _end_ints(setup: ContourSetup) -> complex:
+    """The real stubs' integral, in closed form (see `contour_terms`)."""
+    z, tp = setup.z, setup.rule.t_param
+    x0, x1 = setup.rect_left, setup.rect_right
+    # sqrt(x1) - 2T from x1 - 4T^2 rounded once, in integers: 4.0 * tp**2
+    # would round at T^2's scale
+    (p, q), (m, n) = x1.as_integer_ratio(), tp.as_integer_ratio()
+    width = (p * n * n - 4 * m * m * q) / (q * n * n) / (math.sqrt(x1) + 2.0 * tp)
+    return _window_integral(z, -tp, math.sqrt(x0)) - _window_integral(z, tp, width)
+
+
+def contour_terms(setups) -> list:
+    """The three pieces of the quadrature-error identity, for each setup.
 
     In s = sqrt(u) - T the real stubs u in [0, x0] and [4T^2, x1] are the
     windows [-T, sqrt(x0) - T] and [T, sqrt(x1) - T] of the truncated
@@ -167,32 +205,36 @@ def contour_terms(setup: ContourSetup) -> ContourTerms:
     with an edge at every vertex so that no panel spans two legs; each leg
     keeps the tolerance `setup.tol`.  The vertical legs are split at the
     real axis, where delta jumps by 1, and each leg evaluates delta on its
-    own explicit one-sided branch.
+    own explicit one-sided branch.  Every setup's rectangle goes through
+    one `integrate_many` call and every primary pole through one
+    `residue_terms` call; a setup's terms are the bits it gets alone.
     """
-    z, tp, h = setup.z, setup.rule.t_param, setup.rule.step
-    x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
-    # sqrt(x1) - 2T from x1 - 4T^2 rounded once, in integers: 4.0 * tp**2
-    # would round at T^2's scale
-    (p, q), (m, n) = x1.as_integer_ratio(), tp.as_integer_ratio()
-    width = (p * n * n - 4 * m * m * q) / (q * n * n) / (math.sqrt(x1) + 2.0 * tp)
-    end_ints = _window_integral(z, -tp, math.sqrt(x0)) - _window_integral(z, tp, width)
-
-    corners = np.array([x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a,
-                        x0 + 1j * a, x0 + 0j, x0 - 1j * a])
-    # bottom, right lower and upper half, top, left upper and lower half
+    setups = list(setups)
+    if not setups:
+        return []
+    tp = np.array([s.rule.t_param for s in setups])
+    h = np.array([s.rule.step for s in setups])
+    z = np.array([s.z for s in setups])
+    # Python complex quotients, as in error_integrand's scalar call
+    z_over_pi = np.array([s.z / math.pi for s in setups])
+    corners = np.array([s.corners for s in setups])
+    # the legs' sides of the real axis: below, below, above, above, above, below
     branch = np.array([-1, -1, +1, +1, +1, -1])
-    start, dz = corners[:-1], np.diff(corners)
+    start, dz = corners[:, :-1], np.diff(corners, axis=1)
 
-    def on_legs(t):
+    def on_legs(t, row):
         k = np.minimum(t.astype(int), 5)  # quadrature nodes avoid the vertices
-        u = start[k] + (t - k) * dz[k]
-        delta = quadrature_error_kernel(u, h, branch=branch[k])
-        return error_integrand(u, z, tp) * delta * dz[k]
+        u = start[row, k] + (t - k) * dz[row, k]
+        delta = quadrature_error_kernel(u, h[row], branch=branch[k])
+        return _error_integrand(u, z[row], z_over_pi[row], tp[row]) * delta * dz[row, k]
 
-    gamma = integrate(on_legs, np.arange(7.0), 6 * setup.tol)
-
-    return ContourTerms(end_ints=end_ints, gamma_int=gamma,
-                        residue_term=residue_term(z, tp, h))
+    gammas = integrate_many(
+        on_legs, np.arange(7.0), [6 * s.tol for s in setups],
+        [f"the rectangle of nt={s.nt}, beta={s.beta:g}, radius={s.radius:.6g}"
+         for s in setups])
+    residues = residue_terms([(s.z, s.rule.t_param, s.rule.step) for s in setups])
+    return [ContourTerms(end_ints=_end_ints(s), gamma_int=gamma, residue_term=res)
+            for s, gamma, res in zip(setups, gammas, residues)]
 
 
 @dataclass(frozen=True)
@@ -215,28 +257,33 @@ class IdentityReport:
     identity_pass: bool
 
 
-def error_identity_report(setup: ContourSetup) -> IdentityReport:
-    """Evaluate both sides of the quadrature-error identity independently.
+def error_identity_report(setups) -> list:
+    """Evaluate both sides of the quadrature-error identity independently,
+    for each setup.
 
     lhs = truncated integral minus node sum (each computed directly),
-    rhs = end_ints + gamma_int - residue_term.  The defect |lhs - rhs|
-    is bounded by the stacked quadrature tolerances when the machinery
-    is correct; it is the master self-check of this module.
+    rhs = end_ints + gamma_int - residue_term, the terms of all setups
+    coming from one `contour_terms` call.  The defect |lhs - rhs| is
+    bounded by the stacked quadrature tolerances when the machinery is
+    correct; it is the master self-check of this module.
     """
-    i_val = truncated_sqrt_integral(setup.z, setup.rule.t_param)
-    s_val = trap_eval(setup.rule, setup.z)
-    terms = contour_terms(setup)
-    lhs = i_val - s_val
-    rhs = terms.end_ints + terms.gamma_int - terms.residue_term
-    gamma_abs = abs(terms.gamma_int)
-    scale = math.exp(-setup.rule.t_param)
-    conj_bound = (12.0 if setup.beta == 0.0 else 100.0) * scale
-    defect = abs(lhs - rhs)
-    return IdentityReport(integral_value=i_val, node_sum=s_val, terms=terms,
-                          lhs=lhs, rhs=rhs, defect=defect,
-                          gamma_ratio=gamma_abs / scale, conj_bound=conj_bound,
-                          conj_pass=gamma_abs < conj_bound,
-                          identity_pass=defect <= max(1e-10, 1e-3 * abs(lhs)))
+    setups = list(setups)
+    reports = []
+    for setup, terms in zip(setups, contour_terms(setups)):
+        i_val = truncated_sqrt_integral(setup.z, setup.rule.t_param)
+        s_val = trap_eval(setup.rule, setup.z)
+        lhs = i_val - s_val
+        rhs = terms.end_ints + terms.gamma_int - terms.residue_term
+        gamma_abs = abs(terms.gamma_int)
+        scale = math.exp(-setup.rule.t_param)
+        conj_bound = (12.0 if setup.beta == 0.0 else 100.0) * scale
+        defect = abs(lhs - rhs)
+        reports.append(IdentityReport(
+            integral_value=i_val, node_sum=s_val, terms=terms, lhs=lhs, rhs=rhs,
+            defect=defect, gamma_ratio=gamma_abs / scale, conj_bound=conj_bound,
+            conj_pass=gamma_abs < conj_bound,
+            identity_pass=defect <= max(1e-10, 1e-3 * abs(lhs))))
+    return reports
 
 
 def residue_rate_check(step: float, nt_list):
@@ -249,16 +296,17 @@ def residue_rate_check(step: float, nt_list):
     makes it drift exponentially in nt, which is how a wrong step is
     detected.
     """
+    rules = [TrapApproximant(nt, step=step) for nt in nt_list]
+    cases = [(rule, r) for rule in rules for r in (0.1, 0.5, 1.0)]
+    residues = residue_terms([(r, rule.t_param, rule.step) for rule, r in cases])
     rows = []
-    for nt in nt_list:
-        rule = TrapApproximant(nt, step=step)
-        for r in (0.1, 0.5, 1.0):
-            mag = float(abs(residue_term(r, rule.t_param, rule.step)))
-            rows.append({
-                "nt": int(nt),
-                "radius": float(r),
-                "t_param": rule.t_param,
-                "residue_abs": mag,
-                "ratio": mag / math.exp(-rule.t_param),
-            })
+    for (rule, r), residue in zip(cases, residues):
+        mag = float(abs(residue))
+        rows.append({
+            "nt": int(rule.nt),
+            "radius": float(r),
+            "t_param": rule.t_param,
+            "residue_abs": mag,
+            "ratio": mag / math.exp(-rule.t_param),
+        })
     return rows

@@ -378,29 +378,31 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> Result
 
     Interval rows cover the 3x3 grid (radius near the validity floor, 0.5,
     1.0) x nt_list with the matched step; V-domain rows record the bound
-    ratio at |z| = 1 on the opening beta = 1.  Pass flags are stored as 0/1
+    ratio at |z| = 1 on the opening beta = 1.  Every row's setup is built
+    first, and all rows go through one `error_identity_report` call, so
+    the table's rectangle integrals share one adaptive pass; a row's
+    values do not depend on the other rows.  Pass flags are stored as 0/1
     ints.
     """
+    setups = [ContourSetup(r, nt, beta)
+              for beta, nts in ((0.0, tuple(nt_list)), (1.0, tuple(vshape_nt_list)))
+              for nt in nts
+              for r in ((validity_floor(TrapApproximant(nt)), 0.5, 1.0)
+                        if beta == 0.0 else (1.0,))]
     rows = []
-    for beta, nts in ((0.0, tuple(nt_list)), (1.0, tuple(vshape_nt_list))):
-        for nt in nts:
-            radii = (validity_floor(TrapApproximant(nt)), 0.5, 1.0) if beta == 0.0 \
-                else (1.0,)
-            for r in radii:
-                setup = ContourSetup(r, nt, beta)
-                report = error_identity_report(setup)
-                t_param = setup.rule.t_param
-                scale = math.exp(-t_param)
-                rows.append((
-                    float(beta), int(nt), float(r), t_param,
-                    abs(report.lhs), report.defect, int(report.identity_pass),
-                    abs(report.terms.end_ints),
-                    abs(report.terms.gamma_int),
-                    abs(report.terms.residue_term),
-                    scale,
-                    report.gamma_ratio, report.conj_bound, int(report.conj_pass),
-                    abs(report.terms.residue_term) / scale,
-                ))
+    for setup, report in zip(setups, error_identity_report(setups)):
+        t_param = setup.rule.t_param
+        scale = math.exp(-t_param)
+        rows.append((
+            float(setup.beta), int(setup.nt), float(setup.radius), t_param,
+            abs(report.lhs), report.defect, int(report.identity_pass),
+            abs(report.terms.end_ints),
+            abs(report.terms.gamma_int),
+            abs(report.terms.residue_term),
+            scale,
+            report.gamma_ratio, report.conj_bound, int(report.conj_pass),
+            abs(report.terms.residue_term) / scale,
+        ))
     meta = {
         "kind": "verify-bounds",
         "nt_list": [int(n) for n in nt_list],

@@ -67,14 +67,22 @@ def error_integrand(u, z, t_param: float):
     endpoint where f ~ u^{-1/2} is integrable.  z may be an array that
     broadcasts against u.
     """
-    uu = np.atleast_1d(np.asarray(u, dtype=complex))
+    out = _error_integrand(np.atleast_1d(np.asarray(u, dtype=complex)), z,
+                           z / math.pi, t_param)
+    return out[0] if np.asarray(u).ndim == 0 else out
+
+
+def _error_integrand(uu, z, z_over_pi, t_param):
+    """`error_integrand` at the complex array uu, with z/pi given: a Python
+    complex z/pi and the numpy quotient of the same z can differ in their
+    last bit, so a caller that holds z in an array but must reproduce the
+    scalar call's values passes the Python quotients."""
     root = np.sqrt(uu)
     s = root - t_param
     den = np.exp(s) + z * np.exp(-s)
     if np.any(den == 0):
         raise InputError("evaluation point coincides with a pole")
-    out = (z / math.pi) / (root * den)
-    return out[0] if np.asarray(u).ndim == 0 else out
+    return z_over_pi / (root * den)
 
 
 def trap_eval(t: TrapApproximant, z):

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightningfit
-from lightningfit import ResultTable, cli
+from lightningfit import ResultTable, TrapApproximant, cli, quadrature, validity_floor
 from lightningfit.cli import main
 from lightningfit.errors import MAX_ENTRIES
 
@@ -319,6 +319,18 @@ def test_verify_bounds_table(capsys):
     rows = csv_rows(out)
     assert "identity_pass" in rows[0]
     assert all(row["identity_pass"] == row["conj_pass"] == "1" for row in rows)
+
+
+def test_verify_bounds_over_the_evaluation_budget_exit_2(capsys, monkeypatch):
+    """The nt = 16 floor row alone needs 2,130 evaluations, every other
+    default row fewer: one fewer is a one-line numeric failure naming it."""
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 2_129)
+    code, out, err = run_cli(capsys, "verify-bounds")
+    floor = validity_floor(TrapApproximant(16))
+    assert (code, out) == (2, "")
+    assert err == (f"numeric failure: quadrature of the rectangle of nt=16, beta=0, "
+                   f"radius={floor:.6g} failed to reach tol=1.2e-12 within 2129 "
+                   f"evaluations\n")
 
 
 def test_pole_ladder_table(capsys):

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightningfit import contour
@@ -131,7 +131,7 @@ def test_identity_node_sum_is_trap_eval():
     that equals the rule's textbook sum (z h/pi) sum_j 1/(sqrt(jh) den_j)."""
     for setup in (ContourSetup(0.5, 64), ContourSetup(1.0, 64, beta=1.0)):
         trap = TrapApproximant(setup.nt, setup.beta)
-        assert error_identity_report(setup).node_sum == trap_eval(trap, setup.z)
+        assert error_identity_report([setup])[0].node_sum == trap_eval(trap, setup.z)
     for nt, x in ((8, 0.3), (32, 1.0), (64, 1e-5)):
         trap = TrapApproximant(nt)
         root = np.sqrt(np.arange(1, nt + 1) * H0)
@@ -217,7 +217,7 @@ def test_validity_floor_is_the_smallest_radius_a_setup_takes(beta):
 
 def test_identity_pass_is_the_defect_within_its_tolerance():
     for setup in (ContourSetup(0.5, 16), ContourSetup(1.0, 64, 1.0)):
-        report = error_identity_report(setup)
+        report = error_identity_report([setup])[0]
         assert report.identity_pass
         assert report.identity_pass == (
             report.defect <= max(1e-10, 1e-3 * abs(report.lhs)))
@@ -236,7 +236,7 @@ def test_setup_validation():
 
 
 def test_identity_small_case():
-    rep = error_identity_report(ContourSetup(0.5, 32))
+    rep = error_identity_report([ContourSetup(0.5, 32)])[0]
     assert rep.defect < 1e-12
     assert abs(rep.lhs.imag) < 1e-14
     assert rep.integral_value.real == pytest.approx(math.sqrt(0.5), abs=1e-3)
@@ -246,7 +246,7 @@ def test_identity_on_upper_arm():
     # beta = 1 arm sits at angle pi/2
     setup = ContourSetup(1.0, 64, beta=1.0)
     assert setup.z == pytest.approx(1j, abs=1e-15)
-    assert error_identity_report(setup).defect < 1e-12
+    assert error_identity_report([setup])[0].defect < 1e-12
 
 
 def test_one_pass_gamma_matches_per_leg_integrals():
@@ -262,7 +262,57 @@ def test_one_pass_gamma_matches_per_leg_integrals():
                 return error_integrand(u, setup.z, setup.rule.t_param) * dz \
                     * quadrature_error_kernel(u, setup.rule.step, branch=branch)
             total += integrate(leg, (0.0, 1.0), setup.tol)
-        assert abs(contour_terms(setup).gamma_int - total) <= 6 * setup.tol
+        assert abs(contour_terms([setup])[0].gamma_int - total) <= 6 * setup.tol
+
+
+def _terms_bits(terms):
+    return [np.complex128(x).tobytes()
+            for x in (terms.end_ints, terms.gamma_int, terms.residue_term)]
+
+
+def _lone_terms(setup):
+    """The setup's terms with gamma_int from a lone pass over the scalar z,
+    through error_integrand, and residue_term from scalar kernel calls."""
+    x0, x1, a = setup.rect_left, setup.rect_right, setup.half_height
+    tp, h = setup.rule.t_param, setup.rule.step
+    corners = np.array([x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a,
+                        x0 + 1j * a, x0 + 0j, x0 - 1j * a])
+    branch = np.array([-1, -1, +1, +1, +1, -1])
+    start, dz = corners[:-1], np.diff(corners)
+
+    def on_legs(t):
+        k = np.minimum(t.astype(int), 5)
+        u = start[k] + (t - k) * dz[k]
+        delta = quadrature_error_kernel(u, h, branch=branch[k])
+        return error_integrand(u, setup.z, tp) * delta * dz[k]
+
+    total = 0.0j
+    for pr in pole_residue_pairs(setup.z, tp):
+        total += pr.residue * quadrature_error_kernel(pr.pole, h)
+    return contour.ContourTerms(
+        end_ints=contour_terms([setup])[0].end_ints,
+        gamma_int=integrate(on_legs, np.arange(7.0), 6 * setup.tol),
+        residue_term=2j * math.pi * total)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(16, 400), st.sampled_from((0.0, 0.5, 1.0)),
+                               st.floats(0.0, 1.0)), min_size=1, max_size=6))
+# interval rows at the validity floor whose gamma_int moves in its last
+# bits if z/pi is rounded as a numpy array division
+@example(rows=[(23, 0.0, 0.0), (40, 0.5, 0.3)])
+@example(rows=[(65, 0.0, 0.0), (16, 0.0, 0.0), (144, 1.0, 1.0)])
+def test_a_row_gets_the_bits_it_gets_alone(rows):
+    """Each setup of a table gets from one contour_terms call the bits of
+    end_ints, gamma_int and residue_term it gets alone, in a call of its
+    own and in scalar arithmetic on its own z.  The radius runs
+    log-uniformly from the validity floor (w = 0) to 1 (w = 1)."""
+    setups = [ContourSetup(validity_floor(TrapApproximant(nt, beta)) ** (1.0 - w),
+                           nt, beta) for nt, beta, w in rows]
+    for setup, terms in zip(setups, contour_terms(setups)):
+        want = _terms_bits(_lone_terms(setup))
+        assert _terms_bits(terms) == want, setup
+        assert _terms_bits(contour_terms([setup])[0]) == want, setup
 
 
 @pytest.mark.parametrize("nt", [16, 39, 40, 45, 144, 400])
@@ -272,7 +322,7 @@ def test_identity_defect_within_tolerance(nt):
     chance agreement of the two rules (defect 1.1e-12 at nt = 40, |z| = 1)."""
     for r in (0.5, 1.0):
         setup = ContourSetup(r, nt)
-        assert error_identity_report(setup).defect <= setup.tol
+        assert error_identity_report([setup])[0].defect <= setup.tol
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5])
@@ -296,7 +346,7 @@ def test_window_integrals_match_mpmath(beta, monkeypatch):
         for r in (floor, 0.5, 1.0):
             setup = ContourSetup(r, nt, beta)
             stubs.clear()
-            contour_terms(setup)
+            contour_terms([setup])[0]
             with mp.workdps(150):
                 z, tp = mp.mpc(setup.z), mp.mpf(t_param)
                 root = mp.sqrt(z)
@@ -316,7 +366,7 @@ def test_end_ints_scale():
     """|end_ints| tracks e^{-T} with a modest constant."""
     for nt in (16, 64):
         setup = ContourSetup(0.5, nt)
-        terms = contour_terms(setup)
+        terms = contour_terms([setup])[0]
         assert abs(terms.end_ints) < 1.5 * math.exp(-setup.rule.t_param)
         assert abs(terms.end_ints) > 0.1 * math.exp(-setup.rule.t_param)
 
@@ -332,7 +382,7 @@ def test_residue_term_envelope():
 
 def test_conjecture_bound_interval():
     setup = ContourSetup(1.0, 16)
-    report = error_identity_report(setup)
+    report = error_identity_report([setup])[0]
     assert report.conj_pass
     assert report.conj_bound == pytest.approx(12 * math.exp(-setup.rule.t_param),
                                               rel=1e-14)

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from lightningfit import contour, fitting
-from lightningfit.contour import ContourSetup, error_identity_report
+from lightningfit import contour, fitting, quadrature
+from lightningfit.contour import ContourSetup, error_identity_report, validity_floor
 from lightningfit.errors import InputError, LightningError, NumericError
 from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
@@ -40,6 +40,7 @@ from lightningfit.experiments import (
 from lightningfit.fitting import BasisSpec, fit, fit_nested
 from lightningfit.poles import tapered_poles
 from lightningfit.problems import Domain, Target, build_fit_grid
+from lightningfit.trapezoid import TrapApproximant
 
 
 def col(table, name):
@@ -410,46 +411,85 @@ def test_verify_bounds_smoke():
     assert set(tab.meta) >= {"residue_rates_matched", "residue_rates_mismatched"}
 
 
-def test_verify_bounds_integrand_evaluations(monkeypatch):
-    """Only the rectangle integral, which carries delta, runs quadrature:
-    one integrate call per row, and an nt = 16 run makes at most the
-    6,540 integrand evaluations of that call alone."""
+def _count_quadrature(monkeypatch):
+    """Patch the quadrature engine wherever the package holds it: returns
+    the list of its calls and the list of integrand evaluation counts."""
     calls, evals = [], []
 
-    def counting(integrate):
+    def counting(engine):
         def counted(func, *args, **kwargs):
             calls.append(func)
 
-            def g(x):
-                evals.append(np.size(x))
-                return func(x)
-            return integrate(g, *args, **kwargs)
+            def g(t, k):
+                evals.append(np.size(t))
+                return func(t, k)
+            return engine(g, *args, **kwargs)
         return counted
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("lightningfit") and hasattr(module, "integrate"):
-            monkeypatch.setattr(module, "integrate", counting(module.integrate))
+        if name.startswith("lightningfit") and hasattr(module, "integrate_many"):
+            monkeypatch.setattr(module, "integrate_many",
+                                counting(module.integrate_many))
+    return calls, evals
+
+
+def _setup_of(table, row):
+    cells = dict(zip(table.columns, row))
+    return ContourSetup(cells["radius"], cells["nt"], cells["beta"])
+
+
+def test_verify_bounds_integrand_evaluations(monkeypatch):
+    """Only the rectangle integrals, which carry delta, run quadrature: one
+    integrate_many call per table, whose integrand evaluations are those
+    of its rows run alone, exactly 6,540 = 2,130 + 1,710 + 1,710 + 990 at
+    nt = 16."""
+    calls, evals = _count_quadrature(monkeypatch)
     tab = run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
-    assert len(calls) == len(tab) == 4
-    assert 0 < sum(evals) <= 6_540
+    assert len(calls) == 1 and len(tab) == 4
+    assert sum(evals) == 6_540
+    alone = []
+    for row in tab.rows:
+        evals.clear()
+        contour.contour_terms([_setup_of(tab, row)])
+        alone.append(sum(evals))
+    assert alone == [2_130, 1_710, 1_710, 990]
 
 
-def test_verify_bounds_evaluates_the_contour_once_per_row(monkeypatch):
+def test_verify_bounds_evaluates_the_contour_once_per_table(monkeypatch):
     calls = []
     terms = contour.contour_terms
 
-    def counted(setup):
-        calls.append(setup)
-        return terms(setup)
+    def counted(setups):
+        calls.append(list(setups))
+        return terms(calls[-1])
 
     monkeypatch.setattr(contour, "contour_terms", counted)
     tab = run_verify_bounds()
-    assert len(calls) == len(tab) == 11
+    assert len(calls) == 1 and len(calls[0]) == len(tab) == 11
     monkeypatch.undo()
     for row in tab.rows:
         cells = dict(zip(tab.columns, row))
-        beta, r = cells["beta"], cells["radius"]
-        report = error_identity_report(ContourSetup(r, cells["nt"], beta))
+        report = error_identity_report([_setup_of(tab, row)])[0]
         assert cells["gamma_ratio"] == report.gamma_ratio
         assert cells["conj_pass"] == int(report.conj_pass)
         assert cells["identity_pass"] == int(report.identity_pass)
+
+
+def test_verify_bounds_names_the_row_over_the_evaluation_budget(monkeypatch):
+    """The nt = 16 floor row alone needs 2,130 evaluations; one fewer
+    refuses it, by its nt, beta and radius."""
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 2_129)
+    floor = validity_floor(TrapApproximant(16))
+    with pytest.raises(NumericError, match=rf"^quadrature of the rectangle of "
+                                           rf"nt=16, beta=0, radius={floor:.6g} "
+                                           rf"failed to reach tol=1\.2e-12 "):
+        run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
+
+
+def test_verify_bounds_budget_is_per_row(monkeypatch):
+    """A budget each row meets alone passes the table, though the rows'
+    6,540 evaluations together exceed it; the table is unchanged."""
+    want = run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 2_130)
+    got = run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
+    assert got.rows == want.rows and got.meta == want.meta

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lightningfit import InputError, NumericError, integrate, quadrature
+from lightningfit import InputError, NumericError, integrate, integrate_many, quadrature
 from lightningfit.quadrature import GAUSS, KRONROD, NODES
 
 
@@ -115,3 +117,55 @@ def test_jump_at_an_edge_is_cheap():
     val = integrate(step, (0.0, 0.3, 1.0), 1e-13)
     assert val == pytest.approx(math.sin(1.0) + 1.4, abs=1e-13)
     assert sum(calls) < 200
+
+
+# integrand families of one parameter c > 0, for the shared-edges engine
+FAMILIES = (lambda c, t: np.sin(c * t), lambda c, t: np.exp(-c * t),
+            lambda c, t: 1.0 / (c + t * t))
+
+
+def family_sum(cases):
+    """func(t, k) of integrate_many for the (family, c) cases."""
+    def func(t, k):
+        out = np.empty_like(t)
+        for j, (family, c) in enumerate(cases):
+            out[k == j] = FAMILIES[family](c, t[k == j])
+        return out
+    return func
+
+
+def bits(x):
+    return np.asarray(x).dtype.str, np.asarray(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(st.tuples(st.integers(0, 2), st.floats(0.1, 30.0),
+                                st.floats(1e-12, 1e-6)), min_size=1, max_size=5),
+       edges=st.sampled_from([(0.0, 1.0), (0.0, 0.3, 1.0), (0.0, 0.5, 2.0, 5.0)]))
+def test_each_integral_gets_the_bits_it_gets_alone(cases, edges):
+    """Integrals on shared edges, each to its own tolerance, return the
+    bits each returns when integrated alone.  The integrands are at most
+    10 in modulus on t >= 0, so every tolerance is within reach."""
+    together = integrate_many(family_sum([case[:2] for case in cases]), edges,
+                              [tol for *_, tol in cases],
+                              [f"integral {j}" for j in range(len(cases))])
+    for (family, c, tol), value in zip(cases, together):
+        alone = integrate(lambda t: FAMILIES[family](c, t), edges, tol)
+        assert bits(value) == bits(alone)
+
+
+def test_the_budget_is_per_integral(monkeypatch):
+    """Two integrals that each fit the budget pass together, though their
+    evaluations sum past it; of two where only one does not, that one is
+    refused by name."""
+    def peak(t, k):
+        return 1.0 / (1e-4 + t * t)
+
+    used = []
+    integrate(lambda x: used.append(x.size) or peak(x, None), (-1.0, 1.0), 1e-10)
+    monkeypatch.setattr(quadrature, "MAX_EVALS", sum(used))
+    assert len(integrate_many(peak, (-1.0, 1.0), [1e-10] * 2, ["a", "b"])) == 2
+    monkeypatch.setattr(quadrature, "MAX_EVALS", sum(used) - 1)
+    with pytest.raises(NumericError, match=f"^quadrature of b failed to reach "
+                                            f"tol=1e-10 within {sum(used) - 1} "):
+        integrate_many(peak, (-1.0, 1.0), [1e-6, 1e-10], ["a", "b"])
