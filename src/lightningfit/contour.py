@@ -97,13 +97,13 @@ def residue_terms(cases) -> list:
     """
     pairs = [pole_residue_pairs(z, t_param, kmax=0) for z, t_param, _ in cases]
     delta = quadrature_error_kernel(
-        np.array([pr.pole for pp in pairs for pr in pp], dtype=complex),
-        np.repeat([float(step) for *_, step in cases], 2))
+        [pr.pole for pp in pairs for pr in pp],
+        np.repeat([step for *_, step in cases], 2)).reshape(-1, 2)
     terms = []
-    for k, pp in enumerate(pairs):
+    for pp, dd in zip(pairs, delta):
         total = 0.0j
-        for j, pr in enumerate(pp):
-            total += pr.residue * delta[2 * k + j]
+        for pr, d in zip(pp, dd):
+            total += pr.residue * d
         terms.append(2j * math.pi * total)
     return terms
 

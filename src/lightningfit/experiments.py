@@ -384,11 +384,9 @@ def run_verify_bounds(nt_list=(16, 64, 144), vshape_nt_list=(64, 144)) -> Result
     values do not depend on the other rows.  Pass flags are stored as 0/1
     ints.
     """
-    setups = [ContourSetup(r, nt, beta)
-              for beta, nts in ((0.0, tuple(nt_list)), (1.0, tuple(vshape_nt_list)))
-              for nt in nts
-              for r in ((validity_floor(TrapApproximant(nt)), 0.5, 1.0)
-                        if beta == 0.0 else (1.0,))]
+    setups = [ContourSetup(r, nt) for nt in nt_list
+              for r in (validity_floor(TrapApproximant(nt)), 0.5, 1.0)]
+    setups += [ContourSetup(1.0, nt, 1.0) for nt in vshape_nt_list]
     rows = []
     for setup, report in zip(setups, error_identity_report(setups)):
         t_param = setup.rule.t_param
