@@ -167,10 +167,8 @@ class ContourSetup:
 
     @property
     def corners(self) -> list:
-        """The rectangle's vertices, counterclockwise from the bottom left,
-        with the real-axis points of the right and left sides: the six legs
-        are bottom, right lower and upper half, top, left upper and lower
-        half."""
+        """The rectangle's vertices counterclockwise from the bottom left,
+        with the sides' real-axis points: seven corners of six legs."""
         x0, x1, a = self.rect_left, self.rect_right, self.half_height
         return [x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a, x0 + 1j * a,
                 x0 + 0j, x0 - 1j * a]

@@ -411,9 +411,16 @@ def test_verify_bounds_smoke():
     assert set(tab.meta) >= {"residue_rates_matched", "residue_rates_mismatched"}
 
 
-def _count_quadrature(monkeypatch):
-    """Patch the quadrature engine wherever the package holds it: returns
-    the list of its calls and the list of integrand evaluation counts."""
+def _setup_of(table, row):
+    cells = dict(zip(table.columns, row))
+    return ContourSetup(cells["radius"], cells["nt"], cells["beta"])
+
+
+def test_verify_bounds_integrand_evaluations(monkeypatch):
+    """Only the rectangle integrals, which carry delta, run quadrature: one
+    integrate_many call per table, whose integrand evaluations are those
+    of its rows run alone, exactly 6,540 = 2,130 + 1,710 + 1,710 + 990 at
+    nt = 16."""
     calls, evals = [], []
 
     def counting(engine):
@@ -430,20 +437,6 @@ def _count_quadrature(monkeypatch):
         if name.startswith("lightningfit") and hasattr(module, "integrate_many"):
             monkeypatch.setattr(module, "integrate_many",
                                 counting(module.integrate_many))
-    return calls, evals
-
-
-def _setup_of(table, row):
-    cells = dict(zip(table.columns, row))
-    return ContourSetup(cells["radius"], cells["nt"], cells["beta"])
-
-
-def test_verify_bounds_integrand_evaluations(monkeypatch):
-    """Only the rectangle integrals, which carry delta, run quadrature: one
-    integrate_many call per table, whose integrand evaluations are those
-    of its rows run alone, exactly 6,540 = 2,130 + 1,710 + 1,710 + 990 at
-    nt = 16."""
-    calls, evals = _count_quadrature(monkeypatch)
     tab = run_verify_bounds(nt_list=(16,), vshape_nt_list=(64,))
     assert len(calls) == 1 and len(tab) == 4
     assert sum(evals) == 6_540
