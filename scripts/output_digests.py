@@ -48,6 +48,9 @@ RUNNER_CALLS = (
     # interval floor rows whose gamma_int changes in its last bits if z/pi
     # is rounded as a numpy array division
     ("run_verify_bounds", {"nt_list": (23, 32, 65), "vshape_nt_list": (191,)}),
+    # interval floor rows whose node sum changes in its last bits if
+    # trap_eval's z/pi is rounded componentwise
+    ("run_verify_bounds", {"nt_list": (34, 134, 254), "vshape_nt_list": (64,)}),
     ("run_pole_ladder", {"n_list": (144,)}),
     ("run_pole_ladder", {"n_list": (8,)}),
     ("run_corner_sigma", {"beta_list": (1.6,)}),
