@@ -21,9 +21,8 @@ from .density import (density_leading, density_correction, stahl_density,
                       invert_stahl_density, large_pole_estimate,
                       pole_from_density, count_large_poles)
 from .contour import (ContourSetup, ContourTerms, PoleResidue, IdentityReport,
-                      quadrature_error_kernel, pole_residue_pairs, residue_term,
-                      residue_terms,
+                      quadrature_error_kernel, pole_residue_pairs, residue_terms,
                       contour_terms, error_identity_report, residue_rate_check,
                       validity_floor)
 from .tables import ResultTable, render_table, write_table
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate_many

@@ -30,30 +30,40 @@ import numpy as np
 from .errors import InputError
 from .problems import Domain
 from .quadrature import integrate_many
-from .trapezoid import (TrapApproximant, _error_integrand, _window_integral,
+from .trapezoid import (TrapApproximant, _window_integral, error_integrand,
                         trap_eval, truncated_sqrt_integral)
 
 
-def quadrature_error_kernel(u, step: float, branch=None):
+def quadrature_error_kernel(u, step):
     """delta(u): -1/2 + (i/2)cot(pi u/step) above the real axis, +1/2 + ... below.
 
     Evaluated through e^{2 pi i u/step} on whichever side keeps that factor
-    small, so it never overflows.  `branch` (one value, or one per point)
-    forces the upper (+1) or lower (-1) expression regardless of sign(Im u);
-    contour legs that touch the real axis use it to stay on their
-    one-sided limit.
+    small, so only a u/step beyond the double range overflows; it is
+    refused, as are a u that is not finite and a step that is not a finite
+    positive real (one value, or one per point).
     """
-    uu = np.atleast_1d(np.asarray(u, dtype=complex))
-    scaled = uu / step
+    uu = np.atleast_1d(np.asarray(InputError.check_points(u), dtype=complex))
+    steps = InputError.check_reals(step, "step must be real")
+    if steps.size:
+        for extreme in (steps.min(), steps.max()):  # a nan is either extreme
+            InputError.check_positive("step", extreme)
+    with np.errstate(all="ignore"):
+        out = _comb_kernel(uu / steps, np.where(uu.imag >= 0, 1.0, -1.0))
+    if not np.isfinite(out).all():
+        raise InputError("delta leaves the double range at this u and step")
+    return out[0] if np.asarray(u).ndim == 0 else out
+
+
+def _comb_kernel(scaled, sign):
+    """delta at u = scaled * step by the upper (sign +1) or lower (-1)
+    expression, whatever the side of u: contour legs that touch the real
+    axis use it to stay on their one-sided limit."""
     on_lattice = (np.abs(scaled.imag) < 1e-12) \
         & (np.abs(scaled.real - np.round(scaled.real)) < 1e-12)
     if np.any(on_lattice):
         raise InputError("delta evaluated on a quadrature node of the comb")
-    upper = uu.imag >= 0 if branch is None else np.asarray(branch) > 0
-    sign = np.where(upper, 1.0, -1.0)
     q = np.exp(2j * math.pi * sign * scaled)
-    out = sign * q / (1.0 - q)
-    return out[0] if np.asarray(u).ndim == 0 else out
+    return sign * q / (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,7 @@ def pole_residue_pairs(z: complex, t_param: float, kmax: int = 0):
     if not 0 < r <= 1 + 1e-12:
         raise InputError(f"|z| must lie in (0, 1], got {r}")
     InputError.check_count("kmax", kmax, least=0)
+    t_param = InputError.check_positive("t_param", t_param)
     theta = cmath.phase(z)
     base = t_param + 0.5 * math.log(r)
     root_z = cmath.sqrt(z)
@@ -106,11 +117,6 @@ def residue_terms(cases) -> list:
             total += pr.residue * d
         terms.append(2j * math.pi * total)
     return terms
-
-
-def residue_term(z: complex, t_param: float, step: float) -> complex:
-    """`residue_terms` of one case."""
-    return residue_terms([(z, t_param, step)])[0]
 
 
 def validity_floor(rule: TrapApproximant) -> float:
@@ -205,7 +211,8 @@ def contour_terms(setups) -> list:
     real axis, where delta jumps by 1, and each leg evaluates delta on its
     own explicit one-sided branch.  Every setup's rectangle goes through
     one `integrate_many` call and every primary pole through one
-    `residue_terms` call; a setup's terms are the bits it gets alone.
+    `residue_terms` call; a setup's terms are the bits it gets alone.  The
+    legs evaluate `trap_eval`'s integrand, z/pi componentwise on every path.
     """
     setups = list(setups)
     if not setups:
@@ -213,18 +220,16 @@ def contour_terms(setups) -> list:
     tp = np.array([s.rule.t_param for s in setups])
     h = np.array([s.rule.step for s in setups])
     z = np.array([s.z for s in setups])
-    # Python complex quotients, as in error_integrand's scalar call
-    z_over_pi = np.array([s.z / math.pi for s in setups])
     corners = np.array([s.corners for s in setups])
     # the legs' sides of the real axis: below, below, above, above, above, below
-    branch = np.array([-1, -1, +1, +1, +1, -1])
+    sign = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
     start, dz = corners[:, :-1], np.diff(corners, axis=1)
 
     def on_legs(t, row):
         k = np.minimum(t.astype(int), 5)  # quadrature nodes avoid the vertices
         u = start[row, k] + (t - k) * dz[row, k]
-        delta = quadrature_error_kernel(u, h[row], branch=branch[k])
-        return _error_integrand(u, z[row], z_over_pi[row], tp[row]) * delta * dz[row, k]
+        delta = _comb_kernel(u / h[row], sign[k])
+        return error_integrand(u, z[row], tp[row]) * delta * dz[row, k]
 
     gammas = integrate_many(
         on_legs, np.arange(7.0), [6 * s.tol for s in setups],

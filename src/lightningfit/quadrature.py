@@ -36,12 +36,6 @@ NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
 KRONROD, GAUSS = (np.array(w[:-1] + w[::-1]) for w in (_WK, _WG))
 
 
-def integrate(func, edges, tol: float):
-    """Integrate vectorized `func` over [edges[0], edges[-1]] to absolute
-    `tol`: `integrate_many` with one integral."""
-    return integrate_many(lambda t, k: func(t), edges, (tol,), ("the integral",))[0]
-
-
 def integrate_many(func, edges, tols, names):
     """Integrate len(tols) integrands over [edges[0], edges[-1]], the k-th
     to absolute tols[k].

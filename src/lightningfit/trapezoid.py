@@ -60,38 +60,34 @@ class TrapApproximant:
         return trap_eval(self, z)
 
 
-def error_integrand(u, z, t_param: float):
+def error_integrand(u, z, t_param):
     """Kernel f(u) = (z/pi) u^{-1/2} e^{sqrt(u)-T} / (e^{2(sqrt(u)-T)} + z).
 
     Principal square root; callers keep Re u > 0 except for the u -> 0
-    endpoint where f ~ u^{-1/2} is integrable.  z may be an array that
-    broadcasts against u.
+    endpoint where f ~ u^{-1/2} is integrable.  z and T may be arrays
+    that broadcast against u.  z/pi is formed componentwise, as Python
+    divides a complex by a real (numpy's complex z / pi multiplies by the
+    reciprocal and can differ in the last bit), so a Python complex z and
+    the same z in an array of any shape give the same bits.
     """
-    out = _error_integrand(np.atleast_1d(np.asarray(u, dtype=complex)), z,
-                           z / math.pi, t_param)
-    return out[0] if np.asarray(u).ndim == 0 else out
-
-
-def _error_integrand(uu, z, z_over_pi, t_param):
-    """`error_integrand` at the complex array uu, with z/pi given: a Python
-    complex z/pi and the numpy quotient of the same z can differ in their
-    last bit, so a caller that holds z in an array but must reproduce the
-    scalar call's values passes the Python quotients."""
+    uu, zz = np.asarray(u, dtype=complex), np.asarray(z, dtype=complex)
     root = np.sqrt(uu)
     s = root - t_param
-    den = np.exp(s) + z * np.exp(-s)
+    den = np.exp(s) + zz * np.exp(-s)
     if np.any(den == 0):
         raise InputError("evaluation point coincides with a pole")
-    return z_over_pi / (root * den)
+    z_over_pi = (np.ascontiguousarray(zz).view(float) / math.pi).view(complex)
+    return z_over_pi.reshape(zz.shape) / (root * den)
 
 
 def trap_eval(t: TrapApproximant, z):
     """Evaluate the trapezoidal approximant step * sum_j f(j step) at z.
 
     f is `error_integrand`, summed over the nodes in ascending order; z is
-    a scalar or an array, and real z gives real values.  The summand is
-    evaluated as 1/(e^s + z e^{-s}) which stays bounded for all node
-    positions, unlike the textbook e^s/(e^{2s} + z) form.
+    a scalar or an array, and real z gives real values.  With z/pi
+    componentwise on every path, each point gets the bits of its scalar
+    sum.  The summand is evaluated as 1/(e^s + z e^{-s}) which stays
+    bounded for all node positions, unlike the textbook e^s/(e^{2s} + z) form.
     """
     z = InputError.check_points(z)
     nodes = t.step * np.arange(1, t.nt + 1)

@@ -567,6 +567,51 @@ def test_the_package_guard_sees_an_uncalled_default(tmp_path):
     assert not {"fit.eps_rel", "fit_nested.eps_rel"} & set(uncalled)
 
 
+def _referenced_names(roots):
+    """Every name a .py file under roots loads, as a variable or an
+    attribute, or spells as a string that is not a docstring (getattr)."""
+    names = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                          if isinstance(node, (ast.Module, ast.ClassDef,
+                                               ast.FunctionDef, ast.AsyncFunctionDef))
+                          and node.body and isinstance(node.body[0], ast.Expr)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Name, ast.Attribute)) \
+                        and isinstance(node.ctx, ast.Load):
+                    names.add(getattr(node, "id", getattr(node, "attr", None)))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and id(node) not in docstrings:
+                    names.add(node.value)
+    return names
+
+
+# exports only the acceptance battery and the tests call
+BATTERY_ONLY = {"trap_partial_fractions", "large_pole_tail", "trap_error_bound",
+                "density_leading", "density_correction", "large_pole_estimate"}
+
+
+def test_every_export_is_referenced():
+    """Each name the package exports is used in the package, the scripts
+    or the benchmark, never by tests alone: an export nothing uses is
+    dead code or a test helper."""
+    root = Path(__file__).resolve().parents[1]
+    referenced = _referenced_names([root / "src", root / "scripts", root / "bench"])
+    exports = {name for name, value in vars(lightningfit).items()
+               if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exports - referenced == BATTERY_ONLY
+
+
+def test_the_export_guard_skips_docstrings(tmp_path):
+    (tmp_path / "uses.py").write_text(
+        '"""fit_nested"""\ndef f():\n    """tapered_poles"""\n    return fit(t)\n'
+        'getattr(fitting, "max_error")\nx = lightningfit.evaluate\n')
+    assert _referenced_names([tmp_path]) >= {"fit", "max_error", "evaluate"}
+    assert not {"fit_nested", "tapered_poles"} & _referenced_names([tmp_path])
+
+
 @pytest.mark.parametrize("command", [c for c, flags in HONOURED.items()
                                      if "--tsvd-eps" in flags])
 @pytest.mark.parametrize("eps", ["inf", "1e308", "2"])

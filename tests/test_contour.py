@@ -13,10 +13,10 @@ from lightningfit import contour
 from lightningfit import (ContourSetup, InputError,
                           TrapApproximant, contour_terms,
                           default_step, error_identity_report, error_integrand,
-                          pole_residue_pairs, quadrature_error_kernel,
-                          residue_rate_check, residue_term, t_parameter,
-                          trap_eval, integrate, truncated_sqrt_integral,
-                          validity_floor)
+                          integrate_many, pole_residue_pairs,
+                          quadrature_error_kernel, residue_rate_check,
+                          residue_terms, t_parameter, trap_eval,
+                          truncated_sqrt_integral, validity_floor)
 
 H0 = default_step()  # 2 pi^2
 
@@ -43,9 +43,9 @@ def test_kernel_periodicity_property(re, im, below, branch, k, step):
     at least 1e-3 h off the real axis, on either forced branch.  Near the
     lattice |1 - q| falls to 6.3e-3 and divides the rounding of the phase
     2 pi u/h, hence a tolerance of 1e-12 relative rather than a few ulps."""
-    u = complex(re * step, (-im if below else im) * step)
-    want = quadrature_error_kernel(u, step, branch=branch)
-    got = quadrature_error_kernel(u + k * step, step, branch=branch)
+    u = np.complex128(complex(re * step, (-im if below else im) * step))
+    want = contour._comb_kernel(u / step, branch)
+    got = contour._comb_kernel((u + k * step) / step, branch)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -72,9 +72,9 @@ def test_kernel_conjugation_antisymmetry():
 
 
 def test_kernel_branch_forcing():
-    """branch=+1 below the axis continues the upper expression."""
+    """The upper (+1) expression below the axis continues the upper side."""
     u = 0.3 * H0 - 0.2j * H0
-    forced = quadrature_error_kernel(u, H0, branch=+1)
+    forced = contour._comb_kernel(np.complex128(u) / H0, +1)
     q = cmath.exp(2j * math.pi * u / H0)
     assert forced == pytest.approx(q / (1 - q), rel=1e-13)
     # default branch on the lower side differs by the mu jump of -1
@@ -185,7 +185,7 @@ def test_residue_against_circle_integral():
 
 
 def test_residue_term_real_for_real_argument():
-    val = residue_term(0.5, t_parameter(32, H0), H0)
+    val, = residue_terms([(0.5, t_parameter(32, H0), H0)])
     assert abs(val.imag) < 1e-16 * max(abs(val.real), 1e-300)
 
 
@@ -257,11 +257,11 @@ def test_one_pass_gamma_matches_per_leg_integrals():
                    x0 - 1j * a]
         total = 0.0j
         for z0, z1, branch in zip(corners[:-1], corners[1:], (-1, -1, 1, 1, 1, -1)):
-            def leg(t, z0=z0, dz=z1 - z0, branch=branch):
+            def leg(t, _, z0=z0, dz=z1 - z0, branch=branch):
                 u = z0 + t * dz
                 return error_integrand(u, setup.z, setup.rule.t_param) * dz \
-                    * quadrature_error_kernel(u, setup.rule.step, branch=branch)
-            total += integrate(leg, (0.0, 1.0), setup.tol)
+                    * contour._comb_kernel(u / setup.rule.step, branch)
+            total += integrate_many(leg, (0.0, 1.0), [setup.tol], ["a leg"])[0]
         assert abs(contour_terms([setup])[0].gamma_int - total) <= 6 * setup.tol
 
 
@@ -277,13 +277,13 @@ def _lone_terms(setup):
     tp, h = setup.rule.t_param, setup.rule.step
     corners = np.array([x0 - 1j * a, x1 - 1j * a, x1 + 0j, x1 + 1j * a,
                         x0 + 1j * a, x0 + 0j, x0 - 1j * a])
-    branch = np.array([-1, -1, +1, +1, +1, -1])
+    sign = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
     start, dz = corners[:-1], np.diff(corners)
 
-    def on_legs(t):
+    def on_legs(t, _):
         k = np.minimum(t.astype(int), 5)
         u = start[k] + (t - k) * dz[k]
-        delta = quadrature_error_kernel(u, h, branch=branch[k])
+        delta = contour._comb_kernel(u / h, sign[k])
         return error_integrand(u, setup.z, tp) * delta * dz[k]
 
     total = 0.0j
@@ -291,7 +291,8 @@ def _lone_terms(setup):
         total += pr.residue * quadrature_error_kernel(pr.pole, h)
     return contour.ContourTerms(
         end_ints=contour_terms([setup])[0].end_ints,
-        gamma_int=integrate(on_legs, np.arange(7.0), 6 * setup.tol),
+        gamma_int=integrate_many(on_legs, np.arange(7.0), [6 * setup.tol],
+                                 ["the rectangle"])[0],
         residue_term=2j * math.pi * total)
 
 
@@ -377,7 +378,7 @@ def test_residue_term_envelope():
     for nt in (16, 64, 144):
         tp = t_parameter(nt, H0)
         for x in (0.1, 0.5, 1.0):
-            assert abs(residue_term(x, tp, H0)) <= 6.0 * math.exp(-tp)
+            assert abs(residue_terms([(x, tp, H0)])[0]) <= 6.0 * math.exp(-tp)
 
 
 def test_conjecture_bound_interval():

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from lightningfit import (BasisSpec, Domain, InputError, Target, TrapApproximant,
                           big_poles, build_fit_grid, count_large_poles,
                           density_correction, density_leading, eval_target,
-                          evaluate, fit, integrate, invert_stahl_density,
+                          evaluate, fit, integrate_many, invert_stahl_density,
                           large_pole_estimate, large_pole_tail,
-                          pole_residue_pairs, stahl_density, tapered_poles,
+                          pole_residue_pairs, quadrature_error_kernel,
+                          stahl_density, tapered_poles,
                           trap_eval, trap_partial_fractions,
                           truncated_sqrt_integral, uniform_poles)
 from lightningfit.errors import MAX_ENTRIES
@@ -87,16 +88,26 @@ CASES = {
     "count_large_poles n": (lambda v: count_large_poles(v), not_a_count(4)),
     "pole_residue_pairs kmax": (lambda v: pole_residue_pairs(0.5, 3.0, v),
                                 not_a_count(0)),
+    "pole_residue_pairs t_param": (lambda v: pole_residue_pairs(0.5, v), NOT_POSITIVE),
+    "quadrature_error_kernel step": (lambda v: quadrature_error_kernel(1 + 1j, v),
+                                     NOT_POSITIVE),
+    # residue_terms passes one step per pole
+    "quadrature_error_kernel steps": (
+        lambda v: quadrature_error_kernel([1 + 1j, 2 + 1j], [2.0, v]), NOT_POSITIVE),
     "poly_degree_rule n1": (lambda v: poly_degree_rule(v), not_a_count()),
     "run_fit n1": (lambda v: run_fit(n1=v), not_a_count()),
     "corner_target beta": (lambda v: corner_target(v), NOT_AN_OPENING),
     "corner_sigma_rule beta": (lambda v: corner_sigma_rule(v), NOT_AN_OPENING),
     "run_corner_sigma beta_list": (lambda v: run_corner_sigma(beta_list=(v,)),
                                    NOT_AN_OPENING),
-    "integrate tol": (lambda v: integrate(np.sin, (0.0, 1.0), v), NOT_POSITIVE),
+    "integrate_many tols": (
+        lambda v: integrate_many(lambda t, k: np.sin(t), (0.0, 1.0), [1e-10, v],
+                                 ["a", "b"]), NOT_POSITIVE),
     "evaluate points": (lambda v: evaluate(APPROX, v), NOT_POINTS),
     "eval_target points": (lambda v: eval_target(Target("sqrt"), v), NOT_POINTS),
     "trap_eval points": (lambda v: trap_eval(TrapApproximant(16), v), NOT_POINTS),
+    "quadrature_error_kernel points": (
+        lambda v: quadrature_error_kernel(v, 2.0), NOT_POINTS + (1e308 + 1j,)),
     "large_pole_tail points": (
         lambda v: large_pole_tail(trap_partial_fractions(4, 2.0), v), NOT_POINTS),
 }
@@ -121,6 +132,12 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 @example(pair=("evaluate points", "0.5"))  # parsed, returned 0.707
 @example(pair=("eval_target points", math.nan))  # returned nan
 @example(pair=("trap_eval points", math.inf))  # RuntimeWarning, returned nan
+@example(pair=("quadrature_error_kernel step", 0))  # RuntimeWarning, returned nan
+@example(pair=("quadrature_error_kernel points", math.nan))  # RuntimeWarning, nan
+@example(pair=("quadrature_error_kernel points", 1e308 + 1j))  # RuntimeWarning, nan
+# these returned poles
+@example(pair=("pole_residue_pairs t_param", math.nan))
+@example(pair=("pole_residue_pairs t_param", -5.0))
 # this one returned a target for an opening outside the domain
 @example(pair=("corner_target beta", 2.5))
 # each of these once escaped as OverflowError

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightningfit import InputError, NumericError, integrate, integrate_many, quadrature
+from lightningfit import InputError, NumericError, integrate_many, quadrature
 from lightningfit.quadrature import GAUSS, KRONROD, NODES
+
+
+def integrate_one(func, edges, tol):
+    """`integrate_many` with the one integrand func(t) to absolute tol."""
+    return integrate_many(lambda t, k: func(t), edges, [tol], ["the integral"])[0]
 
 
 def segment(func, z0, z1):
@@ -19,33 +24,33 @@ def segment(func, z0, z1):
 
 def test_polynomial_near_exact():
     # K15 integrates cubics exactly; only roundoff remains
-    val = integrate(lambda x: x**3 - 2 * x, (0.0, 2.0), 1e-14)
+    val = integrate_one(lambda x: x**3 - 2 * x, (0.0, 2.0), 1e-14)
     assert val == pytest.approx(0.0, abs=1e-13)
 
 
 def test_smooth_oscillatory():
-    val = integrate(np.sin, (0.0, math.pi), 1e-13)
+    val = integrate_one(np.sin, (0.0, math.pi), 1e-13)
     assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exp_tail():
-    val = integrate(lambda s: np.exp(-s), (0.0, 40.0), 1e-13)
+    val = integrate_one(lambda s: np.exp(-s), (0.0, 40.0), 1e-13)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sharp_peak():
     # width-0.01 bump forces several bisections before the tolerance is met
-    val = integrate(lambda x: 1.0 / (1e-4 + x**2), (-1.0, 1.0), 1e-10)
+    val = integrate_one(lambda x: 1.0 / (1e-4 + x**2), (-1.0, 1.0), 1e-10)
     exact = 2.0 * math.atan(1e2) / 1e-2
     assert val == pytest.approx(exact, rel=1e-11)
 
 
 def test_zero_width_interval():
-    assert integrate(lambda x: np.exp(x), (1.0, 1.0), 1e-13) == 0.0
+    assert integrate_one(lambda x: np.exp(x), (1.0, 1.0), 1e-13) == 0.0
 
 
 def test_tolerance_is_absolute():
-    big = integrate(lambda x: 1e8 * np.ones_like(x), (0.0, 1.0), 1e-4)
+    big = integrate_one(lambda x: 1e8 * np.ones_like(x), (0.0, 1.0), 1e-4)
     assert big == pytest.approx(1e8, abs=1e-4)
 
 
@@ -57,7 +62,7 @@ def test_unreachable_tolerance_raises(monkeypatch):
         return np.sin(x) + 1e-3 * np.sin(1e7 * x)
 
     with pytest.raises(NumericError):
-        integrate(noisy, (0.0, 1.0), 1e-15)
+        integrate_one(noisy, (0.0, 1.0), 1e-15)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
@@ -65,18 +70,18 @@ def test_tolerance_must_be_positive_and_finite(tol):
     # checked before any evaluation, not after the evaluation budget runs out
     calls = []
     with pytest.raises(InputError, match="tol must be"):
-        integrate(lambda x: calls.append(x) or np.sin(x), (0.0, 1.0), tol)
+        integrate_one(lambda x: calls.append(x) or np.sin(x), (0.0, 1.0), tol)
     assert calls == []
 
 
 @pytest.mark.parametrize("edges", [(1.0, 0.0), (0.0,), (0.0, np.inf), (0.0, np.nan, 1.0)])
 def test_edges_must_be_an_ordered_finite_sequence(edges):
     with pytest.raises(InputError):
-        integrate(np.sin, edges, 1e-13)
+        integrate_one(np.sin, edges, 1e-13)
 
 
 def test_complex_integrand():
-    val = integrate(lambda t: np.exp(1j * t), (0.0, math.pi / 2), 1e-13)
+    val = integrate_one(lambda t: np.exp(1j * t), (0.0, math.pi / 2), 1e-13)
     assert val == pytest.approx(1.0 + 1j, abs=1e-12)
 
 
@@ -85,15 +90,15 @@ def test_line_integral_cauchy():
     corners = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
     total = 0.0j
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        total += integrate(segment(lambda z: 1.0 / z, z0, z1), (0.0, 1.0), 1e-12)
+        total += integrate_one(segment(lambda z: 1.0 / z, z0, z1), (0.0, 1.0), 1e-12)
     assert total == pytest.approx(2j * math.pi, abs=1e-11)
 
 
 def test_line_integral_entire_function_path_independence():
     f = lambda z: z * np.exp(z)
-    direct = integrate(segment(f, 0.0, 1 + 1j), (0.0, 1.0), 1e-13)
-    dogleg = integrate(segment(f, 0.0, 1.0), (0.0, 1.0), 1e-13) \
-        + integrate(segment(f, 1.0, 1 + 1j), (0.0, 1.0), 1e-13)
+    direct = integrate_one(segment(f, 0.0, 1 + 1j), (0.0, 1.0), 1e-13)
+    dogleg = integrate_one(segment(f, 0.0, 1.0), (0.0, 1.0), 1e-13) \
+        + integrate_one(segment(f, 1.0, 1 + 1j), (0.0, 1.0), 1e-13)
     assert direct == pytest.approx(dogleg, abs=1e-12)
 
 
@@ -114,7 +119,7 @@ def test_jump_at_an_edge_is_cheap():
         calls.append(x.size)
         return np.where(x < 0.3, np.cos(x), 2.0 + np.cos(x))
 
-    val = integrate(step, (0.0, 0.3, 1.0), 1e-13)
+    val = integrate_one(step, (0.0, 0.3, 1.0), 1e-13)
     assert val == pytest.approx(math.sin(1.0) + 1.4, abs=1e-13)
     assert sum(calls) < 200
 
@@ -150,7 +155,7 @@ def test_each_integral_gets_the_bits_it_gets_alone(cases, edges):
                               [tol for *_, tol in cases],
                               [f"integral {j}" for j in range(len(cases))])
     for (family, c, tol), value in zip(cases, together):
-        alone = integrate(lambda t: FAMILIES[family](c, t), edges, tol)
+        alone = integrate_one(lambda t: FAMILIES[family](c, t), edges, tol)
         assert bits(value) == bits(alone)
 
 
@@ -162,7 +167,7 @@ def test_the_budget_is_per_integral(monkeypatch):
         return 1.0 / (1e-4 + t * t)
 
     used = []
-    integrate(lambda x: used.append(x.size) or peak(x, None), (-1.0, 1.0), 1e-10)
+    integrate_one(lambda x: used.append(x.size) or peak(x, None), (-1.0, 1.0), 1e-10)
     monkeypatch.setattr(quadrature, "MAX_EVALS", sum(used))
     assert len(integrate_many(peak, (-1.0, 1.0), [1e-10] * 2, ["a", "b"])) == 2
     monkeypatch.setattr(quadrature, "MAX_EVALS", sum(used) - 1)

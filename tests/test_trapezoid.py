@@ -5,13 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lightningfit import (ContourSetup, InputError,
-                          TrapApproximant, default_step, large_pole_tail,
-                          residue_rate_check, t_parameter,
+                          TrapApproximant, default_step, error_integrand,
+                          large_pole_tail, residue_rate_check, t_parameter,
                           tapered_poles, trap_error_bound,
                           trap_partial_fractions, trap_eval,
-                          truncated_sqrt_integral)
+                          truncated_sqrt_integral, validity_floor)
 
 
 def naive_partial_fraction_sum(pf, x):
@@ -55,6 +57,34 @@ def test_trap_eval_at_zero_and_scalar():
     assert trap_eval(t, 0.0) == 0.0
     assert np.isscalar(trap_eval(t, 0.25)) or trap_eval(t, 0.25).ndim == 0
     assert trap_eval(t, 0.25) == pytest.approx(0.5, abs=trap_error_bound(16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nt=st.integers(16, 400), beta=st.sampled_from((0.0, 0.5, 1.0)),
+       w=st.floats(0.0, 1.0))
+# interval rows at the validity floor where numpy's complex z / pi and
+# Python's componentwise quotient differ in the last bit
+@example(nt=23, beta=0.0, w=0.0)
+@example(nt=34, beta=0.0, w=0.0)
+@example(nt=65, beta=0.0, w=0.0)
+def test_error_integrand_bits_do_not_depend_on_how_z_is_held(nt, beta, w):
+    """A Python complex z and the same z in an array of shape (), (1,) or
+    (n, 1) give error_integrand the same bits, at the rule's nodes and on
+    the contour rectangle; and trap_eval is the node sum of the scalar-z
+    integrand, bit for bit.  The radius runs log-uniformly from the
+    validity floor (w = 0) to 1 (w = 1)."""
+    setup = ContourSetup(validity_floor(TrapApproximant(nt, beta)) ** (1.0 - w),
+                         nt, beta)
+    rule, z = setup.rule, setup.z
+    nodes = rule.step * np.arange(1, nt + 1)
+    corners = np.array(setup.corners)
+    u = np.concatenate((nodes, corners[:-1] + 0.5 * np.diff(corners)))
+    alone = error_integrand(u, z, rule.t_param)
+    for held in (np.array(z), np.array([z]), np.full((3, 1), z)):
+        got = np.broadcast_to(error_integrand(u, held, rule.t_param), (3, u.size))
+        assert all(row.tobytes() == alone.tobytes() for row in got), held.shape
+    node_sum = rule.step * np.sum(error_integrand(nodes, z, rule.t_param))
+    assert np.complex128(trap_eval(rule, z)).tobytes() == node_sum.tobytes()
 
 
 def test_trap_eval_rejects_pole_hit():
