@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,8 @@ def pole_residue_pairs(z: complex, t_param: float, kmax: int = 0):
     w = T + log|z|/2 + i(arg z + (2k+1) pi (+/-1))/2; its residue is
     -/+ i (-1)^k sqrt(z)/pi.  Ordered k = 0..kmax, upper before lower.
     """
+    if not isinstance(z, numbers.Complex):
+        raise InputError(f"z must be complex, got {z!r}")
     z = complex(z)
     r = abs(z)
     if not 0 < r <= 1 + 1e-12:

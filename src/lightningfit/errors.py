@@ -63,10 +63,10 @@ class InputError(LightningError, ValueError):
     def check_reals(value, message: str) -> np.ndarray:
         """value as a new float64 array, if it holds only reals; else
         InputError(message).  Complex and text arrays are refused, not cut
-        to their real part or parsed."""
+        to their real part or parsed, and so is None, not turned into nan."""
         try:
             array = np.asarray(value)
-            if array.dtype.kind in "cSU":
+            if array.dtype.kind in "cSU" or (array.dtype == object and None in array.flat):
                 raise TypeError
             return array.astype(float)
         except (TypeError, ValueError, OverflowError):

@@ -17,7 +17,8 @@ from .contour import (ContourSetup, error_identity_report, residue_rate_check,
                       validity_floor)
 from .density import count_large_poles, pole_from_density
 from .errors import InputError, LightningError, NumericError
-from .fitting import DEFAULT_TSVD_EPS, BasisSpec, FitReport, fit, fit_nested
+from .fitting import (DEFAULT_TSVD_EPS, VAL_PER_ARM, BasisSpec, FitReport, fit,
+                      fit_nested)
 from .poles import big_poles, tapered_poles, uniform_poles
 from .problems import DECADES, Domain, Target, build_fit_grid
 from .tables import ResultTable
@@ -47,7 +48,6 @@ VSHAPE_SIGMA_RULES = {
 }
 # both sigma sweeps: 41 geometric values from 2 to 30
 SIGMA_GRID = tuple(float(s) for s in np.geomspace(2.0, 30.0, 41))
-VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 
 
 def poly_degree_rule(n1: int) -> int:
@@ -61,14 +61,13 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
 
 
 def _sweep(target, domain, per_arm, eps_rel, keys, spec_of):
-    """Fit spec_of(key) for each key in one fit_nested call, on the fit and
-    validation grids of the domain it builds, after building every spec;
-    raises the first key's error when none can be built.  Returns
+    """Fit spec_of(key) for each key in one fit_nested call, on the fit
+    grid of the domain it builds, after building every spec; raises the
+    first key's error when none can be built.  Returns
     [(key, report, "")] in key order, with (key, _FAILED, reason) where the
     spec or the fit raised a LightningError.
     """
     grid = build_fit_grid(domain, per_arm)
-    vgrid = build_fit_grid(domain, VAL_PER_ARM)
     keys = list(keys)
     specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
@@ -78,8 +77,7 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of):
             results[i] = exc
     if results and not specs:
         raise results[0]
-    for i, result in zip(specs, fit_nested(target, list(specs.values()), grid,
-                                           vgrid, eps_rel)):
+    for i, result in zip(specs, fit_nested(target, list(specs.values()), grid, eps_rel)):
         results[i] = result if isinstance(result, LightningError) else result[1]
     return [(key, _FAILED, str(results[i])) if isinstance(results[i], LightningError)
             else (key, results[i], "") for i, key in enumerate(keys)]
@@ -101,9 +99,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     if sigma is None:
         sigma = VSHAPE_SIGMA_RULES["opening-matched"](domain.beta)
     spec = BasisSpec(tapered_poles(n1, sigma, scale), poly_degree=n2)
-    grid = build_fit_grid(domain, per_arm)
-    vgrid = build_fit_grid(domain, VAL_PER_ARM)
-    _, rep = fit(fitted, spec, grid, vgrid, eps_rel)
+    _, rep = fit(fitted, spec, build_fit_grid(domain, per_arm), eps_rel)
     row = (target, fitted.alpha, domain.beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
     config = {"target": fitted.kind, "alpha": fitted.alpha,

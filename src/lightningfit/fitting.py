@@ -77,10 +77,11 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import InputError, LightningError, NumericError
-from .problems import SampleGrid, Target, eval_target
+from .problems import SampleGrid, Target, build_fit_grid, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
 _EVAL_CHUNK = 4096  # points whose basis columns are evaluated at a time
+VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
@@ -443,23 +444,24 @@ def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
 
 
 def fit(target: Target, spec: BasisSpec, grid: SampleGrid,
-        validation_grid: SampleGrid, eps_rel: float = DEFAULT_TSVD_EPS):
+        eps_rel: float = DEFAULT_TSVD_EPS):
     """Least-squares fit of the target over the fit grid.
 
-    Returns (Approximant, FitReport).  The report's max_err is measured on
-    the validation grid, not the fit grid.  A sweep passes all its specs
-    to one `fit_nested` call instead, which shares the pole-independent
-    work.
+    Returns (Approximant, FitReport).  max_err is measured on VAL_PER_ARM
+    log-spaced points per arm of the fit grid's domain, not on the fit
+    grid; `max_error` measures on any other grid.  A sweep passes all its
+    specs to one `fit_nested` call instead, which shares the pole-independent work.
     """
-    result, = fit_nested(target, [spec], grid, validation_grid, eps_rel)
+    result, = fit_nested(target, [spec], grid, eps_rel)
     if isinstance(result, LightningError):
         raise result
     return result
 
 
-def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleGrid,
+def fit_nested(target: Target, specs, grid: SampleGrid,
                eps_rel: float = DEFAULT_TSVD_EPS) -> list:
-    """Fit every spec of a sweep on the same grids, whatever its poles.
+    """Fit every spec of a sweep on the same grid, whatever its poles, and
+    validate every fit on `build_fit_grid(grid.domain, VAL_PER_ARM)`.
 
     A spec whose fit would allocate an array above the cap (see
     `InputError.check_entries`) is refused first, with InputError.  What
@@ -472,16 +474,11 @@ def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleG
     at the group's largest degree, solves every degree in it, and one
     validation pass serves them all.  Returns per spec `fit`'s
     (Approximant, FitReport) or the LightningError it raised.  An eps_rel
-    outside (0, 1], or two grids on different domains, raises InputError
-    before any fit.
+    outside (0, 1] raises InputError before any fit.
     """
     _check_eps(eps_rel)
-    if grid.domain != validation_grid.domain:
-        raise InputError(f"a fit grid on beta = {grid.domain.beta} cannot be "
-                         f"validated on beta = {validation_grid.domain.beta}")
-    specs, vpts = list(specs), validation_grid.points
-    rows = _weight(grid.points) * len(grid)
-    results = [_refusal(spec, rows, vpts) for spec in specs]
+    specs = list(specs)
+    results = [_refusal(spec, grid) for spec in specs]
     carried = max((s.poly_degree for s, refused in zip(specs, results)
                    if refused is None), default=-1)
     chain = (None, None, None)
@@ -489,6 +486,7 @@ def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleG
         chain = _poly_chain_build(grid.points, carried)
         carried = chain[1].shape[1]  # lower where the recurrence broke down
     fvec = eval_target(target, grid.points)
+    vpts = build_fit_grid(grid.domain, VAL_PER_ARM).points
     with np.errstate(over="ignore", invalid="ignore"):
         validation = (vpts, eval_target(target, vpts),
                       None if carried < 0 else _poly_chain_eval(vpts, *chain[1:]))
@@ -508,10 +506,12 @@ def fit_nested(target: Target, specs, grid: SampleGrid, validation_grid: SampleG
     return results
 
 
-def _refusal(spec: BasisSpec, rows: int, vpts: np.ndarray):
+def _refusal(spec: BasisSpec, grid: SampleGrid):
     """The InputError of a spec at a polynomial degree at or beyond the fit
     grid's rows, or whose system, polynomial block on either grid or
     validation chunk is above the cap; else None."""
+    weight = _weight(grid.points)  # the validation grid's too: one domain
+    rows = weight * len(grid)
     try:
         if spec.poly_degree >= rows:
             raise InputError(f"polynomial degree {spec.poly_degree} needs "
@@ -519,9 +519,9 @@ def _refusal(spec: BasisSpec, rows: int, vpts: np.ndarray):
         InputError.check_entries("the least-squares system",
                                  rows * (spec.n_columns + 1))
         InputError.check_entries("the polynomial block", (spec.poly_degree + 1)
-                                 * max(rows, vpts.view(float).size))
+                                 * weight * max(len(grid), VAL_PER_ARM))
         InputError.check_entries("a validation chunk",
-                                 min(_EVAL_CHUNK, len(vpts)) * len(spec.poles))
+                                 min(_EVAL_CHUNK, VAL_PER_ARM) * len(spec.poles))
     except InputError as exc:
         return exc
     return None

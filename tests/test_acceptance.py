@@ -25,7 +25,6 @@ from lightningfit.density import (
     stahl_density,
 )
 from lightningfit.experiments import (
-    VAL_PER_ARM,
     corner_sigma_rule,
     run_convergence,
     run_corner_sigma,
@@ -34,7 +33,7 @@ from lightningfit.experiments import (
     run_vshape,
     slope_vs_sqrt_n,
 )
-from lightningfit.fitting import BasisSpec, fit
+from lightningfit.fitting import VAL_PER_ARM, BasisSpec, fit
 from lightningfit.poles import tapered_poles
 from lightningfit.problems import (
     Domain,
@@ -276,13 +275,12 @@ def test_11_coefficient_norm_floor():
     """
     domain = Domain()
     grid = build_fit_grid(domain)
-    vgrid = build_fit_grid(domain, per_arm=VAL_PER_ARM)
     plain = BasisSpec(tapered_poles(59, math.sqrt(2.0) * math.pi, 1.0),
                       poly_degree=0)
     aug = BasisSpec(tapered_poles(49, 2.0 * math.sqrt(2.0) * math.pi, 1.0),
                     poly_degree=10)
-    _, rep_p = fit(Target("sqrt"), plain, grid, vgrid, eps_rel=2e-14)
-    _, rep_a = fit(Target("sqrt"), aug, grid, vgrid, eps_rel=2e-14)
+    _, rep_p = fit(Target("sqrt"), plain, grid, eps_rel=2e-14)
+    _, rep_a = fit(Target("sqrt"), aug, grid, eps_rel=2e-14)
     ratio = rep_p.coeff_2norm / rep_a.coeff_2norm
     floor = 100.0 * 2e-14 * rep_a.coeff_2norm
     print(f"criterion 11: norm ratio {ratio:.3e} (>= 100); augmented "

@@ -144,7 +144,7 @@ def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
     spec = lightningfit.BasisSpec(lightningfit.tapered_poles(6, 8.0), poly_degree=2)
     grid = lightningfit.build_fit_grid(lightningfit.Domain())
     with pytest.raises(lightningfit.NumericError, match="SVD did not converge"):
-        lightningfit.fit(lightningfit.Target("sqrt"), spec, grid, grid)
+        lightningfit.fit(lightningfit.Target("sqrt"), spec, grid)
     code, out, err = run_cli(capsys, "fit")
     assert code == 2
     assert out == ""
@@ -560,7 +560,7 @@ def test_every_package_parameter_has_a_caller():
 
 def test_the_package_guard_sees_an_uncalled_default(tmp_path):
     (tmp_path / "calls.py").write_text(
-        "tapered_poles(8, 2.0)\nfit(t, s, g, v, eps_rel=e)\nf = fit_nested\n"
+        "tapered_poles(8, 2.0)\nfit(t, s, g, eps_rel=e)\nf = fit_nested\n"
         "evaluate(a, *points)\n")
     uncalled = _uncalled_defaults([tmp_path])
     assert "tapered_poles.scale" in uncalled

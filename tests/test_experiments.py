@@ -22,7 +22,6 @@ from lightningfit.experiments import (
     CONVERGENCE_VARIANTS,
     DEFAULT_N1_LIST,
     GRID_N2,
-    VAL_PER_ARM,
     VSHAPE_SIGMA_RULES,
     corner_sigma_rule,
     corner_target,
@@ -234,12 +233,10 @@ def test_grid_rows_match_fits_on_fresh_grids():
     target = Target("power", tab.meta["alpha"])
     specs = [BasisSpec(tapered_poles(16, tab.meta["sigma"], 1.0), poly_degree=n2)
              for n2 in GRID_N2]
-    nested = fit_nested(target, specs, build_fit_grid(domain),
-                        build_fit_grid(domain, per_arm=VAL_PER_ARM))
+    nested = fit_nested(target, specs, build_fit_grid(domain))
     assert tab.column("max_err") == [rep.max_err for _, rep in nested]
     for spec, (_, rep) in zip(specs, nested):
-        _, alone = fit(target, spec, build_fit_grid(domain),
-                       build_fit_grid(domain, per_arm=VAL_PER_ARM))
+        _, alone = fit(target, spec, build_fit_grid(domain))
         assert rep.eff_rank == alone.eff_rank
         assert abs(rep.max_err - alone.max_err) <= 1e-4 * alone.max_err + 1e-13
 
@@ -252,8 +249,7 @@ def test_nested_reports_do_not_depend_on_degree_order():
     def reports(degrees):
         specs = [BasisSpec(poles, poly_degree=d) for d in degrees]
         return dict(zip(degrees, (rep for _, rep in fit_nested(
-            target, specs, build_fit_grid(domain),
-            build_fit_grid(domain, per_arm=VAL_PER_ARM)))))
+            target, specs, build_fit_grid(domain)))))
 
     assert reports((9, 2, 15, 5)) == reports((15, 9, 5, 2))
 
@@ -284,8 +280,7 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
     specs = [BasisSpec(tapered_poles(4, tab.meta["sigma"], 1.0), poly_degree=n2)
              for n2 in range(8)]
     feasible = fit_nested(Target("power", tab.meta["alpha"]), specs,
-                          build_fit_grid(domain, per_arm=8),
-                          build_fit_grid(domain, per_arm=VAL_PER_ARM))
+                          build_fit_grid(domain, per_arm=8))
     assert tab.column("max_err")[:8] == [rep.max_err for _, rep in feasible]
 
 

@@ -14,23 +14,19 @@ from lightningfit import (BasisSpec, Domain, InputError, NumericError,
                           eval_target, evaluate, fit, max_error, tapered_poles,
                           uniform_poles)
 from lightningfit import fitting
-from lightningfit.experiments import VAL_PER_ARM, run_fit, run_grid
-from lightningfit.fitting import (DEFAULT_TSVD_EPS, _factor, _poly_chain_build,
-                                  _poly_chain_eval, _solve_r, _write_system,
-                                  fit_nested)
+from lightningfit.experiments import run_fit, run_grid
+from lightningfit.fitting import (DEFAULT_TSVD_EPS, VAL_PER_ARM, _factor,
+                                  _poly_chain_build, _poly_chain_eval, _solve_r,
+                                  _write_system, fit_nested)
 
 SQRT = Target("sqrt")
 INTERVAL = Domain()
 
 
-def _fit(spec, grid=None, validation_grid=None):
-    """fit of sqrt on the grids given; by default on the interval's fit
-    grid, and validated on VAL_PER_ARM points per arm of the fit grid's
-    domain, the grids run_fit builds."""
-    grid = build_fit_grid(INTERVAL) if grid is None else grid
-    if validation_grid is None:
-        validation_grid = build_fit_grid(grid.domain, per_arm=VAL_PER_ARM)
-    return fit(SQRT, spec, grid, validation_grid)
+def _fit(spec, grid=None):
+    """fit of sqrt on the grid given, by default the interval's fit grid,
+    the one run_fit builds."""
+    return fit(SQRT, spec, build_fit_grid(INTERVAL) if grid is None else grid)
 
 
 def _basis(grid, spec):
@@ -226,7 +222,7 @@ def test_tsvd_input_validation():
     grid = build_fit_grid(INTERVAL, per_arm=50)
     for eps_rel in (0.0, -1.0, math.nan, 2.0, math.inf, "1e-14"):
         with pytest.raises(InputError, match="eps_rel must"):
-            fit(SQRT, spec, grid, grid, eps_rel=eps_rel)
+            fit(SQRT, spec, grid, eps_rel=eps_rel)
     with pytest.raises(NumericError):
         _tsvd(np.zeros((3, 3)), np.ones(3))
 
@@ -327,6 +323,17 @@ def test_max_error_agrees_with_direct_computation(beta, degree):
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_fit_validates_on_its_domains_validation_grid(beta):
+    """fit takes the fit grid alone; its max_err is, bit for bit, max_error
+    on VAL_PER_ARM points per arm of that grid's domain."""
+    domain = Domain(beta)
+    approx, report = fit(SQRT, BasisSpec(tapered_poles(12, 6.0), poly_degree=8),
+                         build_fit_grid(domain))
+    assert report.max_err == max_error(approx, SQRT,
+                                       build_fit_grid(domain, VAL_PER_ARM))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_constant_column_is_exact(beta):
     grid = build_fit_grid(Domain(beta), per_arm=300)
     system = _basis(grid, BasisSpec(poly_degree=0))
@@ -340,13 +347,12 @@ def test_constant_column_is_exact(beta):
                   == system[0])
 
 
-def _fit_on(target, degree, grid, vgrid):
-    return fit(target, BasisSpec(tapered_poles(12, 6.0), poly_degree=degree),
-               grid, vgrid)
+def _fit_on(target, degree, grid):
+    return fit(target, BasisSpec(tapered_poles(12, 6.0), poly_degree=degree), grid)
 
 
-def _grids(domain, per_arm=400):
-    return build_fit_grid(domain, per_arm=per_arm), build_fit_grid(domain, per_arm=1500)
+def _grid(domain, per_arm=400):
+    return build_fit_grid(domain, per_arm=per_arm)
 
 
 def _assert_same_fit(a, b):
@@ -368,9 +374,9 @@ def test_lower_degree_served_from_higher_degree_block(beta):
     degree-15 block."""
     specs = [BasisSpec(tapered_poles(12, sigma), poly_degree=degree)
              for sigma, degree in ((6.0, 3), (7.0, 15), (8.0, 3))]
-    nested = fit_nested(SQRT, specs, *_grids(Domain(beta)))
+    nested = fit_nested(SQRT, specs, _grid(Domain(beta)))
     for spec, result in zip(specs, nested):
-        _assert_same_fit(result, fit(SQRT, spec, *_grids(Domain(beta))))
+        _assert_same_fit(result, fit(SQRT, spec, _grid(Domain(beta))))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -397,11 +403,11 @@ def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
 
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
-    nested = fit_nested(SQRT, specs, *_grids(Domain(beta)))
+    nested = fit_nested(SQRT, specs, _grid(Domain(beta)))
     assert calls == {"build": 1, "eval": 1}
     monkeypatch.undo()
     for group in ([0, 3], [1, 4], [2]):
-        alone = fit_nested(SQRT, [specs[i] for i in group], *_grids(Domain(beta)))
+        alone = fit_nested(SQRT, [specs[i] for i in group], _grid(Domain(beta)))
         for i, result in zip(group, alone):
             _assert_same_fit(nested[i], result)
 
@@ -461,11 +467,11 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch, factored):
     monkeypatch.setattr(fitting, "_pf_kernel", counted_kernel)
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
     domain = Domain(1.0)
-    grid, vgrid = _grids(domain)
-    approx, report = _fit_on(SQRT, 8, grid, vgrid)
+    grid = _grid(domain)
+    approx, report = _fit_on(SQRT, 8, grid)
     assert [(a.dtype, a.shape) for a in factored] == \
         [(np.dtype(np.float64), (2 * len(grid), 12 + 9 + 1))]
-    assert sum(kernel_points) == len(grid) + len(vgrid)
+    assert sum(kernel_points) == len(grid) + VAL_PER_ARM
     assert complex_pf == []  # no point is near enough a pole to need it
     assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
     # the residual norm is both arms'
@@ -480,8 +486,7 @@ def test_system_is_column_major_and_factored_as_is(monkeypatch, factored, beta):
     a fit hands geqrf that very array; its R is bit for bit
     numpy.linalg.qr's R of the C-order copy, which LAPACK would first
     gather column by column."""
-    domain = Domain(beta)
-    grid, vgrid = _grids(domain)
+    grid = _grid(Domain(beta))
     spec = BasisSpec(tapered_poles(12, 6.0), poly_degree=8)
     system, _ = _write_system(grid, spec, eval_target(SQRT, grid.points),
                               _poly_chain_build(grid.points, 8)[0])
@@ -496,7 +501,7 @@ def test_system_is_column_major_and_factored_as_is(monkeypatch, factored, beta):
         return factor(a)
 
     monkeypatch.setattr(fitting, "_factor", recorded_factor)
-    _fit_on(SQRT, 8, grid, vgrid)
+    _fit_on(SQRT, 8, grid)
     assert [a.flags.f_contiguous for a in inputs] == [True]
     assert [np.shares_memory(a, b) for a, b in zip(factored, inputs)] == [True]
 
@@ -528,11 +533,10 @@ def test_residual_norm_from_r_is_the_direct_one(beta):
     """resid_2norm, computed from R, agrees with sqrt(w) ||A c - f|| on the
     fit grid, also for a degree solved from a prefix of a larger system,
     where the residual sits far above the rounding floor."""
-    domain = Domain(beta)
-    grid, vgrid = _grids(domain)
+    grid = _grid(Domain(beta))
     fvec = eval_target(Target("sqrt"), grid.points).view(float)
     specs = [BasisSpec(tapered_poles(6, 4.0), poly_degree=d) for d in (2, 6)]
-    for spec, (approx, report) in zip(specs, fit_nested(SQRT, specs, grid, vgrid)):
+    for spec, (approx, report) in zip(specs, fit_nested(SQRT, specs, grid)):
         residual = _basis(grid, spec) @ approx.coeffs - fvec
         direct = math.sqrt(2 if beta else 1) * np.linalg.norm(residual)
         assert report.resid_2norm > 1e-6
@@ -541,13 +545,11 @@ def test_residual_norm_from_r_is_the_direct_one(beta):
 
 def test_kept_data_separates_targets_and_fit_grids():
     domain = Domain(0.5)
-    grid, vgrid = _grids(domain)
-    other_grid = build_fit_grid(domain, per_arm=300)
     for target in (Target("sqrt"), Target("power", 0.3)):
-        for fit_grid in (grid, other_grid):
+        for fit_grid in (_grid(domain), _grid(domain, per_arm=300)):
             fresh = build_fit_grid(domain, per_arm=len(fit_grid))
-            _assert_same_fit(_fit_on(target, 8, fit_grid, vgrid),
-                             _fit_on(target, 8, fresh, _grids(domain)[1]))
+            _assert_same_fit(_fit_on(target, 8, fit_grid),
+                             _fit_on(target, 8, fresh))
 
 
 def test_polynomial_degree_must_fit_the_grid():
@@ -562,8 +564,7 @@ def test_degree_failures_are_decided_per_spec():
     grid's size, each in its own slot of the one call."""
     grid = SampleGrid(points=np.full(10, 0.5), domain=Domain(0.0))
     constant, past, beyond = fit_nested(
-        SQRT, [BasisSpec(poly_degree=d) for d in (0, 3, 12)], grid,
-        build_fit_grid(INTERVAL, per_arm=VAL_PER_ARM))
+        SQRT, [BasisSpec(poly_degree=d) for d in (0, 3, 12)], grid)
     assert (constant[1].max_err, constant[1].eff_rank) == (0.7071067711865476, 1)
     assert type(past) is NumericError
     assert str(past) == "grid cannot support the requested polynomial degree"
@@ -571,27 +572,25 @@ def test_degree_failures_are_decided_per_spec():
     assert str(beyond) == "polynomial degree 12 needs more than the grid's 10 points"
 
 
-@pytest.mark.parametrize("which", ["grid", "validation_grid"])
-def test_grids_must_lie_on_the_problems_domain(which):
-    """The two grids lie on one domain, the problem's: a fit grid or a
-    validation grid on another one is refused."""
-    spec = BasisSpec(tapered_poles(10, 6.0), poly_degree=4)
-    grids = dict(zip(("grid", "validation_grid"), _grids(Domain(1.0))))
-    grids[which] = build_fit_grid(Domain(0.0))
-    with pytest.raises(InputError, match="cannot be validated on beta"):
-        fit(SQRT, spec, **grids)
-
-
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_approximant_outlives_its_grids(beta):
-    """An approximant holds no grid: its grids and their kept data are
-    freed once dropped, and it evaluates as before."""
-    grid, vgrid = _grids(Domain(beta))
-    approx, _ = _fit_on(SQRT, 8, grid, vgrid)
+def test_approximant_outlives_its_grids(monkeypatch, beta):
+    """An approximant holds no grid: its fit grid, the validation grid the
+    fit builds and their kept data are freed once dropped, and it
+    evaluates as before."""
+    built = []
+
+    def recorded(domain, per_arm):
+        built.append(build_fit_grid(domain, per_arm))
+        return built[-1]
+
+    monkeypatch.setattr(fitting, "build_fit_grid", recorded)
+    grid = _grid(Domain(beta))
+    approx, _ = _fit_on(SQRT, 8, grid)
+    assert [len(g) for g in built] == [VAL_PER_ARM]
     pts = build_fit_grid(Domain(beta), per_arm=777).points
     before = evaluate(approx, pts)
-    refs = weakref.ref(grid), weakref.ref(vgrid)
-    del grid, vgrid
+    refs = weakref.ref(grid), weakref.ref(built.pop())
+    del grid
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert np.array_equal(evaluate(approx, pts), before)
@@ -606,7 +605,7 @@ def test_evaluate_refuses_non_finite_points_and_overflow(beta, point, error):
     """No point gives a numpy warning or a silent nan (the suite turns a
     RuntimeWarning into an error): a point that is not finite is bad input,
     a value that overflows a numeric failure."""
-    approx, _ = _fit_on(SQRT, 8, *_grids(Domain(beta)))
+    approx, _ = _fit_on(SQRT, 8, _grid(Domain(beta)))
     with pytest.raises(error):
         evaluate(approx, [0.5, point])
 

@@ -40,7 +40,7 @@ NOT_AN_OPENING = NOT_POSITIVE + (2.0, 2.5)
 NOT_POINTS = ("abc", "0.5", b"0.5", {}, [0.5, [0.5, 0.25]], math.nan, math.inf)
 
 APPROX, _ = fit(Target("sqrt"), BasisSpec(tapered_poles(8, 5.0), poly_degree=3),
-                build_fit_grid(Domain(), per_arm=100), build_fit_grid(Domain(), per_arm=200))
+                build_fit_grid(Domain(), per_arm=100))
 
 
 def not_a_count(least=1):
@@ -89,6 +89,9 @@ CASES = {
     "pole_residue_pairs kmax": (lambda v: pole_residue_pairs(0.5, 3.0, v),
                                 not_a_count(0)),
     "pole_residue_pairs t_param": (lambda v: pole_residue_pairs(0.5, v), NOT_POSITIVE),
+    # a point of the unit disk: text is not parsed; |z| = 0 and > 1 are out
+    "pole_residue_pairs z": (lambda v: pole_residue_pairs(v, 3.0),
+                             NOT_POINTS + (None, [0.5], 0, 1.5)),
     "quadrature_error_kernel step": (lambda v: quadrature_error_kernel(1 + 1j, v),
                                      NOT_POSITIVE),
     # residue_terms passes one step per pole
@@ -138,6 +141,8 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 # these returned poles
 @example(pair=("pole_residue_pairs t_param", math.nan))
 @example(pair=("pole_residue_pairs t_param", -5.0))
+@example(pair=("pole_residue_pairs z", "0.5"))
+@example(pair=("pole_residue_pairs z", None))  # TypeError
 # this one returned a target for an opening outside the domain
 @example(pair=("corner_target beta", 2.5))
 # each of these once escaped as OverflowError
@@ -166,6 +171,18 @@ def _assert_input_error(name, value):
             result = None
     assert result is None, f"{name} = {value!r} returned {result!r}"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quadrature_error_kernel(1 + 1j, None), "step must be real"),
+    (lambda: invert_stahl_density(8, None), "j must be real"),
+    (lambda: invert_stahl_density(8, [1.0, None]), "j must be real"),
+], ids=["step", "j", "j in a list"])
+def test_none_among_reals_is_refused_not_read_as_nan(call, message):
+    """check_reals refuses None, so the refusal does not name nan."""
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def _check_number_bounds(tree):

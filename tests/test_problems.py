@@ -137,9 +137,8 @@ def test_grid_holds_contiguous_float64_or_complex128_points():
         wide = SampleGrid(points=narrow.astype(grid.points.dtype), domain=domain)
         assert coarse.points.dtype == grid.points.dtype
         assert coarse.points.flags.c_contiguous
-        vgrid = build_fit_grid(domain, per_arm=500)
-        assert np.array_equal(fit(Target("sqrt"), spec, coarse, vgrid)[0].coeffs,
-                              fit(Target("sqrt"), spec, wide, vgrid)[0].coeffs)
+        assert np.array_equal(fit(Target("sqrt"), spec, coarse)[0].coeffs,
+                              fit(Target("sqrt"), spec, wide)[0].coeffs)
 
 
 def test_grid_points_read_only():
@@ -169,17 +168,18 @@ def test_grid_radii_stay_normal_and_distinct_up_to_the_cap():
 
 
 def test_validation_grid_default_density(monkeypatch):
-    """run_fit and the sweeps validate on 10000 points per arm, over the
-    fit grid's DECADES."""
+    """run_fit and the sweeps build the fit grid, and fitting the
+    validation grid: 10000 points per arm, over the fit grid's DECADES."""
     seen = []
 
-    def recorded(target, specs, grid, validation_grid, eps_rel):
-        seen.append((len(grid), len(validation_grid), validation_grid.points[0]))
-        return fit_nested(target, specs, grid, validation_grid, eps_rel)
+    def recorded(domain, per_arm):
+        grid = build_fit_grid(domain, per_arm)
+        seen.append((len(grid), grid.points[0]))
+        return grid
 
-    fit_nested = fitting.fit_nested
-    for module in (experiments, fitting):  # run_fit calls fitting.fit
-        monkeypatch.setattr(module, "fit_nested", recorded)
+    for module in (experiments, fitting):
+        monkeypatch.setattr(module, "build_fit_grid", recorded)
     experiments.run_fit(n1=6, per_arm=300)
     experiments.run_grid(n1_list=(4,), per_arm=300)
-    assert seen == [(300, 10000, pytest.approx(1e-16, rel=1e-15))] * 2
+    first = pytest.approx(1e-16, rel=1e-15)
+    assert seen == [(300, first), (10000, first)] * 2
