@@ -43,6 +43,9 @@ EXTRA_ARGVS = (
     # pins the validation pass's failure: exit 2, the approximant overflows
     # on the validation grid
     ("fit", "--grid-points", "60", "--n1", "4", "--n2", "59"),
+    # pins which error a sweep names when its grid size and every spec are
+    # invalid
+    ("vshape", "--n1", "0", "--grid-points", "0"),
 )
 
 # experiments runner, keyword arguments
