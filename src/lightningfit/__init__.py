@@ -8,8 +8,7 @@ and contour-integral error verification alongside.
 
 from .version import __version__
 from .errors import LightningError, InputError, NumericError
-from .problems import (TARGET_KINDS, Target, Domain, SampleGrid, eval_target,
-                       build_fit_grid)
+from .problems import TARGET_KINDS, Target, Domain, eval_target, build_fit_grid
 from .poles import uniform_poles, tapered_poles, big_poles
 from .fitting import (BasisSpec, Approximant, FitReport, fit, fit_nested,
                       evaluate, max_error, DEFAULT_TSVD_EPS)

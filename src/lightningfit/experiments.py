@@ -17,10 +17,10 @@ from .contour import (ContourSetup, error_identity_report, residue_rate_check,
                       validity_floor)
 from .density import count_large_poles, pole_from_density
 from .errors import InputError, LightningError, NumericError
-from .fitting import (DEFAULT_TSVD_EPS, VAL_PER_ARM, BasisSpec, FitReport, fit,
-                      fit_nested)
+from .fitting import (DEFAULT_TSVD_EPS, FIT_PER_ARM, VAL_PER_ARM, BasisSpec,
+                      FitReport, fit, fit_nested)
 from .poles import big_poles, tapered_poles, uniform_poles
-from .problems import DECADES, Domain, Target, build_fit_grid
+from .problems import DECADES, Domain, Target
 from .tables import ResultTable
 from .trapezoid import TrapApproximant, default_step
 
@@ -61,13 +61,12 @@ _FAILED = FitReport(max_err=math.nan, resid_2norm=math.nan,
 
 
 def _sweep(target, domain, per_arm, eps_rel, keys, spec_of):
-    """Fit spec_of(key) for each key in one fit_nested call, on the fit
-    grid of the domain it builds, after building every spec; raises the
-    first key's error when none can be built.  Returns
-    [(key, report, "")] in key order, with (key, _FAILED, reason) where the
-    spec or the fit raised a LightningError.
+    """Fit spec_of(key) for each key in one fit_nested call on the domain,
+    per_arm fit-grid points per arm, after building every spec; raises the
+    first key's error when none can be built, before any grid is built.
+    Returns [(key, report, "")] in key order, with (key, _FAILED, reason)
+    where the spec or the fit raised a LightningError.
     """
-    grid = build_fit_grid(domain, per_arm)
     keys = list(keys)
     specs, results = {}, {}  # by key index; a result is a report or an error
     for i, key in enumerate(keys):
@@ -77,7 +76,8 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of):
             results[i] = exc
     if results and not specs:
         raise results[0]
-    for i, result in zip(specs, fit_nested(target, list(specs.values()), grid, eps_rel)):
+    for i, result in zip(specs, fit_nested(
+            target, list(specs.values()), domain, per_arm, eps_rel)):
         results[i] = result if isinstance(result, LightningError) else result[1]
     return [(key, _FAILED, str(results[i])) if isinstance(results[i], LightningError)
             else (key, results[i], "") for i, key in enumerate(keys)]
@@ -85,7 +85,7 @@ def _sweep(target, domain, per_arm, eps_rel, keys, spec_of):
 
 def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
             n1: int = 40, n2: int | None = None, sigma: float | None = None,
-            scale: float = 1.0, per_arm: int = 2000,
+            scale: float = 1.0, per_arm: int = FIT_PER_ARM,
             eps_rel: float = DEFAULT_TSVD_EPS) -> ResultTable:
     """One fit of sqrt, x^alpha or x^alpha log x on the opening-beta domain.
 
@@ -99,7 +99,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
     if sigma is None:
         sigma = VSHAPE_SIGMA_RULES["opening-matched"](domain.beta)
     spec = BasisSpec(tapered_poles(n1, sigma, scale), poly_degree=n2)
-    _, rep = fit(fitted, spec, build_fit_grid(domain, per_arm), eps_rel)
+    _, rep = fit(fitted, spec, domain, per_arm, eps_rel)
     row = (target, fitted.alpha, domain.beta, n1, n2, sigma, scale,
            rep.max_err, rep.coeff_2norm, rep.resid_2norm, rep.eff_rank)
     config = {"target": fitted.kind, "alpha": fitted.alpha,
@@ -114,7 +114,7 @@ def run_fit(target: str = "sqrt", alpha: float = 0.5, beta: float = 0.0,
 
 
 def run_convergence(scale: float = 2.0, eps_rel: float = DEFAULT_TSVD_EPS,
-                    per_arm: int = 2000) -> ResultTable:
+                    per_arm: int = FIT_PER_ARM) -> ResultTable:
     """Degree sweep of sqrt(x) fits over DEFAULT_N1_LIST for every
     pole/augmentation variant of CONVERGENCE_VARIANTS.
 
@@ -210,7 +210,7 @@ def _argmin_sigma(errs) -> float:
 
 def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10, n2: int = 3,
                     scale: float = 1.0, eps_rel: float = DEFAULT_TSVD_EPS,
-                    per_arm: int = 2000) -> ResultTable:
+                    per_arm: int = FIT_PER_ARM) -> ResultTable:
     """Clustering-parameter sweep over SIGMA_GRID for x^alpha on the unit
     interval.
 
@@ -242,7 +242,8 @@ def run_sigma_sweep(alpha: float = math.pi / 10, n1: int = 10, n2: int = 3,
 
 def run_grid(alpha: float = math.pi / 10,
              n1_list=(4, 9, 16, 25, 36, 49, 64, 81, 100), sigma: float | None = None,
-             eps_rel: float = DEFAULT_TSVD_EPS, per_arm: int = 2000) -> ResultTable:
+             eps_rel: float = DEFAULT_TSVD_EPS,
+             per_arm: int = FIT_PER_ARM) -> ResultTable:
     """(N1, N2) error surface for x^alpha over n1_list x GRID_N2; where does
     more polynomial stop helping."""
     target = Target("power", alpha)  # validates alpha
@@ -272,7 +273,7 @@ def run_grid(alpha: float = math.pi / 10,
 
 
 def run_vshape(n1: int = 40, n2: int = 10, eps_rel: float = DEFAULT_TSVD_EPS,
-               per_arm: int = 2000) -> ResultTable:
+               per_arm: int = FIT_PER_ARM) -> ResultTable:
     """sqrt(z) on V-domains: one row per (opening of VSHAPE_BETAS, rule of
     VSHAPE_SIGMA_RULES)."""
     rows = []
@@ -311,7 +312,7 @@ def corner_sigma_rule(beta: float) -> float:
 
 def run_corner_sigma(beta_list=(0.5, 1.0, 1.5), n1: int = 20, n2: int = 20,
                      eps_rel: float = DEFAULT_TSVD_EPS,
-                     per_arm: int = 2000) -> ResultTable:
+                     per_arm: int = FIT_PER_ARM) -> ResultTable:
     """Per-opening sigma sweep over SIGMA_GRID for the corner target z^{1/beta}."""
     betas = [_corner_opening(beta) for beta in beta_list]
     rows, argmins = [], []

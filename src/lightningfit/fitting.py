@@ -77,10 +77,11 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import InputError, LightningError, NumericError
-from .problems import SampleGrid, Target, build_fit_grid, eval_target
+from .problems import Domain, Target, build_fit_grid, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
 _EVAL_CHUNK = 4096  # points whose basis columns are evaluated at a time
+FIT_PER_ARM = 2000  # fit-grid points per arm, unless the caller asks for others
 VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
@@ -294,17 +295,17 @@ def _check_scales(scales: np.ndarray):
         raise NumericError("a partial-fraction column vanished on the grid")
 
 
-def _write_system(grid: SampleGrid, spec: BasisSpec, fvec: np.ndarray, block):
+def _write_system(points: np.ndarray, spec: BasisSpec, fvec: np.ndarray, block):
     """(system, pf_scales): the real system [PF | Q | f] in one
-    column-major array, f the target on the grid.  Its rows are on a
-    V-domain each point's real part, then its imaginary part
+    column-major array, f the target at the fit grid's points.  Its rows
+    are on a V-domain each point's real part, then its imaginary part
     (values.view(float)); on the interval the columns themselves.  Q is
     the leading columns of the polynomial block (None without one)."""
     poles, n = spec.poles, spec.n_columns
-    system = np.empty((_weight(grid.points) * len(grid), n + 1), order="F")
+    system = np.empty((_weight(points) * len(points), n + 1), order="F")
     scales = np.empty(0)
     if len(poles):
-        scales = _write_partial_fractions(system[:, :len(poles)], grid.points, poles)
+        scales = _write_partial_fractions(system[:, :len(poles)], points, poles)
     if spec.poly_degree >= 0:
         system[:, len(poles):n] = block[:, :spec.poly_degree + 1]
     system[:, n] = fvec.view(float)
@@ -435,35 +436,40 @@ def evaluate(approx: Approximant, pts) -> np.ndarray:
     return values.reshape(pts.shape)[()]
 
 
-def max_error(approx: Approximant, target: Target, grid: SampleGrid) -> float:
-    """Max modulus deviation from the target over the grid, and on a
-    V-domain over its mirror image too: the approximant and the target are
-    conjugate-symmetric bit for bit, so the mirror repeats their values."""
-    return float(np.max(np.abs(evaluate(approx, grid.points)
-                               - eval_target(target, grid.points))))
+def max_error(approx: Approximant, target: Target, points) -> float:
+    """Max modulus deviation from the target over the points, and over
+    their mirror images too: the approximant and the target are
+    conjugate-symmetric bit for bit, so the mirror repeats their values.
+    Raises InputError on no points, and where `evaluate` does."""
+    pts = InputError.check_points(points)
+    if pts.size == 0:
+        raise InputError("max_error needs at least one point")
+    return float(np.max(np.abs(evaluate(approx, pts) - eval_target(target, pts))))
 
 
-def fit(target: Target, spec: BasisSpec, grid: SampleGrid,
-        eps_rel: float = DEFAULT_TSVD_EPS):
-    """Least-squares fit of the target over the fit grid.
+def fit(target: Target, spec: BasisSpec, domain: Domain,
+        per_arm: int = FIT_PER_ARM, eps_rel: float = DEFAULT_TSVD_EPS):
+    """Least-squares fit of the target over `build_fit_grid(domain, per_arm)`.
 
     Returns (Approximant, FitReport).  max_err is measured on VAL_PER_ARM
-    log-spaced points per arm of the fit grid's domain, not on the fit
-    grid; `max_error` measures on any other grid.  A sweep passes all its
+    log-spaced points per arm of the domain, not on the fit grid;
+    `max_error` measures at any other points.  A sweep passes all its
     specs to one `fit_nested` call instead, which shares the pole-independent work.
     """
-    result, = fit_nested(target, [spec], grid, eps_rel)
+    result, = fit_nested(target, [spec], domain, per_arm, eps_rel)
     if isinstance(result, LightningError):
         raise result
     return result
 
 
-def fit_nested(target: Target, specs, grid: SampleGrid,
-               eps_rel: float = DEFAULT_TSVD_EPS) -> list:
-    """Fit every spec of a sweep on the same grid, whatever its poles, and
-    validate every fit on `build_fit_grid(grid.domain, VAL_PER_ARM)`.
+def fit_nested(target: Target, specs, domain: Domain,
+               per_arm: int = FIT_PER_ARM, eps_rel: float = DEFAULT_TSVD_EPS) -> list:
+    """Fit every spec of a sweep, whatever its poles, on the one fit grid
+    `build_fit_grid(domain, per_arm)`, and validate every fit on
+    `build_fit_grid(domain, VAL_PER_ARM)`.
 
-    A spec whose fit would allocate an array above the cap (see
+    The fit grid is built first, so a bad per_arm is refused before a bad
+    eps_rel.  A spec whose fit would allocate an array above the cap (see
     `InputError.check_entries`) is refused first, with InputError.  What
     does not depend on the poles is computed next, once: the target
     on both grids and the polynomial block on both, at the largest degree
@@ -476,17 +482,18 @@ def fit_nested(target: Target, specs, grid: SampleGrid,
     (Approximant, FitReport) or the LightningError it raised.  An eps_rel
     outside (0, 1] raises InputError before any fit.
     """
+    points = build_fit_grid(domain, per_arm)
     _check_eps(eps_rel)
     specs = list(specs)
-    results = [_refusal(spec, grid) for spec in specs]
+    results = [_refusal(spec, points) for spec in specs]
     carried = max((s.poly_degree for s, refused in zip(specs, results)
                    if refused is None), default=-1)
     chain = (None, None, None)
     if carried >= 0:
-        chain = _poly_chain_build(grid.points, carried)
+        chain = _poly_chain_build(points, carried)
         carried = chain[1].shape[1]  # lower where the recurrence broke down
-    fvec = eval_target(target, grid.points)
-    vpts = build_fit_grid(grid.domain, VAL_PER_ARM).points
+    fvec = eval_target(target, points)
+    vpts = build_fit_grid(domain, VAL_PER_ARM)
     with np.errstate(over="ignore", invalid="ignore"):
         validation = (vpts, eval_target(target, vpts),
                       None if carried < 0 else _poly_chain_eval(vpts, *chain[1:]))
@@ -499,19 +506,19 @@ def fit_nested(target: Target, specs, grid: SampleGrid,
         else:
             groups.setdefault(spec.poles.tobytes(), []).append(i)
     for group in groups.values():
-        fits = _fit_group([specs[i] for i in group], grid, eps_rel, fvec, chain,
+        fits = _fit_group([specs[i] for i in group], points, eps_rel, fvec, chain,
                           validation)
         for i, result in zip(group, fits):
             results[i] = result
     return results
 
 
-def _refusal(spec: BasisSpec, grid: SampleGrid):
-    """The InputError of a spec at a polynomial degree at or beyond the fit
-    grid's rows, or whose system, polynomial block on either grid or
-    validation chunk is above the cap; else None."""
-    weight = _weight(grid.points)  # the validation grid's too: one domain
-    rows = weight * len(grid)
+def _refusal(spec: BasisSpec, points: np.ndarray):
+    """The InputError of a spec at a polynomial degree at or beyond the
+    rows of the fit grid's points, or whose system, polynomial block on
+    either grid or validation chunk is above the cap; else None."""
+    weight = _weight(points)  # the validation grid's too: one domain
+    rows = weight * len(points)
     try:
         if spec.poly_degree >= rows:
             raise InputError(f"polynomial degree {spec.poly_degree} needs "
@@ -519,7 +526,7 @@ def _refusal(spec: BasisSpec, grid: SampleGrid):
         InputError.check_entries("the least-squares system",
                                  rows * (spec.n_columns + 1))
         InputError.check_entries("the polynomial block", (spec.poly_degree + 1)
-                                 * weight * max(len(grid), VAL_PER_ARM))
+                                 * weight * max(len(points), VAL_PER_ARM))
         InputError.check_entries("a validation chunk",
                                  min(_EVAL_CHUNK, VAL_PER_ARM) * len(spec.poles))
     except InputError as exc:
@@ -527,18 +534,18 @@ def _refusal(spec: BasisSpec, grid: SampleGrid):
     return None
 
 
-def _fit_group(specs, grid: SampleGrid, eps_rel: float, fvec: np.ndarray, chain,
+def _fit_group(specs, points: np.ndarray, eps_rel: float, fvec: np.ndarray, chain,
                validation) -> list:
-    """fit_nested's results for specs that share their poles and
-    whose degrees the grid carries, all from one system at their largest
-    degree.  fvec is the target on the fit grid, chain the polynomial
+    """fit_nested's results for specs that share their poles and whose
+    degrees the fit grid's points carry, all from one system at their
+    largest degree.  fvec is the target at the points, chain the polynomial
     block there with its recurrence (Q, hess, norm0), and validation the
     validation grid's points with the target and the block on them."""
     (q, hess, norm0), (vpts, vvec, vq) = chain, validation
     weight = _weight(vpts)  # the fit grid's too: both lie on one domain
     try:
         system, scales = _write_system(
-            grid, max(specs, key=lambda s: s.poly_degree), fvec, q)
+            points, max(specs, key=lambda s: s.poly_degree), fvec, q)
         r = _factor(system)
     except LightningError as exc:
         return [exc] * len(specs)

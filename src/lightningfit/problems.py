@@ -1,4 +1,4 @@
-"""Target functions, domains, and sample grids.
+"""Target functions, domains, and fit grids.
 
 Targets are branch-point functions z^alpha and z^alpha log z evaluated on
 the principal branch.  Domains are the unit interval [0, 1] or a V-shaped
@@ -66,7 +66,7 @@ def eval_target(target: Target, z):
     else:
         out = zsafe ** target.alpha
         if target.kind == "powerlog":
-            out = out * np.log(zsafe)
+            out = np.multiply(out, np.log(zsafe))  # the same order at any size
     out = np.where(zero, 0.0, out)
     return out[0] if scalar else out
 
@@ -92,41 +92,22 @@ class Domain:
         return r if self.beta == 0.0 else r * np.exp(1j * self.arm_angle)
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Immutable points on a domain.
-
-    Complex points are a V-domain's upper arm, and each stands for itself
-    and its mirror image (see `fitting`), so a grid of n points per arm
-    has len n on either domain.  `fitting` reads the points as real rows,
-    so they are held as a contiguous float64 or complex128 array.  A grid
-    holds nothing computed from its points: what fits share is computed
-    once per `fitting.fit_nested` call.
-    """
-
-    points: np.ndarray
-    domain: Domain
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.ascontiguousarray(
-            self.points, dtype=complex if np.iscomplexobj(self.points) else float))
-        self.points.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def build_fit_grid(domain: Domain, per_arm: int = 2000) -> SampleGrid:
-    """Log-spaced grid over DECADES decades of radius, densest near 0.
+def build_fit_grid(domain: Domain, per_arm: int) -> np.ndarray:
+    """Log-spaced points over DECADES decades of radius, densest near 0,
+    as a read-only, C-contiguous float64 or complex128 array.
 
     On the interval the points are real; on a V-domain they are the
-    upper arm's `per_arm` points, which stand for both arms.  A single
-    point sits at radius 1.  A grid of more float64 entries than the cap
-    (see `InputError.check_entries`) is refused before any is allocated;
-    below it, DECADES decades keep every radius normal and distinct.
+    upper arm's `per_arm` points, each of which stands for itself and its
+    mirror image (see `fitting`), so the array has len per_arm on either
+    domain.  A single point sits at radius 1.  A grid of more float64
+    entries than the cap (see `InputError.check_entries`) is refused
+    before any is allocated; below it, DECADES decades keep every radius
+    normal and distinct.
     """
     InputError.check_count("per_arm", per_arm)
     InputError.check_entries(f"a grid of {per_arm} points per arm",
                              per_arm if domain.beta == 0.0 else 2 * per_arm)
     radii = np.array([1.0]) if per_arm == 1 else np.logspace(-DECADES, 0.0, per_arm)
-    return SampleGrid(points=domain.arm_point(radii), domain=domain)
+    points = domain.arm_point(radii)
+    points.flags.writeable = False
+    return points

@@ -83,7 +83,7 @@ def test_01_sqrt_tapered_poly_best_rate():
 
 def test_02_trap_rule_error_bound():
     """max |trap_eval - sqrt| <= 20 exp(-pi sqrt(nt/2)); exact inequality."""
-    xs = build_fit_grid(Domain(), per_arm=VAL_PER_ARM).points.real
+    xs = build_fit_grid(Domain(), per_arm=VAL_PER_ARM)
     lines = []
     for nt in (8, 16, 32, 64, 128):
         t = TrapApproximant(nt)
@@ -274,13 +274,12 @@ def test_11_coefficient_norm_floor():
     at the norm-scaled plateau 100 * eps * ||c||_2 with eps = 2e-14.
     """
     domain = Domain()
-    grid = build_fit_grid(domain)
     plain = BasisSpec(tapered_poles(59, math.sqrt(2.0) * math.pi, 1.0),
                       poly_degree=0)
     aug = BasisSpec(tapered_poles(49, 2.0 * math.sqrt(2.0) * math.pi, 1.0),
                     poly_degree=10)
-    _, rep_p = fit(Target("sqrt"), plain, grid, eps_rel=2e-14)
-    _, rep_a = fit(Target("sqrt"), aug, grid, eps_rel=2e-14)
+    _, rep_p = fit(Target("sqrt"), plain, domain, eps_rel=2e-14)
+    _, rep_a = fit(Target("sqrt"), aug, domain, eps_rel=2e-14)
     ratio = rep_p.coeff_2norm / rep_a.coeff_2norm
     floor = 100.0 * 2e-14 * rep_a.coeff_2norm
     print(f"criterion 11: norm ratio {ratio:.3e} (>= 100); augmented "

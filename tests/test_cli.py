@@ -142,9 +142,8 @@ def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     spec = lightningfit.BasisSpec(lightningfit.tapered_poles(6, 8.0), poly_degree=2)
-    grid = lightningfit.build_fit_grid(lightningfit.Domain())
     with pytest.raises(lightningfit.NumericError, match="SVD did not converge"):
-        lightningfit.fit(lightningfit.Target("sqrt"), spec, grid)
+        lightningfit.fit(lightningfit.Target("sqrt"), spec, lightningfit.Domain())
     code, out, err = run_cli(capsys, "fit")
     assert code == 2
     assert out == ""
@@ -560,11 +559,12 @@ def test_every_package_parameter_has_a_caller():
 
 def test_the_package_guard_sees_an_uncalled_default(tmp_path):
     (tmp_path / "calls.py").write_text(
-        "tapered_poles(8, 2.0)\nfit(t, s, g, eps_rel=e)\nf = fit_nested\n"
+        "tapered_poles(8, 2.0)\nfit(t, s, d, n, eps_rel=e)\nf = fit_nested\n"
         "evaluate(a, *points)\n")
     uncalled = _uncalled_defaults([tmp_path])
     assert "tapered_poles.scale" in uncalled
-    assert not {"fit.eps_rel", "fit_nested.eps_rel"} & set(uncalled)
+    assert not {"fit.per_arm", "fit.eps_rel", "fit_nested.per_arm",
+                "fit_nested.eps_rel"} & set(uncalled)
 
 
 def _referenced_names(roots):
@@ -610,6 +610,49 @@ def test_the_export_guard_skips_docstrings(tmp_path):
         'getattr(fitting, "max_error")\nx = lightningfit.evaluate\n')
     assert _referenced_names([tmp_path]) >= {"fit", "max_error", "evaluate"}
     assert not {"fit_nested", "tapered_poles"} & _referenced_names([tmp_path])
+
+
+def _users(roots, name):
+    """The .py files under roots that load name, as a variable or an
+    attribute: that call it or pass it on."""
+    return sorted(
+        path.name for root in roots for path in sorted(root.rglob("*.py"))
+        if any(isinstance(node, (ast.Name, ast.Attribute))
+               and isinstance(node.ctx, ast.Load)
+               and getattr(node, "id", getattr(node, "attr", None)) == name
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+
+
+def test_only_fitting_builds_fit_grids():
+    """fitting builds both grids of every fit: no other package module
+    calls build_fit_grid."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert _users([src], "build_fit_grid") == ["fitting.py"]
+
+
+def test_the_grid_guard_sees_a_call(tmp_path):
+    (tmp_path / "a.py").write_text("problems.build_fit_grid(d, 10)\n")
+    (tmp_path / "b.py").write_text("grid = build_fit_grid\n")
+    (tmp_path / "c.py").write_text('"""build_fit_grid"""\n'
+                                   "from .problems import build_fit_grid\n")
+    assert _users([tmp_path], "build_fit_grid") == ["a.py", "b.py"]
+
+
+def test_every_fit_grid_size_defaults_to_fit_per_arm():
+    """fit, fit_nested and each subcommand's runner that takes per_arm
+    default it to fitting.FIT_PER_ARM, the one literal 2000 of the
+    package."""
+    runners = [runner for runner, _ in cli._COMMANDS.values()
+               if "per_arm" in inspect.signature(runner).parameters]
+    assert len(runners) == 6
+    for func in (lightningfit.fit, lightningfit.fit_nested, *runners):
+        default = inspect.signature(func).parameters["per_arm"].default
+        assert default == lightningfit.fitting.FIT_PER_ARM == 2000, func.__name__
+    src = Path(__file__).resolve().parents[1] / "src" / "lightningfit"
+    literals = [path.name for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and node.value == 2000]
+    assert literals == ["fitting.py"]
 
 
 @pytest.mark.parametrize("command", [c for c, flags in HONOURED.items()

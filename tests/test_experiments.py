@@ -38,7 +38,7 @@ from lightningfit.experiments import (
 )
 from lightningfit.fitting import BasisSpec, fit, fit_nested
 from lightningfit.poles import tapered_poles
-from lightningfit.problems import Domain, Target, build_fit_grid
+from lightningfit.problems import Domain, Target
 from lightningfit.trapezoid import TrapApproximant
 
 
@@ -225,18 +225,18 @@ def test_grid_near_optimal_follows_rule():
 
 def test_grid_rows_match_fits_on_fresh_grids():
     """Each n1 of the sweep is one fit_nested group, solved from a single
-    factorization at its largest degree: the rows are bit for bit that call
-    on fresh grids, and within the rounding gate of one fit per degree."""
+    factorization at its largest degree: the rows are bit for bit that
+    call, and within the rounding gate of one fit per degree."""
     tab = run_grid(n1_list=(16,))
     assert tab.column("n2") == list(GRID_N2)
     domain = Domain()
     target = Target("power", tab.meta["alpha"])
     specs = [BasisSpec(tapered_poles(16, tab.meta["sigma"], 1.0), poly_degree=n2)
              for n2 in GRID_N2]
-    nested = fit_nested(target, specs, build_fit_grid(domain))
+    nested = fit_nested(target, specs, domain)
     assert tab.column("max_err") == [rep.max_err for _, rep in nested]
     for spec, (_, rep) in zip(specs, nested):
-        _, alone = fit(target, spec, build_fit_grid(domain))
+        _, alone = fit(target, spec, domain)
         assert rep.eff_rank == alone.eff_rank
         assert abs(rep.max_err - alone.max_err) <= 1e-4 * alone.max_err + 1e-13
 
@@ -249,7 +249,7 @@ def test_nested_reports_do_not_depend_on_degree_order():
     def reports(degrees):
         specs = [BasisSpec(poles, poly_degree=d) for d in degrees]
         return dict(zip(degrees, (rep for _, rep in fit_nested(
-            target, specs, build_fit_grid(domain)))))
+            target, specs, domain))))
 
     assert reports((9, 2, 15, 5)) == reports((15, 9, 5, 2))
 
@@ -279,8 +279,7 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
     domain = Domain()
     specs = [BasisSpec(tapered_poles(4, tab.meta["sigma"], 1.0), poly_degree=n2)
              for n2 in range(8)]
-    feasible = fit_nested(Target("power", tab.meta["alpha"]), specs,
-                          build_fit_grid(domain, per_arm=8))
+    feasible = fit_nested(Target("power", tab.meta["alpha"]), specs, domain, 8)
     assert tab.column("max_err")[:8] == [rep.max_err for _, rep in feasible]
 
 

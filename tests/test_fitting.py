@@ -9,13 +9,12 @@ import weakref
 import numpy as np
 import pytest
 
-from lightningfit import (BasisSpec, Domain, InputError, NumericError,
-                          SampleGrid, Target, big_poles, build_fit_grid,
-                          eval_target, evaluate, fit, max_error, tapered_poles,
-                          uniform_poles)
+from lightningfit import (BasisSpec, Domain, InputError, NumericError, Target,
+                          big_poles, build_fit_grid, eval_target, evaluate, fit,
+                          max_error, tapered_poles, uniform_poles)
 from lightningfit import fitting
 from lightningfit.experiments import run_fit, run_grid
-from lightningfit.fitting import (DEFAULT_TSVD_EPS, VAL_PER_ARM, _factor,
+from lightningfit.fitting import (DEFAULT_TSVD_EPS, FIT_PER_ARM, VAL_PER_ARM, _factor,
                                   _poly_chain_build, _poly_chain_eval, _solve_r,
                                   _write_system, fit_nested)
 
@@ -23,19 +22,19 @@ SQRT = Target("sqrt")
 INTERVAL = Domain()
 
 
-def _fit(spec, grid=None):
-    """fit of sqrt on the grid given, by default the interval's fit grid,
-    the one run_fit builds."""
-    return fit(SQRT, spec, build_fit_grid(INTERVAL) if grid is None else grid)
+def _fit(spec, domain=INTERVAL, per_arm=FIT_PER_ARM):
+    """fit of sqrt on the domain given, by default the interval, with
+    per_arm fit-grid points per arm, by default run_fit's count."""
+    return fit(SQRT, spec, domain, per_arm)
 
 
-def _basis(grid, spec):
-    """The basis columns of spec on the grid, as the fit writes them: its
+def _basis(points, spec):
+    """The basis columns of spec at the points, as the fit writes them: its
     system without the data column."""
-    block = _poly_chain_build(grid.points, spec.poly_degree)[0] \
+    block = _poly_chain_build(points, spec.poly_degree)[0] \
         if spec.poly_degree >= 0 else None
-    data = np.zeros(len(grid), grid.points.dtype)
-    return _write_system(grid, spec, data, block)[0][:, :-1]
+    data = np.zeros(len(points), points.dtype)
+    return _write_system(points, spec, data, block)[0][:, :-1]
 
 
 def _tsvd(a, f, eps_rel=DEFAULT_TSVD_EPS):
@@ -105,16 +104,15 @@ def test_polynomial_reevaluation_matches_grid():
     """The recurrence re-evaluated at the grid reproduces the system's columns."""
     grid = build_fit_grid(Domain(), per_arm=300)
     system = _basis(grid, BasisSpec(poly_degree=10))
-    _, hess, norm0 = _poly_chain_build(grid.points, 10)
-    again = _poly_chain_eval(grid.points, hess, norm0)
+    _, hess, norm0 = _poly_chain_build(grid, 10)
+    again = _poly_chain_eval(grid, hess, norm0)
     assert np.max(np.abs(again - system)) < 1e-13
 
 
 def test_polynomial_chain_spans_monomials():
     # degree-3 chain on a modest grid reproduces an exact cubic
-    grid = SampleGrid(np.logspace(-3.0, 0.0, 200), Domain())
-    system = _basis(grid, BasisSpec(poly_degree=3))
-    z = grid.points
+    z = np.logspace(-3.0, 0.0, 200)
+    system = _basis(z, BasisSpec(poly_degree=3))
     f = 1.0 - 2.0 * z + 0.5 * z**3
     coeffs, rank = _tsvd(system, f)
     assert rank == 4
@@ -140,11 +138,11 @@ def test_evaluate_reads_input_as_its_contiguous_copy():
     """A strided complex view, an int list and float32 input evaluate bit
     for bit as their contiguous complex128 or float64 copies."""
     spec = BasisSpec(tapered_poles(8, 4.0), poly_degree=5)
-    vshape, _ = _fit(spec, build_fit_grid(Domain(1.0), per_arm=300))
-    z = build_fit_grid(Domain(1.0), per_arm=101).points[::3]
+    vshape, _ = _fit(spec, Domain(1.0), 300)
+    z = build_fit_grid(Domain(1.0), per_arm=101)[::3]
     assert not z.flags.c_contiguous
     assert np.array_equal(evaluate(vshape, z), evaluate(vshape, z.copy()))
-    interval, _ = _fit(spec, build_fit_grid(Domain(), per_arm=300))
+    interval, _ = _fit(spec, Domain(), 300)
     x32 = np.linspace(0.0, 1.0, 37, dtype=np.float32)
     for approx in (interval, vshape):
         values = evaluate(approx, x32)
@@ -158,9 +156,8 @@ def test_evaluate_reads_input_as_its_contiguous_copy():
 def test_evaluate_keeps_the_input_shape(beta):
     """A (2, 2) input gives the values of its raveled 1-D call bit for bit,
     in the input's shape."""
-    approx, _ = _fit(BasisSpec(tapered_poles(8, 4.0), poly_degree=5),
-                     build_fit_grid(Domain(beta), per_arm=300))
-    z = build_fit_grid(Domain(beta), per_arm=4).points.reshape(2, 2)
+    approx, _ = _fit(BasisSpec(tapered_poles(8, 4.0), poly_degree=5), Domain(beta), 300)
+    z = build_fit_grid(Domain(beta), per_arm=4).reshape(2, 2)
     values = evaluate(approx, z)
     assert values.shape == (2, 2)
     assert np.array_equal(values.ravel(), evaluate(approx, z.ravel()))
@@ -173,8 +170,7 @@ def test_evaluate_memory_is_bounded_by_its_output(beta):
     chunk: at 10^6 points the traced peak stays within twice the returned
     array plus 4 MiB (a whole degree-10 block would be 88 or 176 MB)."""
     domain = Domain(beta)
-    approx, _ = _fit(BasisSpec(tapered_poles(40, 8.0), poly_degree=10),
-                     build_fit_grid(domain))
+    approx, _ = _fit(BasisSpec(tapered_poles(40, 8.0), poly_degree=10), domain)
     z = domain.arm_point(np.linspace(1e-6, 1.0, 10**6))
     tracemalloc.start()
     try:
@@ -186,9 +182,8 @@ def test_evaluate_memory_is_bounded_by_its_output(beta):
 
 
 def test_evaluate_rejects_point_on_pole():
-    grid = build_fit_grid(Domain(), per_arm=50)
     spec = BasisSpec(tapered_poles(4, 2.0), poly_degree=-1)
-    approx, _ = _fit(spec, grid)
+    approx, _ = _fit(spec, Domain(), 50)
     with pytest.raises(InputError):
         evaluate(approx, np.array([spec.poles[0]]))
 
@@ -219,10 +214,9 @@ def test_tsvd_input_validation():
     """The cutoff is checked before any fit; a zero matrix keeps no
     singular value."""
     spec = BasisSpec(tapered_poles(4, 2.0), poly_degree=2)
-    grid = build_fit_grid(INTERVAL, per_arm=50)
     for eps_rel in (0.0, -1.0, math.nan, 2.0, math.inf, "1e-14"):
         with pytest.raises(InputError, match="eps_rel must"):
-            fit(SQRT, spec, grid, eps_rel=eps_rel)
+            fit(SQRT, spec, INTERVAL, 50, eps_rel=eps_rel)
     with pytest.raises(NumericError):
         _tsvd(np.zeros((3, 3)), np.ones(3))
 
@@ -266,7 +260,7 @@ def test_fit_vshape_conjugate_symmetry():
     """Real target on a conjugate-closed grid gives a real-on-axis approximant."""
     domain = Domain(1.0)
     spec = BasisSpec(tapered_poles(20, 2 * math.pi, 1.0), poly_degree=6)
-    approx, report = _fit(spec, build_fit_grid(domain, per_arm=800))
+    approx, report = _fit(spec, domain, 800)
     assert report.max_err < 1e-4
     x = np.linspace(0.05, 0.9, 7)
     vals = evaluate(approx, x.astype(complex))
@@ -275,11 +269,10 @@ def test_fit_vshape_conjugate_symmetry():
 
 def test_fit_residual_decreases_with_nested_basis():
     """Adding columns can only help the least-squares residual."""
-    grid = build_fit_grid(Domain(), per_arm=600)
     f_resid = []
     for degree in (2, 5, 9):
         spec = BasisSpec(tapered_poles(10, 7.0), poly_degree=degree)
-        _, rep = _fit(spec, grid)
+        _, rep = _fit(spec, Domain(), 600)
         f_resid.append(rep.resid_2norm)
     assert f_resid[1] <= f_resid[0] * (1 + 1e-10)
     assert f_resid[2] <= f_resid[1] * (1 + 1e-10)
@@ -314,21 +307,20 @@ def test_evaluate_scalar_and_array():
 def test_max_error_agrees_with_direct_computation(beta, degree):
     """max_error on the upper arm is the whole grid's maximum of evaluate."""
     spec = BasisSpec(tapered_poles(8, 5.0), poly_degree=degree)
-    approx, _ = _fit(spec, build_fit_grid(Domain(beta), per_arm=400))
-    grid = build_fit_grid(Domain(beta), per_arm=501)
-    direct = np.max(np.abs(evaluate(approx, grid.points)
-                           - eval_target(Target("sqrt"), grid.points)))
-    assert max_error(approx, Target("sqrt"), grid) == direct
-    assert max_error(approx, Target("sqrt"), grid) == direct  # and again
+    approx, _ = _fit(spec, Domain(beta), 400)
+    pts = build_fit_grid(Domain(beta), per_arm=501)
+    direct = np.max(np.abs(evaluate(approx, pts) - eval_target(Target("sqrt"), pts)))
+    assert max_error(approx, Target("sqrt"), pts) == direct
+    assert max_error(approx, Target("sqrt"), pts) == direct  # and again
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_fit_validates_on_its_domains_validation_grid(beta):
-    """fit takes the fit grid alone; its max_err is, bit for bit, max_error
-    on VAL_PER_ARM points per arm of that grid's domain."""
+    """fit takes a domain alone; its max_err is, bit for bit, max_error
+    on VAL_PER_ARM points per arm of that domain."""
     domain = Domain(beta)
     approx, report = fit(SQRT, BasisSpec(tapered_poles(12, 6.0), poly_degree=8),
-                         build_fit_grid(domain))
+                         domain)
     assert report.max_err == max_error(approx, SQRT,
                                        build_fit_grid(domain, VAL_PER_ARM))
 
@@ -342,17 +334,22 @@ def test_constant_column_is_exact(beta):
     assert np.all(system[::per_point] == 1.0 / math.sqrt(len(system)))
     if beta:
         assert np.all(system[1::2] == 0.0)
-    _, hess, norm0 = _poly_chain_build(grid.points, 0)
+    _, hess, norm0 = _poly_chain_build(grid, 0)
     assert np.all(_poly_chain_eval(np.array([0.25, 0.5]), hess, norm0)
                   == system[0])
 
 
-def _fit_on(target, degree, grid):
-    return fit(target, BasisSpec(tapered_poles(12, 6.0), poly_degree=degree), grid)
+_PER_ARM = 400  # fit-grid points per arm of the tests below
 
 
-def _grid(domain, per_arm=400):
-    return build_fit_grid(domain, per_arm=per_arm)
+def _fit_on(target, degree, domain, per_arm=_PER_ARM):
+    return fit(target, BasisSpec(tapered_poles(12, 6.0), poly_degree=degree),
+               domain, per_arm)
+
+
+def _grid(domain):
+    """The fit grid of _fit_on on the domain."""
+    return build_fit_grid(domain, per_arm=_PER_ARM)
 
 
 def _assert_same_fit(a, b):
@@ -370,19 +367,19 @@ def _assert_same_fit(a, b):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_lower_degree_served_from_higher_degree_block(beta):
     """One call over three pole sets at degrees 3, 15 and 3 gives bit for
-    bit the fits on fresh grids: the degree-3 groups read a prefix of the
+    bit the fits one at a time: the degree-3 groups read a prefix of the
     degree-15 block."""
     specs = [BasisSpec(tapered_poles(12, sigma), poly_degree=degree)
              for sigma, degree in ((6.0, 3), (7.0, 15), (8.0, 3))]
-    nested = fit_nested(SQRT, specs, _grid(Domain(beta)))
+    nested = fit_nested(SQRT, specs, Domain(beta), _PER_ARM)
     for spec, result in zip(specs, nested):
-        _assert_same_fit(result, fit(SQRT, spec, _grid(Domain(beta))))
+        _assert_same_fit(result, fit(SQRT, spec, Domain(beta), _PER_ARM))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
     """Specs of three pole sets, in mixed order, fitted in one call are bit
-    for bit the per-group calls on fresh grids, and share one build of the
+    for bit the per-group calls, and share one build of the
     polynomial block and one evaluation of it on the validation grid."""
     a, b = tapered_poles(12, 6.0), tapered_poles(10, 8.0)
     specs = [BasisSpec(a, poly_degree=2),
@@ -403,11 +400,11 @@ def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
 
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
-    nested = fit_nested(SQRT, specs, _grid(Domain(beta)))
+    nested = fit_nested(SQRT, specs, Domain(beta), _PER_ARM)
     assert calls == {"build": 1, "eval": 1}
     monkeypatch.undo()
     for group in ([0, 3], [1, 4], [2]):
-        alone = fit_nested(SQRT, [specs[i] for i in group], _grid(Domain(beta)))
+        alone = fit_nested(SQRT, [specs[i] for i in group], Domain(beta), _PER_ARM)
         for i, result in zip(group, alone):
             _assert_same_fit(nested[i], result)
 
@@ -468,14 +465,14 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch, factored):
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
     domain = Domain(1.0)
     grid = _grid(domain)
-    approx, report = _fit_on(SQRT, 8, grid)
+    approx, report = _fit_on(SQRT, 8, domain)
     assert [(a.dtype, a.shape) for a in factored] == \
         [(np.dtype(np.float64), (2 * len(grid), 12 + 9 + 1))]
     assert sum(kernel_points) == len(grid) + VAL_PER_ARM
     assert complex_pf == []  # no point is near enough a pole to need it
     assert approx.coeffs.dtype == np.float64 and report.max_err < 1e-3
     # the residual norm is both arms'
-    z = np.concatenate([grid.points, np.conj(grid.points)])
+    z = np.concatenate([grid, np.conj(grid)])
     whole = evaluate(approx, z) - eval_target(Target("sqrt"), z)
     assert report.resid_2norm == pytest.approx(np.linalg.norm(whole), rel=1e-8)
 
@@ -488,8 +485,8 @@ def test_system_is_column_major_and_factored_as_is(monkeypatch, factored, beta):
     gather column by column."""
     grid = _grid(Domain(beta))
     spec = BasisSpec(tapered_poles(12, 6.0), poly_degree=8)
-    system, _ = _write_system(grid, spec, eval_target(SQRT, grid.points),
-                              _poly_chain_build(grid.points, 8)[0])
+    system, _ = _write_system(grid, spec, eval_target(SQRT, grid),
+                              _poly_chain_build(grid, 8)[0])
     assert system.flags.f_contiguous
     assert np.array_equal(fitting._factor(system.copy(order="F")),
                           np.linalg.qr(np.ascontiguousarray(system), mode="r"))
@@ -501,7 +498,7 @@ def test_system_is_column_major_and_factored_as_is(monkeypatch, factored, beta):
         return factor(a)
 
     monkeypatch.setattr(fitting, "_factor", recorded_factor)
-    _fit_on(SQRT, 8, grid)
+    _fit_on(SQRT, 8, Domain(beta))
     assert [a.flags.f_contiguous for a in inputs] == [True]
     assert [np.shares_memory(a, b) for a, b in zip(factored, inputs)] == [True]
 
@@ -534,9 +531,10 @@ def test_residual_norm_from_r_is_the_direct_one(beta):
     fit grid, also for a degree solved from a prefix of a larger system,
     where the residual sits far above the rounding floor."""
     grid = _grid(Domain(beta))
-    fvec = eval_target(Target("sqrt"), grid.points).view(float)
+    fvec = eval_target(Target("sqrt"), grid).view(float)
     specs = [BasisSpec(tapered_poles(6, 4.0), poly_degree=d) for d in (2, 6)]
-    for spec, (approx, report) in zip(specs, fit_nested(SQRT, specs, grid)):
+    for spec, (approx, report) in zip(specs, fit_nested(SQRT, specs, Domain(beta),
+                                                        _PER_ARM)):
         residual = _basis(grid, spec) @ approx.coeffs - fvec
         direct = math.sqrt(2 if beta else 1) * np.linalg.norm(residual)
         assert report.resid_2norm > 1e-6
@@ -544,27 +542,31 @@ def test_residual_norm_from_r_is_the_direct_one(beta):
 
 
 def test_kept_data_separates_targets_and_fit_grids():
+    """A fit keeps nothing for the next: fits of two targets on two grid
+    sizes are bit for bit the same fits run in the reverse order."""
     domain = Domain(0.5)
-    for target in (Target("sqrt"), Target("power", 0.3)):
-        for fit_grid in (_grid(domain), _grid(domain, per_arm=300)):
-            fresh = build_fit_grid(domain, per_arm=len(fit_grid))
-            _assert_same_fit(_fit_on(target, 8, fit_grid),
-                             _fit_on(target, 8, fresh))
+    calls = [(target, per_arm) for target in (Target("sqrt"), Target("power", 0.3))
+             for per_arm in (_PER_ARM, 300)]
+    forward = [_fit_on(target, 8, domain, per_arm) for target, per_arm in calls]
+    backward = [_fit_on(target, 8, domain, per_arm) for target, per_arm in calls[::-1]]
+    for a, b in zip(forward, backward[::-1]):
+        _assert_same_fit(a, b)
 
 
 def test_polynomial_degree_must_fit_the_grid():
-    grid = build_fit_grid(Domain(), per_arm=20)
     with pytest.raises(InputError):
-        _fit(BasisSpec(poly_degree=20), grid=grid)
+        _fit(BasisSpec(poly_degree=20), Domain(), 20)
 
 
-def test_degree_failures_are_decided_per_spec():
-    """On ten equal points the recurrence breaks down after the constant:
-    degree 0 fits, degree 3 fails past the breakdown and degree 12 at the
-    grid's size, each in its own slot of the one call."""
-    grid = SampleGrid(points=np.full(10, 0.5), domain=Domain(0.0))
+def test_degree_failures_are_decided_per_spec(monkeypatch):
+    """On a fit grid of ten equal points the recurrence breaks down after
+    the constant: degree 0 fits, degree 3 fails past the breakdown and
+    degree 12 at the grid's size, each in its own slot of the one call."""
+    build = fitting.build_fit_grid
+    monkeypatch.setattr(fitting, "build_fit_grid", lambda domain, per_arm: (
+        np.full(10, 0.5) if per_arm == 10 else build(domain, per_arm)))
     constant, past, beyond = fit_nested(
-        SQRT, [BasisSpec(poly_degree=d) for d in (0, 3, 12)], grid)
+        SQRT, [BasisSpec(poly_degree=d) for d in (0, 3, 12)], INTERVAL, 10)
     assert (constant[1].max_err, constant[1].eff_rank) == (0.7071067711865476, 1)
     assert type(past) is NumericError
     assert str(past) == "grid cannot support the requested polynomial degree"
@@ -584,13 +586,12 @@ def test_approximant_outlives_its_grids(monkeypatch, beta):
         return built[-1]
 
     monkeypatch.setattr(fitting, "build_fit_grid", recorded)
-    grid = _grid(Domain(beta))
-    approx, _ = _fit_on(SQRT, 8, grid)
-    assert [len(g) for g in built] == [VAL_PER_ARM]
-    pts = build_fit_grid(Domain(beta), per_arm=777).points
+    approx, _ = _fit_on(SQRT, 8, Domain(beta))
+    assert [len(g) for g in built] == [_PER_ARM, VAL_PER_ARM]
+    pts = build_fit_grid(Domain(beta), per_arm=777)
     before = evaluate(approx, pts)
-    refs = weakref.ref(grid), weakref.ref(built.pop())
-    del grid
+    refs = [weakref.ref(g) for g in built]
+    built.clear()
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert np.array_equal(evaluate(approx, pts), before)
@@ -605,7 +606,7 @@ def test_evaluate_refuses_non_finite_points_and_overflow(beta, point, error):
     """No point gives a numpy warning or a silent nan (the suite turns a
     RuntimeWarning into an error): a point that is not finite is bad input,
     a value that overflows a numeric failure."""
-    approx, _ = _fit_on(SQRT, 8, _grid(Domain(beta)))
+    approx, _ = _fit_on(SQRT, 8, Domain(beta))
     with pytest.raises(error):
         evaluate(approx, [0.5, point])
 

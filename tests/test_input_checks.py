@@ -20,7 +20,7 @@ from lightningfit import (BasisSpec, Domain, InputError, Target, TrapApproximant
                           big_poles, build_fit_grid, count_large_poles,
                           density_correction, density_leading, eval_target,
                           evaluate, fit, integrate_many, invert_stahl_density,
-                          large_pole_estimate, large_pole_tail,
+                          large_pole_estimate, large_pole_tail, max_error,
                           pole_residue_pairs, quadrature_error_kernel,
                           stahl_density, tapered_poles,
                           trap_eval, trap_partial_fractions,
@@ -40,7 +40,7 @@ NOT_AN_OPENING = NOT_POSITIVE + (2.0, 2.5)
 NOT_POINTS = ("abc", "0.5", b"0.5", {}, [0.5, [0.5, 0.25]], math.nan, math.inf)
 
 APPROX, _ = fit(Target("sqrt"), BasisSpec(tapered_poles(8, 5.0), poly_degree=3),
-                build_fit_grid(Domain(), per_arm=100))
+                Domain(), 100)
 
 
 def not_a_count(least=1):
@@ -107,6 +107,9 @@ CASES = {
         lambda v: integrate_many(lambda t, k: np.sin(t), (0.0, 1.0), [1e-10, v],
                                  ["a", "b"]), NOT_POSITIVE),
     "evaluate points": (lambda v: evaluate(APPROX, v), NOT_POINTS),
+    # the maximum over no points is refused, not left to numpy's reduction
+    "max_error points": (lambda v: max_error(APPROX, Target("sqrt"), v),
+                         NOT_POINTS + ([], np.empty(0, dtype=complex))),
     "eval_target points": (lambda v: eval_target(Target("sqrt"), v), NOT_POINTS),
     "trap_eval points": (lambda v: trap_eval(TrapApproximant(16), v), NOT_POINTS),
     "quadrature_error_kernel points": (
@@ -133,6 +136,7 @@ PAIRS = [(name, value) for name, (_, values) in CASES.items() for value in value
 @example(pair=("corner_sigma_rule beta", 2.5))  # ValueError
 @example(pair=("run_corner_sigma beta_list", "a"))  # TypeError
 @example(pair=("evaluate points", "0.5"))  # parsed, returned 0.707
+@example(pair=("max_error points", []))  # ValueError from numpy's maximum
 @example(pair=("eval_target points", math.nan))  # returned nan
 @example(pair=("trap_eval points", math.inf))  # RuntimeWarning, returned nan
 @example(pair=("quadrature_error_kernel step", 0))  # RuntimeWarning, returned nan

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightningfit import (Approximant, BasisSpec, Domain, InputError,
-                          SampleGrid, Target, build_fit_grid, eval_target,
-                          evaluate, fit, tapered_poles)
+from lightningfit import (Approximant, BasisSpec, Domain, InputError, Target,
+                          build_fit_grid, eval_target, evaluate, fit,
+                          tapered_poles)
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, VAL_PER_ARM, _factor,
                                   _pf_kernel, _poly_chain_build,
                                   _poly_chain_eval, _solve_r,
@@ -158,12 +158,11 @@ def test_folded_arnoldi_block_is_orthonormal_on_the_whole_grid(beta, degree,
     recurrence coefficients, and re-evaluated on the whole grid it is
     orthonormal there and conjugate-symmetric bit for bit."""
     domain = Domain(beta)
-    grid = SampleGrid(domain.arm_point(np.logspace(-decades, 0.0, per_arm)), domain)
-    q, hess, norm0 = _poly_chain_build(grid.points, degree)
+    arm = domain.arm_point(np.logspace(-decades, 0.0, per_arm))
+    q, hess, norm0 = _poly_chain_build(arm, degree)
     assert q.dtype == hess.dtype == np.float64
     assert q.shape == (2 * per_arm, degree + 1)
-    w = _poly_chain_eval(np.concatenate([grid.points, np.conj(grid.points)]),
-                         hess, norm0)
+    w = _poly_chain_eval(np.concatenate([arm, np.conj(arm)]), hess, norm0)
     assert w.dtype == np.float64
     assert np.array_equal(w[:2 * per_arm], q)
     assert np.array_equal(w[2 * per_arm::2], q[0::2])
@@ -194,18 +193,15 @@ def test_vshape_fit_is_conjugate_symmetric(beta, target, n1, sigma, degree,
     grid; the approximant is real on the positive real axis."""
     domain = Domain(beta)
     spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
-    approx, report = fit(target, spec, build_fit_grid(domain, per_arm=per_arm))
+    approx, report = fit(target, spec, domain, per_arm)
     assert approx.coeffs.dtype == np.float64
-    probe = build_fit_grid(domain, per_arm=val_per_arm).points
+    probe = build_fit_grid(domain, per_arm=val_per_arm)
     assert np.array_equal(evaluate(approx, np.conj(probe)),
                           np.conj(evaluate(approx, probe)))
-    # each arm on its own: on both arms' 20000 points at once, numpy turns
-    # x^alpha * log x into an in-place product with its operands swapped,
-    # which rounds complex products differently
-    vpts = build_fit_grid(domain, per_arm=VAL_PER_ARM).points
-    errs = [np.max(np.abs(evaluate(approx, z) - eval_target(target, z)))
-            for z in (vpts, np.conj(vpts))]
-    assert report.max_err == max(errs)
+    # both arms' 20000 points in one call
+    vpts = build_fit_grid(domain, per_arm=VAL_PER_ARM)
+    z = np.concatenate([vpts, np.conj(vpts)])
+    assert report.max_err == np.max(np.abs(evaluate(approx, z) - eval_target(target, z)))
     x = np.geomspace(1e-12, 1.0, 25).astype(complex)
     assert np.all(evaluate(approx, x).imag == 0)
 
@@ -228,11 +224,11 @@ def test_evaluate_on_fit_grid_matches_fitted_system(beta, n1, sigma, degree,
     domain = Domain(beta)
     grid = build_fit_grid(domain, per_arm=per_arm)
     spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
-    approx, _ = fit(target, spec, grid)
-    block = _poly_chain_build(grid.points, degree)[0] if degree >= 0 else None
-    system = _write_system(grid, spec, eval_target(target, grid.points), block)[0]
+    approx, _ = fit(target, spec, domain, per_arm)
+    block = _poly_chain_build(grid, degree)[0] if degree >= 0 else None
+    system = _write_system(grid, spec, eval_target(target, grid), block)[0]
     direct = system[:, :-1] @ approx.coeffs
-    values = evaluate(approx, grid.points).view(float)
+    values = evaluate(approx, grid).view(float)
     scale = max(1.0, float(np.abs(approx.coeffs).sum()))
     assert np.max(np.abs(values - direct)) <= 1e-13 * scale
 
@@ -321,8 +317,8 @@ def test_evaluate_on_a_slice_is_the_full_call_bit_for_bit(beta, n1, sigma,
     (more than one 4096-point chunk)."""
     domain = Domain(beta)
     spec = BasisSpec(tapered_poles(n1, sigma), poly_degree=degree)
-    approx, _ = fit(Target("sqrt"), spec, build_fit_grid(domain, per_arm=300))
-    pts = build_fit_grid(domain, per_arm=5000).points
+    approx, _ = fit(Target("sqrt"), spec, domain, 300)
+    pts = build_fit_grid(domain, per_arm=5000)
     full = evaluate(approx, pts)
     part = slice(start, start + length)
     assert np.array_equal(evaluate(approx, pts[part]), full[part])
