@@ -470,7 +470,7 @@ def fit_nested(target: Target, specs, domain: Domain,
 
     The fit grid is built first, so a bad per_arm is refused before a bad
     eps_rel.  A spec whose fit would allocate an array above the cap (see
-    `InputError.check_entries`) is refused first, with InputError.  What
+    `InputError.check_entries`) is refused next, with InputError.  What
     does not depend on the poles is computed next, once: the target
     on both grids and the polynomial block on both, at the largest degree
     any spec asks for and the fit grid carries.  That decides each spec's
