@@ -44,16 +44,22 @@ conjugate-symmetric bit for bit, so its maximum error on the upper arm is
 exactly that over both arms; the residual norm is reported over both.
 
 `fit_nested` computes what does not depend on the poles once, before any
-fit: the target on both grids and the polynomial block on both, at the
+fit: the target on the fit grid and the polynomial block there, at the
 largest degree any spec asks for and the grid carries.  The degree-d
 block is an exact prefix of the degree-D one, so a lower degree is a
-slice, bit for bit what a build at that degree gives.
+slice, bit for bit what a build at that degree gives.  It solves every
+group of fits first and then validates them all in one pass over the
+validation grid, chunk by chunk: per chunk one evaluation of the
+polynomial block, shared by every group, one partial-fraction block per
+group, and a running maximum per fit.  No array of the validation grid's
+size times the degree or the pole count is ever built.
 An approximant is its partial-fraction scales, its polynomial recurrence
 and its coefficients; it holds no grid.  Evaluation is matrix-free: the
 polynomial block times its coefficients plus the partial fractions,
-summed over chunks of _EVAL_CHUNK points, each chunk's partial-fraction
-block built once per group of fits.  `evaluate` and `max_error` share
-that routine, so both give the same values bit for bit.  A point's value
+summed over chunks of points that hold about _CHUNK_ENTRIES basis entries,
+each chunk's partial-fraction block built once per group of fits.
+`evaluate` and the validation pass share that routine, so `max_error`
+and max_err give the same values bit for bit.  A point's value
 does not depend on the other points evaluated with it: the partial-fraction
 sums at complex points run through einsum, which calls no BLAS, and the
 other products through _matvec, whose padding gives that property on the
@@ -62,7 +68,7 @@ BLAS kernel it was checked on (OpenBLAS 0.3.31, Haswell), not on every BLAS.
 The poles are real, so at a complex point z = x + iy the partial
 fraction is p/(z - p) = p (x - p) / D - i p y / D with D = (x - p)^2 + y^2,
 computed in real arithmetic, pole by pole: the system takes its real and
-imaginary rows straight from D, and a validation chunk sums
+imaginary rows straight from D and x - p, and a chunk of points sums
 Re = w (G o (x - p)) and Im = -y (w G) with G = p / D.  Points where D
 could leave the normal range take complex division instead.  On the
 interval the columns are p / (x - p) themselves.
@@ -80,7 +86,7 @@ from .errors import InputError, LightningError, NumericError
 from .problems import Domain, Target, build_fit_grid, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
-_EVAL_CHUNK = 4096  # points whose basis columns are evaluated at a time
+_CHUNK_ENTRIES = 2**18  # basis entries an evaluation holds per chunk of points
 FIT_PER_ARM = 2000  # fit-grid points per arm, unless the caller asks for others
 VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -216,21 +222,24 @@ def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndar
     return w
 
 
-def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Unscaled p / (z - p) at pts, a row per point or per pole as broadcast."""
-    diff = pts - poles
+def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled p / (z - p) at pts, a row per point or per pole as broadcast,
+    written into out if given."""
+    diff = np.subtract(pts, poles, out=out)
     if np.any(diff == 0):
         raise InputError("a point coincides with a pole")
     return np.divide(poles, diff, out=diff)
 
 
-def _pf_kernel(z: np.ndarray, poles: np.ndarray):
+def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None):
     """p/(z - p) at complex points z = x + iy for real poles p, in real
     arithmetic: p/(z - p) = p (dx - iy) / D with dx = x - p and
     D = dx^2 + y^2.
 
     Returns (d, dx, hard, exact), d and dx pole by pole: one row per pole,
-    one column per point.  At the points indexed by hard, where a D or p/D
+    one column per point, dx written into the array dx if one is given.
+    At the points indexed by hard, where a D or p/D
     could leave the normal range (within about 1e-154 of a pole, or so
     far out that D overflows or p/D underflows), the values are `exact`,
     one row per point, from complex division, which raises where a point
@@ -242,7 +251,7 @@ def _pf_kernel(z: np.ndarray, poles: np.ndarray):
     d_lo = max(_TINY, p_max / _HUGE)  # D >= d_lo: D normal, p/D finite
     z_max = math.sqrt(min(_HUGE, p_min / _TINY)) - p_max  # |z| <= z_max: D, p/D normal
     y = z.imag
-    dx = np.ascontiguousarray(z.real) - poles[:, None]
+    dx = np.subtract(z.real, poles[:, None], out=dx)
     with np.errstate(over="ignore"):
         y2 = y * y
         d = np.square(dx)
@@ -260,23 +269,26 @@ def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
                              poles: np.ndarray) -> np.ndarray:
     """Write the partial fractions p/(z - p) on a grid's upper arm into the
     real system's rows, pole by pole, each column divided by its maximum
-    modulus on the arm, and return those scales.  On a complex arm each
-    point's real part p (x - p) / D goes into an even row and its imaginary
-    part -p y / D into the next, written straight from D: the largest
-    modulus |p| / sqrt(D) sits at the smallest D."""
+    modulus on the arm, and return those scales.  On the interval the
+    values are computed in the rows themselves.  On a complex arm x - p
+    goes straight into the even rows, each point's real part
+    p (x - p) / D is formed there and its imaginary part -p y / D written
+    into the next row; D alone is a (poles x points) temporary, since the
+    passes over it run faster contiguous than on every other row.  The
+    largest modulus |p| / sqrt(D) sits at the smallest D."""
     if not np.iscomplexobj(arm):
-        pf = _partial_fraction_columns(arm, poles[:, None])
-        scales = np.abs(pf).max(axis=1)
+        pf = _partial_fraction_columns(arm, poles[:, None], out=rows.T)
+        scales = np.maximum(pf.max(axis=1), -pf.min(axis=1))
         _check_scales(scales)
-        np.divide(pf, scales[:, None], out=rows.T)
+        pf /= scales[:, None]
         return scales
-    d, dx, hard, exact = _pf_kernel(arm, poles)
+    d, dx, hard, exact = _pf_kernel(arm, poles, rows[0::2].T)
     scales = np.abs(poles) / np.sqrt(d.min(axis=1))
     if len(hard):
         scales = np.maximum(scales, np.abs(exact).max(axis=0))
     _check_scales(scales)
     g = np.divide((poles / scales)[:, None], d, out=d)
-    np.multiply(g, dx, out=rows[0::2].T)
+    dx *= g
     np.multiply(g, -arm.imag, out=rows[1::2].T)
     if len(hard):
         exact /= scales
@@ -378,34 +390,39 @@ class FitReport:
     eff_rank: int
 
 
-def _approximant_values(approxes, pts: np.ndarray, poly_rows) -> list:
-    """Values at pts of approximants sharing poles and scales, chunk by
-    chunk of _EVAL_CHUNK points: per chunk one partial-fraction block, and
-    poly_rows(k, rows) the polynomial block of approxes[k] at pts[rows],
-    asked for only where it has one."""
-    poles, scales = approxes[0].spec.poles, approxes[0].pf_scales
-    n_pf = len(scales)
-    outs = [np.zeros(len(pts), dtype=pts.dtype) for _ in approxes]
-    weights = [a.coeffs[:n_pf] / scales for a in approxes]
-    for start in range(0, len(pts), _EVAL_CHUNK):
-        rows = slice(start, start + _EVAL_CHUNK)
-        if n_pf:
-            for out, values in zip(outs, _pf_sums(pts[rows], poles, weights)):
-                out[rows] = values
-        for k, (out, a) in enumerate(zip(outs, approxes)):
-            if a.hess is not None:
-                chunk = out[rows].view(float)
-                chunk += _matvec(poly_rows(k, rows), a.coeffs[n_pf:])
-    return outs
+def _chunk_points(n_poles: int, weight: int, degree: int) -> int:
+    """Points per chunk of an evaluation: as many as keep the chunk's
+    partial fractions of n_poles poles and its degree-`degree` polynomial
+    block, weight rows a point, within _CHUNK_ENTRIES entries, in a
+    multiple of four, so that _matvec pads no chunk but the last."""
+    return max(4, _CHUNK_ENTRIES // (n_poles + weight * (degree + 1)) // 4 * 4)
 
 
-def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
-    """sum_j w_j p_j / (z - p_j) at pts for each real weight vector w.  On
-    complex points Re = w (g o dx) and Im = -y (w g), with g = p / D
-    (see _pf_kernel)."""
+def _chunk_values(approxes, pts: np.ndarray, block):
+    """Values at pts of approximants sharing poles and scales, one at a
+    time, from one partial-fraction block: block is the polynomial block
+    at pts (None if no approximant has one), at least as wide as any
+    approximant's, which takes its leading columns."""
+    n_pf = len(approxes[0].pf_scales)
+    if n_pf:
+        outs = _pf_sums(pts, approxes[0].spec.poles,
+                        [a.coeffs[:n_pf] / a.pf_scales for a in approxes])
+    else:
+        outs = (np.zeros(len(pts), dtype=pts.dtype) for _ in approxes)
+    for out, a in zip(outs, approxes):
+        if a.hess is not None:
+            values = out.view(float)
+            values += _matvec(block[:, :a.spec.poly_degree + 1], a.coeffs[n_pf:])
+        yield out
+
+
+def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights):
+    """sum_j w_j p_j / (z - p_j) at pts for each real weight vector w, one
+    at a time, from one partial-fraction block.  On complex points
+    Re = w (g o dx) and Im = -y (w g), with g = p / D (see _pf_kernel)."""
     if not np.iscomplexobj(pts):
         block = _partial_fraction_columns(pts[:, None], poles)
-        return [_matvec(block, w) for w in weights]
+        return (_matvec(block, w) for w in weights)
     d, dx, hard, exact = _pf_kernel(pts, poles)
     g = np.divide(poles[:, None], d, out=d)
     gdx = np.multiply(g, dx, out=dx)
@@ -418,7 +435,7 @@ def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights) -> list:
             values[hard] = _matvec(exact, w)
         return values
 
-    return [weighted_sum(w) for w in weights]
+    return (weighted_sum(w) for w in weights)
 
 
 def evaluate(approx: Approximant, pts) -> np.ndarray:
@@ -428,9 +445,14 @@ def evaluate(approx: Approximant, pts) -> np.ndarray:
     a pole, NumericError where a value overflows."""
     pts = InputError.check_points(pts)
     flat = np.ascontiguousarray(pts.ravel())
+    values = np.empty_like(flat)
+    size = _chunk_points(len(approx.pf_scales), _weight(flat), approx.spec.poly_degree)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _approximant_values([approx], flat, lambda _, rows: _poly_chain_eval(
-            flat[rows], approx.hess, approx.norm0))[0]
+        for start in range(0, len(flat), size):
+            rows = slice(start, start + size)
+            block = None if approx.hess is None else _poly_chain_eval(
+                flat[rows], approx.hess, approx.norm0)
+            values[rows], = _chunk_values([approx], flat[rows], block)
     if not np.all(np.isfinite(values)):
         raise NumericError("the approximant overflows at a point")
     return values.reshape(pts.shape)[()]
@@ -471,16 +493,19 @@ def fit_nested(target: Target, specs, domain: Domain,
     The fit grid is built first, so a bad per_arm is refused before a bad
     eps_rel.  A spec whose fit would allocate an array above the cap (see
     `InputError.check_entries`) is refused next, with InputError.  What
-    does not depend on the poles is computed next, once: the target
-    on both grids and the polynomial block on both, at the largest degree
-    any spec asks for and the fit grid carries.  That decides each spec's
+    does not depend on the poles is computed next, once: the target on
+    the fit grid and the polynomial block there, at the largest degree
+    any spec asks for and the grid carries.  That decides each spec's
     degree failure: InputError at a degree the grid's rows cannot carry,
     NumericError past a breakdown of the recurrence.  The other specs that
     share their poles form a group: one system, written and factored once
-    at the group's largest degree, solves every degree in it, and one
-    validation pass serves them all.  Returns per spec `fit`'s
-    (Approximant, FitReport) or the LightningError it raised.  An eps_rel
-    outside (0, 1] raises InputError before any fit.
+    at the group's largest degree, solves every degree in it, and is
+    dropped once they are solved.  Then one pass over the validation grid,
+    chunk by chunk, validates every group: per chunk one evaluation of
+    the polynomial block and, per group, one partial-fraction block.
+    Returns per spec `fit`'s (Approximant, FitReport) or the
+    LightningError it raised.  An eps_rel outside (0, 1] raises InputError
+    before any fit.
     """
     points = build_fit_grid(domain, per_arm)
     _check_eps(eps_rel)
@@ -488,15 +513,11 @@ def fit_nested(target: Target, specs, domain: Domain,
     results = [_refusal(spec, points) for spec in specs]
     carried = max((s.poly_degree for s, refused in zip(specs, results)
                    if refused is None), default=-1)
-    chain = (None, None, None)
+    q = hess = norm0 = None
     if carried >= 0:
-        chain = _poly_chain_build(points, carried)
-        carried = chain[1].shape[1]  # lower where the recurrence broke down
+        q, hess, norm0 = _poly_chain_build(points, carried)
+        carried = hess.shape[1]  # lower where the recurrence broke down
     fvec = eval_target(target, points)
-    vpts = build_fit_grid(domain, VAL_PER_ARM)
-    with np.errstate(over="ignore", invalid="ignore"):
-        validation = (vpts, eval_target(target, vpts),
-                      None if carried < 0 else _poly_chain_eval(vpts, *chain[1:]))
     groups = {}
     for i, spec in enumerate(specs):
         if results[i] is not None:
@@ -505,18 +526,39 @@ def fit_nested(target: Target, specs, domain: Domain,
             results[i] = NumericError("grid cannot support the requested polynomial degree")
         else:
             groups.setdefault(spec.poles.tobytes(), []).append(i)
+    solved = {}  # by spec index: (approximant, rank, resid_2norm)
     for group in groups.values():
-        fits = _fit_group([specs[i] for i in group], points, eps_rel, fvec, chain,
-                          validation)
+        fits = _solve_group([specs[i] for i in group], points, eps_rel, fvec, q,
+                            hess, norm0)
         for i, result in zip(group, fits):
-            results[i] = result
+            if isinstance(result, LightningError):
+                results[i] = result
+            else:
+                solved[i] = result
+    del q, fvec  # validation needs neither
+    errs = _validate(target, domain, [[i for i in group if i in solved]
+                                      for group in groups.values()],
+                     {i: a for i, (a, _, _) in solved.items()}, hess, norm0)
+    for i, (a, rank, resid) in solved.items():
+        if isinstance(errs[i], LightningError):
+            results[i] = errs[i]
+        elif not math.isfinite(errs[i]):
+            results[i] = NumericError("the approximant overflows on the validation grid")
+        else:
+            results[i] = (a, FitReport(max_err=float(errs[i]), resid_2norm=resid,
+                                       coeff_2norm=float(np.linalg.norm(a.coeffs)),
+                                       eff_rank=rank))
     return results
 
 
 def _refusal(spec: BasisSpec, points: np.ndarray):
     """The InputError of a spec at a polynomial degree at or beyond the
-    rows of the fit grid's points, or whose system, polynomial block on
-    either grid or validation chunk is above the cap; else None."""
+    rows of the fit grid's points, or whose system or polynomial block on
+    the fit grid is above the cap; else None.  The validation pass holds
+    neither its polynomial block nor its partial fractions whole, but a
+    spec whose block over the validation grid, or whose partial fractions
+    at 4096 points, would be above the cap is refused too, as it was when
+    the pass held them: the same specs fail, with the same message."""
     weight = _weight(points)  # the validation grid's too: one domain
     rows = weight * len(points)
     try:
@@ -528,21 +570,19 @@ def _refusal(spec: BasisSpec, points: np.ndarray):
         InputError.check_entries("the polynomial block", (spec.poly_degree + 1)
                                  * weight * max(len(points), VAL_PER_ARM))
         InputError.check_entries("a validation chunk",
-                                 min(_EVAL_CHUNK, VAL_PER_ARM) * len(spec.poles))
+                                 min(4096, VAL_PER_ARM) * len(spec.poles))
     except InputError as exc:
         return exc
     return None
 
 
-def _fit_group(specs, points: np.ndarray, eps_rel: float, fvec: np.ndarray, chain,
-               validation) -> list:
-    """fit_nested's results for specs that share their poles and whose
-    degrees the fit grid's points carry, all from one system at their
-    largest degree.  fvec is the target at the points, chain the polynomial
-    block there with its recurrence (Q, hess, norm0), and validation the
-    validation grid's points with the target and the block on them."""
-    (q, hess, norm0), (vpts, vvec, vq) = chain, validation
-    weight = _weight(vpts)  # the fit grid's too: both lie on one domain
+def _solve_group(specs, points: np.ndarray, eps_rel: float, fvec: np.ndarray, q,
+                 hess, norm0) -> list:
+    """Per spec (Approximant, rank, resid_2norm) or the LightningError, for
+    specs that share their poles and whose degrees the fit grid's points
+    carry, all from one system at their largest degree.  fvec is the
+    target at the points, q the polynomial block there and (hess, norm0)
+    its recurrence."""
     try:
         system, scales = _write_system(
             points, max(specs, key=lambda s: s.poly_degree), fvec, q)
@@ -550,35 +590,51 @@ def _fit_group(specs, points: np.ndarray, eps_rel: float, fvec: np.ndarray, chai
     except LightningError as exc:
         return [exc] * len(specs)
     del system  # the residual norms come from R
-    results, solved = [None] * len(specs), {}
-    for i, spec in enumerate(specs):
+    results = []
+    for spec in specs:
         try:
             coeffs, rank = _solve_r(r, spec.n_columns, eps_rel)
         except NumericError as exc:
-            results[i] = exc
+            results.append(exc)
             continue
         d = spec.poly_degree
         recurrence = (hess[:d + 1, :d], norm0) if d >= 0 else (None, None)
-        solved[i] = (Approximant(spec, scales, *recurrence, coeffs), rank)
-    approxes = [a for a, _ in solved.values()]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _approximant_values(approxes, vpts, lambda k, rows: vq[
-                weight * rows.start:weight * rows.stop,
-                :approxes[k].spec.poly_degree + 1]) if approxes else []
-            errs = [float(np.max(np.abs(v - vvec))) for v in values]
-    except LightningError as exc:
-        errs = [exc] * len(solved)
-    for (i, (a, rank)), err in zip(solved.items(), errs):
-        if isinstance(err, LightningError):
-            results[i] = err
-        elif not math.isfinite(err):
-            results[i] = NumericError("the approximant overflows on the validation grid")
-        else:
-            results[i] = (a, FitReport(
-                max_err=err,
-                resid_2norm=math.sqrt(weight) * float(np.linalg.norm(
-                    r[:, :a.spec.n_columns] @ a.coeffs - r[:, -1])),
-                coeff_2norm=float(np.linalg.norm(a.coeffs)),
-                eff_rank=rank))
+        resid = math.sqrt(_weight(points)) * float(np.linalg.norm(
+            r[:, :spec.n_columns] @ coeffs - r[:, -1]))
+        results.append((Approximant(spec, scales, *recurrence, coeffs), rank, resid))
     return results
+
+
+def _validate(target: Target, domain: Domain, groups, approxes: dict, hess,
+              norm0) -> dict:
+    """By spec index, the maximum error of approxes[i] on the validation
+    grid, or the LightningError its group's evaluation raised.  groups
+    lists the indices of approximants that share their poles.  One pass
+    over the grid, chunk by chunk: the polynomial block (hess, norm0) at
+    the chunk, for every group, and each group's partial fractions there,
+    for all its approximants.  A maximum is exact in any order and a
+    point's value does not depend on its chunk, so the result is the
+    whole grid's; np.maximum keeps a nan."""
+    groups = [group for group in groups if group]
+    errs = dict.fromkeys(approxes, 0.0)
+    if not groups:
+        return errs
+    pts = build_fit_grid(domain, VAL_PER_ARM)
+    degree = -1 if hess is None else hess.shape[1]
+    size = _chunk_points(max(len(approxes[g[0]].pf_scales) for g in groups),
+                         _weight(pts), degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = eval_target(target, pts)
+        for start in range(0, len(pts), size):
+            rows = slice(start, start + size)
+            block = None if hess is None else _poly_chain_eval(pts[rows], hess, norm0)
+            for group in groups:
+                if isinstance(errs[group[0]], LightningError):
+                    continue
+                try:
+                    for i, v in zip(group, _chunk_values(
+                            [approxes[i] for i in group], pts[rows], block)):
+                        errs[i] = np.maximum(errs[i], np.max(np.abs(v - values[rows])))
+                except LightningError as exc:
+                    errs.update(dict.fromkeys(group, exc))
+    return errs

@@ -258,7 +258,7 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
     """Degrees the grid's 8 points cannot carry fail their rows; the other
     degrees are solved from the group's one factorization, bit for bit a
     call without the failed specs, on one build of the polynomial block
-    and one evaluation of it on the validation grid."""
+    and one evaluation of it per validation chunk."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -271,7 +271,8 @@ def test_group_beyond_the_grid_fails_only_its_rows(monkeypatch, factored):
         monkeypatch.setattr(fitting, name, counted(name, getattr(fitting, name)))
     tab = run_grid(n1_list=(4,), per_arm=8)
     assert len(factored) == 1
-    assert calls == {"_poly_chain_build": 1, "_poly_chain_eval": 1}
+    chunks = math.ceil(fitting.VAL_PER_ARM / fitting._chunk_points(4, 1, 7))
+    assert calls == {"_poly_chain_build": 1, "_poly_chain_eval": chunks}
     monkeypatch.undo()
     statuses = tab.column("status")
     assert [s == "" for s in statuses] == [n2 < 8 for n2 in GRID_N2]

@@ -365,6 +365,63 @@ def _assert_same_fit(a, b):
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_streamed_validation_is_max_error_on_the_validation_grid(monkeypatch, beta):
+    """Every fit of a call over three pole sets and several degrees, each
+    group validated chunk by chunk in one pass (here in chunks of a few
+    hundred points), has as max_err, bit for bit, max_error on the whole
+    validation grid: a point's value does not depend on its chunk and a
+    maximum is exact in any order."""
+    a, b = tapered_poles(12, 6.0), tapered_poles(16, 8.0)
+    specs = [BasisSpec(a, poly_degree=3), BasisSpec(b, poly_degree=15),
+             BasisSpec(a, poly_degree=-1), BasisSpec(b, poly_degree=6),
+             BasisSpec(np.concatenate([a, big_poles(16, 4)]), poly_degree=0)]
+    domain = Domain(beta)
+    monkeypatch.setattr(fitting, "_CHUNK_ENTRIES", 2**14)
+    nested = fit_nested(SQRT, specs, domain, _PER_ARM)
+    monkeypatch.undo()
+    vpts = build_fit_grid(domain, VAL_PER_ARM)
+    for approx, report in nested:
+        assert report.max_err == max_error(approx, SQRT, vpts)
+
+
+def test_validation_memory_does_not_grow_with_the_degree(monkeypatch):
+    """Ten times the validation points raise a degree-20 V-domain fit's
+    traced peak by the points and their target values alone, 16 bytes
+    each, plus 1 MiB: validation holds no array of VAL_PER_ARM x degree
+    entries (a whole-grid degree-20 block would add 29 MiB)."""
+    spec = BasisSpec(tapered_poles(20, 6.0), poly_degree=20)
+
+    def traced_peak(per_arm):
+        monkeypatch.setattr(fitting, "VAL_PER_ARM", per_arm)
+        tracemalloc.start()
+        try:
+            (_, report), = fit_nested(SQRT, [spec], Domain(1.0))
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    peak, report = traced_peak(10**4)
+    more_peak, more_report = traced_peak(10**5)
+    assert more_peak - peak <= 2 * 16 * (10**5 - 10**4) + 2**20
+    # a denser sample finds a maximum at least as large
+    assert report.max_err <= more_report.max_err < 1e-5
+
+
+def test_a_group_failing_validation_fails_only_its_specs():
+    """On a 60-point grid a degree-59 fit overflows on the validation grid;
+    a group of other poles validated in the same pass, on the same chunks
+    of the degree-59 polynomial block, is bit for bit its lone call."""
+    overflowing = BasisSpec(tapered_poles(4, 8.0), poly_degree=59)
+    other = BasisSpec(tapered_poles(6, 6.0), poly_degree=2)
+    failed, result = fit_nested(SQRT, [overflowing, other], INTERVAL, 60)
+    assert isinstance(failed, NumericError)
+    assert str(failed) == "the approximant overflows on the validation grid"
+    alone, = fit_nested(SQRT, [other], INTERVAL, 60)
+    _assert_same_fit(result, alone)
+    assert result[1].max_err == 0.0017030935406122834
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_lower_degree_served_from_higher_degree_block(beta):
     """One call over three pole sets at degrees 3, 15 and 3 gives bit for
     bit the fits one at a time: the degree-3 groups read a prefix of the
@@ -379,29 +436,32 @@ def test_lower_degree_served_from_higher_degree_block(beta):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
     """Specs of three pole sets, in mixed order, fitted in one call are bit
-    for bit the per-group calls, and share one build of the
-    polynomial block and one evaluation of it on the validation grid."""
+    for bit the per-group calls, and share one build of the polynomial
+    block and one evaluation of it per validation chunk: the chunks
+    evaluated cover the validation grid once, not once per group."""
     a, b = tapered_poles(12, 6.0), tapered_poles(10, 8.0)
     specs = [BasisSpec(a, poly_degree=2),
              BasisSpec(b, poly_degree=12),
              BasisSpec(np.concatenate([a, big_poles(16, 4)]), poly_degree=0),
              BasisSpec(a, poly_degree=9),
              BasisSpec(b, poly_degree=-1)]
-    calls = {"build": 0, "eval": 0}
+    calls, evaluated = {"build": 0}, []
     build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
 
     def counted_build(*args):
         calls["build"] += 1
         return build(*args)
 
-    def counted_eval(*args):
-        calls["eval"] += 1
-        return chain_eval(*args)
+    def counted_eval(pts, *args):
+        evaluated.append(len(pts))
+        return chain_eval(pts, *args)
 
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
     nested = fit_nested(SQRT, specs, Domain(beta), _PER_ARM)
-    assert calls == {"build": 1, "eval": 1}
+    chunk = fitting._chunk_points(len(specs[2].poles), 2 if beta else 1, 12)
+    assert calls == {"build": 1}
+    assert len(evaluated) == math.ceil(VAL_PER_ARM / chunk) and sum(evaluated) == VAL_PER_ARM
     monkeypatch.undo()
     for group in ([0, 3], [1, 4], [2]):
         alone = fit_nested(SQRT, [specs[i] for i in group], Domain(beta), _PER_ARM)
@@ -410,11 +470,11 @@ def test_one_call_over_mixed_pole_sets(monkeypatch, beta):
 
 
 def test_grid_sweep_continues_the_recurrence(monkeypatch, factored):
-    """A degree 0..15 sweep runs 15 recurrence steps on each grid, not the
-    0 + 1 + ... + 15 = 120 of a rebuild at every degree, however many pole
-    sets it covers; it also runs one QR per pole set and builds the partial
-    fractions once on the fit grid and once per validation chunk, for all
-    16 degrees."""
+    """A degree 0..15 sweep runs 15 recurrence steps on the fit grid and
+    on each validation chunk, not the 0 + 1 + ... + 15 = 120 of a rebuild
+    at every degree, however many pole sets it covers; it also runs one QR
+    per pole set and builds the partial fractions once on the fit grid and
+    once per validation chunk, for all 16 degrees."""
     steps = {}
     build, chain_eval = fitting._poly_chain_build, fitting._poly_chain_eval
     pf_columns = fitting._partial_fraction_columns
@@ -434,14 +494,14 @@ def test_grid_sweep_continues_the_recurrence(monkeypatch, factored):
     monkeypatch.setattr(fitting, "_poly_chain_build", counted_build)
     monkeypatch.setattr(fitting, "_poly_chain_eval", counted_eval)
     monkeypatch.setattr(fitting, "_partial_fraction_columns", counted_pf)
-    chunks = math.ceil(VAL_PER_ARM / fitting._EVAL_CHUNK)
+    chunks = math.ceil(VAL_PER_ARM / fitting._chunk_points(16, 1, 15))
     for n1_list in ((16,), (9, 16)):
         steps.update(build=0, eval=0, pf=0)
         factored.clear()
         table = run_grid(n1_list=n1_list)
         assert len(table) == 16 * len(n1_list) and not any(table.column("status"))
         groups = len(n1_list)
-        assert steps == {"build": 15, "eval": 15, "pf": groups * (1 + chunks)}
+        assert steps == {"build": 15, "eval": 15 * chunks, "pf": groups * (1 + chunks)}
         assert len(factored) == groups
 
 
@@ -453,9 +513,9 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch, factored):
     kernel_points, complex_pf = [], []
     kernel, pf_columns = fitting._pf_kernel, fitting._partial_fraction_columns
 
-    def counted_kernel(z, poles):
+    def counted_kernel(z, poles, *out):
         kernel_points.append(len(z))
-        return kernel(z, poles)
+        return kernel(z, poles, *out)
 
     def counted_pf(pts, poles):
         complex_pf.append(len(pts))
