@@ -56,8 +56,9 @@ size times the degree or the pole count is ever built.
 An approximant is its partial-fraction scales, its polynomial recurrence
 and its coefficients; it holds no grid.  Evaluation is matrix-free: the
 polynomial block times its coefficients plus the partial fractions,
-summed over chunks of points that hold about _CHUNK_ENTRIES basis entries,
-each chunk's partial-fraction block built once per group of fits.
+summed over chunks of points that hold at most _CHUNK_ENTRIES float64
+entries of basis values (see _chunk_points), each chunk's
+partial-fraction block built once per group of fits.
 `evaluate` and the validation pass share that routine, so `max_error`
 and max_err give the same values bit for bit.  A point's value
 does not depend on the other points evaluated with it: the partial-fraction
@@ -86,7 +87,7 @@ from .errors import InputError, LightningError, NumericError
 from .problems import Domain, Target, build_fit_grid, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
-_CHUNK_ENTRIES = 2**18  # basis entries an evaluation holds per chunk of points
+_CHUNK_ENTRIES = 2**18  # float64 entries an evaluation holds per chunk of points
 FIT_PER_ARM = 2000  # fit-grid points per arm, unless the caller asks for others
 VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -245,7 +246,9 @@ def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None):
     one row per point, from complex division, which raises where a point
     is a pole (None when hard is empty); there d is inf and dx 0.  Each
     point is decided on its own, so its value does not depend on the
-    other points.
+    other points.  So a chunk of points holds two (poles x points) arrays,
+    which _pf_sums turns into p/D and its product with dx in place;
+    _chunk_points counts both.
     """
     p_min, p_max = float(np.min(np.abs(poles))), float(np.max(np.abs(poles)))
     d_lo = max(_TINY, p_max / _HUGE)  # D >= d_lo: D normal, p/D finite
@@ -391,11 +394,16 @@ class FitReport:
 
 
 def _chunk_points(n_poles: int, weight: int, degree: int) -> int:
-    """Points per chunk of an evaluation: as many as keep the chunk's
-    partial fractions of n_poles poles and its degree-`degree` polynomial
-    block, weight rows a point, within _CHUNK_ENTRIES entries, in a
-    multiple of four, so that _matvec pads no chunk but the last."""
-    return max(4, _CHUNK_ENTRIES // (n_poles + weight * (degree + 1)) // 4 * 4)
+    """Points per chunk of an evaluation: as many as keep what the chunk
+    holds within _CHUNK_ENTRIES float64 entries, in a multiple of four, so
+    that _matvec pads no chunk but the last.  A point holds
+    weight x (n_poles + degree + 1) entries: its degree-`degree`
+    polynomial block, weight rows a point, and its partial fractions, one
+    (poles x points) array on the interval and two on a V-domain (see
+    _pf_kernel).  So a chunk of four points, the smallest, holds
+    4 x weight x n_columns entries of a spec's basis; _refusal refuses a
+    spec for which that is above the cap."""
+    return max(4, _CHUNK_ENTRIES // (weight * (n_poles + degree + 1)) // 4 * 4)
 
 
 def _chunk_values(approxes, pts: np.ndarray, block):
@@ -553,12 +561,10 @@ def fit_nested(target: Target, specs, domain: Domain,
 
 def _refusal(spec: BasisSpec, points: np.ndarray):
     """The InputError of a spec at a polynomial degree at or beyond the
-    rows of the fit grid's points, or whose system or polynomial block on
-    the fit grid is above the cap; else None.  The validation pass holds
-    neither its polynomial block nor its partial fractions whole, but a
-    spec whose block over the validation grid, or whose partial fractions
-    at 4096 points, would be above the cap is refused too, as it was when
-    the pass held them: the same specs fail, with the same message."""
+    rows of the fit grid's points, or whose system or smallest validation
+    chunk (see _chunk_points) is above the cap; else None.  The polynomial
+    block on the fit grid lies inside the system, and the chunk can
+    outgrow the system only on a grid of under four points per arm."""
     weight = _weight(points)  # the validation grid's too: one domain
     rows = weight * len(points)
     try:
@@ -567,10 +573,7 @@ def _refusal(spec: BasisSpec, points: np.ndarray):
                              f"more than the grid's {rows} points")
         InputError.check_entries("the least-squares system",
                                  rows * (spec.n_columns + 1))
-        InputError.check_entries("the polynomial block", (spec.poly_degree + 1)
-                                 * weight * max(len(points), VAL_PER_ARM))
-        InputError.check_entries("a validation chunk",
-                                 min(4096, VAL_PER_ARM) * len(spec.poles))
+        InputError.check_entries("a validation chunk", 4 * weight * spec.n_columns)
     except InputError as exc:
         return exc
     return None

@@ -12,7 +12,7 @@ import pytest
 from lightningfit import (BasisSpec, Domain, InputError, NumericError, Target,
                           big_poles, build_fit_grid, eval_target, evaluate, fit,
                           max_error, tapered_poles, uniform_poles)
-from lightningfit import fitting
+from lightningfit import errors, fitting
 from lightningfit.experiments import run_fit, run_grid
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, FIT_PER_ARM, VAL_PER_ARM, _factor,
                                   _poly_chain_build, _poly_chain_eval, _solve_r,
@@ -179,6 +179,26 @@ def test_evaluate_memory_is_bounded_by_its_output(beta):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * values.nbytes + 4 * 2**20
+
+
+def test_v_domain_chunk_holds_its_budget():
+    """A V-domain chunk holds its polynomial block and two (poles x points)
+    partial-fraction arrays, 2 (poles + degree + 1) entries a point, and is
+    sized to that: evaluating a 64-pole, degree-11 approximant at 2 x 10^4
+    points, the traced peak less the returned array stays within
+    _CHUNK_ENTRIES float64 entries plus 128 KiB of per-point temporaries.
+    A chunk that counted one partial-fraction array held 1.73 times that."""
+    domain = Domain(1.6)
+    spec = BasisSpec(tapered_poles(64, 2 * math.sqrt(0.4) * math.pi), poly_degree=11)
+    approx, _ = fit(Target("powerlog", 0.9), spec, domain)
+    z = build_fit_grid(domain, 2 * 10**4)
+    tracemalloc.start()
+    try:
+        values = evaluate(approx, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes <= 8 * fitting._CHUNK_ENTRIES + 2**17
 
 
 def test_evaluate_rejects_point_on_pole():
@@ -405,6 +425,33 @@ def test_validation_memory_does_not_grow_with_the_degree(monkeypatch):
     assert more_peak - peak <= 2 * 16 * (10**5 - 10**4) + 2**20
     # a denser sample finds a maximum at least as large
     assert report.max_err <= more_report.max_err < 1e-5
+
+
+def test_many_poles_on_a_small_grid_fit():
+    """9000 poles on 100 points: a system of 0.9M entries, validated in
+    chunks of 28 points, is fitted, not refused for a 4096-point
+    partial-fraction block it never builds."""
+    (approx, report), = fit_nested(SQRT, [BasisSpec(-np.logspace(-3, 2, 9000), -1)],
+                                   INTERVAL, 100)
+    assert math.isfinite(report.max_err) and len(approx.coeffs) == 9000
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_refusal_names_the_smallest_validation_chunk(monkeypatch, beta):
+    """With the cap one entry below a 10-pole spec's smallest validation
+    chunk, 4 x weight x 10 entries, grids of 1 to 3 points per arm refuse
+    the spec for that chunk; from 4 points per arm on the system outgrows
+    the chunk and is named instead, as it is whenever it is above the cap."""
+    weight = 2 if beta else 1
+    spec = BasisSpec(tapered_poles(10, 6.0), poly_degree=-1)
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 4 * weight * 10 - 1)
+    for per_arm in (1, 2, 3, 4, 5):
+        failed, = fit_nested(SQRT, [spec], Domain(beta), per_arm)
+        what, entries = (("a validation chunk", 4 * weight * 10) if per_arm < 4 else
+                         ("the least-squares system", weight * per_arm * 11))
+        assert isinstance(failed, InputError)
+        assert str(failed) == (f"{what} needs {entries} float64 entries, above the "
+                               f"cap of {4 * weight * 10 - 1}")
 
 
 def test_a_group_failing_validation_fails_only_its_specs():
