@@ -47,7 +47,7 @@ EXTRA_ARGVS = (
     # invalid
     ("vshape", "--n1", "0", "--grid-points", "0"),
     # 8200 poles on a 20-point grid: a system far below the cap, validated
-    # in chunks of 28 points; pins that a spec is capped only for arrays
+    # in chunks of 12 points; pins that a spec is capped only for arrays
     # its fit allocates
     ("fit", "--n1", "8200", "--sigma", "0.001", "--n2", "0", "--grid-points", "20"),
 )

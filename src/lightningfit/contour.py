@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InputError
 from .problems import Domain
 from .quadrature import integrate_many
-from .trapezoid import (TrapApproximant, _window_integral, error_integrand,
+from .trapezoid import (TrapApproximant, _error_integrand, _window_integral,
                         trap_eval, truncated_sqrt_integral)
 
 
@@ -232,7 +232,7 @@ def contour_terms(setups) -> list:
         k = np.minimum(t.astype(int), 5)  # quadrature nodes avoid the vertices
         u = start[row, k] + (t - k) * dz[row, k]
         delta = _comb_kernel(u / h[row], sign[k])
-        return error_integrand(u, z[row], tp[row]) * delta * dz[row, k]
+        return _error_integrand(u, z[row], tp[row]) * delta * dz[row, k]
 
     gammas = integrate_many(
         on_legs, np.arange(7.0), [6 * s.tol for s in setups],

@@ -49,16 +49,19 @@ largest degree any spec asks for and the grid carries.  The degree-d
 block is an exact prefix of the degree-D one, so a lower degree is a
 slice, bit for bit what a build at that degree gives.  It solves every
 group of fits first and then validates them all in one pass over the
-validation grid, chunk by chunk: per chunk one evaluation of the
-polynomial block, shared by every group, one partial-fraction block per
-group, and a running maximum per fit.  No array of the validation grid's
-size times the degree or the pole count is ever built.
+validation grid, chunk by chunk: per chunk one evaluation of the target,
+of the polynomial block and of the points' pole-independent parts
+(_point_parts), shared by every group, one partial-fraction block per
+group, and a running maximum per fit.  Validation holds no array of the
+validation grid's size but its points.
 An approximant is its partial-fraction scales, its polynomial recurrence
 and its coefficients; it holds no grid.  Evaluation is matrix-free: the
 polynomial block times its coefficients plus the partial fractions,
 summed over chunks of points that hold at most _CHUNK_ENTRIES float64
 entries of basis values (see _chunk_points), each chunk's
-partial-fraction block built once per group of fits.
+partial-fraction block built once per group of fits.  No chunk holds a
+(points x poles) array but those entries: a point on a pole is found
+from the division's zero-divide flag (_partial_fraction_columns).
 `evaluate` and the validation pass share that routine, so `max_error`
 and max_err give the same values bit for bit.  A point's value
 does not depend on the other points evaluated with it: the partial-fraction
@@ -87,7 +90,10 @@ from .errors import InputError, LightningError, NumericError
 from .problems import Domain, Target, build_fit_grid, eval_target
 
 DEFAULT_TSVD_EPS = 2e-14
-_CHUNK_ENTRIES = 2**18  # float64 entries an evaluation holds per chunk of points
+# float64 entries of basis values an evaluation holds per chunk of points:
+# 1 MiB, so that a chunk's partial-fraction block stays in a 2 MiB per-core
+# L2 cache (the Xeon it was timed on) across the products that read it
+_CHUNK_ENTRIES = 2**17
 FIT_PER_ARM = 2000  # fit-grid points per arm, unless the caller asks for others
 VAL_PER_ARM = 10000  # validation-grid points per arm of every fit
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -223,20 +229,47 @@ def _poly_chain_eval(pts: np.ndarray, hess: np.ndarray, norm0: float) -> np.ndar
     return w
 
 
+def _on_a_pole(*_):
+    """numpy's floating-point error callback for a zero divide in
+    _partial_fraction_columns."""
+    raise InputError("a point coincides with a pole")
+
+
 def _partial_fraction_columns(pts: np.ndarray, poles: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:
     """Unscaled p / (z - p) at pts, a row per point or per pole as broadcast,
-    written into out if given."""
-    diff = np.subtract(pts, poles, out=out)
-    if np.any(diff == 0):
-        raise InputError("a point coincides with a pole")
-    return np.divide(poles, diff, out=diff)
+    written into out if given.  The points are copied into the output
+    before the poles are subtracted there, as a ufunc buffers each
+    broadcast operand (64 KiB at numpy's default buffer size) and the copy
+    none.  A pole is nonzero, so the division is by zero exactly where a
+    point is a pole, and its floating-point flag, not a (points x poles)
+    mask, finds such a point; the other flags are the caller's to handle."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(pts.shape, poles.shape),
+                       np.result_type(pts, poles))
+    out[...] = pts
+    diff = np.subtract(out, poles, out=out)
+    with np.errstate(divide="call", call=_on_a_pole):
+        return np.divide(poles, diff, out=diff)
 
 
-def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None):
+def _point_parts(pts: np.ndarray):
+    """What the partial fractions at complex points need of the points
+    whatever the poles (see _pf_kernel): x, y and y^2, contiguous, and
+    |z|, so that one chunk computes them once for every pole group; None
+    at real points, which need nothing more."""
+    if not np.iscomplexobj(pts):
+        return None
+    x, y = np.ascontiguousarray(pts.real), np.ascontiguousarray(pts.imag)
+    with np.errstate(over="ignore"):
+        return x, y, y * y, np.abs(pts)
+
+
+def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None,
+               parts=None):
     """p/(z - p) at complex points z = x + iy for real poles p, in real
     arithmetic: p/(z - p) = p (dx - iy) / D with dx = x - p and
-    D = dx^2 + y^2.
+    D = dx^2 + y^2.  parts is _point_parts(z), computed here if not given.
 
     Returns (d, dx, hard, exact), d and dx pole by pole: one row per pole,
     one column per point, dx written into the array dx if one is given.
@@ -250,19 +283,18 @@ def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None):
     which _pf_sums turns into p/D and its product with dx in place;
     _chunk_points counts both.
     """
+    x, _, y2, modulus = _point_parts(z) if parts is None else parts
     p_min, p_max = float(np.min(np.abs(poles))), float(np.max(np.abs(poles)))
     d_lo = max(_TINY, p_max / _HUGE)  # D >= d_lo: D normal, p/D finite
     z_max = math.sqrt(min(_HUGE, p_min / _TINY)) - p_max  # |z| <= z_max: D, p/D normal
-    y = z.imag
-    dx = np.subtract(z.real, poles[:, None], out=dx)
+    dx = np.subtract(x, poles[:, None], out=dx)
     with np.errstate(over="ignore"):
-        y2 = y * y
         d = np.square(dx)
         d += y2
     near = y2 < d_lo  # only here can D fall below d_lo
     if near.any():
         near[near] = d[:, near].min(axis=0) < d_lo
-    hard = np.flatnonzero(near | ~(np.abs(z) <= z_max))
+    hard = np.flatnonzero(near | ~(modulus <= z_max))
     exact = _partial_fraction_columns(z[hard, None], poles) if len(hard) else None
     d[:, hard], dx[:, hard] = np.inf, 0.0
     return d, dx, hard, exact
@@ -400,21 +432,24 @@ def _chunk_points(n_poles: int, weight: int, degree: int) -> int:
     weight x (n_poles + degree + 1) entries: its degree-`degree`
     polynomial block, weight rows a point, and its partial fractions, one
     (poles x points) array on the interval and two on a V-domain (see
-    _pf_kernel).  So a chunk of four points, the smallest, holds
-    4 x weight x n_columns entries of a spec's basis; _refusal refuses a
-    spec for which that is above the cap."""
+    _pf_kernel).  Beside them a chunk holds a few arrays of one entry a
+    point, its target values and _point_parts among them, and numpy's
+    buffer for a broadcast operand, 64 KiB.  A chunk of four points, the
+    smallest, holds 4 x weight x n_columns entries of a spec's basis;
+    _refusal refuses a spec for which that is above the cap."""
     return max(4, _CHUNK_ENTRIES // (weight * (n_poles + degree + 1)) // 4 * 4)
 
 
-def _chunk_values(approxes, pts: np.ndarray, block):
+def _chunk_values(approxes, pts: np.ndarray, block, parts):
     """Values at pts of approximants sharing poles and scales, one at a
     time, from one partial-fraction block: block is the polynomial block
     at pts (None if no approximant has one), at least as wide as any
-    approximant's, which takes its leading columns."""
+    approximant's, which takes its leading columns, and parts is
+    _point_parts(pts)."""
     n_pf = len(approxes[0].pf_scales)
     if n_pf:
         outs = _pf_sums(pts, approxes[0].spec.poles,
-                        [a.coeffs[:n_pf] / a.pf_scales for a in approxes])
+                        [a.coeffs[:n_pf] / a.pf_scales for a in approxes], parts)
     else:
         outs = (np.zeros(len(pts), dtype=pts.dtype) for _ in approxes)
     for out, a in zip(outs, approxes):
@@ -424,21 +459,23 @@ def _chunk_values(approxes, pts: np.ndarray, block):
         yield out
 
 
-def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights):
+def _pf_sums(pts: np.ndarray, poles: np.ndarray, weights, parts):
     """sum_j w_j p_j / (z - p_j) at pts for each real weight vector w, one
     at a time, from one partial-fraction block.  On complex points
-    Re = w (g o dx) and Im = -y (w g), with g = p / D (see _pf_kernel)."""
-    if not np.iscomplexobj(pts):
+    Re = w (g o dx) and Im = -y (w g), with g = p / D and parts
+    _point_parts(pts) (see _pf_kernel)."""
+    if parts is None:
         block = _partial_fraction_columns(pts[:, None], poles)
         return (_matvec(block, w) for w in weights)
-    d, dx, hard, exact = _pf_kernel(pts, poles)
+    d, dx, hard, exact = _pf_kernel(pts, poles, parts=parts)
     g = np.divide(poles[:, None], d, out=d)
     gdx = np.multiply(g, dx, out=dx)
+    y = parts[1]
 
     def weighted_sum(w):
         values = np.empty(len(pts), dtype=complex)
         values.real = _vecmat(w, gdx)
-        values.imag = -pts.imag * _vecmat(w, g)
+        values.imag = -y * _vecmat(w, g)
         if len(hard):
             values[hard] = _matvec(exact, w)
         return values
@@ -457,10 +494,11 @@ def evaluate(approx: Approximant, pts) -> np.ndarray:
     size = _chunk_points(len(approx.pf_scales), _weight(flat), approx.spec.poly_degree)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(flat), size):
-            rows = slice(start, start + size)
+            chunk = flat[start:start + size]
             block = None if approx.hess is None else _poly_chain_eval(
-                flat[rows], approx.hess, approx.norm0)
-            values[rows], = _chunk_values([approx], flat[rows], block)
+                chunk, approx.hess, approx.norm0)
+            values[start:start + size], = _chunk_values(
+                [approx], chunk, block, _point_parts(chunk))
     if not np.all(np.isfinite(values)):
         raise NumericError("the approximant overflows at a point")
     return values.reshape(pts.shape)[()]
@@ -510,7 +548,8 @@ def fit_nested(target: Target, specs, domain: Domain,
     at the group's largest degree, solves every degree in it, and is
     dropped once they are solved.  Then one pass over the validation grid,
     chunk by chunk, validates every group: per chunk one evaluation of
-    the polynomial block and, per group, one partial-fraction block.
+    the target and of the polynomial block and, per group, one
+    partial-fraction block.
     Returns per spec `fit`'s (Approximant, FitReport) or the
     LightningError it raised.  An eps_rel outside (0, 1] raises InputError
     before any fit.
@@ -613,11 +652,12 @@ def _validate(target: Target, domain: Domain, groups, approxes: dict, hess,
     """By spec index, the maximum error of approxes[i] on the validation
     grid, or the LightningError its group's evaluation raised.  groups
     lists the indices of approximants that share their poles.  One pass
-    over the grid, chunk by chunk: the polynomial block (hess, norm0) at
-    the chunk, for every group, and each group's partial fractions there,
-    for all its approximants.  A maximum is exact in any order and a
-    point's value does not depend on its chunk, so the result is the
-    whole grid's; np.maximum keeps a nan."""
+    over the grid, chunk by chunk: the target, the polynomial block
+    (hess, norm0) and the points' parts at the chunk, for every group, and
+    each group's partial fractions there, for all its approximants.  A
+    maximum is exact in any order and a point's value, the target's too,
+    does not depend on its chunk, so the result is the whole grid's;
+    np.maximum keeps a nan."""
     groups = [group for group in groups if group]
     errs = dict.fromkeys(approxes, 0.0)
     if not groups:
@@ -627,17 +667,18 @@ def _validate(target: Target, domain: Domain, groups, approxes: dict, hess,
     size = _chunk_points(max(len(approxes[g[0]].pf_scales) for g in groups),
                          _weight(pts), degree)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = eval_target(target, pts)
         for start in range(0, len(pts), size):
-            rows = slice(start, start + size)
-            block = None if hess is None else _poly_chain_eval(pts[rows], hess, norm0)
+            chunk = pts[start:start + size]
+            values = eval_target(target, chunk)
+            block = None if hess is None else _poly_chain_eval(chunk, hess, norm0)
+            parts = _point_parts(chunk)
             for group in groups:
                 if isinstance(errs[group[0]], LightningError):
                     continue
                 try:
                     for i, v in zip(group, _chunk_values(
-                            [approxes[i] for i in group], pts[rows], block)):
-                        errs[i] = np.maximum(errs[i], np.max(np.abs(v - values[rows])))
+                            [approxes[i] for i in group], chunk, block, parts)):
+                        errs[i] = np.maximum(errs[i], np.max(np.abs(v - values)))
                 except LightningError as exc:
                     errs.update(dict.fromkeys(group, exc))
     return errs

@@ -68,8 +68,25 @@ def error_integrand(u, z, t_param):
     that broadcast against u.  z/pi is formed componentwise, as Python
     divides a complex by a real (numpy's complex z / pi multiplies by the
     reciprocal and can differ in the last bit), so a Python complex z and
-    the same z in an array of any shape give the same bits.
+    the same z in an array of any shape give the same bits.  Raises
+    InputError unless u and z are finite numbers and T finite reals > 0.
     """
+    for name, value in (("u", u), ("z", z)):
+        try:
+            InputError.check_points(value)
+        except InputError:
+            raise InputError(f"{name} must hold finite real or complex numbers, "
+                             f"got {value!r}") from None
+    t = InputError.check_reals(t_param, f"t_param must hold reals, got {t_param!r}")
+    if not np.all((t > 0) & (t < np.inf)):
+        raise InputError(f"t_param must be finite and positive, got {t_param!r}")
+    return _error_integrand(u, z, t_param)
+
+
+def _error_integrand(u, z, t_param):
+    """error_integrand without its checks, for the contour's legs, whose
+    u, z and T are valid by construction and which call it once per batch
+    of quadrature nodes."""
     uu, zz = np.asarray(u, dtype=complex), np.asarray(z, dtype=complex)
     root = np.sqrt(uu)
     s = root - t_param

@@ -13,7 +13,7 @@ from lightningfit import (BasisSpec, Domain, InputError, NumericError, Target,
                           big_poles, build_fit_grid, eval_target, evaluate, fit,
                           max_error, tapered_poles, uniform_poles)
 from lightningfit import errors, fitting
-from lightningfit.experiments import run_fit, run_grid
+from lightningfit.experiments import SIGMA_GRID, corner_target, run_fit, run_grid
 from lightningfit.fitting import (DEFAULT_TSVD_EPS, FIT_PER_ARM, VAL_PER_ARM, _factor,
                                   _poly_chain_build, _poly_chain_eval, _solve_r,
                                   _write_system, fit_nested)
@@ -181,14 +181,17 @@ def test_evaluate_memory_is_bounded_by_its_output(beta):
     assert peak <= 2 * values.nbytes + 4 * 2**20
 
 
-def test_v_domain_chunk_holds_its_budget():
-    """A V-domain chunk holds its polynomial block and two (poles x points)
-    partial-fraction arrays, 2 (poles + degree + 1) entries a point, and is
+@pytest.mark.parametrize("beta", [0.0, 1.6])
+def test_evaluation_chunk_holds_its_budget(beta):
+    """A chunk holds its polynomial block and its partial fractions, one
+    (poles x points) array on the interval and two on a V-domain, and is
     sized to that: evaluating a 64-pole, degree-11 approximant at 2 x 10^4
     points, the traced peak less the returned array stays within
     _CHUNK_ENTRIES float64 entries plus 128 KiB of per-point temporaries.
-    A chunk that counted one partial-fraction array held 1.73 times that."""
-    domain = Domain(1.6)
+    A V-domain chunk that counted one partial-fraction array held 1.73
+    times that, and an interval chunk that checked for a pole with a
+    (points x poles) boolean mask 1.11 times."""
+    domain = Domain(beta)
     spec = BasisSpec(tapered_poles(64, 2 * math.sqrt(0.4) * math.pi), poly_degree=11)
     approx, _ = fit(Target("powerlog", 0.9), spec, domain)
     z = build_fit_grid(domain, 2 * 10**4)
@@ -206,6 +209,31 @@ def test_evaluate_rejects_point_on_pole():
     approx, _ = _fit(spec, Domain(), 50)
     with pytest.raises(InputError):
         evaluate(approx, np.array([spec.poles[0]]))
+
+
+def test_pole_check_builds_no_mask_and_keeps_its_errors():
+    """The check that no point is a pole reads the division's zero-divide
+    flag: a point on a pole raises the same InputError, with no warning,
+    among points on either side of it, on the interval and on a V-domain;
+    a point beside a pole is none; and a value that overflows at a point
+    off every pole, within 1e-320 above one, still reaches evaluate, which
+    refuses it as before."""
+    poles = -np.array([1e-3, 0.5, 2.0])
+    for pts in (np.array([-0.75, poles[1], 0.25])[:, None],
+                np.array([0.5j, complex(poles[1], 0.0)])[:, None]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^a point coincides with a pole$"):
+                fitting._partial_fraction_columns(pts, poles)
+    beside = np.array([np.nextafter(poles[1], 0.0), np.nextafter(poles[1], -1.0)])
+    assert np.array_equal(fitting._partial_fraction_columns(beside[:, None], poles),
+                          poles / (beside[:, None] - poles))
+    approx = fitting.Approximant(BasisSpec(poles, poly_degree=-1), np.ones(3), None,
+                                 None, np.array([1.0, -2.0, 3.0]))
+    with pytest.raises(InputError, match="^a point coincides with a pole$"):
+        evaluate(approx, [0.5, poles[2]])
+    with pytest.raises(NumericError, match="overflows at a point"):
+        evaluate(approx, [0.5j, complex(poles[1], 1e-320)])
 
 
 def test_tsvd_matches_normal_equations_when_well_conditioned():
@@ -427,9 +455,48 @@ def test_validation_memory_does_not_grow_with_the_degree(monkeypatch):
     assert report.max_err <= more_report.max_err < 1e-5
 
 
+@pytest.mark.parametrize("case", ["budget-grid", "corner-sweep"])
+def test_validation_stays_under_the_solve(monkeypatch, case):
+    """The validation pass holds the points and a few chunk arrays, less
+    than the least-squares system it checks, so it does not raise a
+    sweep's peak: on the benchmark's largest budget-grid op (x^0.9,
+    100 tapered poles at sigma = 2 pi / sqrt(0.9), degrees 0 to 15 on the
+    interval) and its largest corner-sweep op (z^(1/1.6) on beta = 1.6,
+    20 poles and degree 20 at each sigma of SIGMA_GRID), the traced peak
+    of the validation pass is at most that of the solve before it.  With
+    2^18-entry chunks, the interval's (points x poles) pole mask and the
+    target on the whole validation grid it was above it on both."""
+    if case == "budget-grid":
+        target, domain = Target("power", 0.9), INTERVAL
+        specs = [BasisSpec(tapered_poles(100, 2 * math.pi / math.sqrt(0.9), 1.0),
+                           poly_degree=degree) for degree in range(16)]
+    else:
+        target, domain = corner_target(1.6), Domain(1.6)
+        specs = [BasisSpec(tapered_poles(20, sigma, 1.0), poly_degree=20)
+                 for sigma in SIGMA_GRID]
+    peaks, validate = [], fitting._validate
+
+    def traced_validate(*args):  # the solve's peak, then the pass's
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        errs = validate(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return errs
+
+    monkeypatch.setattr(fitting, "_validate", traced_validate)
+    tracemalloc.start()
+    try:
+        results = fit_nested(target, specs, domain)
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(r, Exception) for r in results)
+    solve_peak, validate_peak = peaks
+    assert validate_peak <= solve_peak
+
+
 def test_many_poles_on_a_small_grid_fit():
     """9000 poles on 100 points: a system of 0.9M entries, validated in
-    chunks of 28 points, is fitted, not refused for a 4096-point
+    chunks of 12 points, is fitted, not refused for a 4096-point
     partial-fraction block it never builds."""
     (approx, report), = fit_nested(SQRT, [BasisSpec(-np.logspace(-3, 2, 9000), -1)],
                                    INTERVAL, 100)
@@ -560,9 +627,9 @@ def test_vshape_fit_folds_to_the_upper_arm(monkeypatch, factored):
     kernel_points, complex_pf = [], []
     kernel, pf_columns = fitting._pf_kernel, fitting._partial_fraction_columns
 
-    def counted_kernel(z, poles, *out):
+    def counted_kernel(z, poles, *out, **parts):
         kernel_points.append(len(z))
-        return kernel(z, poles, *out)
+        return kernel(z, poles, *out, **parts)
 
     def counted_pf(pts, poles):
         complex_pf.append(len(pts))

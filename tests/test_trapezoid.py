@@ -87,6 +87,30 @@ def test_error_integrand_bits_do_not_depend_on_how_z_is_held(nt, beta, w):
     assert np.complex128(trap_eval(rule, z)).tobytes() == node_sum.tobytes()
 
 
+@pytest.mark.parametrize("u, z, t_param, name", [
+    (math.nan, 0.5, 9.0, "u"), ([1.0, math.inf], 0.5, 9.0, "u"), ("a", 0.5, 9.0, "u"),
+    (1.0, math.nan, 9.0, "z"), (1.0, complex(0.5, math.nan), 9.0, "z"),
+    (1.0, "b", 9.0, "z"), (1.0, 0.5, math.nan, "t_param"),
+    (1.0, 0.5, -1e300, "t_param"), (1.0, 0.5, 0.0, "t_param"),
+    (1.0, 0.5, math.inf, "t_param"), (1.0, 0.5, [9.0, math.nan], "t_param"),
+    (1.0, 0.5, 9.0j, "t_param"), (1.0, 0.5, "9", "t_param")])
+def test_error_integrand_refuses_what_is_not_a_finite_number(u, z, t_param, name):
+    """u and z must be finite numbers and T a finite positive real, each as
+    a scalar or an array; a nan, an infinity, text or T <= 0 is refused,
+    not turned into nan, an overflow or numpy's ValueError."""
+    with pytest.raises(InputError, match=f"^{name} must"):
+        error_integrand(u, z, t_param)
+
+
+def test_error_integrand_takes_arrays_of_t():
+    """An array of T broadcasts against u and z like a scalar one."""
+    u, t_param = np.array([0.5, 2.0 + 1.0j]), np.array([[4.0], [9.0]])
+    got = error_integrand(u, 0.3 + 0.2j, t_param)
+    assert got.shape == (2, 2)
+    for row, t in zip(got, t_param[:, 0]):
+        assert row.tobytes() == error_integrand(u, 0.3 + 0.2j, t).tobytes()
+
+
 def test_trap_eval_rejects_pole_hit():
     t = TrapApproximant(4)
     # z = -e^{2 s_j} is a pole of the j-th term
