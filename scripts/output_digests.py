@@ -50,6 +50,9 @@ EXTRA_ARGVS = (
     # in chunks of 12 points; pins that a spec is capped only for arrays
     # its fit allocates
     ("fit", "--n1", "8200", "--sigma", "0.001", "--n2", "0", "--grid-points", "20"),
+    # smallest pole 2.03e-313: every fit point takes the complex division
+    # in the V-domain system
+    ("fit", "--beta", "0.5", "--n1", "16", "--sigma", "240"),
 )
 
 # experiments runner, keyword arguments

@@ -71,11 +71,14 @@ BLAS kernel it was checked on (OpenBLAS 0.3.31, Haswell), not on every BLAS.
 
 The poles are real, so at a complex point z = x + iy the partial
 fraction is p/(z - p) = p (x - p) / D - i p y / D with D = (x - p)^2 + y^2,
-computed in real arithmetic, pole by pole: the system takes its real and
-imaginary rows straight from D and x - p, and a chunk of points sums
-Re = w (G o (x - p)) and Im = -y (w G) with G = p / D.  Points where D
-could leave the normal range take complex division instead.  On the
-interval the columns are p / (x - p) themselves.
+computed in real arithmetic.  The system is written one pole at a time,
+x - p in its column's real rows and D in one vector of the arm's length,
+so the write holds no (poles x points) array beside the system; a chunk
+of points builds G = p / D for all its poles at once and sums
+Re = w (G o (x - p)) and Im = -y (w G).  Points where D could leave the
+normal range take complex division instead; _hard_points decides which,
+for the system and the chunks alike.  On the interval the columns are
+p / (x - p) themselves.
 """
 
 from __future__ import annotations
@@ -265,37 +268,51 @@ def _point_parts(pts: np.ndarray):
         return x, y, y * y, np.abs(pts)
 
 
-def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None,
-               parts=None):
+def _hard_points(z: np.ndarray, poles: np.ndarray, parts):
+    """(hard, exact) for complex points z = x + iy and real poles p, parts
+    being _point_parts(z): the indices of the points where a D =
+    (x - p)^2 + y^2 or p/D could leave the normal range (within about
+    1e-154 of a pole, or so far out that D overflows or p/D underflows),
+    and p/(z - p) there, one row per point, from complex division, which
+    raises where a point is a pole (None when hard is empty).  Each point
+    is decided on its own, so its value does not depend on the other
+    points; only the points within about 1e-154 of the real axis take
+    their D, one (poles x such points) array."""
+    x, _, y2, modulus = parts
+    p_min, p_max = float(np.min(np.abs(poles))), float(np.max(np.abs(poles)))
+    d_lo = max(_TINY, p_max / _HUGE)  # D >= d_lo: D normal, p/D finite
+    z_max = math.sqrt(min(_HUGE, p_min / _TINY)) - p_max  # |z| <= z_max: D, p/D normal
+    hard = ~(modulus <= z_max)
+    near = np.flatnonzero(y2 < d_lo)  # only here can D fall below d_lo
+    if len(near):
+        with np.errstate(over="ignore"):
+            d = np.square(x[near] - poles[:, None])
+            d += y2[near]
+        hard[near] |= d.min(axis=0) < d_lo
+    hard = np.flatnonzero(hard)
+    exact = _partial_fraction_columns(z[hard, None], poles) if len(hard) else None
+    return hard, exact
+
+
+def _pf_kernel(z: np.ndarray, poles: np.ndarray, parts=None):
     """p/(z - p) at complex points z = x + iy for real poles p, in real
     arithmetic: p/(z - p) = p (dx - iy) / D with dx = x - p and
     D = dx^2 + y^2.  parts is _point_parts(z), computed here if not given.
 
     Returns (d, dx, hard, exact), d and dx pole by pole: one row per pole,
-    one column per point, dx written into the array dx if one is given.
-    At the points indexed by hard, where a D or p/D
-    could leave the normal range (within about 1e-154 of a pole, or so
-    far out that D overflows or p/D underflows), the values are `exact`,
-    one row per point, from complex division, which raises where a point
-    is a pole (None when hard is empty); there d is inf and dx 0.  Each
-    point is decided on its own, so its value does not depend on the
-    other points.  So a chunk of points holds two (poles x points) arrays,
-    which _pf_sums turns into p/D and its product with dx in place;
-    _chunk_points counts both.
+    one column per point.  hard and exact are _hard_points': the points
+    whose values come from complex division, where d is inf and dx 0.  So
+    a chunk of points holds two (poles x points) arrays, which _pf_sums
+    turns into p/D and its product with dx in place; _chunk_points counts
+    both.
     """
-    x, _, y2, modulus = _point_parts(z) if parts is None else parts
-    p_min, p_max = float(np.min(np.abs(poles))), float(np.max(np.abs(poles)))
-    d_lo = max(_TINY, p_max / _HUGE)  # D >= d_lo: D normal, p/D finite
-    z_max = math.sqrt(min(_HUGE, p_min / _TINY)) - p_max  # |z| <= z_max: D, p/D normal
-    dx = np.subtract(x, poles[:, None], out=dx)
+    parts = _point_parts(z) if parts is None else parts
+    x, _, y2, _ = parts
+    hard, exact = _hard_points(z, poles, parts)
+    dx = np.subtract(x, poles[:, None])
     with np.errstate(over="ignore"):
         d = np.square(dx)
         d += y2
-    near = y2 < d_lo  # only here can D fall below d_lo
-    if near.any():
-        near[near] = d[:, near].min(axis=0) < d_lo
-    hard = np.flatnonzero(near | ~(modulus <= z_max))
-    exact = _partial_fraction_columns(z[hard, None], poles) if len(hard) else None
     d[:, hard], dx[:, hard] = np.inf, 0.0
     return d, dx, hard, exact
 
@@ -303,30 +320,48 @@ def _pf_kernel(z: np.ndarray, poles: np.ndarray, dx: np.ndarray | None = None,
 def _write_partial_fractions(rows: np.ndarray, arm: np.ndarray,
                              poles: np.ndarray) -> np.ndarray:
     """Write the partial fractions p/(z - p) on a grid's upper arm into the
-    real system's rows, pole by pole, each column divided by its maximum
-    modulus on the arm, and return those scales.  On the interval the
-    values are computed in the rows themselves.  On a complex arm x - p
-    goes straight into the even rows, each point's real part
-    p (x - p) / D is formed there and its imaginary part -p y / D written
-    into the next row; D alone is a (poles x points) temporary, since the
-    passes over it run faster contiguous than on every other row.  The
-    largest modulus |p| / sqrt(D) sits at the smallest D."""
+    real system's rows, each column divided by its maximum modulus on the
+    arm, and return those scales.  On the interval the values are
+    computed in the rows themselves.  On a complex arm the columns are
+    written one pole at a time, with D = (x - p)^2 + y^2 in one vector of
+    the arm's length: x - p goes straight into the column's even rows; the
+    scale is |p| / sqrt(min D), the largest modulus, raised to the complex
+    division's largest at the points _hard_points takes; and with
+    g = (p / scale) / D the even rows become g (x - p), each point's real
+    part, and the odd rows -g y, its imaginary part.  So beside the system
+    the write holds a few vectors of the arm's length and the hard
+    points' values, no (poles x points) array."""
     if not np.iscomplexobj(arm):
         pf = _partial_fraction_columns(arm, poles[:, None], out=rows.T)
         scales = np.maximum(pf.max(axis=1), -pf.min(axis=1))
-        _check_scales(scales)
+        _check_scale(scales.min())
         pf /= scales[:, None]
         return scales
-    d, dx, hard, exact = _pf_kernel(arm, poles, rows[0::2].T)
-    scales = np.abs(poles) / np.sqrt(d.min(axis=1))
+    parts = _point_parts(arm)
+    x, y, y2, _ = parts
+    hard, exact = _hard_points(arm, poles, parts)
+    floors = np.abs(exact).max(axis=0) if len(hard) else np.zeros(len(poles))
+    scales, minus_y, d = np.empty(len(poles)), -y, np.empty(len(arm))
+    with np.errstate(over="ignore"):  # D overflows only at hard points
+        for j, (p, floor, dx, im) in enumerate(zip(
+                poles.tolist(), floors.tolist(), rows[0::2].T, rows[1::2].T)):
+            np.subtract(x, p, out=dx)
+            np.square(dx, out=d)
+            d += y2
+            if len(hard):
+                d[hard], dx[hard] = np.inf, 0.0
+            scales[j] = scale = max(abs(p) / math.sqrt(d.min()), floor)
+            _check_scale(scale)
+            g = np.divide(p / scale, d, out=d)
+            dx *= g
+            np.multiply(g, minus_y, out=im)
     if len(hard):
-        scales = np.maximum(scales, np.abs(exact).max(axis=0))
-    _check_scales(scales)
-    g = np.divide((poles / scales)[:, None], d, out=d)
-    dx *= g
-    np.multiply(g, -arm.imag, out=rows[1::2].T)
-    if len(hard):
-        exact /= scales
+        # numpy divides a complex by a real s as a product with 1/s, which
+        # overflows for s below 1/_HUGE: those columns divide part by part
+        small = scales < 1 / _HUGE
+        exact /= np.where(small, 1.0, scales)
+        exact.real[:, small] /= scales[small]
+        exact.imag[:, small] /= scales[small]
         rows[2 * hard], rows[2 * hard + 1] = exact.real, exact.imag
     return scales
 
@@ -337,8 +372,8 @@ def _check_eps(eps_rel: float):
         raise InputError(f"eps_rel must lie in (0, 1], got {eps_rel}")
 
 
-def _check_scales(scales: np.ndarray):
-    if np.any(scales == 0):
+def _check_scale(scale: float):
+    if scale == 0:
         raise NumericError("a partial-fraction column vanished on the grid")
 
 

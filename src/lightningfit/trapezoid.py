@@ -86,15 +86,48 @@ def error_integrand(u, z, t_param):
 def _error_integrand(u, z, t_param):
     """error_integrand without its checks, for the contour's legs, whose
     u, z and T are valid by construction and which call it once per batch
-    of quadrature nodes."""
+    of quadrature nodes.
+
+    With s = sqrt(u) - T the kernel is (z/pi) / (sqrt(u) (e^s + z e^{-s}))
+    as written wherever that denominator and the quotient are finite.
+    Where either is not (|Re s| near 709 or above: T past that, or a huge
+    u or z), the summand 1/(e^s + z e^{-s}) is taken in a form without
+    overflow instead (see _far_kernel)."""
     uu, zz = np.asarray(u, dtype=complex), np.asarray(z, dtype=complex)
     root = np.sqrt(uu)
     s = root - t_param
-    den = np.exp(s) + zz * np.exp(-s)
+    z_over_pi = (np.ascontiguousarray(zz).view(float) / math.pi).view(complex)
+    z_over_pi = z_over_pi.reshape(zz.shape)
+    with np.errstate(all="ignore"):
+        den = np.exp(s) + zz * np.exp(-s)
+        bottom = root * den
+        value = z_over_pi / bottom
+        # |bottom value| = |z|/pi where both are finite, else not finite
+        tame = np.isfinite(bottom * value)
     if np.any(den == 0):
         raise InputError("evaluation point coincides with a pole")
-    z_over_pi = (np.ascontiguousarray(zz).view(float) / math.pi).view(complex)
-    return z_over_pi.reshape(zz.shape) / (root * den)
+    if tame.all():
+        return value
+    far = ~tame
+    value = np.array(value)  # writable, also when it is a scalar
+    s, zz, z_over_pi, root = np.broadcast_arrays(s, zz, z_over_pi, root)
+    value[far] = _far_kernel(s[far], zz[far], z_over_pi[far], root[far])
+    return value[()]
+
+
+def _far_kernel(s, z, z_over_pi, root):
+    """The kernel with the summand 1/(e^s + z e^{-s}) taken as
+    e^{-s}/(1 + z e^{-2s}) for Re s > 0 and e^s/(e^{2s} + z) for
+    Re s < 0, so that only e^t, with t = -s or s and Re t <= 0, is taken,
+    and divided by the rest last.  At z = 0 the kernel, z times a finite
+    value, is 0, so the denominator e^{2s} + z, whose e^{2s} may
+    underflow to 0, is taken as 1 there."""
+    up = s.real > 0
+    t = np.where(up, -s, s)
+    with np.errstate(over="ignore"):  # 2t passes -max-float when T does
+        e, e2 = np.exp(t), np.exp(2 * t)
+    den = np.where(up | (z == 0), 1 + z * e2, e2 + z)
+    return z_over_pi / den / root * e
 
 
 def trap_eval(t: TrapApproximant, z):
@@ -103,8 +136,10 @@ def trap_eval(t: TrapApproximant, z):
     f is `error_integrand`, summed over the nodes in ascending order; z is
     a scalar or an array, and real z gives real values.  With z/pi
     componentwise on every path, each point gets the bits of its scalar
-    sum.  The summand is evaluated as 1/(e^s + z e^{-s}) which stays
-    bounded for all node positions, unlike the textbook e^s/(e^{2s} + z) form.
+    sum.  The summand is evaluated as 1/(e^s + z e^{-s}), which stays
+    bounded at every node, unlike the textbook e^s/(e^{2s} + z) form, and
+    past the exponential's range (T above about 709.8) in a form without
+    overflow (see _error_integrand).
     """
     z = InputError.check_points(z)
     nodes = t.step * np.arange(1, t.nt + 1)

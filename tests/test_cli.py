@@ -136,6 +136,16 @@ def test_numeric_failure_exit_2(capsys):
     assert "numeric failure" in err
 
 
+def test_subnormal_column_scale_is_a_numeric_failure_without_a_warning(capsys):
+    # a pole of 2.03e-313 seen from one point at radius 1: its column's
+    # scale is below 1/max-float, and the fit fails on validation, not on a
+    # RuntimeWarning from dividing by the scale
+    code, out, err = run_cli(capsys, "fit", "--beta", "0.5", "--n1", "16",
+                             "--sigma", "240", "--n2", "0", "--grid-points", "1")
+    assert (code, out) == (2, "")
+    assert err == "numeric failure: the approximant overflows on the validation grid\n"
+
+
 def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
     def svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -258,6 +258,51 @@ def test_real_arithmetic_kernel_matches_complex_division(beta, log_radii,
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       log_radii=st.lists(st.floats(-16.0, 0.0), min_size=1, max_size=40),
+       log_poles=st.lists(st.floats(-312.0, 1.0), min_size=1, max_size=30,
+                          unique=True))
+def test_v_domain_system_rows_match_complex_division(beta, log_radii, log_poles):
+    """The V-domain system's rows, each point's real row then its
+    imaginary row, times the column scales, against numpy's complex
+    p / (z - p), within 1e-14 of the modulus.  Poles down to 1e-312 draw
+    the points _hard_points hands to complex division, all of them once
+    the smallest pole is below about 1e-306, and column scales below
+    1/max-float, whose reciprocal overflows.  Parts below the normal range
+    are multiples of 2^-1074, and numpy's division rounds p's products to
+    that grid before it multiplies them by up to 1 / |z - p|; so much is
+    allowed beside the relative 1e-14."""
+    poles = -(10.0 ** np.array(log_poles))
+    z = 10.0 ** np.array(log_radii) * np.exp(0.5j * math.pi * beta)
+    ref = poles / (z[:, None] - poles)
+    rows = np.empty((2 * len(z), len(poles)), order="F")
+    scales = _write_partial_fractions(rows, z, poles)
+    got = (rows[0::2] + 1j * rows[1::2]) * scales
+    step = np.finfo(float).smallest_subnormal
+    allowed = 1e-14 * np.abs(ref) + step * (2 + 1 / np.abs(z[:, None] - poles))
+    assert np.all(np.abs(got - ref) <= allowed)
+
+
+def test_column_scale_below_the_reciprocal_range_divides_part_by_part():
+    """A column whose largest modulus on the arm is below 1/max-float (a
+    subnormal pole seen from radius 1) has a scale whose reciprocal
+    overflows, and numpy divides a complex by a real through that
+    reciprocal: that column's rows are its real and imaginary parts each
+    divided by the scale, the others numpy's complex quotient, with no
+    RuntimeWarning."""
+    poles = -np.array([1e-310, 0.5])
+    z = np.array([np.exp(0.25j * math.pi)])
+    ref = poles / (z[:, None] - poles)
+    rows = np.empty((2, 2), order="F")
+    scales = _write_partial_fractions(rows, z, poles)
+    assert scales[0] < 1 / np.finfo(float).max <= scales[1]
+    assert np.array_equal(rows[:, 0], [ref[0, 0].real / scales[0],
+                                       ref[0, 0].imag / scales[0]])
+    quotient = ref[0, 1] / scales[1]
+    assert np.array_equal(rows[:, 1], [quotient.real, quotient.imag])
+
+
 @settings(max_examples=40, deadline=None)
 @given(log_poles=st.lists(st.floats(-40.0, 1.0), min_size=1, max_size=10,
                           unique=True), hit=st.integers(0, 9))

@@ -111,6 +111,77 @@ def test_error_integrand_takes_arrays_of_t():
         assert row.tobytes() == error_integrand(u, 0.3 + 0.2j, t).tobytes()
 
 
+def _mp_integrand(u, z, t_param):
+    """error_integrand's kernel (z/pi) u^{-1/2} e^s / (e^{2s} + z), with
+    s = sqrt(u) - T, in mpmath at the working precision."""
+    u, z, t_param = mp.mpf(u), mp.mpc(z), mp.mpf(t_param)
+    s = mp.sqrt(u) - t_param
+    return (z / mp.pi) / mp.sqrt(u) * mp.exp(s) / (mp.exp(2 * s) + z)
+
+
+_SUBNORMAL_STEP = np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.parametrize("u, z, t_param", [
+    (1.0, 0.0, 1000.0), (1.0, 0.5, 1e300), (1e300, 0.5, 9.0)] + [
+    (root * root, z, t_param) for t_param in (710.0, 1000.0)
+    for root in (1.0, t_param - 715.0, t_param - 705.0, t_param, t_param + 705.0,
+                 t_param + 720.0, 2 * t_param)
+    for z in (0.0, 1e-300, 0.25, 1.0, 0.5 + 0.5j, 1e-3j)])
+def test_error_integrand_beyond_the_exponential_range_matches_mpmath(u, z, t_param):
+    """Past |Re s| = 709.8 e^s or e^{-s} overflows, and the kernel takes a
+    form without overflow: from s = 1 - T to s = T, at u whose square
+    roots are exact (so that s is), it matches the kernel at 40 digits
+    within 1e-14 relative, and is 0 at z = 0.  Parts below the normal
+    range, e^s among them, are multiples of 2^-1074, so two such steps are
+    allowed beside.  A RuntimeWarning would fail the test."""
+    got = error_integrand(u, z, t_param)
+    with mp.workdps(40):
+        want = _mp_integrand(u, z, t_param)
+        assert abs(mp.mpc(complex(got)) - want) <= \
+            1e-14 * abs(want) + 2 * _SUBNORMAL_STEP
+    if z == 0:
+        assert got == 0
+
+
+def test_error_integrand_keeps_its_expression_where_it_is_finite():
+    """At T = 700 neither e^{+-s} nor the denominator overflows at any
+    node, and the kernel is (z/pi) / (sqrt(u) (e^s + z e^{-s})) bit for
+    bit, z/pi taken componentwise."""
+    u = (np.arange(1.0, 1401.0)) ** 2
+    for z in (0.0, 0.25, 0.5 + 0.5j):
+        root, zz = np.sqrt(u.astype(complex)), np.complex128(z)
+        s = root - 700.0
+        z_over_pi = complex(zz.real / math.pi, zz.imag / math.pi)
+        plain = z_over_pi / (root * (np.exp(s) + zz * np.exp(-s)))
+        assert error_integrand(u, z, 700.0).tobytes() == plain.tobytes()
+
+
+def test_trap_eval_beyond_the_exponential_range():
+    """At nt = 200000 (T = 993.5) the exponentials of the window's ends
+    overflow; the rule's error 20 e^{-T} is 0 in double, and the values are
+    sqrt(z) within 4e-15 relative, 0 at z = 0.  A coarse rule, nt = 1000
+    at step 4e4 (T = 3162), whose nodes run from s = -2962 to s = T,
+    matches its node sum at 40 digits within 1e-15 (1 + sqrt(u)) of each
+    term's modulus: s = sqrt(u) - T carries sqrt(u)'s rounding, which e^s
+    turns into a relative error."""
+    z = np.array([0.0, 1e-300, 0.25, 0.5 + 0.5j])
+    got = trap_eval(TrapApproximant(200000), z)
+    assert got[0] == 0
+    assert np.all(np.abs(got[1:] - np.sqrt(z[1:])) <= 4e-15 * np.abs(np.sqrt(z[1:])))
+    rule = TrapApproximant(1000, step=4e4)
+    nodes = rule.step * np.arange(1, rule.nt + 1)
+    got = trap_eval(rule, z)
+    assert got[0] == 0
+    with mp.workdps(40):
+        for zi, value in zip(z, got):
+            terms = [rule.step * _mp_integrand(u, complex(zi), rule.t_param)
+                     for u in nodes]
+            allowed = mp.fsum(abs(term) * 1e-15 * (1 + math.sqrt(u))
+                              for term, u in zip(terms, nodes))
+            assert abs(mp.mpc(complex(value)) - mp.fsum(terms)) <= allowed
+
+
 def test_trap_eval_rejects_pole_hit():
     t = TrapApproximant(4)
     # z = -e^{2 s_j} is a pole of the j-th term
